@@ -10,10 +10,10 @@ __version__ = "0.1.0"
 
 from .config import RunConfig, parse_config
 from .conformal import (CertificateReport, ConformalFactors, certificate,
-                        chain_scalar, chain_scalar_exact, conformal_ricci_normal,
-                        conformal_scalar, conformal_second_fundamental,
-                        exact_slice_scalar, k2_field, laplacian_comparison,
-                        lift_solution, select_C, slice_laplacian_identity)
+                        chain_scalar, conformal_ricci_normal, conformal_scalar,
+                        conformal_second_fundamental, exact_slice_scalar,
+                        k2_field, laplacian_comparison, lift_solution,
+                        select_C, slice_laplacian_identity)
 from .curvature import (HypersurfaceData, curvature_bundle, gauss_codazzi_scalar,
                         hypersurface_data, laplacian, ricci, scalar_curvature)
 from .errors import (ConfigError, HypothesisViolation, NumericalFailure,

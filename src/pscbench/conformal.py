@@ -37,14 +37,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import (CurvatureBundle, HypersurfaceData, curvature_bundle,
-                        grad_norm2, hessian_cov, hypersurface_data, laplacian,
-                        scalar_curvature)
+from .curvature import (_FRAME_TOL, CurvatureBundle, HypersurfaceData,
+                        curvature_bundle, grad_norm2, hessian_cov,
+                        hypersurface_data, laplacian, scalar_curvature)
 from .errors import ConfigError, NumericalFailure
 from .grids import DiscreteDomain, c1_norm, gradient
 from .metrics import MetricField, conformal_metric, restrict_metric
 
-_FRAME_TOL = 1e-8
 POSITIVITY_FLOOR = 1e-8
 
 
@@ -129,19 +128,6 @@ def conformal_ricci_normal(metric: MetricField, phi: np.ndarray,
                                  - lap - (n - 2.0) * g2)
 
 
-def conformal_trace_h2(h_mean, dmu_phi, phi, n: int):
-    """(mean curvature)^2 of the slice after deformation."""
-    return np.exp(-2.0 * phi) * (h_mean ** 2
-                                 + 2.0 * (n - 1.0) * h_mean * dmu_phi
-                                 + (n - 1.0) ** 2 * dmu_phi ** 2)
-
-
-def conformal_trace_a2(a_norm2, h_mean, dmu_phi, phi, n: int):
-    """|second fundamental form|^2 of the slice after deformation."""
-    return np.exp(-2.0 * phi) * (a_norm2 + 2.0 * h_mean * dmu_phi
-                                 + (n - 1.0) * dmu_phi ** 2)
-
-
 def conformal_second_fundamental(a_norm2, h_mean, phi: np.ndarray,
                                  mu: np.ndarray, n: int, domain):
     """(|A|^2, h^2) of the slice under the deformation, as a pair.
@@ -153,11 +139,11 @@ def conformal_second_fundamental(a_norm2, h_mean, phi: np.ndarray,
       |A~|^2 = e^{-2 phi} (|A|^2 + 2 h (d_mu phi) + (n-1) (d_mu phi)^2)
       h~^2   = e^{-2 phi} (h + (n-1) d_mu phi)^2
     """
-    dom = getattr(domain, "domain", domain)
-    dphi = gradient(dom, phi)
-    s = np.einsum("...i,...i->...", mu, dphi)
-    return (conformal_trace_a2(a_norm2, h_mean, s, phi, n),
-            conformal_trace_h2(h_mean, s, phi, n))
+    s = np.einsum("...i,...i->...", mu, gradient(domain, phi))
+    scale = np.exp(-2.0 * phi)
+    return (scale * (a_norm2 + 2.0 * h_mean * s + (n - 1.0) * s ** 2),
+            scale * (h_mean ** 2 + 2.0 * (n - 1.0) * h_mean * s
+                     + (n - 1.0) ** 2 * s ** 2))
 
 
 def chain_scalar(metric_y: MetricField, phi: np.ndarray, mu: np.ndarray,
@@ -185,14 +171,6 @@ def chain_scalar(metric_y: MetricField, phi: np.ndarray, mu: np.ndarray,
     return r_t - 2.0 * ric_t + h2t - a2t
 
 
-def chain_scalar_exact(factors: ConformalFactors, slice_data: HypersurfaceData,
-                       metric_y: MetricField, mu: np.ndarray,
-                       bundle: CurvatureBundle = None) -> np.ndarray:
-    """chain_scalar driven by a lifted solution instead of a raw exponent."""
-    return chain_scalar(metric_y, factors.phi_y, mu, hyp=slice_data,
-                        n=factors.n, bundle=bundle)
-
-
 def deformed_slice_metric(metric_y: MetricField,
                           phi_y: np.ndarray) -> MetricField:
     """e^{2 phi} (induced slice metric) as a metric on X, with numerically
@@ -208,7 +186,6 @@ def exact_slice_scalar(metric_y: MetricField, phi_y: np.ndarray) -> np.ndarray:
 
 
 def laplacian_comparison(u_w: np.ndarray, metric_m: MetricField,
-                         p_theta: float | None = None,
                          metric_w: MetricField = None):
     """B1 = Lap_{g_M} u - Lap_{sigma* g} u over the W nodes, and K1.
 
@@ -216,12 +193,10 @@ def laplacian_comparison(u_w: np.ndarray, metric_m: MetricField,
     node-aligned arrays and the mismatch is a plain difference. For product
     metrics and theta-independent u every extra M term is exactly zero and
     B1 vanishes to round-off; twisted metrics leave a genuine residue from
-    the differing inverse-metric blocks. p_theta names the section; the
-    metrics here are theta-independent so it does not enter.
+    the differing inverse-metric blocks.
 
     Returns (B1 field, K1 = 4 sup|B1|).
     """
-    del p_theta
     if metric_w is None:
         dom_w = metric_m.domain.without("theta")
         metric_w = restrict_metric(metric_m, dom_w)
@@ -309,7 +284,7 @@ def certificate(factors: ConformalFactors, slice_data: HypersurfaceData,
                 forcing_0: np.ndarray, b1_k1, k2: np.ndarray,
                 eta_prime: float, r_g0: np.ndarray, c_used: float,
                 metric_y: MetricField, mu: np.ndarray,
-                bundle: CurvatureBundle = None,
+                bundle: CurvatureBundle,
                 residual_inf: float = None,
                 tolerance: float = None) -> CertificateReport:
     """Assemble the pointwise lower bound and its two cross-checks.
@@ -337,13 +312,6 @@ def certificate(factors: ConformalFactors, slice_data: HypersurfaceData,
             f"tolerance {tolerance:.1e}")
     n = factors.n
     dom = metric_y.domain
-    if bundle is None:
-        bundle = curvature_bundle(metric_y)
-    hyp = slice_data
-    if hyp is None:
-        tangent = [nm for nm in dom.names if nm != "theta"]
-        hyp = hypersurface_data(metric_y, tangent, mu, bundle=bundle)
-
     b1, k1 = b1_k1
     b1 = np.asarray(b1, dtype=float)
     if b1.ndim == len(dom.shape) + 1:
@@ -351,11 +319,12 @@ def certificate(factors: ConformalFactors, slice_data: HypersurfaceData,
         b1 = b1[..., b1.shape[-1] // 2]
     b1_0 = b1
     u_y = factors.u_y
-    bracket = ((-2.0 * hyp.ric_nn + hyp.h_mean ** 2 - hyp.a_norm2) * u_y
+    bracket = ((-2.0 * slice_data.ric_nn + slice_data.h_mean ** 2
+                - slice_data.a_norm2) * u_y
                + forcing_0 + r_g0 - 4.0 * b1_0 - k2 - 4.0 * eta_prime)
     r_bound = u_y ** (-(n + 2.0) / (n - 2.0)) * bracket
 
-    r_chain = chain_scalar(metric_y, factors.phi_y, mu, hyp=hyp, n=n,
+    r_chain = chain_scalar(metric_y, factors.phi_y, mu, hyp=slice_data, n=n,
                            bundle=bundle)
     r_exact = exact_slice_scalar(metric_y, factors.phi_y)
 

@@ -8,6 +8,12 @@ grid. Vector and tensor fields carry trailing component dimensions indexed
 by the full coordinate order, virtual axes included, so tensor algebra never
 needs to know which axes happen to be stored.
 
+A field that is constant along a stored axis may hold it at length 1
+instead of the axis' node count: every field but the solution u is
+constant in t, so metrics, curvature and drift fields keep a length-1 t
+axis and NumPy broadcasting pairs them with fields that vary in t. Such an
+axis differentiates to zero, exactly as a virtual one does.
+
 Domain construction for a run:
 
     W = build_domain(spec)             # X x [-1, 1], the solve domain
@@ -143,15 +149,16 @@ class DiscreteDomain:
         return a.coords().reshape(shp)
 
     def diff(self, values: np.ndarray, name: str, order: int) -> np.ndarray:
-        """Partial derivative along a coordinate axis; zero for virtual axes.
+        """Partial derivative along a coordinate axis; zero for virtual axes
+        and for stored axes along which `values` has length 1.
 
         Trailing component dimensions pass through untouched.
         """
         a = self.axis(name)
-        if not a.stored:
+        k = self.array_axis(name)
+        if k is None or values.shape[k] == 1:
             return np.zeros_like(values)
-        return fd.apply_diff(values, self.array_axis(name), order, a.n,
-                             a.spacing, a.closure)
+        return fd.apply_diff(values, k, order, a.n, a.spacing, a.closure)
 
     def integrate(self, values: np.ndarray) -> np.ndarray:
         """Quadrature over the stored grid times virtual circumferences.

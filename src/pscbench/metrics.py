@@ -12,6 +12,12 @@ tests and for metrics loaded from CSV tables). Index convention:
 with i, j, k, l running over the full coordinate order of the domain,
 virtual axes included (their derivative slots are zero).
 
+The grid dimensions of each array need only broadcast to the domain's
+shape: a metric constant along a stored axis holds that axis at length 1.
+product_extend builds h (+) dt^2 this way, with a length-1 t axis, so the
+metrics of M and W, and every field computed from them, store one copy of
+X instead of t_nodes identical ones.
+
 Builtins, constructed on any of the X/Y/W/M domains of a run (components
 appear according to which axes the domain has):
 
@@ -48,9 +54,13 @@ class MetricField:
         self.domain = domain
         d = domain.dim
         shape = domain.shape
-        self.comp = np.broadcast_to(comp, shape + (d, d)).copy()
-        self.d1 = np.broadcast_to(d1, shape + (d, d, d)).copy()
-        self.d2 = np.broadcast_to(d2, shape + (d, d, d, d)).copy()
+        self.comp = np.asarray(comp, dtype=float)
+        self.d1 = np.asarray(d1, dtype=float)
+        self.d2 = np.asarray(d2, dtype=float)
+        # arrays keep their own grid shape; it must broadcast to the domain's
+        np.broadcast_to(self.comp, shape + (d, d))
+        np.broadcast_to(self.d1, shape + (d, d, d))
+        np.broadcast_to(self.d2, shape + (d, d, d, d))
         self.name = name
         self.params = dict(params or {})
         self._validate()
@@ -243,24 +253,27 @@ def restrict_metric(metric: MetricField, sub: DiscreteDomain, at=None) -> Metric
     src = metric.domain
     keep = [src.index(n) for n in sub.names]
 
-    slicer = [slice(None)] * len(src.shape)
+    dropped = {}
     for ax in src.axes:
         if ax.name in sub.names or not ax.stored:
             continue
         if ax.name not in at:
             raise ValueError(f"need an evaluation index for dropped axis {ax.name!r}")
-        slicer[src.array_axis(ax.name)] = at[ax.name]
-    slicer = tuple(slicer)
+        dropped[src.array_axis(ax.name)] = at[ax.name]
 
-    comp = metric.comp[slicer][..., keep, :][..., :, keep]
-    d1 = metric.d1[slicer][..., keep, :, :][..., :, keep, :][..., :, :, keep]
-    d2 = (metric.d2[slicer][..., keep, :, :, :][..., :, keep, :, :]
-          [..., :, :, keep, :][..., :, :, :, keep])
-    return MetricField(sub, comp, d1, d2, name=metric.name, params=metric.params)
+    def pull(arr):
+        sl = [slice(None)] * len(src.shape)
+        for k, i in dropped.items():
+            # a length-1 axis holds one value for every node: read index 0
+            sl[k] = i if arr.shape[k] > 1 else 0
+        return arr[tuple(sl)][(...,) + np.ix_(*[keep] * (arr.ndim - len(sl)))]
+
+    return MetricField(sub, pull(metric.comp), pull(metric.d1),
+                       pull(metric.d2), name=metric.name, params=metric.params)
 
 
 def product_extend(h: MetricField, m_domain: DiscreteDomain) -> MetricField:
-    """g = h (+) dt^2 on the t-extended domain, components t-independent."""
+    """g = h (+) dt^2 on the t-extended domain, stored with a length-1 t axis."""
     src = h.domain
     if "t" in src.names or "t" not in m_domain.names:
         raise ValueError("product_extend maps a t-free metric to a t-domain")
@@ -269,25 +282,15 @@ def product_extend(h: MetricField, m_domain: DiscreteDomain) -> MetricField:
             raise ValueError(f"target domain lacks axis {n!r}")
 
     dm = m_domain.dim
-    shape = m_domain.shape
+    t_pos = m_domain.array_axis("t")
+    shape = tuple(1 if k == t_pos else n for k, n in enumerate(m_domain.shape))
+    idx = [m_domain.index(n) for n in src.names]
     comp = np.zeros(shape + (dm, dm))
     d1 = np.zeros(shape + (dm, dm, dm))
     d2 = np.zeros(shape + (dm, dm, dm, dm))
-
-    # broadcast over the appended t array dimension
-    t_pos = m_domain.array_axis("t")
-    expand = [slice(None)] * len(shape)
-    expand[t_pos] = None
-    expand = tuple(expand)
-
-    idx = [m_domain.index(n) for n in src.names]
-    for a, ia in enumerate(idx):
-        for b, ib in enumerate(idx):
-            comp[..., ia, ib] = h.comp[expand + (a, b)]
-            for k, ik in enumerate(idx):
-                d1[..., ia, ib, ik] = h.d1[expand + (a, b, k)]
-                for l, il in enumerate(idx):
-                    d2[..., ia, ib, ik, il] = h.d2[expand + (a, b, k, l)]
+    comp[(...,) + np.ix_(idx, idx)] = np.expand_dims(h.comp, t_pos)
+    d1[(...,) + np.ix_(idx, idx, idx)] = np.expand_dims(h.d1, t_pos)
+    d2[(...,) + np.ix_(idx, idx, idx, idx)] = np.expand_dims(h.d2, t_pos)
     it = m_domain.index("t")
     comp[..., it, it] = 1.0
     return MetricField(m_domain, comp, d1, d2, name=h.name, params=h.params)

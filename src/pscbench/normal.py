@@ -25,14 +25,12 @@ from .metrics import MetricField
 MARGIN_FLOOR = 1e-8
 
 
-def unit_normal(h: MetricField, p_theta: float | None = None) -> np.ndarray:
+def unit_normal(h: MetricField) -> np.ndarray:
     """Unit normal of the X x {P} slices, oriented by h(mu, d_theta) > 0.
 
-    p_theta names the slice; every metric here is theta-independent, so the
-    normal is the same field for every P and the argument is only echoed in
-    reports.
+    Every metric here is theta-independent, so the normal is the same field
+    for every section position P.
     """
-    del p_theta
     dom = h.domain
     ith = dom.index("theta")
     e = np.zeros(dom.shape + (dom.dim, 1))

@@ -41,9 +41,9 @@ def build_slice_metric(config: RunConfig, dom_y):
 
 
 def _extend_drift(v_y: np.ndarray, dom_y, dom_w) -> np.ndarray:
-    """V on W: slice components copied over t, t component zero."""
-    v_w = np.zeros(dom_w.shape + (dom_w.dim,))
+    """V on W with a length-1 t axis: slice components, t component zero."""
     kt = dom_w.array_axis("t")
+    v_w = np.zeros(np.expand_dims(v_y, kt).shape[:-1] + (dom_w.dim,))
     for name in dom_y.names:
         if name == "theta":
             continue
@@ -117,8 +117,7 @@ def run_scenario(config: RunConfig, stage: str = "certify") -> RunReport:
     c_value = select_C(slice_data, k1=0.0) if auto_c else float(config.c_mode)
     epsilon, spec, forcing, solve = _solve_pass(config, doms, metric_w, v_w,
                                                 r_g, c_value)
-    b1, k1 = laplacian_comparison(1.0 + solve.u, g_m, config.p_theta,
-                                  metric_w=metric_w)
+    b1, k1 = laplacian_comparison(1.0 + solve.u, g_m, metric_w=metric_w)
     if auto_c:
         c_second = select_C(slice_data, k1=k1)
         if c_second > c_value:
@@ -127,7 +126,7 @@ def run_scenario(config: RunConfig, stage: str = "certify") -> RunReport:
             c_value = c_second
             epsilon, spec, forcing, solve = _solve_pass(
                 config, doms, metric_w, v_w, r_g, c_value)
-            b1, k1 = laplacian_comparison(1.0 + solve.u, g_m, config.p_theta,
+            b1, k1 = laplacian_comparison(1.0 + solve.u, g_m,
                                           metric_w=metric_w)
 
     eta_prime = dtt_monitor(solve.u, doms["w"], epsilon)

@@ -85,9 +85,11 @@ def assemble(domain: DiscreteDomain, v: np.ndarray, potential,
     nodes = int(np.prod(shape))
     inv = metric.inverse
 
-    v = np.asarray(np.broadcast_to(np.asarray(v, dtype=float),
-                                   shape + (d,)), dtype=float)
-    c0 = np.asarray(np.broadcast_to(potential, shape), dtype=float)
+    # coefficient fields keep the grid shape they come with (a length-1 t
+    # axis for t-independent ones); only the matrix build below expands them
+    v = np.asarray(v, dtype=float)
+    c0 = np.asarray(potential, dtype=float)
+    np.broadcast_to(v, shape + (d,))  # raises on a shape mismatch
 
     # the principal symbol must stay positive definite over every node,
     # virtual directions included
@@ -98,7 +100,7 @@ def assemble(domain: DiscreteDomain, v: np.ndarray, potential,
             f"operator symbol loses ellipticity: min eigenvalue {eigmin:.3e}")
 
     gamma = christoffel(metric)
-    dv = np.empty(shape + (d, d))
+    dv = np.empty(v.shape + (d,))
     for k in range(d):
         vk = np.ascontiguousarray(v[..., k])
         for a, nm in enumerate(dom.names):
@@ -134,9 +136,9 @@ def assemble(domain: DiscreteDomain, v: np.ndarray, potential,
 
     mat = sp.csr_matrix((nodes, nodes))
     for coef, ops in terms:
-        mat = mat + sp.diags(np.asarray(coef, dtype=float).ravel()) \
+        mat = mat + sp.diags(np.broadcast_to(coef, shape).ravel()) \
             @ _embed(shape, ops)
-    mat = mat + sp.diags(c0.ravel())
+    mat = mat + sp.diags(np.broadcast_to(c0, shape).ravel())
 
     # per-axis second-order stiffness spread; purely advisory
     scales = [float(np.max(np.abs(c2[..., ca, ca]))) / ax.spacing ** 2

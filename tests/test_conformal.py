@@ -17,9 +17,9 @@ from pscbench.normal import normal_frame
 from pscbench.conformal import (lift_solution, conformal_scalar,
                                 conformal_ricci_normal,
                                 conformal_second_fundamental, chain_scalar,
-                                chain_scalar_exact, exact_slice_scalar,
-                                laplacian_comparison, slice_laplacian_identity,
-                                k2_field, curvature_coefficient, select_C,
+                                exact_slice_scalar, laplacian_comparison,
+                                slice_laplacian_identity, k2_field,
+                                curvature_coefficient, select_C,
                                 headroom_value, certificate)
 
 
@@ -258,7 +258,7 @@ def test_certificate_of_undeformed_sphere_slice():
     m = doms["m"]
     factors = lift_solution(w, np.zeros(w.shape), 3)
     it0 = m.axis("t").n // 2
-    r_g0 = np.take(r_g, it0, axis=m.array_axis("t"))
+    r_g0 = np.take(np.broadcast_to(r_g, w.shape), it0, axis=m.array_axis("t"))
     zeros = np.zeros(y.shape)
     cert = certificate(factors, sd, zeros, (np.zeros(w.shape), 0.0), zeros,
                        0.0, r_g0, 2.2, h, fr.mu, bundle=bundle)
@@ -279,15 +279,3 @@ def test_certificate_refuses_unconverged_solve():
         certificate(factors, sd, zeros, (np.zeros(w.shape), 0.0), zeros,
                     0.0, zeros, 2.2, h, fr.mu, bundle=bundle,
                     residual_inf=1e-6, tolerance=1e-10)
-
-
-def test_chain_scalar_exact_consumes_lifted_solution():
-    doms, h, fr, g_m, r_g, sd, bundle = run_tiny_scenario(
-        "sphere_product", res=24, r=1.0)
-    w = doms["w"]
-    u = 0.05 * np.cos(np.pi * np.asarray(np.broadcast_to(
-        w.mesh("t"), w.shape)) / 2)
-    factors = lift_solution(w, u, 3)
-    via_factors = chain_scalar_exact(factors, sd, h, fr.mu, bundle=bundle)
-    direct = chain_scalar(h, factors.phi_y, fr.mu, hyp=sd, n=3, bundle=bundle)
-    assert np.max(np.abs(via_factors - direct)) == 0.0

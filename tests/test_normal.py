@@ -114,12 +114,6 @@ def test_sphere_twist_frame():
     assert fr.max_angle < math.atan(b0 / r)
 
 
-def test_unit_normal_ignores_section_position():
-    # theta-independent metric: one frame serves every slice X x {P}
-    h = make_metric("twisted_flat", torus_y(), c=0.5)
-    assert np.max(np.abs(unit_normal(h, 0.0) - unit_normal(h, 2.1))) == 0.0
-
-
 def test_minor_closed_form_matches_direct_determinants():
     rng = np.random.default_rng(42)
     for m in (1, 2, 3):

@@ -1,0 +1,63 @@
+"""Smoke tests for the study scripts: each runs as a subprocess, exits 0 and
+writes the CSV rows its study defines.
+
+Frozen sup-errors come from earlier runs of the same studies; the 1e-3
+relative allowance absorbs BLAS reduction-order drift, not formula changes.
+"""
+
+import csv
+import math
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def run_script(name, tmp_path, *args):
+    proc = subprocess.run([sys.executable, str(SCRIPTS / name), *args],
+                          cwd=tmp_path, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_angle_sweep_twisted_flat(tmp_path):
+    run_script("angle_sweep.py", tmp_path, "--steps", "3", "--resolution", "8")
+    rows = read_rows(tmp_path / "angle_sweep.csv")
+    # twisted flat torus: angle arctan(c), ellipticity margin 1 - c^2
+    assert [float(r["value"]) for r in rows] == [0.0, 0.6, 1.2]
+    for r in rows:
+        c = float(r["value"])
+        assert float(r["max_angle"]) == pytest.approx(math.atan(c), abs=1e-10)
+        assert float(r["margin"]) == pytest.approx(1.0 - c * c, abs=1e-10)
+        assert r["elliptic"] == ("true" if c < 1.0 else "false")
+
+
+# study -> ({resolution: sup_error}, smallest observed order allowed)
+STUDIES = {
+    "sphere-oracle": ({16: 2.675896e-01, 32: 6.813074e-02,
+                       64: 1.710926e-02, 128: 4.282091e-03}, 1.9),
+    "certificate-gap": ({24: 4.178480e-07, 48: 2.681071e-08,
+                         96: 1.689275e-09}, 3.9),
+}
+
+
+@pytest.mark.parametrize("study", list(STUDIES))
+def test_convergence_study(tmp_path, study):
+    frozen, min_order = STUDIES[study]
+    run_script("convergence_study.py", tmp_path, "--study", study,
+               "--out-dir", str(tmp_path))
+    rows = read_rows(tmp_path / f"{study}.csv")
+    assert [int(r["resolution"]) for r in rows] == list(frozen)
+    for r in rows:
+        assert float(r["sup_error"]) == pytest.approx(
+            frozen[int(r["resolution"])], rel=1e-3)
+    assert rows[0]["order"] == ""
+    assert all(float(r["order"]) > min_order for r in rows[1:])

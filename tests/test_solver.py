@@ -12,8 +12,12 @@ import numpy as np
 import pytest
 
 from pscbench.errors import ConfigError, HypothesisViolation
-from pscbench.grids import DomainSpec, build_domain, w_domains, TORUS
-from pscbench.metrics import make_metric
+from pscbench.curvature import scalar_curvature
+from pscbench.grids import DomainSpec, build_domain, w_domains, TORUS, SPHERE
+from pscbench.metrics import (MetricField, make_metric, product_extend,
+                              restrict_metric)
+from pscbench.normal import normal_frame
+from pscbench.pipeline import _extend_drift
 from pscbench.solver import assemble, solve_dirichlet, dtt_monitor, SolveReport
 from pscbench.forcing import ForcingSpec, build_bump, calibrate_epsilon
 from pscbench import fd
@@ -121,6 +125,46 @@ def test_assemble_flat_drift_free_matrix_is_kron_laplacian():
     manual = sp.diags(interior) @ manual + sp.diags(1.0 - interior)
     diff = (asm.matrix - manual.tocsr()).tocoo()
     assert diff.nnz == 0 or np.max(np.abs(diff.data)) == 0.0
+
+
+def materialise(metric):
+    """The same metric with every array copied out to the full grid."""
+    dom = metric.domain
+    full = [np.broadcast_to(a, dom.shape + a.shape[len(dom.shape):]).copy()
+            for a in (metric.comp, metric.d1, metric.d2)]
+    return MetricField(dom, *full, name=metric.name, params=metric.params)
+
+
+@pytest.mark.parametrize("name, spec, params", [
+    ("twisted_flat", DomainSpec(TORUS, 2, (6, 6), 9), {"c": 0.5}),
+    ("sphere_twist", DomainSpec(SPHERE, 2, (12,), 9),
+     {"r": 1.0, "beta0": 0.5}),
+], ids=["twisted_flat", "sphere_twist"])
+def test_length1_t_fields_match_materialised_oracle(name, spec, params):
+    # t-independent fields are stored once with a length-1 t axis; copying
+    # them out to t_nodes slices must not change a single bit downstream
+    doms = w_domains(spec)
+    m, w = doms["m"], doms["w"]
+    h = make_metric(name, doms["y"], **params)
+    g_m = product_extend(h, m)
+    kt = m.array_axis("t")
+    for arr in (g_m.comp, g_m.d1, g_m.d2):
+        assert arr.shape[kt] == 1
+    r_m = scalar_curvature(g_m)
+    assert r_m.shape[kt] == 1
+    r_full = scalar_curvature(materialise(g_m))
+    for it in range(m.axis("t").n):
+        assert np.array_equal(np.take(r_full, it, axis=kt), r_m[..., 0])
+
+    g_w = restrict_metric(g_m, w)
+    v_w = _extend_drift(normal_frame(h).v, doms["y"], w)
+    asm = assemble(w, v_w, r_m, g_w)
+    assert asm.c1.shape[kt] == 1 and asm.c2.shape[kt] == 1
+    oracle = assemble(w, np.broadcast_to(v_w, w.shape + (w.dim,)).copy(),
+                      np.broadcast_to(r_m, w.shape).copy(), materialise(g_w))
+    assert (asm.matrix != oracle.matrix).nnz == 0
+    assert np.array_equal(np.broadcast_to(asm.c1, oracle.c1.shape), oracle.c1)
+    assert np.array_equal(np.broadcast_to(asm.c2, oracle.c2.shape), oracle.c2)
 
 
 def test_assemble_rejects_foreign_domain():
