@@ -23,7 +23,7 @@ _SCHEMA = {
     "metric": ("name", "c", "r", "beta0", "components_file"),
     "slice": ("p_theta",),
     "forcing": ("p", "delta", "C"),
-    "solver": ("tolerance", "max_iterations"),
+    "solver": ("tolerance",),
     "output": ("directory",),
 }
 
@@ -51,7 +51,6 @@ class RunConfig:
     delta: float
     c_mode: object          # the literal string "auto" or a float
     tolerance: float
-    max_iterations: int
     output_dir: str
     source_path: str
     echo: dict = field(default_factory=dict)
@@ -263,12 +262,9 @@ def parse_config(path: str) -> RunConfig:
     else:
         c_mode = r.number("forcing", "C", None, lambda v: v > 0.0, "> 0")
 
-    has_solver = parser.has_section("solver")
     tolerance = r.number("solver", "tolerance", 1e-10,
-                         lambda v: v > 0.0, "> 0") if has_solver else 1e-10
-    max_iterations = r.integer("solver", "max_iterations", 2000,
-                               lambda v: v >= 1, ">= 1") \
-        if has_solver else 2000
+                         lambda v: v > 0.0, "> 0") \
+        if parser.has_section("solver") else 1e-10
 
     output_dir = r.raw("output", "directory", ".") \
         if parser.has_section("output") else "."
@@ -287,7 +283,6 @@ def parse_config(path: str) -> RunConfig:
         "forcing.delta": f"{delta:.12g}",
         "forcing.C": "auto" if c_mode == "auto" else f"{c_mode:.12g}",
         "solver.tolerance": f"{tolerance:.12g}",
-        "solver.max_iterations": str(max_iterations),
     }
     for key, value in sorted(params.items()):
         echo[f"metric.{key}"] = f"{value:.12g}"
@@ -297,5 +292,4 @@ def parse_config(path: str) -> RunConfig:
     return RunConfig(domain=spec, metric_name=name, metric_params=params,
                      components_file=components_file, p_theta=p_theta,
                      p=p, delta=delta, c_mode=c_mode, tolerance=tolerance,
-                     max_iterations=max_iterations, output_dir=output_dir,
-                     source_path=path, echo=echo)
+                     output_dir=output_dir, source_path=path, echo=echo)

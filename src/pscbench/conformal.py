@@ -90,13 +90,16 @@ def lift_solution(domain: DiscreteDomain, u: np.ndarray,
 
 
 def conformal_scalar(metric: MetricField, phi: np.ndarray,
-                     n: int = None) -> np.ndarray:
+                     n: int = None,
+                     bundle: CurvatureBundle = None) -> np.ndarray:
     """Scalar curvature of e^{2 phi} g from undeformed data."""
     if n is None:
         n = metric.domain.dim
-    lap = laplacian(metric, phi)
+    if bundle is None:
+        bundle = curvature_bundle(metric)
+    lap = laplacian(metric, phi, gamma=bundle.gamma)
     g2 = grad_norm2(metric, phi)
-    r = scalar_curvature(metric)
+    r = bundle.scalar
     return np.exp(-2.0 * phi) * (r - 2.0 * (n - 1.0) * lap
                                  - (n - 1.0) * (n - 2.0) * g2)
 
@@ -164,7 +167,7 @@ def chain_scalar(metric_y: MetricField, phi: np.ndarray, mu: np.ndarray,
     if hyp is None:
         tangent = [nm for nm in dom.names if nm != "theta"]
         hyp = hypersurface_data(metric_y, tangent, mu, bundle=bundle)
-    r_t = conformal_scalar(metric_y, phi, n)
+    r_t = conformal_scalar(metric_y, phi, n, bundle=bundle)
     ric_t = conformal_ricci_normal(metric_y, phi, mu, n, bundle=bundle)
     a2t, h2t = conformal_second_fundamental(hyp.a_norm2, hyp.h_mean, phi,
                                             mu, n, dom)
@@ -289,8 +292,8 @@ def certificate(factors: ConformalFactors, slice_data: HypersurfaceData,
                 tolerance: float = None) -> CertificateReport:
     """Assemble the pointwise lower bound and its two cross-checks.
 
-    forcing_0, r_g0, k2 are fields on the t = 0 slice; b1_k1 is the
-    (B1 field on W, K1) pair from laplacian_comparison; eta_prime is the
+    forcing_0, r_g0, k2 are fields on the t = 0 slice; b1_k1 is the pair
+    (B1 on the t = 0 slice, K1) from laplacian_comparison; eta_prime is the
     profile-curvature monitor. The bound is
 
       u_Y^{-(n+2)/(n-2)} [ (-2 Ric(mu,mu) + h^2 - |A|^2) u_Y + F + R_g
@@ -311,13 +314,7 @@ def certificate(factors: ConformalFactors, slice_data: HypersurfaceData,
             f"certificate refused: PDE residual {residual_inf:.3e} above "
             f"tolerance {tolerance:.1e}")
     n = factors.n
-    dom = metric_y.domain
-    b1, k1 = b1_k1
-    b1 = np.asarray(b1, dtype=float)
-    if b1.ndim == len(dom.shape) + 1:
-        # W-shaped field from laplacian_comparison: take its t = 0 slice
-        b1 = b1[..., b1.shape[-1] // 2]
-    b1_0 = b1
+    b1_0, k1 = b1_k1
     u_y = factors.u_y
     bracket = ((-2.0 * slice_data.ric_nn + slice_data.h_mean ** 2
                 - slice_data.a_norm2) * u_y

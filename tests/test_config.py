@@ -34,7 +34,6 @@ C = 9
 
 [solver]
 tolerance = 1e-9
-max_iterations = 500
 
 [output]
 directory = out
@@ -55,7 +54,6 @@ def test_full_roundtrip(tmp_path):
     assert cfg.delta == 160.0
     assert cfg.c_mode == 9.0
     assert cfg.tolerance == 1e-9
-    assert cfg.max_iterations == 500
     assert cfg.output_dir == "out"
     assert cfg.echo["domain.resolution"] == "12,10"
     assert cfg.echo["forcing.C"] == "9"
@@ -75,7 +73,6 @@ def test_defaults(tmp_path):
     assert cfg.delta == pytest.approx(1e-2)
     assert cfg.c_mode == "auto"
     assert cfg.tolerance == pytest.approx(1e-10)
-    assert cfg.max_iterations == 2000
     assert cfg.output_dir == "."
     assert cfg.echo["forcing.C"] == "auto"
 
@@ -97,12 +94,14 @@ def test_sphere_backend_single_resolution(tmp_path):
 
 
 def test_unknown_key_reports_line(tmp_path):
-    text = "[metric]\nname = product_flat\n\n[solver]\ntolerence = 1e-8\n"
-    path = write_cfg(tmp_path, text)
-    with pytest.raises(ConfigError, match=r"tolerence"):
-        parse_config(path)
-    with pytest.raises(ConfigError, match=rf"{path}:5"):
-        parse_config(path)
+    # a typo, and the removed max_iterations key, are both refused
+    for key in ("tolerence", "max_iterations"):
+        text = f"[metric]\nname = product_flat\n\n[solver]\n{key} = 500\n"
+        path = write_cfg(tmp_path, text)
+        with pytest.raises(ConfigError, match=key):
+            parse_config(path)
+        with pytest.raises(ConfigError, match=rf"{path}:5"):
+            parse_config(path)
 
 
 def test_unknown_section_reports_line(tmp_path):

@@ -242,7 +242,7 @@ def test_certificate_of_undeformed_flat_slice():
     y, w = doms["y"], doms["w"]
     factors = lift_solution(w, np.zeros(w.shape), 3)
     zeros = np.zeros(y.shape)
-    cert = certificate(factors, sd, zeros, (np.zeros(w.shape), 0.0), zeros,
+    cert = certificate(factors, sd, zeros, (zeros, 0.0), zeros,
                        0.0, zeros, 2.2, h, fr.mu, bundle=bundle)
     assert cert.min_bound == 0.0 and cert.verdict is False
     assert cert.chain_gap_max < 1e-13
@@ -260,7 +260,7 @@ def test_certificate_of_undeformed_sphere_slice():
     it0 = m.axis("t").n // 2
     r_g0 = np.take(np.broadcast_to(r_g, w.shape), it0, axis=m.array_axis("t"))
     zeros = np.zeros(y.shape)
-    cert = certificate(factors, sd, zeros, (np.zeros(w.shape), 0.0), zeros,
+    cert = certificate(factors, sd, zeros, (zeros, 0.0), zeros,
                        0.0, r_g0, 2.2, h, fr.mu, bundle=bundle)
     # undeformed: every evaluation is the round slice curvature 2
     assert cert.min_bound == pytest.approx(2.0, abs=1e-10)
@@ -276,6 +276,6 @@ def test_certificate_refuses_unconverged_solve():
     factors = lift_solution(w, np.zeros(w.shape), 3)
     zeros = np.zeros(y.shape)
     with pytest.raises(NumericalFailure, match="certificate refused"):
-        certificate(factors, sd, zeros, (np.zeros(w.shape), 0.0), zeros,
+        certificate(factors, sd, zeros, (zeros, 0.0), zeros,
                     0.0, zeros, 2.2, h, fr.mu, bundle=bundle,
                     residual_inf=1e-6, tolerance=1e-10)

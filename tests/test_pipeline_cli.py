@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from pscbench import pipeline, solver
 from pscbench.config import parse_config
 from pscbench.errors import HypothesisViolation
 from pscbench.pipeline import run_scenario
@@ -28,6 +29,23 @@ TWISTED_CRITICAL = """\
 [metric]
 name = twisted_flat
 c = 1.0
+"""
+
+SPHERE_TWIST = """\
+[domain]
+backend = sphere-axisym
+resolution = 48
+t_nodes = 49
+
+[metric]
+name = sphere_twist
+r = 1.0
+beta0 = 0.5
+
+[forcing]
+p = 1
+delta = 40.0
+C = auto
 """
 
 FLAT = """\
@@ -95,6 +113,24 @@ def test_stage_certify_full_fields(tmp_path):
         assert rep.fields[key].shape == (8, 8)
     # flat twisted slice: certified bound cannot be positive
     assert rep.min_r_bound < 1e-10
+
+
+def test_auto_c_resolve_reuses_the_one_factorization(tmp_path,
+                                                     monkeypatch):
+    # the auto-C re-budget changes the forcing only, so the second solve
+    # pass must reuse the first pass's LU
+    factorizations, passes = [], []
+    splu, solve_pass = solver.spla.splu, pipeline._solve_pass
+    monkeypatch.setattr(solver.spla, "splu",
+                        lambda mat: factorizations.append(1) or splu(mat))
+    monkeypatch.setattr(
+        pipeline, "_solve_pass",
+        lambda *args: passes.append(args[-1]) or solve_pass(*args))
+    cfg = parse_config(write(tmp_path, "s.cfg", SPHERE_TWIST))
+    rep = run_scenario(cfg, stage="solve")
+    assert len(passes) == 2 and passes[1] > passes[0]
+    assert rep.c_used == passes[1]
+    assert len(factorizations) == 1
 
 
 def test_unknown_stage_rejected(tmp_path):

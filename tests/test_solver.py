@@ -11,7 +11,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pscbench.errors import ConfigError, HypothesisViolation
+from pscbench.errors import ConfigError, HypothesisViolation, NumericalFailure
 from pscbench.curvature import scalar_curvature
 from pscbench.grids import DomainSpec, build_domain, w_domains, TORUS, SPHERE
 from pscbench.metrics import (MetricField, make_metric, product_extend,
@@ -20,7 +20,7 @@ from pscbench.normal import normal_frame
 from pscbench.pipeline import _extend_drift
 from pscbench.solver import assemble, solve_dirichlet, dtt_monitor, SolveReport
 from pscbench.forcing import ForcingSpec, build_bump, calibrate_epsilon
-from pscbench import fd
+from pscbench import fd, solver
 
 from helpers import mms_flat_cross, mms_twisted, mms_sphere
 
@@ -220,3 +220,39 @@ def test_solve_report_is_frozen_record():
         rep.residual_inf = 0.0
     rep2 = dataclasses.replace(rep, dtt_max=1.5)
     assert rep2.dtt_max == 1.5 and rep2.c1 == rep.c1
+
+
+def test_assembly_factors_once_and_matches_a_fresh_factorization(
+        monkeypatch):
+    doms = w_domains(DomainSpec(TORUS, 2, (8, 8), 33))
+    w = doms["w"]
+    h = make_metric("twisted_flat", doms["y"], c=0.5)
+    g_m = product_extend(h, doms["m"])
+    args = (w, _extend_drift(normal_frame(h).v, doms["y"], w),
+            scalar_curvature(g_m), restrict_metric(g_m, w))
+    calls = []
+    splu = solver.spla.splu
+    monkeypatch.setattr(solver.spla, "splu",
+                        lambda mat: calls.append(mat) or splu(mat))
+    asm = assemble(*args)
+    solve_dirichlet(asm, build_bump(ForcingSpec(2.2, 1, 120.0, 0.5), w))
+    forcing = build_bump(ForcingSpec(9.0, 1, 120.0, 0.25), w)
+    second = solve_dirichlet(asm, forcing)
+    assert len(calls) == 1
+    fresh = solve_dirichlet(assemble(*args), forcing)
+    assert len(calls) == 2
+    assert np.array_equal(second.u, fresh.u)
+    assert second.residual_inf == fresh.residual_inf
+
+
+def test_singular_operator_raises_numerical_failure():
+    dom = build_domain(DomainSpec(TORUS, 2, (6, 6), 7))
+    g = make_metric("product_flat", dom)
+    asm = assemble(dom, np.zeros(dom.shape + (3,)), 1.0, g)
+    row = int(np.flatnonzero(asm.interior)[0])
+    mat = asm.matrix.tolil()
+    mat[row, :] = 0.0
+    singular = dataclasses.replace(asm, matrix=mat.tocsr())
+    with pytest.raises(NumericalFailure, match="factorization") as err:
+        solve_dirichlet(singular, np.ones(dom.shape))
+    assert err.value.exit_code == 3
