@@ -18,7 +18,7 @@ from .curvature import (HypersurfaceData, curvature_bundle, gauss_codazzi_scalar
                         hypersurface_data, laplacian, ricci, scalar_curvature)
 from .errors import (ConfigError, HypothesisViolation, NumericalFailure,
                      PscbenchError)
-from .forcing import ForcingSpec, build_bump, calibrate_epsilon
+from .forcing import build_bump, calibrate_epsilon
 from .grids import (SPHERE, TORUS, DiscreteDomain, DomainSpec, build_domain,
                     c1_norm, lp_norm, w_domains, with_circle)
 from .metrics import (MetricField, conformal_metric, load_metric_csv,

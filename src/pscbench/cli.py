@@ -80,12 +80,14 @@ def main(argv=None) -> int:
             print(f"error[exit {exc.exit_code}]: {exc}", file=sys.stderr)
             return exc.exit_code
 
-    # batch: every scenario runs; the worst exit code wins
+    # batch: every scenario runs; the worst exit code wins. Reports are
+    # skipped, so a batch may write into its own input directory.
     try:
         entries = sorted(
             os.path.join(args.directory, name)
             for name in os.listdir(args.directory)
-            if name.endswith(".cfg") or name.endswith(".ini"))
+            if name.endswith((".cfg", ".ini"))
+            and not name.endswith(".report.ini"))
     except OSError as exc:
         print(f"error[exit 4]: cannot list {args.directory}: {exc}",
               file=sys.stderr)

@@ -21,7 +21,6 @@ from .grids import SPHERE, TORUS, DomainSpec
 _SCHEMA = {
     "domain": ("backend", "dim_x", "resolution", "t_nodes"),
     "metric": ("name", "c", "r", "beta0", "components_file"),
-    "slice": ("p_theta",),
     "forcing": ("p", "delta", "C"),
     "solver": ("tolerance",),
     "output": ("directory",),
@@ -46,7 +45,6 @@ class RunConfig:
     metric_name: str
     metric_params: dict
     components_file: str | None
-    p_theta: float
     p: int
     delta: float
     c_mode: object          # the literal string "auto" or a float
@@ -248,9 +246,6 @@ def parse_config(path: str) -> RunConfig:
             f"{r.loc('metric', 'name')}: metric {name!r} needs "
             f"backend = {TORUS}")
 
-    p_theta = r.number("slice", "p_theta", 0.0) \
-        if parser.has_section("slice") else 0.0
-
     has_forcing = parser.has_section("forcing")
     p = r.integer("forcing", "p", 4, lambda v: v >= 1, ">= 1") \
         if has_forcing else 4
@@ -278,7 +273,6 @@ def parse_config(path: str) -> RunConfig:
         "domain.resolution": ",".join(str(n) for n in resolutions),
         "domain.t_nodes": str(t_nodes),
         "metric.name": name,
-        "slice.p_theta": f"{p_theta:.12g}",
         "forcing.p": str(p),
         "forcing.delta": f"{delta:.12g}",
         "forcing.C": "auto" if c_mode == "auto" else f"{c_mode:.12g}",
@@ -290,6 +284,6 @@ def parse_config(path: str) -> RunConfig:
         echo["metric.components_file"] = os.path.basename(components_file)
 
     return RunConfig(domain=spec, metric_name=name, metric_params=params,
-                     components_file=components_file, p_theta=p_theta,
-                     p=p, delta=delta, c_mode=c_mode, tolerance=tolerance,
+                     components_file=components_file, p=p, delta=delta,
+                     c_mode=c_mode, tolerance=tolerance,
                      output_dir=output_dir, source_path=path, echo=echo)

@@ -38,10 +38,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import (_FRAME_TOL, CurvatureBundle, HypersurfaceData,
-                        curvature_bundle, grad_norm2, hessian_cov,
-                        hypersurface_data, laplacian, scalar_curvature)
+                        christoffel, curvature_bundle, grad_norm2,
+                        hessian_cov, hypersurface_data, laplacian,
+                        laplacian_trace, scalar_curvature)
 from .errors import ConfigError, NumericalFailure
-from .grids import DiscreteDomain, c1_norm, gradient
+from .grids import DiscreteDomain, c1_norm, derivatives, gradient
 from .metrics import MetricField, conformal_metric, restrict_metric
 
 POSITIVITY_FLOOR = 1e-8
@@ -49,19 +50,16 @@ POSITIVITY_FLOOR = 1e-8
 
 @dataclass
 class ConformalFactors:
-    """Lifted solution u_W = 1 + u and its conformal exponent fields."""
+    """The lifted solution 1 + u on the t = 0 slice and its conformal
+    exponent phi_Y."""
     n: int
-    u_w: np.ndarray
     u_y: np.ndarray
-    phi_w: np.ndarray
     phi_y: np.ndarray
-    c1_u: float
-    min_u_w: float
 
 
 def lift_solution(domain: DiscreteDomain, u: np.ndarray,
                   n: int) -> ConformalFactors:
-    """Form u_W = 1 + u, slice u_Y at t = 0, and take conformal logs.
+    """Form u_W = 1 + u, slice u_Y at t = 0, and take its conformal log.
 
     Refuses solutions outside the perturbative regime: u_W must stay
     strictly positive (the conformal factor u_W^{4/(n-2)} degenerates at
@@ -83,10 +81,8 @@ def lift_solution(domain: DiscreteDomain, u: np.ndarray,
     it0 = domain.axis("t").n // 2
     kt = domain.array_axis("t")
     u_y = np.take(u_w, it0, axis=kt)
-    phi_w = (2.0 / (n - 2.0)) * np.log(u_w)
     phi_y = (2.0 / (n - 2.0)) * np.log(u_y)
-    return ConformalFactors(n=n, u_w=u_w, u_y=u_y, phi_w=phi_w, phi_y=phi_y,
-                            c1_u=c1, min_u_w=min_u_w)
+    return ConformalFactors(n=n, u_y=u_y, phi_y=phi_y)
 
 
 def conformal_scalar(metric: MetricField, phi: np.ndarray,
@@ -189,21 +185,23 @@ def exact_slice_scalar(metric_y: MetricField, phi_y: np.ndarray) -> np.ndarray:
 
 
 def laplacian_comparison(u_w: np.ndarray, metric_m: MetricField,
-                         metric_w: MetricField = None):
+                         metric_w: MetricField):
     """B1 = Lap_{g_M} u - Lap_{sigma* g} u over the W nodes, and K1.
 
-    M and W share stored axes (theta is virtual), so the two Laplacians are
-    node-aligned arrays and the mismatch is a plain difference. For product
+    M and W share stored axes (theta is virtual), so u is differentiated
+    once over M's coordinates, where its theta slots are zero, and the W
+    Laplacian reads the W index block of the same partials. For product
     metrics and theta-independent u every extra M term is exactly zero and
     B1 vanishes to round-off; twisted metrics leave a genuine residue from
     the differing inverse-metric blocks.
 
     Returns (B1 field, K1 = 4 sup|B1|).
     """
-    if metric_w is None:
-        dom_w = metric_m.domain.without("theta")
-        metric_w = restrict_metric(metric_m, dom_w)
-    b1 = laplacian(metric_m, u_w) - laplacian(metric_w, u_w)
+    grad, hess = derivatives(metric_m.domain, u_w)
+    w = [metric_m.domain.index(name) for name in metric_w.domain.names]
+    b1 = (laplacian_trace(metric_m, christoffel(metric_m), grad, hess)
+          - laplacian_trace(metric_w, christoffel(metric_w), grad[..., w],
+                            hess[..., w, :][..., :, w]))
     return b1, 4.0 * float(np.max(np.abs(b1)))
 
 
@@ -267,7 +265,6 @@ def headroom_value(C: float, slice_data: HypersurfaceData,
 @dataclass
 class CertificateReport:
     """Three curvature evaluations of the deformed slice plus the verdict."""
-    n: int
     r_bound: np.ndarray
     r_chain: np.ndarray
     r_exact: np.ndarray
@@ -277,24 +274,21 @@ class CertificateReport:
     chain_gap_max: float
     bound_minus_chain_max: float
     k2_max: float
-    c: float
-    k1: float
-    eta_prime: float
     verdict: bool
 
 
 def certificate(factors: ConformalFactors, slice_data: HypersurfaceData,
-                forcing_0: np.ndarray, b1_k1, k2: np.ndarray,
-                eta_prime: float, r_g0: np.ndarray, c_used: float,
+                forcing_0: np.ndarray, b1_0: np.ndarray, k2: np.ndarray,
+                eta_prime: float, r_g0: np.ndarray,
                 metric_y: MetricField, mu: np.ndarray,
                 bundle: CurvatureBundle,
                 residual_inf: float = None,
                 tolerance: float = None) -> CertificateReport:
     """Assemble the pointwise lower bound and its two cross-checks.
 
-    forcing_0, r_g0, k2 are fields on the t = 0 slice; b1_k1 is the pair
-    (B1 on the t = 0 slice, K1) from laplacian_comparison; eta_prime is the
-    profile-curvature monitor. The bound is
+    forcing_0, r_g0, k2 and b1_0 (B1 from laplacian_comparison) are fields
+    on the t = 0 slice; eta_prime is the profile-curvature monitor. The
+    bound is
 
       u_Y^{-(n+2)/(n-2)} [ (-2 Ric(mu,mu) + h^2 - |A|^2) u_Y + F + R_g
                            - 4 B1 - K2 - 4 eta' ]
@@ -314,7 +308,6 @@ def certificate(factors: ConformalFactors, slice_data: HypersurfaceData,
             f"certificate refused: PDE residual {residual_inf:.3e} above "
             f"tolerance {tolerance:.1e}")
     n = factors.n
-    b1_0, k1 = b1_k1
     u_y = factors.u_y
     bracket = ((-2.0 * slice_data.ric_nn + slice_data.h_mean ** 2
                 - slice_data.a_norm2) * u_y
@@ -326,7 +319,6 @@ def certificate(factors: ConformalFactors, slice_data: HypersurfaceData,
     r_exact = exact_slice_scalar(metric_y, factors.phi_y)
 
     return CertificateReport(
-        n=n,
         r_bound=r_bound,
         r_chain=r_chain,
         r_exact=r_exact,
@@ -336,8 +328,5 @@ def certificate(factors: ConformalFactors, slice_data: HypersurfaceData,
         chain_gap_max=float(np.max(np.abs(r_chain - r_exact))),
         bound_minus_chain_max=float(np.max(r_bound - r_chain)),
         k2_max=float(np.max(np.abs(k2))),
-        c=float(c_used),
-        k1=float(k1),
-        eta_prime=float(eta_prime),
         verdict=bool(np.min(r_bound) > 0.0),
     )

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure
-from .grids import DiscreteDomain, gradient, hessian_coords
+from .grids import derivatives, gradient
 from .metrics import MetricField
 
 _FRAME_TOL = 1e-8
@@ -80,9 +80,13 @@ def laplacian(metric: MetricField, f: np.ndarray, gamma=None) -> np.ndarray:
     """Laplace-Beltrami of a scalar, g^ij (d2_ij f - Gamma^k_ij d_k f)."""
     if gamma is None:
         gamma = christoffel(metric)
-    dom = metric.domain
-    grad = gradient(dom, f)
-    hess = hessian_coords(dom, f)
+    return laplacian_trace(metric, gamma, *derivatives(metric.domain, f))
+
+
+def laplacian_trace(metric: MetricField, gamma: np.ndarray, grad: np.ndarray,
+                    hess: np.ndarray) -> np.ndarray:
+    """The Laplacian's contraction g^ij (hess_ij - Gamma^k_ij grad_k) of
+    coordinate partials taken elsewhere, over this metric's coordinates."""
     return (np.einsum("...ij,...ij->...", metric.inverse, hess)
             - np.einsum("...ij,...kij,...k->...", metric.inverse, gamma, grad))
 
@@ -91,9 +95,8 @@ def hessian_cov(metric: MetricField, f: np.ndarray, gamma=None) -> np.ndarray:
     """Covariant Hessian d2_ij f - Gamma^k_ij d_k f."""
     if gamma is None:
         gamma = christoffel(metric)
-    dom = metric.domain
-    grad = gradient(dom, f)
-    return hessian_coords(dom, f) - np.einsum("...kij,...k->...ij", gamma, grad)
+    grad, hess = derivatives(metric.domain, f)
+    return hess - np.einsum("...kij,...k->...ij", gamma, grad)
 
 
 def grad_norm2(metric: MetricField, f: np.ndarray) -> np.ndarray:

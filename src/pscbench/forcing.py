@@ -13,8 +13,6 @@ produces garbage second differences, not small ones.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ConfigError
@@ -52,19 +50,11 @@ def bump_profile(t: np.ndarray, epsilon: float) -> np.ndarray:
     return np.where(at >= epsilon * (1.0 - _EDGE_TOL), 0.0, ramp)
 
 
-@dataclass(frozen=True)
-class ForcingSpec:
-    """Calibrated forcing parameters: F = (C+1) * bump_eps(t)."""
-    C: float
-    p: float
-    delta: float
-    epsilon: float
-
-
-def build_bump(spec: ForcingSpec, domain: DiscreteDomain) -> np.ndarray:
-    """Forcing field on the full domain; constant in everything but t."""
-    tvals = domain.mesh("t")
-    return (spec.C + 1.0) * bump_profile(tvals, spec.epsilon)
+def build_bump(C: float, epsilon: float,
+               domain: DiscreteDomain) -> np.ndarray:
+    """Forcing F = (C+1) * bump_eps(t) on the domain; constant in
+    everything but t."""
+    return (C + 1.0) * bump_profile(domain.mesh("t"), epsilon)
 
 
 def plateau_node_count(domain: DiscreteDomain, epsilon: float) -> int:
@@ -73,7 +63,7 @@ def plateau_node_count(domain: DiscreteDomain, epsilon: float) -> int:
 
 
 def calibrate_epsilon(C: float, p: float, delta: float, metric: MetricField,
-                      domain=None, min_plateau_nodes: int = 4) -> float:
+                      min_plateau_nodes: int = 4) -> float:
     """Largest dyadic epsilon = 2^-k with ||(C+1) bump_eps||_p < delta.
 
     Walks k = 1, 2, ... downward in width. Raises ConfigError if no epsilon
@@ -82,7 +72,7 @@ def calibrate_epsilon(C: float, p: float, delta: float, metric: MetricField,
     """
     if delta <= 0.0:
         raise ConfigError(f"forcing threshold delta={delta} must be positive")
-    dom = metric.domain if domain is None else domain
+    dom = metric.domain
     k = 1
     while True:
         eps = 2.0 ** (-k)
@@ -90,7 +80,6 @@ def calibrate_epsilon(C: float, p: float, delta: float, metric: MetricField,
             raise ConfigError(
                 f"no epsilon with plateau >= {min_plateau_nodes} t-nodes "
                 f"satisfies ||F||_{p:g} < {delta:g}; refine the t grid")
-        spec = ForcingSpec(C=C, p=p, delta=delta, epsilon=eps)
-        if lp_norm(build_bump(spec, dom), metric, p) < delta:
+        if lp_norm(build_bump(C, eps, dom), metric, p) < delta:
             return eps
         k += 1

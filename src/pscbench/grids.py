@@ -298,28 +298,26 @@ def gradient(domain: DiscreteDomain, values: np.ndarray) -> np.ndarray:
     return np.stack(parts, axis=-1)
 
 
-def hessian_coords(domain: DiscreteDomain, values: np.ndarray) -> np.ndarray:
-    """Coordinate second partials d_k d_l f over the full coordinate order.
+def derivatives(domain: DiscreteDomain, values: np.ndarray):
+    """First and second coordinate partials from one differencing pass.
 
-    Pure diagonal entries use the one-axis second-derivative stencil; mixed
-    entries compose two first-derivative stencils (they commute).
+    Returns (grad, hess) over the full coordinate order: grad[..., k] is
+    d_k f and hess[..., k, l] is d_k d_l f. Pure diagonal entries use the
+    one-axis second-derivative stencil; mixed entries difference the
+    gradient's first partials once more (they commute). Trailing component
+    dimensions pass through, so hess is shaped values.shape + (d, d).
     """
     d = domain.dim
-    out = np.zeros(domain.shape + (d, d))
-    firsts = {}
-    for k, a in enumerate(domain.axes):
-        if not a.stored:
-            continue
-        out[..., k, k] = domain.diff(values, a.name, 2)
-        firsts[k] = domain.diff(values, a.name, 1)
-    for k in firsts:
-        for l in firsts:
-            if l <= k:
-                continue
-            mixed = domain.diff(firsts[k], domain.axes[l].name, 1)
-            out[..., k, l] = mixed
-            out[..., l, k] = mixed
-    return out
+    grad = gradient(domain, values)
+    hess = np.zeros(values.shape + (d, d))
+    stored = [k for k, a in enumerate(domain.axes) if a.stored]
+    for i, k in enumerate(stored):
+        hess[..., k, k] = domain.diff(values, domain.axes[k].name, 2)
+        for l in stored[i + 1:]:
+            mixed = domain.diff(grad[..., k], domain.axes[l].name, 1)
+            hess[..., k, l] = mixed
+            hess[..., l, k] = mixed
+    return grad, hess
 
 
 def coordinate_columns(domain: DiscreteDomain) -> dict:
@@ -338,7 +336,10 @@ def fields_to_csv(path, domain: DiscreteDomain, columns: dict) -> None:
             raise ValueError(
                 f"column {name!r} has shape {arr.shape}, grid is {domain.shape}")
         cols[name] = arr.ravel()
-    header = ",".join(cols)
     data = np.column_stack(list(cols.values()))
-    np.savetxt(path, data, fmt="%.12g", delimiter=",", header=header,
-               comments="")
+    # one %-format call for the whole table instead of one per row; the
+    # text is byte for byte what np.savetxt(fmt="%.12g") writes
+    row = ",".join(["%.12g"] * data.shape[1]) + "\n"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(cols) + "\n")
+        fh.write((row * data.shape[0]) % tuple(data.ravel().tolist()))

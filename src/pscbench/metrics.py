@@ -39,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, NumericalFailure
-from .grids import DiscreteDomain, gradient, hessian_coords
+from .grids import DiscreteDomain, derivatives
 
 BUILTIN_NAMES = ("product_flat", "twisted_flat", "sphere_product", "sphere_twist")
 
@@ -191,24 +191,7 @@ def make_metric(name: str, domain: DiscreteDomain, **params) -> MetricField:
 def as_fd(metric: MetricField) -> MetricField:
     """Same components, derivative arrays recomputed by finite differences."""
     dom = metric.domain
-    d = dom.dim
-    d1 = np.zeros_like(metric.d1)
-    d2 = np.zeros_like(metric.d2)
-    for k, ax in enumerate(dom.axes):
-        if not ax.stored:
-            continue
-        d1[..., k] = dom.diff(metric.comp, ax.name, 1)
-        d2[..., k, k] = dom.diff(metric.comp, ax.name, 2)
-    for k, axk in enumerate(dom.axes):
-        if not axk.stored:
-            continue
-        for l, axl in enumerate(dom.axes):
-            if l <= k or not axl.stored:
-                continue
-            mixed = dom.diff(d1[..., k], axl.name, 1)
-            d2[..., k, l] = mixed
-            d2[..., l, k] = mixed
-    return MetricField(dom, metric.comp, d1, d2,
+    return MetricField(dom, metric.comp, *derivatives(dom, metric.comp),
                        name=metric.name + "+fd", params=metric.params)
 
 
@@ -216,14 +199,13 @@ def conformal_metric(metric: MetricField, phi: np.ndarray, dphi=None,
                      d2phi=None, name=None) -> MetricField:
     """e^(2 phi) g with derivative arrays by the product rule.
 
-    Pass closed-form dphi/d2phi (full coordinate order) to keep derivative
-    exactness; otherwise they come from stencils applied to phi.
+    Pass closed-form dphi and d2phi together (full coordinate order) to
+    keep derivative exactness; otherwise both come from stencils applied
+    to phi.
     """
     dom = metric.domain
     if dphi is None:
-        dphi = gradient(dom, phi)
-    if d2phi is None:
-        d2phi = hessian_coords(dom, phi)
+        dphi, d2phi = derivatives(dom, phi)
     e2 = np.exp(2.0 * phi)
 
     g, g1, g2 = metric.comp, metric.d1, metric.d2

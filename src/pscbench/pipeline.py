@@ -12,7 +12,6 @@ stop early; a stopped run still reports everything it measured.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 import time
 
@@ -23,7 +22,7 @@ from .conformal import (certificate, headroom_value, k2_field, lift_solution,
 from .config import RunConfig
 from .curvature import curvature_bundle, hypersurface_data, scalar_curvature
 from .errors import ConfigError, HypothesisViolation, NumericalFailure
-from .forcing import ForcingSpec, build_bump, calibrate_epsilon
+from .forcing import build_bump, calibrate_epsilon
 from .grids import lp_norm, w_domains
 from .metrics import load_metric_csv, make_metric, product_extend, \
     restrict_metric
@@ -52,14 +51,11 @@ def _extend_drift(v_y: np.ndarray, dom_y, dom_w) -> np.ndarray:
     return v_w
 
 
-def _solve_pass(config: RunConfig, doms, metric_w, assembly, c_value):
+def _solve_pass(config: RunConfig, metric_w, assembly, c_value):
     """Calibrate epsilon for one C, build the bump, and solve with the
     run's one assembly: C scales only the forcing, never the operator."""
-    epsilon = calibrate_epsilon(c_value, config.p, config.delta, metric_w,
-                                domain=doms["w"])
-    spec = ForcingSpec(C=c_value, p=config.p, delta=config.delta,
-                       epsilon=epsilon)
-    forcing = build_bump(spec, doms["w"])
+    epsilon = calibrate_epsilon(c_value, config.p, config.delta, metric_w)
+    forcing = build_bump(c_value, epsilon, metric_w.domain)
     solve = solve_dirichlet(assembly, forcing, tolerance=config.tolerance)
     return epsilon, forcing, solve
 
@@ -80,7 +76,6 @@ def run_scenario(config: RunConfig, stage: str = "certify") -> RunReport:
         config_echo=dict(config.echo),
         stage=stage,
         n=n,
-        p_theta=config.p_theta,
         max_angle=frame.max_angle,
         margin=frame.margin,
         elliptic=frame.is_elliptic,
@@ -106,14 +101,14 @@ def run_scenario(config: RunConfig, stage: str = "certify") -> RunReport:
     metric_w = restrict_metric(g_m, doms["w"])
     r_g = scalar_curvature(g_m)
     v_w = _extend_drift(frame.v, doms["y"], doms["w"])
-    assembly = assemble(doms["w"], v_w, r_g, metric_w)
+    assembly = assemble(v_w, r_g, metric_w)
 
     tangent = [nm for nm in doms["y"].names if nm != "theta"]
     slice_data = hypersurface_data(h, tangent, frame.mu, bundle=bundle_y)
 
     auto_c = config.c_mode == "auto"
     c_value = select_C(slice_data, k1=0.0) if auto_c else float(config.c_mode)
-    epsilon, forcing, solve = _solve_pass(config, doms, metric_w, assembly,
+    epsilon, forcing, solve = _solve_pass(config, metric_w, assembly,
                                           c_value)
     b1, k1 = laplacian_comparison(1.0 + solve.u, g_m, metric_w=metric_w)
     if auto_c:
@@ -122,13 +117,12 @@ def run_scenario(config: RunConfig, stage: str = "certify") -> RunReport:
             # the measured Laplacian mismatch consumed the 10% headroom;
             # re-budget once with the measured K1 and re-solve
             c_value = c_second
-            epsilon, forcing, solve = _solve_pass(config, doms, metric_w,
+            epsilon, forcing, solve = _solve_pass(config, metric_w,
                                                   assembly, c_value)
             b1, k1 = laplacian_comparison(1.0 + solve.u, g_m,
                                           metric_w=metric_w)
 
     eta_prime = dtt_monitor(solve.u, doms["w"], epsilon)
-    solve = dataclasses.replace(solve, dtt_max=eta_prime)
 
     report.c_used = c_value
     report.k1 = k1
@@ -154,8 +148,8 @@ def run_scenario(config: RunConfig, stage: str = "certify") -> RunReport:
     forcing_0 = np.take(forcing, it0, axis=kt)
     r_g0 = np.take(np.broadcast_to(r_g, doms["w"].shape), it0, axis=kt)
     b1_0 = np.take(b1, it0, axis=kt)
-    cert = certificate(factors, slice_data, forcing_0, (b1_0, k1), k2,
-                       eta_prime, r_g0, c_value, h, frame.mu,
+    cert = certificate(factors, slice_data, forcing_0, b1_0, k2,
+                       eta_prime, r_g0, h, frame.mu,
                        bundle=bundle_y, residual_inf=solve.residual_inf,
                        tolerance=config.tolerance)
     if cert.k2_max >= 1.0:

@@ -33,7 +33,6 @@ class RunReport:
     config_echo: dict
     stage: str
     n: int
-    p_theta: float
     max_angle: float
     margin: float
     elliptic: bool
@@ -77,7 +76,6 @@ def report_pairs(report: RunReport):
     for key in sorted(report.config_echo):
         pairs.append(("config", key, str(report.config_echo[key])))
     pairs += [
-        ("angle", "p_theta", _num(report.p_theta)),
         ("angle", "max_angle", _num(report.max_angle)),
         ("angle", "margin", _num(report.margin)),
         ("angle", "elliptic", _bool(report.elliptic)),

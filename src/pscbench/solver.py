@@ -65,16 +65,11 @@ class OperatorAssembly:
 
 @dataclass(frozen=True)
 class SolveReport:
-    """Solution of one Dirichlet solve plus the numbers the pipeline audits.
-
-    dtt_max is None until a monitor region (hence an epsilon) exists; the
-    pipeline fills it via dataclasses.replace after dtt_monitor.
-    """
+    """Solution of one Dirichlet solve plus the numbers the pipeline audits."""
     u: np.ndarray
     residual_inf: float
     c1: float
     stats: dict
-    dtt_max: float | None = None
 
 
 def _embed(shape, factors):
@@ -86,11 +81,10 @@ def _embed(shape, factors):
     return out.tocsr()
 
 
-def assemble(domain: DiscreteDomain, v: np.ndarray, potential,
+def assemble(v: np.ndarray, potential,
              metric: MetricField) -> OperatorAssembly:
+    """The operator on the metric's domain, which must contain t."""
     dom = metric.domain
-    if domain is not dom and domain.names != dom.names:
-        raise ConfigError("assembly domain does not match the metric domain")
     if "t" not in dom.names:
         raise ConfigError("assembly domain must contain the cylinder axis t")
     d = dom.dim

@@ -3,8 +3,8 @@
 import numpy as np
 
 from pscbench.grids import DomainSpec, build_domain, with_circle, TORUS
-from pscbench.metrics import (make_metric, as_fd, conformal_metric,
-                              restrict_metric)
+from pscbench.metrics import (MetricField, make_metric, as_fd,
+                              conformal_metric, restrict_metric)
 from pscbench.curvature import (scalar_curvature, ricci, hypersurface_data,
                                 gauss_codazzi_scalar)
 from pscbench.normal import unit_normal, normal_frame
@@ -16,6 +16,51 @@ def stored_theta_y(res):
     """T^3 with a stored theta axis, for fields that vary along the circle."""
     x = build_domain(DomainSpec(TORUS, 2, (res, res), 5)).without("t")
     return with_circle(x, n=res)
+
+
+def hessian_coords_reference(domain, values):
+    """Reference for grids.derivatives' second partials: per-axis stencils,
+    with the first differences taken anew for the mixed entries."""
+    d = domain.dim
+    out = np.zeros(domain.shape + (d, d))
+    firsts = {}
+    for k, a in enumerate(domain.axes):
+        if not a.stored:
+            continue
+        out[..., k, k] = domain.diff(values, a.name, 2)
+        firsts[k] = domain.diff(values, a.name, 1)
+    for k in firsts:
+        for l in firsts:
+            if l <= k:
+                continue
+            mixed = domain.diff(firsts[k], domain.axes[l].name, 1)
+            out[..., k, l] = mixed
+            out[..., l, k] = mixed
+    return out
+
+
+def as_fd_reference(metric):
+    """Reference for metrics.as_fd: per-axis stencil loops over the
+    component array."""
+    dom = metric.domain
+    d1 = np.zeros_like(metric.d1)
+    d2 = np.zeros_like(metric.d2)
+    for k, ax in enumerate(dom.axes):
+        if not ax.stored:
+            continue
+        d1[..., k] = dom.diff(metric.comp, ax.name, 1)
+        d2[..., k, k] = dom.diff(metric.comp, ax.name, 2)
+    for k, axk in enumerate(dom.axes):
+        if not axk.stored:
+            continue
+        for l, axl in enumerate(dom.axes):
+            if l <= k or not axl.stored:
+                continue
+            mixed = dom.diff(d1[..., k], axl.name, 1)
+            d2[..., k, l] = mixed
+            d2[..., l, k] = mixed
+    return MetricField(dom, metric.comp, d1, d2,
+                       name=metric.name + "+fd", params=metric.params)
 
 
 def rng_phi(dom, seed, a1=0.08, a2=0.04):
@@ -110,7 +155,7 @@ def mms_flat_cross(res, nt, v=(0.3, 0.4), c0=1.0):
     drift = np.zeros(dom.shape + (3,))
     drift[..., 0] = v[0]
     drift[..., 1] = v[1]
-    rep = solve_dirichlet(assemble(dom, drift, c0, g), fac * u_true)
+    rep = solve_dirichlet(assemble(drift, c0, g), fac * u_true)
     return float(np.max(np.abs(rep.u - u_true))), rep
 
 
@@ -122,7 +167,7 @@ def mms_twisted(res, nt, c=0.5, c0=1.0):
     fac = 4 * (1 - c * c) / (1 + c * c) + np.pi ** 2 + c0
     drift = np.zeros(dom.shape + (3,))
     drift[..., 0] = -c / np.sqrt(1 + c * c)
-    rep = solve_dirichlet(assemble(dom, drift, c0, g), fac * u_true)
+    rep = solve_dirichlet(assemble(drift, c0, g), fac * u_true)
     return float(np.max(np.abs(rep.u - u_true))), rep
 
 
@@ -141,5 +186,5 @@ def mms_sphere(nrho, nt, r=1.0, b0=0.5, c0=1.0):
          + (np.pi ** 2 + c0) * u_true)
     drift = np.zeros(dom.shape + (3,))
     drift[..., 1] = -beta / (r * np.sin(rh) * np.sqrt(B))
-    rep = solve_dirichlet(assemble(dom, drift, c0, g), F)
+    rep = solve_dirichlet(assemble(drift, c0, g), F)
     return float(np.max(np.abs(rep.u - u_true))), rep

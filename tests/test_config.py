@@ -24,9 +24,6 @@ t_nodes = 49
 name = twisted_flat
 c = 0.5
 
-[slice]
-p_theta = 1.25
-
 [forcing]
 p = 1
 delta = 160
@@ -49,7 +46,6 @@ def test_full_roundtrip(tmp_path):
     assert cfg.metric_name == "twisted_flat"
     assert cfg.metric_params == {"c": 0.5}
     assert cfg.components_file is None
-    assert cfg.p_theta == 1.25
     assert cfg.p == 1
     assert cfg.delta == 160.0
     assert cfg.c_mode == 9.0
@@ -58,7 +54,6 @@ def test_full_roundtrip(tmp_path):
     assert cfg.echo["domain.resolution"] == "12,10"
     assert cfg.echo["forcing.C"] == "9"
     assert cfg.echo["metric.c"] == "0.5"
-    assert cfg.echo["slice.p_theta"] == "1.25"
 
 
 def test_defaults(tmp_path):
@@ -68,7 +63,6 @@ def test_defaults(tmp_path):
     assert cfg.domain.resolutions == (16, 16)
     assert cfg.domain.t_nodes == 33
     assert cfg.metric_params == {}
-    assert cfg.p_theta == 0.0
     assert cfg.p == 4
     assert cfg.delta == pytest.approx(1e-2)
     assert cfg.c_mode == "auto"
@@ -94,13 +88,18 @@ def test_sphere_backend_single_resolution(tmp_path):
 
 
 def test_unknown_key_reports_line(tmp_path):
-    # a typo, and the removed max_iterations key, are both refused
-    for key in ("tolerence", "max_iterations"):
-        text = f"[metric]\nname = product_flat\n\n[solver]\n{key} = 500\n"
+    # a typo and the removed max_iterations key are refused at their line;
+    # the removed [slice] p_theta knob at its section header, which went
+    # with it
+    for section, key, where in (("solver", "tolerence", "5.*tolerence"),
+                                ("solver", "max_iterations",
+                                 "5.*max_iterations"),
+                                ("slice", "p_theta",
+                                 r"4: unknown section \[slice\]")):
+        text = (f"[metric]\nname = product_flat\n\n[{section}]\n"
+                f"{key} = 500\n")
         path = write_cfg(tmp_path, text)
-        with pytest.raises(ConfigError, match=key):
-            parse_config(path)
-        with pytest.raises(ConfigError, match=rf"{path}:5"):
+        with pytest.raises(ConfigError, match=rf"{path}:{where}"):
             parse_config(path)
 
 

@@ -10,9 +10,10 @@ import pytest
 
 from pscbench.errors import ConfigError, NumericalFailure
 from pscbench.grids import DomainSpec, build_domain, w_domains, TORUS, SPHERE
-from pscbench.metrics import make_metric, product_extend
+from pscbench.metrics import make_metric, product_extend, restrict_metric
 from pscbench.curvature import (scalar_curvature, curvature_bundle,
-                                hypersurface_data, HypersurfaceData)
+                                hypersurface_data, HypersurfaceData,
+                                laplacian)
 from pscbench.normal import normal_frame
 from pscbench.conformal import (lift_solution, conformal_scalar,
                                 conformal_ricci_normal,
@@ -21,6 +22,9 @@ from pscbench.conformal import (lift_solution, conformal_scalar,
                                 slice_laplacian_identity, k2_field,
                                 curvature_coefficient, select_C,
                                 headroom_value, certificate)
+from pscbench import fd
+
+from helpers import rng_phi
 
 
 def scenario_y(name, res=16, **params):
@@ -135,8 +139,7 @@ def test_lift_solution_guards():
         lift_solution(dom, steep, 3)  # C1 norm >= 1
     fac = lift_solution(dom, u, 3)
     assert np.max(np.abs(fac.u_y - 1.0)) == 0.0
-    assert np.max(np.abs(fac.phi_w)) == 0.0
-    assert fac.c1_u == 0.0 and fac.min_u_w == 1.0
+    assert np.max(np.abs(fac.phi_y)) == 0.0
 
 
 def test_k2_field_arithmetic():
@@ -184,11 +187,12 @@ def test_laplacian_comparison_product_and_constant():
     g_m = product_extend(h, doms["m"])
     u = 1.0 + 0.1 * np.cos(doms["m"].mesh("x")) \
         * np.asarray(np.broadcast_to(doms["m"].mesh("t"), doms["m"].shape))
-    b1, k1 = laplacian_comparison(u, g_m)
+    b1, k1 = laplacian_comparison(u, g_m, restrict_metric(g_m, doms["w"]))
     assert np.max(np.abs(b1)) == 0.0 and k1 == 0.0
     ht = make_metric("twisted_flat", doms["y"], c=0.5)
     g_mt = product_extend(ht, doms["m"])
-    b1c, k1c = laplacian_comparison(np.ones(doms["m"].shape), g_mt)
+    b1c, k1c = laplacian_comparison(np.ones(doms["m"].shape), g_mt,
+                                    restrict_metric(g_mt, doms["w"]))
     assert np.max(np.abs(b1c)) == 0.0 and k1c == 0.0
 
 
@@ -200,10 +204,36 @@ def test_laplacian_comparison_twisted_residue():
     g_m = product_extend(ht, doms["m"])
     m = doms["m"]
     u = np.cos(m.mesh("x")) * np.ones(m.shape)
-    b1, k1 = laplacian_comparison(u, g_m)
+    b1, k1 = laplacian_comparison(u, g_m, restrict_metric(g_m, doms["w"]))
     ref = (c * c / (1 + c * c)) * m.diff(u, "x", 2)
     assert np.max(np.abs(b1 - ref)) < 1e-13
     assert k1 == pytest.approx(4.0 * float(np.max(np.abs(ref))))
+
+
+@pytest.mark.parametrize("name, spec, params, diffs", [
+    ("twisted_flat", DomainSpec(TORUS, 2, (8, 8), 9), {"c": 0.5}, 9),
+    ("sphere_twist", DomainSpec(SPHERE, 2, (16,), 9),
+     {"r": 1.0, "beta0": 0.5}, 5),
+], ids=["twisted_flat", "sphere_twist"])
+def test_laplacian_comparison_differentiates_u_once(name, spec, params,
+                                                    diffs, monkeypatch):
+    # one derivative pass over M's coordinates: 3 first, 3 second and 3
+    # mixed stencils on the torus' stored x, y, t; 2 + 2 + 1 on the sphere
+    doms = w_domains(spec)
+    g_m = product_extend(make_metric(name, doms["y"], **params), doms["m"])
+    g_w = restrict_metric(g_m, doms["w"])
+    u = 1.0 + rng_phi(doms["w"], seed=2)
+    calls = []
+    apply_diff = fd.apply_diff
+    monkeypatch.setattr(fd, "apply_diff",
+                        lambda *args: calls.append(args) or apply_diff(*args))
+    b1, k1 = laplacian_comparison(u, g_m, g_w)
+    assert len(calls) == diffs
+    monkeypatch.undo()
+    # the two-Laplacian form is the oracle, bit for bit
+    oracle = laplacian(g_m, u) - laplacian(g_w, u)
+    assert np.array_equal(b1, oracle)
+    assert k1 == 4.0 * float(np.max(np.abs(oracle))) and k1 > 0.0
 
 
 def test_slice_laplacian_identity_cases():
@@ -242,13 +272,12 @@ def test_certificate_of_undeformed_flat_slice():
     y, w = doms["y"], doms["w"]
     factors = lift_solution(w, np.zeros(w.shape), 3)
     zeros = np.zeros(y.shape)
-    cert = certificate(factors, sd, zeros, (zeros, 0.0), zeros,
-                       0.0, zeros, 2.2, h, fr.mu, bundle=bundle)
+    cert = certificate(factors, sd, zeros, zeros, zeros,
+                       0.0, zeros, h, fr.mu, bundle=bundle)
     assert cert.min_bound == 0.0 and cert.verdict is False
     assert cert.chain_gap_max < 1e-13
     assert np.max(np.abs(cert.r_bound)) < 1e-13
     assert np.max(np.abs(cert.r_exact)) < 1e-13
-    assert cert.c == 2.2 and cert.k1 == 0.0 and cert.eta_prime == 0.0
 
 
 def test_certificate_of_undeformed_sphere_slice():
@@ -260,8 +289,8 @@ def test_certificate_of_undeformed_sphere_slice():
     it0 = m.axis("t").n // 2
     r_g0 = np.take(np.broadcast_to(r_g, w.shape), it0, axis=m.array_axis("t"))
     zeros = np.zeros(y.shape)
-    cert = certificate(factors, sd, zeros, (zeros, 0.0), zeros,
-                       0.0, r_g0, 2.2, h, fr.mu, bundle=bundle)
+    cert = certificate(factors, sd, zeros, zeros, zeros,
+                       0.0, r_g0, h, fr.mu, bundle=bundle)
     # undeformed: every evaluation is the round slice curvature 2
     assert cert.min_bound == pytest.approx(2.0, abs=1e-10)
     assert cert.min_chain == pytest.approx(2.0, abs=1e-10)
@@ -276,6 +305,6 @@ def test_certificate_refuses_unconverged_solve():
     factors = lift_solution(w, np.zeros(w.shape), 3)
     zeros = np.zeros(y.shape)
     with pytest.raises(NumericalFailure, match="certificate refused"):
-        certificate(factors, sd, zeros, (zeros, 0.0), zeros,
-                    0.0, zeros, 2.2, h, fr.mu, bundle=bundle,
+        certificate(factors, sd, zeros, zeros, zeros,
+                    0.0, zeros, h, fr.mu, bundle=bundle,
                     residual_inf=1e-6, tolerance=1e-10)

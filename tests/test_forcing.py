@@ -6,7 +6,7 @@ import pytest
 from pscbench.errors import ConfigError
 from pscbench.grids import DomainSpec, build_domain, lp_norm, TORUS
 from pscbench.metrics import make_metric
-from pscbench.forcing import (smooth_step, bump_profile, ForcingSpec,
+from pscbench.forcing import (smooth_step, bump_profile,
                               build_bump, plateau_node_count,
                               calibrate_epsilon)
 
@@ -25,7 +25,7 @@ def test_smooth_step_shape():
 def test_bump_plateau_is_exact():
     dom = build_domain(DomainSpec(TORUS, 2, (4, 4), 49))
     C = 9.0
-    F = build_bump(ForcingSpec(C=C, p=1, delta=1.0, epsilon=0.25), dom)
+    F = build_bump(C, 0.25, dom)
     t = dom.axis("t").coords()
     kt = dom.array_axis("t")
     prof = np.moveaxis(F, kt, -1)[0, 0]
@@ -55,7 +55,7 @@ def test_plateau_node_count():
 def test_norm_scales_linearly_with_width():
     dom = build_domain(DomainSpec(TORUS, 2, (8, 8), 97))
     g = make_metric("product_flat", dom)
-    norms = [lp_norm(build_bump(ForcingSpec(9.0, 1, 1.0, eps), dom), g, 1)
+    norms = [lp_norm(build_bump(9.0, eps, dom), g, 1)
              for eps in (0.5, 0.25, 0.125)]
     assert norms[0] > norms[1] > norms[2]
     # support integral is 1.5 eps, so halving eps should halve the norm
@@ -70,7 +70,7 @@ def test_calibration_frozen_values():
     g = make_metric("product_flat", dom)
     assert calibrate_epsilon(9.0, 1, 400.0, g) == 0.5
     assert calibrate_epsilon(9.0, 1, 160.0, g) == 0.25
-    F = build_bump(ForcingSpec(9.0, 1, 160.0, 0.25), dom)
+    F = build_bump(9.0, 0.25, dom)
     assert lp_norm(F, g, 1) == pytest.approx(148.0440, abs=1e-3)
     with pytest.raises(ConfigError, match="plateau"):
         # eps = 1/8 would be quiet enough but has too few plateau nodes
@@ -98,8 +98,8 @@ def test_calibrate_with_p2_norm():
     dom = build_domain(DomainSpec(TORUS, 2, (8, 8), 97))
     g = make_metric("product_flat", dom)
     eps = calibrate_epsilon(9.0, 2, 40.0, g)
-    F = build_bump(ForcingSpec(9.0, 2, 40.0, eps), dom)
+    F = build_bump(9.0, eps, dom)
     assert lp_norm(F, g, 2) < 40.0
     if eps < 0.5:
-        wider = build_bump(ForcingSpec(9.0, 2, 40.0, 2 * eps), dom)
+        wider = build_bump(9.0, 2 * eps, dom)
         assert lp_norm(wider, g, 2) >= 40.0  # eps is the largest feasible width

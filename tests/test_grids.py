@@ -6,10 +6,13 @@ import numpy as np
 import pytest
 
 from pscbench.errors import ConfigError
-from pscbench.grids import (DomainSpec, build_domain, with_circle, w_domains,
-                            lp_norm, c1_norm, gradient, hessian_coords,
-                            coordinate_columns, fields_to_csv, TORUS, SPHERE)
+from pscbench.grids import (DiscreteDomain, DomainSpec, build_domain,
+                            bounded_axis, mirror_axis, periodic_axis,
+                            with_circle, w_domains, lp_norm, c1_norm,
+                            gradient, derivatives, coordinate_columns, fields_to_csv, TORUS, SPHERE)
 from pscbench.metrics import make_metric
+
+from helpers import hessian_coords_reference, rng_phi, stored_theta_y
 
 TWO_PI = 2.0 * math.pi
 
@@ -136,9 +139,31 @@ def test_mesh_and_gradient_layout():
     grad = gradient(y, f)
     assert grad.shape == y.shape + (3,)
     assert np.max(np.abs(grad[..., y.index("theta")])) == 0.0
-    hess = hessian_coords(y, f)
+    grad2, hess = derivatives(y, f)
+    assert np.array_equal(grad2, grad)
     assert hess.shape == y.shape + (3, 3)
     assert np.max(np.abs(hess - np.swapaxes(hess, -1, -2))) < 1e-12
+
+
+def test_derivatives_match_the_separate_passes_bitwise():
+    # one pass must give exactly the partials of gradient plus the old
+    # hessian loop, which took the first differences a second time
+    t3 = stored_theta_y(8)
+    m = with_circle(build_domain(DomainSpec(TORUS, 2, (6, 6), 7)), n=6,
+                    before="t")
+    for dom in (t3, m):
+        f = rng_phi(dom, seed=3)
+        grad, hess = derivatives(dom, f)
+        assert np.array_equal(grad, gradient(dom, f))
+        assert np.array_equal(hess, hessian_coords_reference(dom, f))
+    # trailing component dimensions pass through
+    comp = np.stack([rng_phi(t3, seed=s) for s in range(2)], axis=-1)
+    grad, hess = derivatives(t3, comp)
+    assert grad.shape == comp.shape + (3,)
+    assert hess.shape == comp.shape + (3, 3)
+    for c in range(2):
+        assert np.array_equal(hess[..., c, :, :],
+                              hessian_coords_reference(t3, comp[..., c]))
 
 
 def test_fields_to_csv_roundtrip(tmp_path):
@@ -155,3 +180,24 @@ def test_fields_to_csv_roundtrip(tmp_path):
     assert np.max(np.abs(data[:, 0] - grids["x"])) < 1e-11
     with pytest.raises(ValueError):
         fields_to_csv(path, dom, {"bad": np.zeros((2, 2))})
+
+
+def test_fields_to_csv_matches_savetxt(tmp_path):
+    # the one-call formatter writes the bytes np.savetxt wrote row by row:
+    # negative zero, 1e-300 and a length-1 axis included
+    dom = DiscreteDomain((periodic_axis("x", 1), mirror_axis("rho", 6),
+                          bounded_axis("t", 5)))
+    f = np.cos(dom.mesh("rho")) * dom.mesh("t") * np.ones(dom.shape)
+    f[0, 0, 0] = -0.0
+    f[0, 1, 0] = 1e-300
+    f[0, 2, 0] = -1.0 / 3.0
+    cols = {"f": f, "g": 1e6 * f}
+    path = tmp_path / "fields.csv"
+    fields_to_csv(path, dom, cols)
+    table = dict(coordinate_columns(dom))
+    table.update({k: v.ravel() for k, v in cols.items()})
+    oracle = tmp_path / "oracle.csv"
+    np.savetxt(oracle, np.column_stack(list(table.values())), fmt="%.12g",
+               delimiter=",", header=",".join(table), comments="")
+    assert b"-0," in oracle.read_bytes() and b"1e-300" in oracle.read_bytes()
+    assert path.read_bytes() == oracle.read_bytes()

@@ -9,7 +9,7 @@ from pscbench.metrics import (MetricField, make_metric, as_fd,
                               conformal_metric, restrict_metric,
                               product_extend, metric_to_csv, load_metric_csv)
 
-from helpers import phi_and_jets, stored_theta_y
+from helpers import as_fd_reference, phi_and_jets, rng_phi, stored_theta_y
 
 
 @pytest.fixture
@@ -116,6 +116,19 @@ def test_as_fd_derivatives_converge():
         assert np.max(np.abs(gn.comp - g.comp)) == 0.0
         errs.append(float(np.max(np.abs(gn.d1 - g.d1))))
     assert errs[1] < errs[0] / 8.0
+
+
+def test_as_fd_matches_the_stencil_loop_bitwise():
+    # a twisted T^3 metric rescaled by a field that varies along x, y and
+    # the stored theta, so every first and mixed second partial is live
+    y = stored_theta_y(8)
+    g = conformal_metric(make_metric("twisted_flat", y, c=0.5),
+                         rng_phi(y, seed=5))
+    new, ref = as_fd(g), as_fd_reference(g)
+    assert np.max(np.abs(ref.d2[..., 0, 0, 0, 2])) > 0.0
+    assert new.name == ref.name
+    for a, b in ((new.comp, ref.comp), (new.d1, ref.d1), (new.d2, ref.d2)):
+        assert a.shape == b.shape and np.array_equal(a, b)
 
 
 def test_conformal_metric_scales_components(torus_y):

@@ -223,6 +223,20 @@ def test_cli_batch_worst_code_wins(tmp_path):
     assert os.path.exists(os.path.join(out, "a_flat.report.txt"))
 
 
+def test_cli_batch_into_its_input_dir_twice(tmp_path):
+    # the reports a batch writes next to its configs are not configs: a
+    # second run over the same directory must see the same two scenarios
+    scen = tmp_path / "scenarios"
+    scen.mkdir()
+    write(scen, "a_flat.cfg", FLAT)
+    write(scen, "b_crit.cfg", TWISTED_CRITICAL)
+    first = run_cli(["batch", str(scen), "--output-dir", str(scen)])
+    assert os.path.exists(os.path.join(scen, "a_flat.report.ini"))
+    second = run_cli(["batch", str(scen), "--output-dir", str(scen)])
+    assert first.returncode == second.returncode == 2, second.stderr
+    assert "report" not in second.stderr
+
+
 def test_cli_batch_empty_dir_exits_4(tmp_path):
     scen = tmp_path / "none"
     scen.mkdir()

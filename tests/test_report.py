@@ -43,7 +43,7 @@ def body(text):
 
 def angle_only_report():
     return RunReport(config_echo={"metric.name": "product_flat"},
-                     stage="angle", n=3, p_theta=0.0, max_angle=0.0,
+                     stage="angle", n=3, max_angle=0.0,
                      margin=1.0, elliptic=True, min_r_h=0.0,
                      psc_hypothesis=False)
 

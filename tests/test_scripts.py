@@ -6,7 +6,9 @@ relative allowance absorbs BLAS reduction-order drift, not formula changes.
 """
 
 import csv
+import json
 import math
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -61,3 +63,23 @@ def test_convergence_study(tmp_path, study):
             frozen[int(r["resolution"])], rel=1e-3)
     assert rows[0]["order"] == ""
     assert all(float(r["order"]) > min_order for r in rows[1:])
+
+
+def test_bench_dry_run_prints_the_runs(tmp_path):
+    # one --trace 0 and one --trace 1 run per BENCHMARK.json workload, at
+    # seed 0 and the benchmark's run length; a dry run writes no BENCH file
+    bench = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "bench.py"), "dry", "--dry-run"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    runs = [shlex.split(line) for line in proc.stdout.splitlines()]
+    expected = [(w["name"], str(trace)) for w in bench["workloads"]
+                for trace in (0, 1)]
+    assert [(cmd[cmd.index("--workload") + 1], cmd[cmd.index("--trace") + 1])
+            for cmd in runs] == expected
+    for cmd in runs:
+        assert cmd[1] == str(SCRIPTS.parent / "perfbench" / "run.py")
+        assert cmd[cmd.index("--seed") + 1] == "0"
+        assert cmd[cmd.index("--seconds") + 1] == str(bench["run_seconds"])
+    assert not (SCRIPTS.parent / "BENCH_dry.json").exists()
