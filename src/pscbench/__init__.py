@@ -9,8 +9,8 @@ positivity on X.
 __version__ = "0.1.0"
 
 from .config import RunConfig, parse_config
-from .conformal import (CertificateReport, ConformalFactors, certificate,
-                        chain_scalar, conformal_ricci_normal, conformal_scalar,
+from .conformal import (CertificateReport, certificate, chain_scalar,
+                        conformal_ricci_normal, conformal_scalar,
                         conformal_second_fundamental, exact_slice_scalar,
                         k2_field, laplacian_comparison, lift_solution,
                         select_C, slice_laplacian_identity)

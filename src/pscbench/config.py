@@ -9,6 +9,7 @@ section header and key to its line before values are interpreted.
 from __future__ import annotations
 
 import configparser
+import math
 import os
 import re
 from dataclasses import dataclass, field
@@ -109,6 +110,10 @@ class _Reader:
                 raise ConfigError(
                     f"{self.loc(section, key)}: [{section}] {key} expects a "
                     f"number, got {raw!r}")
+            if not math.isfinite(value):
+                raise ConfigError(
+                    f"{self.loc(section, key)}: [{section}] {key} expects a "
+                    f"finite number, got {raw!r}")
         if check is not None and not check(value):
             raise ConfigError(
                 f"{self.loc(section, key)}: [{section}] {key} = {value:g} "
@@ -158,20 +163,16 @@ def parse_config(path: str) -> RunConfig:
 
     r = _Reader(parser, path, keys, sections)
 
-    backend = r.raw("domain", "backend", TORUS) \
-        if parser.has_section("domain") else TORUS
+    backend = r.raw("domain", "backend", TORUS)
     if backend not in (TORUS, SPHERE):
         raise ConfigError(
             f"{r.loc('domain', 'backend')}: backend must be "
             f"{TORUS!r} or {SPHERE!r}, got {backend!r}")
-    dim_x = r.integer("domain", "dim_x", 2, lambda v: v >= 2, ">= 2") \
-        if parser.has_section("domain") else 2
+    dim_x = r.integer("domain", "dim_x", 2, lambda v: v >= 2, ">= 2")
     t_nodes = r.integer("domain", "t_nodes", 33,
-                        lambda v: v >= 5 and v % 2 == 1, "odd and >= 5") \
-        if parser.has_section("domain") else 33
+                        lambda v: v >= 5 and v % 2 == 1, "odd and >= 5")
 
-    res_raw = r.raw("domain", "resolution", None) \
-        if parser.has_section("domain") else None
+    res_raw = r.raw("domain", "resolution")
     if res_raw is None:
         resolutions = (16,) if backend == SPHERE else (16,) * dim_x
     else:
@@ -246,23 +247,18 @@ def parse_config(path: str) -> RunConfig:
             f"{r.loc('metric', 'name')}: metric {name!r} needs "
             f"backend = {TORUS}")
 
-    has_forcing = parser.has_section("forcing")
-    p = r.integer("forcing", "p", 4, lambda v: v >= 1, ">= 1") \
-        if has_forcing else 4
-    delta = r.number("forcing", "delta", 1e-2, lambda v: v > 0.0, "> 0") \
-        if has_forcing else 1e-2
-    c_raw = r.raw("forcing", "C", "auto") if has_forcing else "auto"
+    p = r.integer("forcing", "p", 4, lambda v: v >= 1, ">= 1")
+    delta = r.number("forcing", "delta", 1e-2, lambda v: v > 0.0, "> 0")
+    c_raw = r.raw("forcing", "C", "auto")
     if c_raw == "auto":
         c_mode = "auto"
     else:
         c_mode = r.number("forcing", "C", None, lambda v: v > 0.0, "> 0")
 
     tolerance = r.number("solver", "tolerance", 1e-10,
-                         lambda v: v > 0.0, "> 0") \
-        if parser.has_section("solver") else 1e-10
+                         lambda v: v > 0.0, "> 0")
 
-    output_dir = r.raw("output", "directory", ".") \
-        if parser.has_section("output") else "."
+    output_dir = r.raw("output", "directory", ".")
 
     spec = DomainSpec(backend=backend, dim_x=dim_x, resolutions=resolutions,
                       t_nodes=t_nodes)

@@ -38,97 +38,75 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curvature import (_FRAME_TOL, CurvatureBundle, HypersurfaceData,
-                        christoffel, curvature_bundle, grad_norm2,
-                        hessian_cov, hypersurface_data, laplacian,
-                        laplacian_trace, scalar_curvature)
+                        christoffel, laplacian, laplacian_trace,
+                        scalar_curvature)
 from .errors import ConfigError, NumericalFailure
-from .grids import DiscreteDomain, c1_norm, derivatives, gradient
+from .grids import DiscreteDomain, derivatives, gradient
 from .metrics import MetricField, conformal_metric, restrict_metric
+from .solver import SolveReport
 
 POSITIVITY_FLOOR = 1e-8
 
 
-@dataclass
-class ConformalFactors:
-    """The lifted solution 1 + u on the t = 0 slice and its conformal
-    exponent phi_Y."""
-    n: int
-    u_y: np.ndarray
-    phi_y: np.ndarray
-
-
-def lift_solution(domain: DiscreteDomain, u: np.ndarray,
-                  n: int) -> ConformalFactors:
+def lift_solution(domain: DiscreteDomain, solve: SolveReport, n: int):
     """Form u_W = 1 + u, slice u_Y at t = 0, and take its conformal log.
 
-    Refuses solutions outside the perturbative regime: u_W must stay
-    strictly positive (the conformal factor u_W^{4/(n-2)} degenerates at
-    zero) and the C^1 size of u must stay below 1.
+    Returns (u_Y, phi_Y). Refuses solutions outside the perturbative
+    regime: u_W must stay strictly positive (the conformal factor
+    u_W^{4/(n-2)} degenerates at zero) and the C^1 size of u, as the solve
+    measured it, must stay below 1.
     """
     if n < 3:
         raise ConfigError(f"ambient dimension n={n} must be >= 3")
-    u = np.asarray(u, dtype=float)
-    u_w = 1.0 + u
+    u_w = 1.0 + solve.u
     min_u_w = float(np.min(u_w))
     if min_u_w <= POSITIVITY_FLOOR:
         raise NumericalFailure(
             f"conformal factor collapses: min(1+u) = {min_u_w:.3e}")
-    c1 = c1_norm(u, domain)
-    if c1 >= 1.0:
+    if solve.c1 >= 1.0:
         raise NumericalFailure(
             f"solution leaves the small-perturbation regime: C1 norm "
-            f"{c1:.3f} >= 1")
-    it0 = domain.axis("t").n // 2
-    kt = domain.array_axis("t")
-    u_y = np.take(u_w, it0, axis=kt)
-    phi_y = (2.0 / (n - 2.0)) * np.log(u_y)
-    return ConformalFactors(n=n, u_y=u_y, phi_y=phi_y)
+            f"{solve.c1:.3f} >= 1")
+    u_y = domain.at_t0(u_w)
+    return u_y, (2.0 / (n - 2.0)) * np.log(u_y)
 
 
-def conformal_scalar(metric: MetricField, phi: np.ndarray,
-                     n: int = None,
-                     bundle: CurvatureBundle = None) -> np.ndarray:
-    """Scalar curvature of e^{2 phi} g from undeformed data."""
-    if n is None:
-        n = metric.domain.dim
-    if bundle is None:
-        bundle = curvature_bundle(metric)
-    lap = laplacian(metric, phi, gamma=bundle.gamma)
-    g2 = grad_norm2(metric, phi)
-    r = bundle.scalar
-    return np.exp(-2.0 * phi) * (r - 2.0 * (n - 1.0) * lap
+def conformal_scalar(metric: MetricField, phi: np.ndarray, dphi: np.ndarray,
+                     d2phi: np.ndarray, n: int,
+                     bundle: CurvatureBundle) -> np.ndarray:
+    """Scalar curvature of e^{2 phi} g from undeformed data; dphi and d2phi
+    are the coordinate partials of phi (grids.derivatives)."""
+    lap = laplacian_trace(metric, bundle.gamma, dphi, d2phi)
+    g2 = np.einsum("...ij,...i,...j->...", metric.inverse, dphi, dphi)
+    return np.exp(-2.0 * phi) * (bundle.scalar - 2.0 * (n - 1.0) * lap
                                  - (n - 1.0) * (n - 2.0) * g2)
 
 
 def conformal_ricci_normal(metric: MetricField, phi: np.ndarray,
-                           mu: np.ndarray, n: int = None,
-                           bundle: CurvatureBundle = None) -> np.ndarray:
+                           dphi: np.ndarray, d2phi: np.ndarray,
+                           mu: np.ndarray, n: int,
+                           bundle: CurvatureBundle) -> np.ndarray:
     """Ric~(nu~, nu~) for the e^{-phi}-normalized normal nu~ = e^{-phi} mu.
 
     mu must be unit for the undeformed metric (checked to 1e-8).
     """
-    if n is None:
-        n = metric.domain.dim
     nn = metric.norm2(mu)
     if float(np.max(np.abs(nn - 1.0))) > _FRAME_TOL:
         raise NumericalFailure(
             f"normal not unit: max |g(mu,mu)-1| = "
             f"{np.max(np.abs(nn - 1.0)):.3e}")
-    if bundle is None:
-        bundle = curvature_bundle(metric)
-    hess = hessian_cov(metric, phi, gamma=bundle.gamma)
+    hess = d2phi - np.einsum("...kij,...k->...ij", bundle.gamma, dphi)
     hess_mm = np.einsum("...i,...j,...ij->...", mu, mu, hess)
-    dphi = gradient(metric.domain, phi)
     s = np.einsum("...i,...i->...", mu, dphi)
     lap = np.einsum("...ij,...ij->...", metric.inverse, hess)
-    g2 = grad_norm2(metric, phi)
+    g2 = np.einsum("...ij,...i,...j->...", metric.inverse, dphi, dphi)
     ric_mm = bundle.ric_vv(mu)
     return np.exp(-2.0 * phi) * (ric_mm - (n - 2.0) * (hess_mm - s * s)
                                  - lap - (n - 2.0) * g2)
 
 
 def conformal_second_fundamental(a_norm2, h_mean, phi: np.ndarray,
-                                 mu: np.ndarray, n: int, domain):
+                                 dphi: np.ndarray, mu: np.ndarray, n: int):
     """(|A|^2, h^2) of the slice under the deformation, as a pair.
 
     h_mean is the trace of A over the n-1 tangent directions, so the slice
@@ -138,50 +116,45 @@ def conformal_second_fundamental(a_norm2, h_mean, phi: np.ndarray,
       |A~|^2 = e^{-2 phi} (|A|^2 + 2 h (d_mu phi) + (n-1) (d_mu phi)^2)
       h~^2   = e^{-2 phi} (h + (n-1) d_mu phi)^2
     """
-    s = np.einsum("...i,...i->...", mu, gradient(domain, phi))
+    s = np.einsum("...i,...i->...", mu, dphi)
     scale = np.exp(-2.0 * phi)
     return (scale * (a_norm2 + 2.0 * h_mean * s + (n - 1.0) * s ** 2),
             scale * (h_mean ** 2 + 2.0 * (n - 1.0) * h_mean * s
                      + (n - 1.0) ** 2 * s ** 2))
 
 
-def chain_scalar(metric_y: MetricField, phi: np.ndarray, mu: np.ndarray,
-                 hyp: HypersurfaceData = None, n: int = None,
-                 bundle: CurvatureBundle = None) -> np.ndarray:
+def chain_scalar(metric_y: MetricField, phi: np.ndarray, dphi: np.ndarray,
+                 d2phi: np.ndarray, mu: np.ndarray, hyp: HypersurfaceData,
+                 n: int, bundle: CurvatureBundle) -> np.ndarray:
     """Deformed-slice scalar curvature assembled from conformal laws.
 
     Ambient scalar and normal Ricci transform by the laws above; the trace
     terms come from the undeformed second fundamental form. The three feed
     the hypersurface contraction R - 2 Ric(nu,nu) + h^2 - |A|^2 evaluated
-    in the deformed ambient metric.
+    in the deformed ambient metric. All three read the same partials of
+    phi.
     """
-    dom = metric_y.domain
-    if n is None:
-        n = dom.dim
-    if bundle is None:
-        bundle = curvature_bundle(metric_y)
-    if hyp is None:
-        tangent = [nm for nm in dom.names if nm != "theta"]
-        hyp = hypersurface_data(metric_y, tangent, mu, bundle=bundle)
-    r_t = conformal_scalar(metric_y, phi, n, bundle=bundle)
-    ric_t = conformal_ricci_normal(metric_y, phi, mu, n, bundle=bundle)
+    r_t = conformal_scalar(metric_y, phi, dphi, d2phi, n, bundle)
+    ric_t = conformal_ricci_normal(metric_y, phi, dphi, d2phi, mu, n, bundle)
     a2t, h2t = conformal_second_fundamental(hyp.a_norm2, hyp.h_mean, phi,
-                                            mu, n, dom)
+                                            dphi, mu, n)
     return r_t - 2.0 * ric_t + h2t - a2t
 
 
-def deformed_slice_metric(metric_y: MetricField,
-                          phi_y: np.ndarray) -> MetricField:
-    """e^{2 phi} (induced slice metric) as a metric on X, with numerically
-    differentiated phi. Input metric lives on Y; theta is dropped."""
-    dom_x = metric_y.domain.without("theta")
+def exact_slice_scalar(metric_y: MetricField, phi_y: np.ndarray,
+                       dphi: np.ndarray, d2phi: np.ndarray) -> np.ndarray:
+    """Reference value: direct curvature of e^{2 phi} (induced slice metric)
+    as a metric on X.
+
+    The input metric and the partials of phi live on Y; theta is dropped,
+    and the deformed metric takes the X index block of the partials.
+    """
+    dom_y = metric_y.domain
+    dom_x = dom_y.without("theta")
+    x = [dom_y.index(name) for name in dom_x.names]
     gx = restrict_metric(metric_y, dom_x)
-    return conformal_metric(gx, phi_y, name=metric_y.name + "+slice")
-
-
-def exact_slice_scalar(metric_y: MetricField, phi_y: np.ndarray) -> np.ndarray:
-    """Reference value: direct curvature of the deformed slice metric."""
-    return scalar_curvature(deformed_slice_metric(metric_y, phi_y))
+    return scalar_curvature(conformal_metric(gx, phi_y, dphi[..., x],
+                                             d2phi[..., x, :][..., :, x]))
 
 
 def laplacian_comparison(u_w: np.ndarray, metric_m: MetricField,
@@ -205,8 +178,7 @@ def laplacian_comparison(u_w: np.ndarray, metric_m: MetricField,
     return b1, 4.0 * float(np.max(np.abs(b1)))
 
 
-def slice_laplacian_identity(u: np.ndarray, metric_m: MetricField,
-                             metric_y: MetricField = None) -> float:
+def slice_laplacian_identity(u: np.ndarray, metric_m: MetricField) -> float:
     """Residual of Lap_M u|_{t=0} = Lap_Y u_Y + d^2u/dt^2|_{t=0}.
 
     The middle term is the Laplacian of the induced metric on the t = 0
@@ -214,14 +186,15 @@ def slice_laplacian_identity(u: np.ndarray, metric_m: MetricField,
     is a consistency diagnostic for the slice bookkeeping.
     """
     dom = metric_m.domain
-    it0 = dom.axis("t").n // 2
     kt = dom.array_axis("t")
-    if metric_y is None:
-        metric_y = restrict_metric(metric_m, dom.without("t"), at={"t": it0})
-    lap0 = np.take(laplacian(metric_m, u), it0, axis=kt)
-    d2t0 = np.take(dom.diff(u, "t", 2), it0, axis=kt)
-    u_y = np.take(u, it0, axis=kt)
-    lap_y = laplacian(metric_y, u_y)
+    # g_M's t = 0 slice, held at length 1 on t, restricts to the induced g_Y
+    at_0 = [np.expand_dims(dom.at_t0(a), kt)
+            for a in (metric_m.comp, metric_m.d1, metric_m.d2)]
+    metric_y = restrict_metric(MetricField(dom, *at_0), dom.without("t"),
+                               at={"t": 0})
+    lap0 = dom.at_t0(laplacian(metric_m, u))
+    d2t0 = dom.at_t0(dom.diff(u, "t", 2))
+    lap_y = laplacian(metric_y, dom.at_t0(u))
     return float(np.max(np.abs(lap0 - lap_y - d2t0)))
 
 
@@ -277,7 +250,8 @@ class CertificateReport:
     verdict: bool
 
 
-def certificate(factors: ConformalFactors, slice_data: HypersurfaceData,
+def certificate(u_y: np.ndarray, phi_y: np.ndarray, n: int,
+                slice_data: HypersurfaceData,
                 forcing_0: np.ndarray, b1_0: np.ndarray, k2: np.ndarray,
                 eta_prime: float, r_g0: np.ndarray,
                 metric_y: MetricField, mu: np.ndarray,
@@ -286,6 +260,7 @@ def certificate(factors: ConformalFactors, slice_data: HypersurfaceData,
                 tolerance: float = None) -> CertificateReport:
     """Assemble the pointwise lower bound and its two cross-checks.
 
+    u_y and phi_y come from lift_solution; n is the dimension of Y.
     forcing_0, r_g0, k2 and b1_0 (B1 from laplacian_comparison) are fields
     on the t = 0 slice; eta_prime is the profile-curvature monitor. The
     bound is
@@ -299,6 +274,9 @@ def certificate(factors: ConformalFactors, slice_data: HypersurfaceData,
     verdict is min bound > 0, strict:
     certifying positivity through round-off slack would be meaningless.
 
+    phi_Y is differentiated once; the chain and the exact evaluation both
+    read those partials.
+
     When residual_inf/tolerance are given, a solve that missed its residual
     target refuses certification outright.
     """
@@ -307,16 +285,15 @@ def certificate(factors: ConformalFactors, slice_data: HypersurfaceData,
         raise NumericalFailure(
             f"certificate refused: PDE residual {residual_inf:.3e} above "
             f"tolerance {tolerance:.1e}")
-    n = factors.n
-    u_y = factors.u_y
     bracket = ((-2.0 * slice_data.ric_nn + slice_data.h_mean ** 2
                 - slice_data.a_norm2) * u_y
                + forcing_0 + r_g0 - 4.0 * b1_0 - k2 - 4.0 * eta_prime)
     r_bound = u_y ** (-(n + 2.0) / (n - 2.0)) * bracket
 
-    r_chain = chain_scalar(metric_y, factors.phi_y, mu, hyp=slice_data, n=n,
-                           bundle=bundle)
-    r_exact = exact_slice_scalar(metric_y, factors.phi_y)
+    dphi, d2phi = derivatives(metric_y.domain, phi_y)
+    r_chain = chain_scalar(metric_y, phi_y, dphi, d2phi, mu, slice_data, n,
+                           bundle)
+    r_exact = exact_slice_scalar(metric_y, phi_y, dphi, d2phi)
 
     return CertificateReport(
         r_bound=r_bound,

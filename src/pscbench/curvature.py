@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure
-from .grids import derivatives, gradient
+from .grids import derivatives
 from .metrics import MetricField
 
 _FRAME_TOL = 1e-8
@@ -89,19 +89,6 @@ def laplacian_trace(metric: MetricField, gamma: np.ndarray, grad: np.ndarray,
     coordinate partials taken elsewhere, over this metric's coordinates."""
     return (np.einsum("...ij,...ij->...", metric.inverse, hess)
             - np.einsum("...ij,...kij,...k->...", metric.inverse, gamma, grad))
-
-
-def hessian_cov(metric: MetricField, f: np.ndarray, gamma=None) -> np.ndarray:
-    """Covariant Hessian d2_ij f - Gamma^k_ij d_k f."""
-    if gamma is None:
-        gamma = christoffel(metric)
-    grad, hess = derivatives(metric.domain, f)
-    return hess - np.einsum("...kij,...k->...ij", gamma, grad)
-
-
-def grad_norm2(metric: MetricField, f: np.ndarray) -> np.ndarray:
-    grad = gradient(metric.domain, f)
-    return np.einsum("...ij,...i,...j->...", metric.inverse, grad, grad)
 
 
 @dataclass

@@ -160,6 +160,16 @@ class DiscreteDomain:
             return np.zeros_like(values)
         return fd.apply_diff(values, k, order, a.n, a.spacing, a.closure)
 
+    def at_t0(self, values: np.ndarray) -> np.ndarray:
+        """The t = 0 slice of a field: node n_t // 2 on t's array axis, or
+        index 0 where the field holds t at length 1.
+
+        Trailing component dimensions pass through.
+        """
+        k = self.array_axis("t")
+        i = self.axis("t").n // 2 if values.shape[k] > 1 else 0
+        return np.take(values, i, axis=k)
+
     def integrate(self, values: np.ndarray) -> np.ndarray:
         """Quadrature over the stored grid times virtual circumferences.
 
@@ -279,16 +289,14 @@ def lp_norm(values: np.ndarray, metric, p: int) -> float:
     return float(dom.integrate(integrand) ** (1.0 / p))
 
 
-def c1_norm(values: np.ndarray, domain) -> float:
+def c1_norm(values: np.ndarray, domain: DiscreteDomain) -> float:
     """sup|f| plus the largest per-axis sup of the first-difference slope.
 
     Discrete surrogate for a C^1 norm; no Hoelder seminorm on a fixed grid.
-    Accepts either a DiscreteDomain or any object carrying one as .domain.
     """
-    dom = getattr(domain, "domain", domain)
     best = 0.0
-    for a in dom.stored_axes:
-        best = max(best, float(np.max(np.abs(dom.diff(values, a.name, 1)))))
+    for a in domain.stored_axes:
+        best = max(best, float(np.max(np.abs(domain.diff(values, a.name, 1)))))
     return float(np.max(np.abs(values))) + best
 
 

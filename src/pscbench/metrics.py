@@ -66,6 +66,9 @@ class MetricField:
         self._validate()
 
     def _validate(self):
+        bad = int(np.count_nonzero(~np.isfinite(self.comp)))
+        if bad:
+            raise NumericalFailure(f"metric has {bad} non-finite components")
         scale = 1.0 + float(np.max(np.abs(self.comp)))
         skew = float(np.max(np.abs(self.comp - np.swapaxes(self.comp, -1, -2))))
         if skew > 1e-12 * scale:
@@ -323,7 +326,8 @@ def load_metric_csv(domain: DiscreteDomain, path) -> MetricField:
     for name, coords in ref.items():
         if name not in fields:
             raise ConfigError(f"metric table {path} lacks coordinate column {name!r}")
-        if np.max(np.abs(table[name] - coords)) > 1e-9:
+        # written so that a nan (blank) coordinate cell fails it too
+        if not np.max(np.abs(table[name] - coords)) <= 1e-9:
             raise ConfigError(
                 f"metric table {path}: column {name!r} does not match the "
                 "grid (rows must be in C order over the stored axes)")

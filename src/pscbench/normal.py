@@ -118,9 +118,7 @@ def minors_direct(b: np.ndarray) -> np.ndarray:
 class NormalFrame:
     """Per-node normal data on a slice X x {P}."""
     mu: np.ndarray
-    a: np.ndarray
     v: np.ndarray
-    v_norm2: np.ndarray
     angle: np.ndarray
     dets: np.ndarray
     margin: float
@@ -133,8 +131,8 @@ class NormalFrame:
 
 def normal_frame(h: MetricField) -> NormalFrame:
     mu = unit_normal(h)
-    a, v = decompose_normal(h, mu)
+    _, v = decompose_normal(h, mu)
     angle = angle_field(h, mu)
     dets, ok, margin = ellipticity_minors(v, h)
-    return NormalFrame(mu=mu, a=a, v=v, v_norm2=h.norm2(v), angle=angle,
-                       dets=dets, margin=margin, is_elliptic=ok)
+    return NormalFrame(mu=mu, v=v, angle=angle, dets=dets, margin=margin,
+                       is_elliptic=ok)

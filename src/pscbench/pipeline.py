@@ -141,15 +141,11 @@ def run_scenario(config: RunConfig, stage: str = "certify") -> RunReport:
         return report
 
     # -- conformal lift and certificate ----------------------------------
-    factors = lift_solution(doms["w"], solve.u, n)
-    k2 = k2_field(factors.u_y, h, frame.v, n)
-    it0 = doms["w"].axis("t").n // 2
-    kt = doms["w"].array_axis("t")
-    forcing_0 = np.take(forcing, it0, axis=kt)
-    r_g0 = np.take(np.broadcast_to(r_g, doms["w"].shape), it0, axis=kt)
-    b1_0 = np.take(b1, it0, axis=kt)
-    cert = certificate(factors, slice_data, forcing_0, b1_0, k2,
-                       eta_prime, r_g0, h, frame.mu,
+    w = doms["w"]
+    u_y, phi_y = lift_solution(w, solve, n)
+    k2 = k2_field(u_y, h, frame.v, n)
+    cert = certificate(u_y, phi_y, n, slice_data, w.at_t0(forcing),
+                       w.at_t0(b1), k2, eta_prime, w.at_t0(r_g), h, frame.mu,
                        bundle=bundle_y, residual_inf=solve.residual_inf,
                        tolerance=config.tolerance)
     if cert.k2_max >= 1.0:

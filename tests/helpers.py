@@ -2,11 +2,12 @@
 
 import numpy as np
 
-from pscbench.grids import DomainSpec, build_domain, with_circle, TORUS
+from pscbench.grids import (DomainSpec, build_domain, derivatives,
+                            with_circle, TORUS)
 from pscbench.metrics import (MetricField, make_metric, as_fd,
                               conformal_metric, restrict_metric)
-from pscbench.curvature import (scalar_curvature, ricci, hypersurface_data,
-                                gauss_codazzi_scalar)
+from pscbench.curvature import (scalar_curvature, ricci, curvature_bundle,
+                                hypersurface_data, gauss_codazzi_scalar)
 from pscbench.normal import unit_normal, normal_frame
 from pscbench.conformal import conformal_scalar, conformal_ricci_normal
 from pscbench.solver import assemble, solve_dirichlet
@@ -125,7 +126,8 @@ def conformal_scalar_law_err(res, seed=7, a1=0.08, a2=0.04):
     t3 = stored_theta_y(res)
     g = make_metric("product_flat", t3)
     phi = rng_phi(t3, seed, a1, a2)
-    law = conformal_scalar(g, phi)
+    law = conformal_scalar(g, phi, *derivatives(t3, phi), t3.dim,
+                           curvature_bundle(g))
     direct = scalar_curvature(as_fd(conformal_metric(g, phi)))
     return float(np.max(np.abs(law - direct)))
 
@@ -135,7 +137,8 @@ def conformal_ricci_law_err(res, seed=11, a1=0.08, a2=0.04):
     g = make_metric("twisted_flat", t3, c=0.5)
     fr = normal_frame(g)
     phi = rng_phi(t3, seed, a1, a2)
-    law = conformal_ricci_normal(g, phi, fr.mu)
+    law = conformal_ricci_normal(g, phi, *derivatives(t3, phi), fr.mu,
+                                 t3.dim, curvature_bundle(g))
     ric_t = ricci(as_fd(conformal_metric(g, phi)))
     direct = np.exp(-2.0 * phi) * np.einsum("...ij,...i,...j->...",
                                             ric_t, fr.mu, fr.mu)

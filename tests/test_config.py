@@ -154,6 +154,33 @@ def test_validation_errors(tmp_path, body, pattern):
         parse_config(write_cfg(tmp_path, body))
 
 
+def test_non_finite_numbers_report_line(tmp_path):
+    # inf and nan parse as floats; every numeric key refuses them at its
+    # line instead of crashing later (integers) or running on (delta)
+    sphere = "[domain]\nbackend = sphere-axisym\n\n"
+    for head, metric, section, key in (
+            ("", "product_flat", "domain", "t_nodes"),
+            ("", "product_flat", "domain", "dim_x"),
+            ("", "twisted_flat", "metric", "c"),
+            (sphere, "sphere_product", "metric", "r"),
+            (sphere, "sphere_twist", "metric", "beta0"),
+            ("", "product_flat", "forcing", "p"),
+            ("", "product_flat", "forcing", "delta"),
+            ("", "product_flat", "forcing", "C"),
+            ("", "product_flat", "solver", "tolerance")):
+        for value in ("inf", "-inf", "nan"):
+            text = f"{head}[metric]\nname = {metric}\n"
+            if section != "metric":
+                text += f"\n[{section}]\n"
+            text += f"{key} = {value}\n"
+            path = write_cfg(tmp_path, text)
+            line = text.splitlines().index(f"{key} = {value}") + 1
+            with pytest.raises(ConfigError,
+                               match=rf"{path}:{line}: \[{section}\] {key} "
+                                     rf"expects a finite number"):
+                parse_config(path)
+
+
 def test_components_file_must_exist(tmp_path):
     text = "[metric]\ncomponents_file = no_such_table.csv\n"
     with pytest.raises(ConfigError, match=r"does not exist"):

@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 
 from pscbench.errors import ConfigError, NumericalFailure
-from pscbench.grids import DomainSpec, build_domain, w_domains, TORUS, SPHERE
+from pscbench.grids import (DomainSpec, build_domain, c1_norm, derivatives,
+                            w_domains, TORUS, SPHERE)
 from pscbench.metrics import make_metric, product_extend, restrict_metric
 from pscbench.curvature import (scalar_curvature, curvature_bundle,
                                 hypersurface_data, HypersurfaceData,
                                 laplacian)
 from pscbench.normal import normal_frame
+from pscbench.solver import SolveReport
 from pscbench.conformal import (lift_solution, conformal_scalar,
                                 conformal_ricci_normal,
                                 conformal_second_fundamental, chain_scalar,
@@ -34,10 +36,16 @@ def scenario_y(name, res=16, **params):
     return y, make_metric(name, y, **params)
 
 
+def solve_report(dom, u):
+    """The SolveReport a solve returning u would carry."""
+    return SolveReport(u=u, residual_inf=0.0, c1=c1_norm(u, dom), stats={})
+
+
 def test_constant_phi_specialization():
     y, g = scenario_y("sphere_product", res=24, r=1.0)
     phi = np.full(y.shape, 0.3)
-    out = conformal_scalar(g, phi)
+    out = conformal_scalar(g, phi, *derivatives(y, phi), 3,
+                           curvature_bundle(g))
     assert np.max(np.abs(out - np.exp(-0.6) * scalar_curvature(g))) < 1e-10
 
 
@@ -47,7 +55,8 @@ def test_conformal_ricci_requires_unit_normal():
     bad = np.zeros(y.shape + (3,))
     bad[..., y.index("theta")] = 2.0
     with pytest.raises(NumericalFailure):
-        conformal_ricci_normal(g, phi, bad)
+        conformal_ricci_normal(g, phi, *derivatives(y, phi), bad, 3,
+                               curvature_bundle(g))
 
 
 def test_second_fundamental_trace_laws():
@@ -61,14 +70,16 @@ def test_second_fundamental_trace_laws():
     # through a linear-in-theta phi is impossible (theta is virtual), so
     # check the formulas on explicit arrays instead
     a2, h2 = conformal_second_fundamental(np.zeros(y.shape),
-                                          np.zeros(y.shape), phi, mu, n, y)
+                                          np.zeros(y.shape), phi,
+                                          derivatives(y, phi)[0], mu, n)
     assert np.max(np.abs(a2)) < 1e-14  # s = 0 as well: everything collapses
     assert np.max(np.abs(h2)) < 1e-14
     # phi = 0: outputs reduce to the undeformed traces
     a_norm2 = np.full(y.shape, 0.25)
     h_mean = np.full(y.shape, 0.5)
     a2, h2 = conformal_second_fundamental(a_norm2, h_mean,
-                                          np.zeros(y.shape), mu, n, y)
+                                          np.zeros(y.shape),
+                                          np.zeros(y.shape + (3,)), mu, n)
     assert np.max(np.abs(a2 - a_norm2)) < 1e-14
     assert np.max(np.abs(h2 - h_mean ** 2)) < 1e-14
 
@@ -85,11 +96,24 @@ def test_second_fundamental_normal_slope_terms():
     s = y.diff(phi, "x", 1)  # the same stencil slope the formula consumes
     h_mean = np.full(y.shape, 0.7)
     a_norm2 = np.full(y.shape, 0.3)
-    a2, h2 = conformal_second_fundamental(a_norm2, h_mean, phi, mu, n, y)
+    a2, h2 = conformal_second_fundamental(a_norm2, h_mean, phi,
+                                          derivatives(y, phi)[0], mu, n)
     ref_a2 = np.exp(-2 * phi) * (a_norm2 + 2 * h_mean * s + (n - 1) * s ** 2)
     ref_h2 = np.exp(-2 * phi) * (h_mean + (n - 1) * s) ** 2
     assert np.max(np.abs(a2 - ref_a2)) < 1e-13
     assert np.max(np.abs(h2 - ref_h2)) < 1e-13
+
+
+def chain_and_exact(g, phi, mu):
+    """chain_scalar and exact_slice_scalar of e^{2 phi} g on the slice, from
+    one derivative pass of phi."""
+    y = g.domain
+    bundle = curvature_bundle(g)
+    tangent = [nm for nm in y.names if nm != "theta"]
+    hyp = hypersurface_data(g, tangent, mu, bundle=bundle)
+    dphi, d2phi = derivatives(y, phi)
+    return (chain_scalar(g, phi, dphi, d2phi, mu, hyp, y.dim, bundle),
+            exact_slice_scalar(g, phi, dphi, d2phi))
 
 
 CHAIN_DEGENERACY = {
@@ -108,8 +132,8 @@ def test_chain_matches_direct_slice_curvature():
             phi = 0.1 * np.cos(y.mesh("rho")) * np.ones(y.shape)
         else:
             phi = 0.1 * np.cos(y.mesh("x")) * np.cos(y.mesh("y")) * np.ones(y.shape)
-        gap = float(np.max(np.abs(chain_scalar(g, phi, fr.mu)
-                                  - exact_slice_scalar(g, phi))))
+        chain, exact = chain_and_exact(g, phi, fr.mu)
+        gap = float(np.max(np.abs(chain - exact)))
         assert gap < bound, f"{name}: {gap:.3e}"
 
 
@@ -120,8 +144,8 @@ def test_chain_gap_refines_for_twisted_sphere():
         y, g = scenario_y("sphere_twist", res=res, r=1.0, beta0=0.5)
         fr = normal_frame(g)
         phi = 0.1 * np.cos(y.mesh("rho")) * np.ones(y.shape)
-        gaps.append(float(np.max(np.abs(chain_scalar(g, phi, fr.mu)
-                                        - exact_slice_scalar(g, phi)))))
+        chain, exact = chain_and_exact(g, phi, fr.mu)
+        gaps.append(float(np.max(np.abs(chain - exact))))
     assert gaps[0] == pytest.approx(3.084e-7, rel=0.05)
     assert gaps[1] == pytest.approx(1.929e-8, rel=0.05)
     assert gaps[0] / gaps[1] > 8.0
@@ -131,15 +155,16 @@ def test_lift_solution_guards():
     dom = build_domain(DomainSpec(TORUS, 2, (6, 6), 7))
     u = np.zeros(dom.shape)
     with pytest.raises(ConfigError):
-        lift_solution(dom, u, 2)
+        lift_solution(dom, solve_report(dom, u), 2)
     with pytest.raises(NumericalFailure):
-        lift_solution(dom, u - 1.0, 3)  # conformal factor hits zero
+        # conformal factor hits zero
+        lift_solution(dom, solve_report(dom, u - 1.0), 3)
     steep = 2.0 * np.asarray(np.broadcast_to(dom.mesh("t"), dom.shape))
     with pytest.raises(NumericalFailure):
-        lift_solution(dom, steep, 3)  # C1 norm >= 1
-    fac = lift_solution(dom, u, 3)
-    assert np.max(np.abs(fac.u_y - 1.0)) == 0.0
-    assert np.max(np.abs(fac.phi_y)) == 0.0
+        lift_solution(dom, solve_report(dom, steep), 3)  # C1 norm >= 1
+    u_y, phi_y = lift_solution(dom, solve_report(dom, u), 3)
+    assert np.max(np.abs(u_y - 1.0)) == 0.0
+    assert np.max(np.abs(phi_y)) == 0.0
 
 
 def test_k2_field_arithmetic():
@@ -270,9 +295,9 @@ def run_tiny_scenario(name, res=12, t_nodes=17, delta=200.0, **params):
 def test_certificate_of_undeformed_flat_slice():
     doms, h, fr, g_m, r_g, sd, bundle = run_tiny_scenario("product_flat")
     y, w = doms["y"], doms["w"]
-    factors = lift_solution(w, np.zeros(w.shape), 3)
+    u_y, phi_y = lift_solution(w, solve_report(w, np.zeros(w.shape)), 3)
     zeros = np.zeros(y.shape)
-    cert = certificate(factors, sd, zeros, zeros, zeros,
+    cert = certificate(u_y, phi_y, 3, sd, zeros, zeros, zeros,
                        0.0, zeros, h, fr.mu, bundle=bundle)
     assert cert.min_bound == 0.0 and cert.verdict is False
     assert cert.chain_gap_max < 1e-13
@@ -285,11 +310,11 @@ def test_certificate_of_undeformed_sphere_slice():
         "sphere_product", res=24, r=1.0)
     y, w = doms["y"], doms["w"]
     m = doms["m"]
-    factors = lift_solution(w, np.zeros(w.shape), 3)
+    u_y, phi_y = lift_solution(w, solve_report(w, np.zeros(w.shape)), 3)
     it0 = m.axis("t").n // 2
     r_g0 = np.take(np.broadcast_to(r_g, w.shape), it0, axis=m.array_axis("t"))
     zeros = np.zeros(y.shape)
-    cert = certificate(factors, sd, zeros, zeros, zeros,
+    cert = certificate(u_y, phi_y, 3, sd, zeros, zeros, zeros,
                        0.0, r_g0, h, fr.mu, bundle=bundle)
     # undeformed: every evaluation is the round slice curvature 2
     assert cert.min_bound == pytest.approx(2.0, abs=1e-10)
@@ -302,9 +327,9 @@ def test_certificate_of_undeformed_sphere_slice():
 def test_certificate_refuses_unconverged_solve():
     doms, h, fr, g_m, r_g, sd, bundle = run_tiny_scenario("product_flat")
     y, w = doms["y"], doms["w"]
-    factors = lift_solution(w, np.zeros(w.shape), 3)
+    u_y, phi_y = lift_solution(w, solve_report(w, np.zeros(w.shape)), 3)
     zeros = np.zeros(y.shape)
     with pytest.raises(NumericalFailure, match="certificate refused"):
-        certificate(factors, sd, zeros, zeros, zeros,
+        certificate(u_y, phi_y, 3, sd, zeros, zeros, zeros,
                     0.0, zeros, h, fr.mu, bundle=bundle,
                     residual_inf=1e-6, tolerance=1e-10)

@@ -7,10 +7,8 @@ from pscbench.errors import NumericalFailure
 from pscbench.grids import DomainSpec, build_domain, w_domains, TORUS, SPHERE
 from pscbench.metrics import make_metric, as_fd
 from pscbench.curvature import (christoffel, ricci, scalar_curvature,
-                                curvature_bundle, laplacian, hessian_cov,
-                                grad_norm2, hypersurface_data,
-                                gauss_codazzi_scalar)
-from pscbench.grids import derivatives
+                                curvature_bundle, laplacian,
+                                hypersurface_data, gauss_codazzi_scalar)
 
 
 def test_flat_metric_curvature_vanishes():
@@ -62,10 +60,6 @@ def test_flat_laplacian_is_stencil_sum():
     f = np.cos(y.mesh("x")) * np.sin(2 * y.mesh("y")) * np.ones(y.shape)
     manual = sum(y.diff(f, nm, 2) for nm in ("x", "y", "theta"))
     assert np.max(np.abs(laplacian(g, f) - manual)) == 0.0
-    assert np.max(np.abs(hessian_cov(g, f) - derivatives(y, f)[1])) == 0.0
-    d1 = y.diff(f, "x", 1)
-    d2 = y.diff(f, "y", 1)
-    assert np.max(np.abs(grad_norm2(g, f) - d1 * d1 - d2 * d2)) < 1e-14
 
 
 def test_bundle_normal_ricci_contraction():

@@ -24,6 +24,13 @@ def test_torus_w_domain_layout():
     assert dom.axis("x").spacing == pytest.approx(TWO_PI / 8)
     assert dom.axis("t").spacing == pytest.approx(2.0 / 8)
     assert dom.axis("t").coords()[4] == 0.0  # odd count pins t = 0 on a node
+    # at_t0 reads that node; a field held at length 1 on t, its one value;
+    # trailing component dimensions pass through
+    f = rng_phi(dom, seed=5)
+    assert np.array_equal(dom.at_t0(f), np.take(f, 4, axis=2))
+    assert np.array_equal(dom.at_t0(f[..., 2:3]), f[..., 2])
+    vec = np.stack([f, 2.0 * f], axis=-1)
+    assert np.array_equal(dom.at_t0(vec), np.take(vec, 4, axis=2))
 
 
 def test_sphere_w_domain_layout():
@@ -120,13 +127,6 @@ def test_c1_norm_constant_and_slope():
     manual += max(float(np.max(np.abs(dom.diff(f, nm, 1))))
                   for nm in ("x", "y", "t"))
     assert c1_norm(f, dom) == pytest.approx(manual)
-
-
-def test_c1_norm_accepts_metric_carrier():
-    dom = build_domain(DomainSpec(TORUS, 2, (8, 8), 7))
-    g = make_metric("product_flat", dom)
-    f = np.sin(dom.mesh("y")) * np.ones(dom.shape)
-    assert c1_norm(f, g) == c1_norm(f, dom)
 
 
 def test_mesh_and_gradient_layout():

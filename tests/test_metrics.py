@@ -191,6 +191,29 @@ def test_metric_csv_roundtrip(tmp_path):
     assert np.max(np.abs(g2.d1 - g.d1)) < 1e-2
 
 
+def test_load_metric_csv_rejects_non_finite_cells(tmp_path):
+    # a nan, blank or inf component is a bad table, not a solver crash
+    y = w_domains(DomainSpec(SPHERE, 2, (12,), 5))["y"]
+    path = tmp_path / "m.csv"
+    metric_to_csv(make_metric("sphere_product", y, r=1.0), path)
+    lines = path.read_text().splitlines()
+    for cell in ("nan", "", "inf"):
+        row = lines[3].split(",")
+        row[-2] = cell
+        bad = tmp_path / "bad.csv"
+        bad.write_text("\n".join(lines[:3] + [",".join(row)] + lines[4:])
+                       + "\n")
+        with pytest.raises(ConfigError, match=rf"{bad}: .*non-finite") as exc:
+            load_metric_csv(y, bad)
+        assert exc.value.exit_code == 4
+    # a blank coordinate cell matches no grid node
+    row = lines[3].split(",")
+    row[0] = ""
+    bad.write_text("\n".join(lines[:3] + [",".join(row)] + lines[4:]) + "\n")
+    with pytest.raises(ConfigError, match=rf"{bad}: column 'rho' does not"):
+        load_metric_csv(y, bad)
+
+
 def test_load_metric_csv_rejects_wrong_grid(tmp_path):
     y = w_domains(DomainSpec(SPHERE, 2, (12,), 5))["y"]
     g = make_metric("sphere_product", y, r=1.0)

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from pscbench import pipeline, solver
+from pscbench import fd, pipeline, solver
 from pscbench.config import parse_config
 from pscbench.errors import HypothesisViolation
 from pscbench.pipeline import run_scenario
@@ -131,6 +131,40 @@ def test_auto_c_resolve_reuses_the_one_factorization(tmp_path,
     assert len(passes) == 2 and passes[1] > passes[0]
     assert rep.c_used == passes[1]
     assert len(factorizations) == 1
+
+
+@pytest.mark.parametrize("text, diffs", [(TWISTED_OK, 5), (SPHERE_TWIST, 2)],
+                         ids=["twisted_flat", "sphere_twist"])
+def test_certificate_differentiates_phi_y_once(tmp_path, monkeypatch, text,
+                                               diffs):
+    # one derivative pass of phi_Y over Y's stored axes: first, second and
+    # mixed stencils on the torus' x, y (2 + 2 + 1), first and second on
+    # the sphere's rho; the lift reads the solve's C^1 norm, so it applies
+    # no stencil at all
+    calls = {"certificate": 0, "lift_solution": 0}
+    inside = []
+    apply_diff = fd.apply_diff
+
+    def counting(*args):
+        if inside:
+            calls[inside[-1]] += 1
+        return apply_diff(*args)
+
+    def tagged(name, func):
+        def run(*args, **kwargs):
+            inside.append(name)
+            try:
+                return func(*args, **kwargs)
+            finally:
+                inside.pop()
+        return run
+
+    monkeypatch.setattr(fd, "apply_diff", counting)
+    for name in calls:
+        monkeypatch.setattr(pipeline, name,
+                            tagged(name, getattr(pipeline, name)))
+    run_scenario(parse_config(write(tmp_path, "s.cfg", text)))
+    assert calls == {"certificate": diffs, "lift_solution": 0}
 
 
 def test_unknown_stage_rejected(tmp_path):
