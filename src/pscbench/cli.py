@@ -35,7 +35,11 @@ def _resolve_output_dir(flag_value, config) -> str:
 def _run_one(config_path: str, stage: str, output_flag) -> int:
     config = parse_config(config_path)
     out_dir = _resolve_output_dir(output_flag, config)
-    os.makedirs(out_dir, exist_ok=True)
+    try:
+        os.makedirs(out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(
+            f"cannot create output directory {out_dir}: {exc}") from exc
     report = run_scenario(config, stage=stage)
     stem = os.path.splitext(os.path.basename(config_path))[0]
     paths = [

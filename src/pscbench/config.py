@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
-from .grids import SPHERE, TORUS, DomainSpec
+from .grids import SPHERE, TORUS, DomainSpec, build_domain
 
 # section -> known keys; unknown keys are refused, not ignored, so a typo
 # like "tolerence" cannot silently run with the default
@@ -195,6 +195,12 @@ def parse_config(path: str) -> RunConfig:
                 f"{r.loc('domain', 'resolution')}: [domain] resolution "
                 f"needs 1 or {want} entries, got {len(entries)}")
         resolutions = entries
+    spec = DomainSpec(backend=backend, dim_x=dim_x, resolutions=resolutions,
+                      t_nodes=t_nodes)
+    try:
+        build_domain(spec)  # a dim_x the backend cannot hold
+    except ConfigError as exc:
+        raise ConfigError(f"{r.loc('domain', 'dim_x')}: {exc}") from exc
 
     name = r.raw("metric", "name", None)
     components_file = r.raw("metric", "components_file", None)
@@ -259,9 +265,6 @@ def parse_config(path: str) -> RunConfig:
                          lambda v: v > 0.0, "> 0")
 
     output_dir = r.raw("output", "directory", ".")
-
-    spec = DomainSpec(backend=backend, dim_x=dim_x, resolutions=resolutions,
-                      t_nodes=t_nodes)
 
     echo = {
         "domain.backend": backend,

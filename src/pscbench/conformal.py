@@ -41,32 +41,31 @@ from .curvature import (_FRAME_TOL, CurvatureBundle, HypersurfaceData,
                         christoffel, laplacian, laplacian_trace,
                         scalar_curvature)
 from .errors import ConfigError, NumericalFailure
-from .grids import DiscreteDomain, derivatives, gradient
+from .grids import DiscreteDomain, derivatives
 from .metrics import MetricField, conformal_metric, restrict_metric
-from .solver import SolveReport
 
 POSITIVITY_FLOOR = 1e-8
 
 
-def lift_solution(domain: DiscreteDomain, solve: SolveReport, n: int):
+def lift_solution(domain: DiscreteDomain, u: np.ndarray, c1: float, n: int):
     """Form u_W = 1 + u, slice u_Y at t = 0, and take its conformal log.
 
     Returns (u_Y, phi_Y). Refuses solutions outside the perturbative
     regime: u_W must stay strictly positive (the conformal factor
-    u_W^{4/(n-2)} degenerates at zero) and the C^1 size of u, as the solve
-    measured it, must stay below 1.
+    u_W^{4/(n-2)} degenerates at zero) and c1, the C^1 size of u
+    (grids.c1_norm), must stay below 1.
     """
     if n < 3:
         raise ConfigError(f"ambient dimension n={n} must be >= 3")
-    u_w = 1.0 + solve.u
+    u_w = 1.0 + u
     min_u_w = float(np.min(u_w))
     if min_u_w <= POSITIVITY_FLOOR:
         raise NumericalFailure(
             f"conformal factor collapses: min(1+u) = {min_u_w:.3e}")
-    if solve.c1 >= 1.0:
+    if c1 >= 1.0:
         raise NumericalFailure(
             f"solution leaves the small-perturbation regime: C1 norm "
-            f"{solve.c1:.3f} >= 1")
+            f"{c1:.3f} >= 1")
     u_y = domain.at_t0(u_w)
     return u_y, (2.0 / (n - 2.0)) * np.log(u_y)
 
@@ -157,20 +156,20 @@ def exact_slice_scalar(metric_y: MetricField, phi_y: np.ndarray,
                                              d2phi[..., x, :][..., :, x]))
 
 
-def laplacian_comparison(u_w: np.ndarray, metric_m: MetricField,
-                         metric_w: MetricField):
+def laplacian_comparison(grad: np.ndarray, hess: np.ndarray,
+                         metric_m: MetricField, metric_w: MetricField):
     """B1 = Lap_{g_M} u - Lap_{sigma* g} u over the W nodes, and K1.
 
-    M and W share stored axes (theta is virtual), so u is differentiated
-    once over M's coordinates, where its theta slots are zero, and the W
-    Laplacian reads the W index block of the same partials. For product
-    metrics and theta-independent u every extra M term is exactly zero and
-    B1 vanishes to round-off; twisted metrics leave a genuine residue from
-    the differing inverse-metric blocks.
+    grad and hess are the partials of u over M's coordinates
+    (grids.derivatives). M and W share stored axes (theta is virtual), so
+    the theta slots are zero and the W Laplacian reads the W index block
+    of the same partials. For product metrics and theta-independent u
+    every extra M term is exactly zero and B1 vanishes to round-off;
+    twisted metrics leave a genuine residue from the differing
+    inverse-metric blocks.
 
     Returns (B1 field, K1 = 4 sup|B1|).
     """
-    grad, hess = derivatives(metric_m.domain, u_w)
     w = [metric_m.domain.index(name) for name in metric_w.domain.names]
     b1 = (laplacian_trace(metric_m, christoffel(metric_m), grad, hess)
           - laplacian_trace(metric_w, christoffel(metric_w), grad[..., w],
@@ -198,20 +197,17 @@ def slice_laplacian_identity(u: np.ndarray, metric_m: MetricField) -> float:
     return float(np.max(np.abs(lap0 - lap_y - d2t0)))
 
 
-def k2_field(u_w: np.ndarray, metric: MetricField, v: np.ndarray,
-             n: int = None) -> np.ndarray:
+def k2_field(u_w: np.ndarray, du: np.ndarray, metric: MetricField,
+             v: np.ndarray, n: int) -> np.ndarray:
     """Gradient correction K2 = 4/(n-2) (|grad u_W|^2 + n (V u_W)^2) / u_W.
 
-    Evaluated with the metric of whatever block u_W lives on (slice or W);
-    u_W must be strictly positive, it divides.
+    du holds the coordinate partials of u_W on the metric's coordinates
+    (slice or W); u_W must be strictly positive, it divides.
     """
-    if n is None:
-        n = metric.domain.dim
     if float(np.min(u_w)) <= 0.0:
         raise NumericalFailure(
             f"K2 needs a positive conformal factor; min u_W = "
             f"{float(np.min(u_w)):.3e}")
-    du = gradient(metric.domain, u_w)
     g2 = np.einsum("...ij,...i,...j->...", metric.inverse, du, du)
     vu = np.einsum("...i,...i->...", v, du)
     return (4.0 / (n - 2.0)) * (g2 + n * vu * vu) / u_w

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure
-from .grids import derivatives
+from .grids import derivatives, gradient
 from .metrics import MetricField
 
 _FRAME_TOL = 1e-8
@@ -42,11 +42,10 @@ def christoffel_derivative(metric: MetricField) -> np.ndarray:
                   + np.einsum("...kl,...lija->...kija", inv, dt))
 
 
-def ricci(metric: MetricField, gamma=None, dgamma=None) -> np.ndarray:
+def ricci(metric: MetricField, gamma=None) -> np.ndarray:
     if gamma is None:
         gamma = christoffel(metric)
-    if dgamma is None:
-        dgamma = christoffel_derivative(metric)
+    dgamma = christoffel_derivative(metric)
     t1 = np.einsum("...kijk->...ij", dgamma)
     t2 = np.einsum("...kkji->...ij", dgamma)
     q1 = np.einsum("...kkl,...lij->...ij", gamma, gamma)
@@ -76,11 +75,10 @@ def curvature_bundle(metric: MetricField) -> CurvatureBundle:
     return CurvatureBundle(metric, gamma, ric, scal)
 
 
-def laplacian(metric: MetricField, f: np.ndarray, gamma=None) -> np.ndarray:
+def laplacian(metric: MetricField, f: np.ndarray) -> np.ndarray:
     """Laplace-Beltrami of a scalar, g^ij (d2_ij f - Gamma^k_ij d_k f)."""
-    if gamma is None:
-        gamma = christoffel(metric)
-    return laplacian_trace(metric, gamma, *derivatives(metric.domain, f))
+    return laplacian_trace(metric, christoffel(metric),
+                           *derivatives(metric.domain, f))
 
 
 def laplacian_trace(metric: MetricField, gamma: np.ndarray, grad: np.ndarray,
@@ -128,12 +126,7 @@ def hypersurface_data(metric: MetricField, tangent_names, nu: np.ndarray,
         raise NumericalFailure(
             f"normal not orthogonal to slice tangents: max pairing {worst:.3e}")
 
-    d = dom.dim
-    dnu = np.zeros(dom.shape + (d, d))
-    for a, ax in enumerate(dom.axes):
-        if ax.stored:
-            dnu[..., :, a] = dom.diff(nu, ax.name, 1)
-    cd = dnu + np.einsum("...kam,...m->...ka", gamma, nu)
+    cd = gradient(dom, nu) + np.einsum("...kam,...m->...ka", gamma, nu)
 
     a_full = np.einsum("...jk,...ki->...ij", metric.comp, cd)
     a_form = a_full[..., tang, :][..., :, tang]

@@ -289,15 +289,14 @@ def lp_norm(values: np.ndarray, metric, p: int) -> float:
     return float(dom.integrate(integrand) ** (1.0 / p))
 
 
-def c1_norm(values: np.ndarray, domain: DiscreteDomain) -> float:
-    """sup|f| plus the largest per-axis sup of the first-difference slope.
+def c1_norm(values: np.ndarray, grad: np.ndarray) -> float:
+    """sup|f| plus the largest sup of its first-difference slopes, read
+    from grad (as `gradient` or `derivatives` return it; virtual slots
+    are zero).
 
     Discrete surrogate for a C^1 norm; no Hoelder seminorm on a fixed grid.
     """
-    best = 0.0
-    for a in domain.stored_axes:
-        best = max(best, float(np.max(np.abs(domain.diff(values, a.name, 1)))))
-    return float(np.max(np.abs(values))) + best
+    return float(np.max(np.abs(values))) + float(np.max(np.abs(grad)))
 
 
 def gradient(domain: DiscreteDomain, values: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from .config import RunConfig
 from .curvature import curvature_bundle, hypersurface_data, scalar_curvature
 from .errors import ConfigError, HypothesisViolation, NumericalFailure
 from .forcing import build_bump, calibrate_epsilon
-from .grids import lp_norm, w_domains
+from .grids import c1_norm, derivatives, lp_norm, w_domains
 from .metrics import load_metric_csv, make_metric, product_extend, \
     restrict_metric
 from .normal import MARGIN_FLOOR, normal_frame
@@ -51,13 +51,22 @@ def _extend_drift(v_y: np.ndarray, dom_y, dom_w) -> np.ndarray:
     return v_w
 
 
-def _solve_pass(config: RunConfig, metric_w, assembly, c_value):
-    """Calibrate epsilon for one C, build the bump, and solve with the
-    run's one assembly: C scales only the forcing, never the operator."""
+def _solve_pass(config: RunConfig, metric_m, metric_w, assembly, c_value):
+    """Calibrate epsilon for one C, build the bump, solve with the run's
+    one assembly (C scales only the forcing), and differentiate u once over
+    M's coordinates. The W-sized partials end here; B1 and the gradient on
+    Y's coordinates (M's without t) come back as their t = 0 slices."""
     epsilon = calibrate_epsilon(c_value, config.p, config.delta, metric_w)
     forcing = build_bump(c_value, epsilon, metric_w.domain)
     solve = solve_dirichlet(assembly, forcing, tolerance=config.tolerance)
-    return epsilon, forcing, solve
+    m = metric_m.domain
+    it = m.index("t")
+    grad, hess = derivatives(m, solve.u)
+    b1, k1 = laplacian_comparison(grad, hess, metric_m, metric_w)
+    eta_prime = dtt_monitor(hess[..., it, it], m, epsilon)
+    du_y = np.delete(m.at_t0(grad), it, axis=-1)
+    return (epsilon, forcing, solve, c1_norm(solve.u, grad), m.at_t0(b1), k1,
+            eta_prime, du_y)
 
 
 def run_scenario(config: RunConfig, stage: str = "certify") -> RunReport:
@@ -108,28 +117,23 @@ def run_scenario(config: RunConfig, stage: str = "certify") -> RunReport:
 
     auto_c = config.c_mode == "auto"
     c_value = select_C(slice_data, k1=0.0) if auto_c else float(config.c_mode)
-    epsilon, forcing, solve = _solve_pass(config, metric_w, assembly,
-                                          c_value)
-    b1, k1 = laplacian_comparison(1.0 + solve.u, g_m, metric_w=metric_w)
+    epsilon, forcing, solve, c1, b1_0, k1, eta_prime, du_y = _solve_pass(
+        config, g_m, metric_w, assembly, c_value)
     if auto_c:
         c_second = select_C(slice_data, k1=k1)
         if c_second > c_value:
             # the measured Laplacian mismatch consumed the 10% headroom;
             # re-budget once with the measured K1 and re-solve
             c_value = c_second
-            epsilon, forcing, solve = _solve_pass(config, metric_w,
-                                                  assembly, c_value)
-            b1, k1 = laplacian_comparison(1.0 + solve.u, g_m,
-                                          metric_w=metric_w)
-
-    eta_prime = dtt_monitor(solve.u, doms["w"], epsilon)
+            epsilon, forcing, solve, c1, b1_0, k1, eta_prime, du_y = \
+                _solve_pass(config, g_m, metric_w, assembly, c_value)
 
     report.c_used = c_value
     report.k1 = k1
     report.epsilon = epsilon
     report.forcing_norm = lp_norm(forcing, metric_w, config.p)
     report.solver_stats = dict(solve.stats)
-    report.c1_u = solve.c1
+    report.c1_u = c1
     report.dtt_max = eta_prime
     report.headroom = headroom_value(c_value, slice_data, k1)
     if stage == "solve":
@@ -142,10 +146,10 @@ def run_scenario(config: RunConfig, stage: str = "certify") -> RunReport:
 
     # -- conformal lift and certificate ----------------------------------
     w = doms["w"]
-    u_y, phi_y = lift_solution(w, solve, n)
-    k2 = k2_field(u_y, h, frame.v, n)
+    u_y, phi_y = lift_solution(w, solve.u, c1, n)
+    k2 = k2_field(u_y, du_y, h, frame.v, n)
     cert = certificate(u_y, phi_y, n, slice_data, w.at_t0(forcing),
-                       w.at_t0(b1), k2, eta_prime, w.at_t0(r_g), h, frame.mu,
+                       b1_0, k2, eta_prime, w.at_t0(r_g), h, frame.mu,
                        bundle=bundle_y, residual_inf=solve.residual_inf,
                        tolerance=config.tolerance)
     if cert.k2_max >= 1.0:

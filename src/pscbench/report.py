@@ -218,7 +218,10 @@ def write_field_csvs(report: RunReport, out_dir: str, stem: str) -> list:
         if not cols or domain_key not in fields:
             return
         path = os.path.join(out_dir, f"{stem}_{name}.csv")
-        fields_to_csv(path, fields[domain_key], cols)
+        try:
+            fields_to_csv(path, fields[domain_key], cols)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
         written.append(path)
 
     dump("angle", "y", ("angle", "margin_minor"))

@@ -34,7 +34,7 @@ import scipy.sparse.linalg as spla
 from .curvature import christoffel
 from .errors import ConfigError, HypothesisViolation, NumericalFailure
 from .fd import diff_matrix
-from .grids import DiscreteDomain, c1_norm
+from .grids import DiscreteDomain, gradient
 from .metrics import MetricField
 
 ANISOTROPY_WARN_RATIO = 1e6
@@ -68,7 +68,6 @@ class SolveReport:
     """Solution of one Dirichlet solve plus the numbers the pipeline audits."""
     u: np.ndarray
     residual_inf: float
-    c1: float
     stats: dict
 
 
@@ -107,12 +106,7 @@ def assemble(v: np.ndarray, potential,
             f"operator symbol loses ellipticity: min eigenvalue {eigmin:.3e}")
 
     gamma = christoffel(metric)
-    dv = np.empty(v.shape + (d,))
-    for k in range(d):
-        vk = np.ascontiguousarray(v[..., k])
-        for a, nm in enumerate(dom.names):
-            dv[..., k, a] = dom.diff(vk, nm, 1)
-    term1 = np.einsum("...a,...ka->...k", v, dv)
+    term1 = np.einsum("...a,...ka->...k", v, gradient(dom, v))
     term2 = np.einsum("...i,...j,...kij->...k", v, v, gamma)
     term3 = np.einsum("...ij,...kij->...k", inv, gamma)
     c1 = 4.0 * (term1 - term2 + term3)
@@ -182,7 +176,7 @@ def solve_dirichlet(assembly: OperatorAssembly, forcing,
     NumericalFailure.
 
     The returned report carries u shaped like the domain (exactly zero on
-    the boundary rows), the final residual, and c1(u).
+    the boundary rows) and the final residual.
     """
     dom = assembly.domain
     rhs = np.asarray(np.broadcast_to(forcing, dom.shape), dtype=float) \
@@ -210,13 +204,13 @@ def solve_dirichlet(assembly: OperatorAssembly, forcing,
             f"solver residual {residual_inf:.3e} exceeds "
             f"tolerance {tolerance:.1e}")
     u = u.reshape(dom.shape)
-    return SolveReport(u=u, residual_inf=residual_inf,
-                       c1=c1_norm(u, dom), stats=stats)
+    return SolveReport(u=u, residual_inf=residual_inf, stats=stats)
 
 
-def dtt_monitor(u: np.ndarray, domain: DiscreteDomain,
+def dtt_monitor(d2u_dt2: np.ndarray, domain: DiscreteDomain,
                 epsilon: float) -> float:
-    """sup of |d^2 u / dt^2| over the core region |t| < epsilon/4.
+    """sup of |d^2 u / dt^2| over the core region |t| < epsilon/4, read
+    from the field d2u_dt2 (the (t, t) slot of grids.derivatives of u).
 
     This is eta' of the certificate. It is not a small error term: on the
     forcing plateau the equation balances as 4 u'' ~ R_g u - (C+1), so
@@ -232,6 +226,5 @@ def dtt_monitor(u: np.ndarray, domain: DiscreteDomain,
         raise ConfigError(
             f"monitor region |t| < {0.25 * epsilon:g} contains only "
             f"{region.size} t-nodes (need >= 3); refine the t grid")
-    d2 = domain.diff(u, "t", 2)
-    sub = np.take(d2, region, axis=domain.array_axis("t"))
+    sub = np.take(d2u_dt2, region, axis=domain.array_axis("t"))
     return float(np.max(np.abs(sub)))

@@ -148,6 +148,10 @@ def test_missing_metric_section(tmp_path):
     ("[metric]\nname = klein_bottle\n", r"unknown metric"),
     ("[metric]\nname = product_flat\nc = 0.5\n",
      r":3.*does not take parameter 'c'"),
+    ("[domain]\ndim_x = 4\n\n[metric]\nname = product_flat\n",
+     r":2: torus backend supports dim_x <= 3, got 4"),
+    ("[domain]\nbackend = sphere-axisym\ndim_x = 3\n\n[metric]\n"
+     "name = sphere_product\n", r":3: sphere backend is 2-dimensional"),
 ])
 def test_validation_errors(tmp_path, body, pattern):
     with pytest.raises(ConfigError, match=pattern):

@@ -8,8 +8,10 @@ import pytest
 
 from pscbench import fd, pipeline, solver
 from pscbench.config import parse_config
-from pscbench.errors import HypothesisViolation
+from pscbench.errors import ConfigError, HypothesisViolation
+from pscbench.grids import w_domains
 from pscbench.pipeline import run_scenario
+from pscbench.report import write_field_csvs
 
 TWISTED_OK = """\
 [domain]
@@ -167,6 +169,54 @@ def test_certificate_differentiates_phi_y_once(tmp_path, monkeypatch, text,
     assert calls == {"certificate": diffs, "lift_solution": 0}
 
 
+@pytest.mark.parametrize("text, w_diffs", [(TWISTED_OK, 18),
+                                           (SPHERE_TWIST, 10)],
+                         ids=["twisted_flat", "sphere_twist"])
+def test_solution_differentiated_once_per_pass(tmp_path, monkeypatch, text,
+                                               w_diffs):
+    # each of the two auto-C passes takes one derivative pass of u over M's
+    # stored axes: 3 first, 3 second and 3 mixed stencils on the torus'
+    # x, y, t; 2 + 2 + 1 on the sphere's rho, t. The C^1 norm, B1, eta'
+    # and K2 read those partials and apply no stencil of their own.
+    cfg = parse_config(write(tmp_path, "s.cfg", text))
+    w_shape = w_domains(cfg.domain)["w"].shape
+    inside = {name: 0 for name in ("solve_dirichlet", "dtt_monitor",
+                                   "k2_field", "lift_solution",
+                                   "laplacian_comparison")}
+    stack, w_sized = [], []
+    apply_diff = fd.apply_diff
+
+    def counting(values, *args):
+        if values.shape[:len(w_shape)] == w_shape:
+            w_sized.append(1)
+        for name in stack:
+            inside[name] += 1
+        return apply_diff(values, *args)
+
+    def tagged(name, func):
+        def run(*args, **kwargs):
+            stack.append(name)
+            try:
+                return func(*args, **kwargs)
+            finally:
+                stack.pop()
+        return run
+
+    monkeypatch.setattr(fd, "apply_diff", counting)
+    for name in inside:
+        monkeypatch.setattr(pipeline, name,
+                            tagged(name, getattr(pipeline, name)))
+    passes = []
+    solve_pass = pipeline._solve_pass
+    monkeypatch.setattr(
+        pipeline, "_solve_pass",
+        lambda *args: passes.append(1) or solve_pass(*args))
+    run_scenario(cfg)
+    assert len(passes) == 2
+    assert len(w_sized) == w_diffs
+    assert inside == dict.fromkeys(inside, 0)
+
+
 def test_unknown_stage_rejected(tmp_path):
     cfg = parse_config(write(tmp_path, "s.cfg", TWISTED_OK))
     with pytest.raises(Exception, match="unknown stage"):
@@ -269,6 +319,40 @@ def test_cli_batch_into_its_input_dir_twice(tmp_path):
     second = run_cli(["batch", str(scen), "--output-dir", str(scen)])
     assert first.returncode == second.returncode == 2, second.stderr
     assert "report" not in second.stderr
+
+
+def test_cli_unwritable_output_dir_exits_4(tmp_path):
+    # an output path below a regular file cannot be created: a located
+    # configuration error, not a traceback
+    cfg = write(tmp_path, "flat.cfg", FLAT)
+    blocker = write(tmp_path, "blocker", "")
+    out = os.path.join(blocker, "sub")
+    res = run_cli(["certify", cfg, "--output-dir", out])
+    assert res.returncode == 4, res.stderr
+    assert "error[exit 4]:" in res.stderr and out in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_cli_batch_into_unwritable_dir_attempts_every_config(tmp_path):
+    scen = tmp_path / "scenarios"
+    scen.mkdir()
+    write(scen, "a_flat.cfg", FLAT)
+    write(scen, "b_flat.cfg", FLAT)
+    out = os.path.join(write(tmp_path, "blocker", ""), "sub")
+    res = run_cli(["batch", str(scen), "--output-dir", out])
+    assert res.returncode == 4, res.stderr
+    for stem in ("a_flat", "b_flat"):
+        assert f"{stem}: error[exit 4]: cannot create output directory " \
+               f"{out}" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
+def test_field_csvs_into_unwritable_dir_raise_config_error(tmp_path):
+    cfg = parse_config(write(tmp_path, "tw.cfg", TWISTED_OK))
+    rep = run_scenario(cfg, stage="angle")
+    blocker = write(tmp_path, "blocker", "")
+    with pytest.raises(ConfigError, match=f"cannot write {blocker}"):
+        write_field_csvs(rep, blocker, "tw")
 
 
 def test_cli_batch_empty_dir_exits_4(tmp_path):
