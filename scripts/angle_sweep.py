@@ -5,6 +5,8 @@ For the flat twisted torus the angle is arctan(c) and the operator
 degenerates at c = 1; for the twisted sphere bundle the worst angle is
 arctan(beta0 * max sin(rho) / r). The sweep writes one CSV row per
 parameter value so the approach to the critical angle can be plotted.
+Values whose metric or grid is rejected are printed and skipped; when none
+is left the script exits 4 and writes no file.
 
     python3 scripts/angle_sweep.py --metric twisted_flat --stop 1.2
     python3 scripts/angle_sweep.py --metric sphere_twist --stop 1.5 --r 1.0
@@ -20,6 +22,7 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
+from pscbench.errors import PscbenchError
 from pscbench.grids import SPHERE, TORUS, DomainSpec, w_domains
 from pscbench.metrics import make_metric
 from pscbench.normal import normal_frame
@@ -55,7 +58,7 @@ def main():
         try:
             fr = sweep_value(args.metric, float(value), args.resolution,
                              args.r)
-        except Exception as exc:  # degenerate metrics are data, not crashes
+        except PscbenchError as exc:  # degenerate metrics are data
             print(f"{value:8.4f}  rejected: {exc}")
             continue
         rows.append({
@@ -68,13 +71,18 @@ def main():
         print(f"{value:8.4f}  angle {fr.max_angle:8.5f}  "
               f"margin {fr.margin:9.5f}{mark}")
 
+    if not rows:
+        print(f"angle_sweep: no value survived; {args.out} not written",
+              file=sys.stderr)
+        return 4
     with open(args.out, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
         writer.writeheader()
         writer.writerows(rows)
     print(f"wrote {args.out} ({len(rows)} rows); "
           f"critical angle pi/4 = {math.pi / 4:.6f}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

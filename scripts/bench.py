@@ -12,7 +12,8 @@ that checkout's own driver, so that two commits can be measured in one
 session and compared. --dry-run prints the commands and runs nothing.
 
 Stdlib only. Exits 1 when a run printed no result or failed its checks;
-the file is written either way, with each run's exit code.
+the file is written either way, with each run's exit code. Exits 2, runs
+nothing and writes nothing when the checkout has no perfbench/run.py.
 """
 
 from __future__ import annotations
@@ -59,7 +60,11 @@ def main(argv=None) -> int:
     ap.add_argument("--dry-run", action="store_true")
     args = ap.parse_args(argv)
 
-    runs = commands(args.checkout.resolve())
+    checkout = args.checkout.resolve()
+    if not (checkout / "perfbench" / "run.py").is_file():
+        print(f"bench: {checkout} has no perfbench/run.py", file=sys.stderr)
+        return 2
+    runs = commands(checkout)
     if args.dry_run:
         for _, _, cmd in runs:
             print(shlex.join(cmd))

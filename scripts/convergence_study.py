@@ -26,8 +26,7 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from pscbench.config import parse_config
-from pscbench.curvature import (gauss_codazzi_scalar, hypersurface_data,
-                                scalar_curvature)
+from pscbench.curvature import gauss_codazzi_scalar, hypersurface_data
 from pscbench.grids import (SPHERE, TORUS, DomainSpec, build_domain,
                             w_domains, with_circle)
 from pscbench.metrics import as_fd, conformal_metric, make_metric, \
@@ -39,7 +38,7 @@ from pscbench.pipeline import run_scenario
 def sphere_oracle_error(n, r=1.0):
     y = w_domains(DomainSpec(SPHERE, 2, (n,), 5))["y"]
     g = as_fd(make_metric("sphere_product", y, r=r))
-    return float(np.max(np.abs(scalar_curvature(g) - 2.0 / r ** 2)))
+    return float(np.max(np.abs(g.scalar - 2.0 / r ** 2)))
 
 
 def slice_curvature_error(n):
@@ -73,13 +72,13 @@ def slice_curvature_error(n):
     g = conformal_metric(g0, phi, dphi=dphi, d2phi=d2phi)
     mu = unit_normal(g)
     hyp = hypersurface_data(g, ("x", "y"), mu)
-    assembled = gauss_codazzi_scalar(scalar_curvature(g), hyp.ric_nn,
+    assembled = gauss_codazzi_scalar(g.scalar, hyp.ric_nn,
                                      hyp.h_mean, hyp.a_norm2)
     kth = y.array_axis("theta")
     worst = 0.0
     for k in (0, n // 3):
         h = restrict_metric(g, xdom, at={"theta": k})
-        direct = scalar_curvature(as_fd(h))
+        direct = as_fd(h).scalar
         got = np.take(assembled, k, axis=kth)
         worst = max(worst, float(np.max(np.abs(got - direct))))
     return worst

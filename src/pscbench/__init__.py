@@ -13,9 +13,9 @@ from .conformal import (CertificateReport, certificate, chain_scalar,
                         conformal_ricci_normal, conformal_scalar,
                         conformal_second_fundamental, exact_slice_scalar,
                         k2_field, laplacian_comparison, lift_solution,
-                        select_C, slice_laplacian_identity)
-from .curvature import (HypersurfaceData, curvature_bundle, gauss_codazzi_scalar,
-                        hypersurface_data, laplacian, ricci, scalar_curvature)
+                        select_C)
+from .curvature import (HypersurfaceData, gauss_codazzi_scalar,
+                        hypersurface_data, laplacian)
 from .errors import (ConfigError, HypothesisViolation, NumericalFailure,
                      PscbenchError)
 from .forcing import build_bump, calibrate_epsilon

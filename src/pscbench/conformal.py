@@ -37,9 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curvature import (_FRAME_TOL, CurvatureBundle, HypersurfaceData,
-                        christoffel, laplacian, laplacian_trace,
-                        scalar_curvature)
+from .curvature import _FRAME_TOL, HypersurfaceData, laplacian_trace
 from .errors import ConfigError, NumericalFailure
 from .grids import DiscreteDomain, derivatives
 from .metrics import MetricField, conformal_metric, restrict_metric
@@ -71,20 +69,18 @@ def lift_solution(domain: DiscreteDomain, u: np.ndarray, c1: float, n: int):
 
 
 def conformal_scalar(metric: MetricField, phi: np.ndarray, dphi: np.ndarray,
-                     d2phi: np.ndarray, n: int,
-                     bundle: CurvatureBundle) -> np.ndarray:
+                     d2phi: np.ndarray, n: int) -> np.ndarray:
     """Scalar curvature of e^{2 phi} g from undeformed data; dphi and d2phi
     are the coordinate partials of phi (grids.derivatives)."""
-    lap = laplacian_trace(metric, bundle.gamma, dphi, d2phi)
+    lap = laplacian_trace(metric, dphi, d2phi)
     g2 = np.einsum("...ij,...i,...j->...", metric.inverse, dphi, dphi)
-    return np.exp(-2.0 * phi) * (bundle.scalar - 2.0 * (n - 1.0) * lap
+    return np.exp(-2.0 * phi) * (metric.scalar - 2.0 * (n - 1.0) * lap
                                  - (n - 1.0) * (n - 2.0) * g2)
 
 
 def conformal_ricci_normal(metric: MetricField, phi: np.ndarray,
                            dphi: np.ndarray, d2phi: np.ndarray,
-                           mu: np.ndarray, n: int,
-                           bundle: CurvatureBundle) -> np.ndarray:
+                           mu: np.ndarray, n: int) -> np.ndarray:
     """Ric~(nu~, nu~) for the e^{-phi}-normalized normal nu~ = e^{-phi} mu.
 
     mu must be unit for the undeformed metric (checked to 1e-8).
@@ -94,12 +90,12 @@ def conformal_ricci_normal(metric: MetricField, phi: np.ndarray,
         raise NumericalFailure(
             f"normal not unit: max |g(mu,mu)-1| = "
             f"{np.max(np.abs(nn - 1.0)):.3e}")
-    hess = d2phi - np.einsum("...kij,...k->...ij", bundle.gamma, dphi)
+    hess = d2phi - np.einsum("...kij,...k->...ij", metric.gamma, dphi)
     hess_mm = np.einsum("...i,...j,...ij->...", mu, mu, hess)
     s = np.einsum("...i,...i->...", mu, dphi)
     lap = np.einsum("...ij,...ij->...", metric.inverse, hess)
     g2 = np.einsum("...ij,...i,...j->...", metric.inverse, dphi, dphi)
-    ric_mm = bundle.ric_vv(mu)
+    ric_mm = np.einsum("...ij,...i,...j->...", metric.ricci, mu, mu)
     return np.exp(-2.0 * phi) * (ric_mm - (n - 2.0) * (hess_mm - s * s)
                                  - lap - (n - 2.0) * g2)
 
@@ -124,7 +120,7 @@ def conformal_second_fundamental(a_norm2, h_mean, phi: np.ndarray,
 
 def chain_scalar(metric_y: MetricField, phi: np.ndarray, dphi: np.ndarray,
                  d2phi: np.ndarray, mu: np.ndarray, hyp: HypersurfaceData,
-                 n: int, bundle: CurvatureBundle) -> np.ndarray:
+                 n: int) -> np.ndarray:
     """Deformed-slice scalar curvature assembled from conformal laws.
 
     Ambient scalar and normal Ricci transform by the laws above; the trace
@@ -133,8 +129,8 @@ def chain_scalar(metric_y: MetricField, phi: np.ndarray, dphi: np.ndarray,
     in the deformed ambient metric. All three read the same partials of
     phi.
     """
-    r_t = conformal_scalar(metric_y, phi, dphi, d2phi, n, bundle)
-    ric_t = conformal_ricci_normal(metric_y, phi, dphi, d2phi, mu, n, bundle)
+    r_t = conformal_scalar(metric_y, phi, dphi, d2phi, n)
+    ric_t = conformal_ricci_normal(metric_y, phi, dphi, d2phi, mu, n)
     a2t, h2t = conformal_second_fundamental(hyp.a_norm2, hyp.h_mean, phi,
                                             dphi, mu, n)
     return r_t - 2.0 * ric_t + h2t - a2t
@@ -152,8 +148,8 @@ def exact_slice_scalar(metric_y: MetricField, phi_y: np.ndarray,
     dom_x = dom_y.without("theta")
     x = [dom_y.index(name) for name in dom_x.names]
     gx = restrict_metric(metric_y, dom_x)
-    return scalar_curvature(conformal_metric(gx, phi_y, dphi[..., x],
-                                             d2phi[..., x, :][..., :, x]))
+    return conformal_metric(gx, phi_y, dphi[..., x],
+                            d2phi[..., x, :][..., :, x]).scalar
 
 
 def laplacian_comparison(grad: np.ndarray, hess: np.ndarray,
@@ -171,30 +167,10 @@ def laplacian_comparison(grad: np.ndarray, hess: np.ndarray,
     Returns (B1 field, K1 = 4 sup|B1|).
     """
     w = [metric_m.domain.index(name) for name in metric_w.domain.names]
-    b1 = (laplacian_trace(metric_m, christoffel(metric_m), grad, hess)
-          - laplacian_trace(metric_w, christoffel(metric_w), grad[..., w],
+    b1 = (laplacian_trace(metric_m, grad, hess)
+          - laplacian_trace(metric_w, grad[..., w],
                             hess[..., w, :][..., :, w]))
     return b1, 4.0 * float(np.max(np.abs(b1)))
-
-
-def slice_laplacian_identity(u: np.ndarray, metric_m: MetricField) -> float:
-    """Residual of Lap_M u|_{t=0} = Lap_Y u_Y + d^2u/dt^2|_{t=0}.
-
-    The middle term is the Laplacian of the induced metric on the t = 0
-    slice Y. Holds exactly for t-product metrics; the returned sup-residual
-    is a consistency diagnostic for the slice bookkeeping.
-    """
-    dom = metric_m.domain
-    kt = dom.array_axis("t")
-    # g_M's t = 0 slice, held at length 1 on t, restricts to the induced g_Y
-    at_0 = [np.expand_dims(dom.at_t0(a), kt)
-            for a in (metric_m.comp, metric_m.d1, metric_m.d2)]
-    metric_y = restrict_metric(MetricField(dom, *at_0), dom.without("t"),
-                               at={"t": 0})
-    lap0 = dom.at_t0(laplacian(metric_m, u))
-    d2t0 = dom.at_t0(dom.diff(u, "t", 2))
-    lap_y = laplacian(metric_y, dom.at_t0(u))
-    return float(np.max(np.abs(lap0 - lap_y - d2t0)))
 
 
 def k2_field(u_w: np.ndarray, du: np.ndarray, metric: MetricField,
@@ -251,7 +227,6 @@ def certificate(u_y: np.ndarray, phi_y: np.ndarray, n: int,
                 forcing_0: np.ndarray, b1_0: np.ndarray, k2: np.ndarray,
                 eta_prime: float, r_g0: np.ndarray,
                 metric_y: MetricField, mu: np.ndarray,
-                bundle: CurvatureBundle,
                 residual_inf: float = None,
                 tolerance: float = None) -> CertificateReport:
     """Assemble the pointwise lower bound and its two cross-checks.
@@ -287,8 +262,7 @@ def certificate(u_y: np.ndarray, phi_y: np.ndarray, n: int,
     r_bound = u_y ** (-(n + 2.0) / (n - 2.0)) * bracket
 
     dphi, d2phi = derivatives(metric_y.domain, phi_y)
-    r_chain = chain_scalar(metric_y, phi_y, dphi, d2phi, mu, slice_data, n,
-                           bundle)
+    r_chain = chain_scalar(metric_y, phi_y, dphi, d2phi, mu, slice_data, n)
     r_exact = exact_slice_scalar(metric_y, phi_y, dphi, d2phi)
 
     return CertificateReport(

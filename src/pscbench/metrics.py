@@ -1,4 +1,5 @@
-"""Metric fields: SPD 2-tensors with component and derivative access.
+"""Metric fields: SPD 2-tensors with component, derivative and curvature
+access.
 
 A MetricField stores the components g_ij over the grid together with first
 and second coordinate derivatives. Builtin named metrics carry closed-form
@@ -8,9 +9,17 @@ tests and for metrics loaded from CSV tables). Index convention:
     comp[..., i, j]        g_ij
     d1[..., i, j, k]       d_k g_ij
     d2[..., i, j, k, l]    d_l d_k g_ij
+    gamma[..., k, i, j]    Gamma^k_ij
+    ricci[..., i, j]       Ric_ij
 
 with i, j, k, l running over the full coordinate order of the domain,
 virtual axes included (their derivative slots are zero).
+
+A metric owns its Levi-Civita data: gamma, ricci and scalar are computed
+from the coordinate (Christoffel) form on first use and cached, so every
+consumer of one metric reads one evaluation. With closed-form derivative
+arrays they are pointwise exact; FD-mode metrics give second order
+accuracy instead.
 
 The grid dimensions of each array need only broadcast to the domain's
 shape: a metric constant along a stored axis holds that axis at length 1.
@@ -49,8 +58,7 @@ _SPD_FLOOR = 1e-10
 class MetricField:
     """Symmetric positive definite 2-tensor field with derivative arrays."""
 
-    def __init__(self, domain: DiscreteDomain, comp, d1, d2, name="custom",
-                 params=None):
+    def __init__(self, domain: DiscreteDomain, comp, d1, d2):
         self.domain = domain
         d = domain.dim
         shape = domain.shape
@@ -61,8 +69,6 @@ class MetricField:
         np.broadcast_to(self.comp, shape + (d, d))
         np.broadcast_to(self.d1, shape + (d, d, d))
         np.broadcast_to(self.d2, shape + (d, d, d, d))
-        self.name = name
-        self.params = dict(params or {})
         self._validate()
 
     def _validate(self):
@@ -94,12 +100,45 @@ class MetricField:
     def sqrt_det(self) -> np.ndarray:
         return np.sqrt(self.det)
 
+    @cached_property
+    def gamma(self) -> np.ndarray:
+        return 0.5 * np.einsum("...kl,...lij->...kij", self.inverse,
+                               _lowered(self.d1))
+
+    @cached_property
+    def ricci(self) -> np.ndarray:
+        """Ric_ij from gamma and d_a Gamma^k_ij, the latter by the product
+        rule (exact for closed-form metrics)."""
+        inv, d1, d2, gamma = self.inverse, self.d1, self.d2, self.gamma
+        t = _lowered(d1)
+        dt = (np.einsum("...jlia->...lija", d2)
+              + np.einsum("...ilja->...lija", d2)
+              - np.einsum("...ijla->...lija", d2))
+        dinv = -np.einsum("...km,...mna,...nl->...kla", inv, d1, inv)
+        dgamma = 0.5 * (np.einsum("...kla,...lij->...kija", dinv, t)
+                        + np.einsum("...kl,...lija->...kija", inv, dt))
+        t1 = np.einsum("...kijk->...ij", dgamma)
+        t2 = np.einsum("...kkji->...ij", dgamma)
+        q1 = np.einsum("...kkl,...lij->...ij", gamma, gamma)
+        q2 = np.einsum("...kil,...lkj->...ij", gamma, gamma)
+        return t1 - t2 + q1 - q2
+
+    @cached_property
+    def scalar(self) -> np.ndarray:
+        return np.einsum("...ij,...ij->...", self.inverse, self.ricci)
+
     def norm2(self, v: np.ndarray) -> np.ndarray:
         """Pointwise squared length of a vector field."""
         return np.einsum("...ij,...i,...j->...", self.comp, v, v)
 
     def inner(self, v: np.ndarray, w: np.ndarray) -> np.ndarray:
         return np.einsum("...ij,...i,...j->...", self.comp, v, w)
+
+
+def _lowered(d1: np.ndarray) -> np.ndarray:
+    """2 Gamma_lij = d_i g_jl + d_j g_il - d_l g_ij, indexed [..., l, i, j]."""
+    return (np.einsum("...jli->...lij", d1) + np.einsum("...ilj->...lij", d1)
+            - np.einsum("...ijl->...lij", d1))
 
 
 def _empty(domain: DiscreteDomain):
@@ -188,18 +227,17 @@ def make_metric(name: str, domain: DiscreteDomain, **params) -> MetricField:
     else:
         raise ConfigError(f"unknown builtin metric {name!r}")
 
-    return MetricField(domain, comp, d1, d2, name=name, params=params)
+    return MetricField(domain, comp, d1, d2)
 
 
 def as_fd(metric: MetricField) -> MetricField:
     """Same components, derivative arrays recomputed by finite differences."""
     dom = metric.domain
-    return MetricField(dom, metric.comp, *derivatives(dom, metric.comp),
-                       name=metric.name + "+fd", params=metric.params)
+    return MetricField(dom, metric.comp, *derivatives(dom, metric.comp))
 
 
 def conformal_metric(metric: MetricField, phi: np.ndarray, dphi=None,
-                     d2phi=None, name=None) -> MetricField:
+                     d2phi=None) -> MetricField:
     """e^(2 phi) g with derivative arrays by the product rule.
 
     Pass closed-form dphi and d2phi together (full coordinate order) to
@@ -221,9 +259,7 @@ def conformal_metric(metric: MetricField, phi: np.ndarray, dphi=None,
         + 2.0 * dphi[..., None, None, :, None] * g1[..., :, :, None, :]
         + 2.0 * dphi[..., None, None, None, :] * g1[..., :, :, :, None]
         + g2)
-    return MetricField(dom, comp, d1, d2,
-                       name=name or (metric.name + "+conformal"),
-                       params=metric.params)
+    return MetricField(dom, comp, d1, d2)
 
 
 def restrict_metric(metric: MetricField, sub: DiscreteDomain, at=None) -> MetricField:
@@ -254,7 +290,7 @@ def restrict_metric(metric: MetricField, sub: DiscreteDomain, at=None) -> Metric
         return arr[tuple(sl)][(...,) + np.ix_(*[keep] * (arr.ndim - len(sl)))]
 
     return MetricField(sub, pull(metric.comp), pull(metric.d1),
-                       pull(metric.d2), name=metric.name, params=metric.params)
+                       pull(metric.d2))
 
 
 def product_extend(h: MetricField, m_domain: DiscreteDomain) -> MetricField:
@@ -278,7 +314,7 @@ def product_extend(h: MetricField, m_domain: DiscreteDomain) -> MetricField:
     d2[(...,) + np.ix_(idx, idx, idx, idx)] = np.expand_dims(h.d2, t_pos)
     it = m_domain.index("t")
     comp[..., it, it] = 1.0
-    return MetricField(m_domain, comp, d1, d2, name=h.name, params=h.params)
+    return MetricField(m_domain, comp, d1, d2)
 
 
 def _component_names(domain: DiscreteDomain):
@@ -344,7 +380,7 @@ def load_metric_csv(domain: DiscreteDomain, path) -> MetricField:
     zero1 = np.zeros(domain.shape + (d, d, d))
     zero2 = np.zeros(domain.shape + (d, d, d, d))
     try:
-        flat = MetricField(domain, comp, zero1, zero2, name="csv")
+        flat = MetricField(domain, comp, zero1, zero2)
     except NumericalFailure as exc:
         raise ConfigError(f"metric table {path}: {exc}") from exc
     return as_fd(flat)

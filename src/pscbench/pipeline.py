@@ -20,7 +20,7 @@ import numpy as np
 from .conformal import (certificate, headroom_value, k2_field, lift_solution,
                         laplacian_comparison, select_C)
 from .config import RunConfig
-from .curvature import curvature_bundle, hypersurface_data, scalar_curvature
+from .curvature import hypersurface_data
 from .errors import ConfigError, HypothesisViolation, NumericalFailure
 from .forcing import build_bump, calibrate_epsilon
 from .grids import c1_norm, derivatives, lp_norm, w_domains
@@ -79,8 +79,7 @@ def run_scenario(config: RunConfig, stage: str = "certify") -> RunReport:
 
     # -- angle and ellipticity (the hypotheses) --------------------------
     frame = normal_frame(h)
-    bundle_y = curvature_bundle(h)
-    min_r_h = float(np.min(bundle_y.scalar))
+    min_r_h = float(np.min(h.scalar))
     report = RunReport(
         config_echo=dict(config.echo),
         stage=stage,
@@ -108,12 +107,13 @@ def run_scenario(config: RunConfig, stage: str = "certify") -> RunReport:
     # -- forcing budget and Dirichlet solve ------------------------------
     g_m = product_extend(h, doms["m"])
     metric_w = restrict_metric(g_m, doms["w"])
-    r_g = scalar_curvature(g_m)
+    # g = h + dt^2 is a product, so R_g is R_h held at length 1 on t
+    r_g = np.expand_dims(h.scalar, doms["w"].array_axis("t"))
     v_w = _extend_drift(frame.v, doms["y"], doms["w"])
     assembly = assemble(v_w, r_g, metric_w)
 
     tangent = [nm for nm in doms["y"].names if nm != "theta"]
-    slice_data = hypersurface_data(h, tangent, frame.mu, bundle=bundle_y)
+    slice_data = hypersurface_data(h, tangent, frame.mu)
 
     auto_c = config.c_mode == "auto"
     c_value = select_C(slice_data, k1=0.0) if auto_c else float(config.c_mode)
@@ -150,7 +150,7 @@ def run_scenario(config: RunConfig, stage: str = "certify") -> RunReport:
     k2 = k2_field(u_y, du_y, h, frame.v, n)
     cert = certificate(u_y, phi_y, n, slice_data, w.at_t0(forcing),
                        b1_0, k2, eta_prime, w.at_t0(r_g), h, frame.mu,
-                       bundle=bundle_y, residual_inf=solve.residual_inf,
+                       residual_inf=solve.residual_inf,
                        tolerance=config.tolerance)
     if cert.k2_max >= 1.0:
         raise NumericalFailure(

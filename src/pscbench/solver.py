@@ -31,7 +31,6 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .curvature import christoffel
 from .errors import ConfigError, HypothesisViolation, NumericalFailure
 from .fd import diff_matrix
 from .grids import DiscreteDomain, gradient
@@ -105,7 +104,7 @@ def assemble(v: np.ndarray, potential,
         raise HypothesisViolation(
             f"operator symbol loses ellipticity: min eigenvalue {eigmin:.3e}")
 
-    gamma = christoffel(metric)
+    gamma = metric.gamma
     term1 = np.einsum("...a,...ka->...k", v, gradient(dom, v))
     term2 = np.einsum("...i,...j,...kij->...k", v, v, gamma)
     term3 = np.einsum("...ij,...kij->...k", inv, gamma)

@@ -19,15 +19,15 @@ import pytest
 from scipy.linalg import solve_banded
 
 from helpers import (conformal_ricci_law_err, conformal_scalar_law_err,
-                     gc_deformed_residual, mms_flat_cross, mms_sphere)
+                     gc_deformed_residual, mms_flat_cross, mms_sphere,
+                     slice_laplacian_identity)
 from pscbench.config import parse_config
 from pscbench.forcing import build_bump, bump_profile, calibrate_epsilon
 from pscbench.grids import (SPHERE, TORUS, DomainSpec, build_domain, c1_norm,
                             derivatives, gradient, lp_norm, w_domains)
 from pscbench.metrics import as_fd, make_metric, product_extend, restrict_metric
-from pscbench.curvature import scalar_curvature
 from pscbench.normal import angle_field, minors_direct, normal_frame, unit_normal
-from pscbench.conformal import laplacian_comparison, slice_laplacian_identity
+from pscbench.conformal import laplacian_comparison
 from pscbench.pipeline import run_scenario
 from pscbench.solver import assemble, dtt_monitor, solve_dirichlet
 
@@ -98,7 +98,7 @@ def test_criterion_03_sphere_scalar_curvature_oracle():
     for n in (32, 64):
         y = w_domains(DomainSpec(SPHERE, 2, (n,), 5))["y"]
         g = as_fd(make_metric("sphere_product", y, r=r))
-        rel = np.abs(scalar_curvature(g) - 2.0 / r ** 2) * r ** 2 / 2.0
+        rel = np.abs(g.scalar - 2.0 / r ** 2) * r ** 2 / 2.0
         errs[n] = float(np.max(rel))
     order = math.log2(errs[32] / errs[64])
     elapsed = time.perf_counter() - t0
@@ -231,7 +231,7 @@ def test_criterion_08_profile_curvature_control():
     y, w = doms["y"], doms["w"]
     h = make_metric("sphere_product", y, r=r)
     g_w = restrict_metric(product_extend(h, doms["m"]), w)
-    asm = assemble(np.zeros(w.shape + (3,)), scalar_curvature(g_w), g_w)
+    asm = assemble(np.zeros(w.shape + (3,)), g_w.scalar, g_w)
     dtts, refs, deltas = [], [], []
     for eps in (0.4, 0.2, 0.1):
         F = build_bump(C, eps, w)

@@ -12,19 +12,17 @@ from pscbench.errors import ConfigError, NumericalFailure
 from pscbench.grids import (DomainSpec, build_domain, c1_norm, derivatives,
                             gradient, w_domains, TORUS, SPHERE)
 from pscbench.metrics import make_metric, product_extend, restrict_metric
-from pscbench.curvature import (scalar_curvature, curvature_bundle,
-                                hypersurface_data, HypersurfaceData,
-                                laplacian)
+from pscbench.curvature import hypersurface_data, HypersurfaceData, laplacian
 from pscbench.normal import normal_frame
 from pscbench.conformal import (lift_solution, conformal_scalar,
                                 conformal_ricci_normal,
                                 conformal_second_fundamental, chain_scalar,
                                 exact_slice_scalar, laplacian_comparison,
-                                slice_laplacian_identity, k2_field,
+                                k2_field,
                                 curvature_coefficient, select_C,
                                 headroom_value, certificate)
 
-from helpers import rng_phi
+from helpers import rng_phi, slice_laplacian_identity
 
 
 def scenario_y(name, res=16, **params):
@@ -42,9 +40,8 @@ def lift(dom, u, n):
 def test_constant_phi_specialization():
     y, g = scenario_y("sphere_product", res=24, r=1.0)
     phi = np.full(y.shape, 0.3)
-    out = conformal_scalar(g, phi, *derivatives(y, phi), 3,
-                           curvature_bundle(g))
-    assert np.max(np.abs(out - np.exp(-0.6) * scalar_curvature(g))) < 1e-10
+    out = conformal_scalar(g, phi, *derivatives(y, phi), 3)
+    assert np.max(np.abs(out - np.exp(-0.6) * g.scalar)) < 1e-10
 
 
 def test_conformal_ricci_requires_unit_normal():
@@ -53,8 +50,7 @@ def test_conformal_ricci_requires_unit_normal():
     bad = np.zeros(y.shape + (3,))
     bad[..., y.index("theta")] = 2.0
     with pytest.raises(NumericalFailure):
-        conformal_ricci_normal(g, phi, *derivatives(y, phi), bad, 3,
-                               curvature_bundle(g))
+        conformal_ricci_normal(g, phi, *derivatives(y, phi), bad, 3)
 
 
 def test_second_fundamental_trace_laws():
@@ -106,11 +102,10 @@ def chain_and_exact(g, phi, mu):
     """chain_scalar and exact_slice_scalar of e^{2 phi} g on the slice, from
     one derivative pass of phi."""
     y = g.domain
-    bundle = curvature_bundle(g)
     tangent = [nm for nm in y.names if nm != "theta"]
-    hyp = hypersurface_data(g, tangent, mu, bundle=bundle)
+    hyp = hypersurface_data(g, tangent, mu)
     dphi, d2phi = derivatives(y, phi)
-    return (chain_scalar(g, phi, dphi, d2phi, mu, hyp, y.dim, bundle),
+    return (chain_scalar(g, phi, dphi, d2phi, mu, hyp, y.dim),
             exact_slice_scalar(g, phi, dphi, d2phi))
 
 
@@ -191,14 +186,12 @@ def test_k2_field_requires_positive_factor():
 def test_select_c_and_headroom_arithmetic():
     shape = (4, 4)
     zeros = np.zeros(shape)
-    flat = HypersurfaceData(("x", "y"), np.zeros(shape + (2, 2)), zeros,
-                            zeros, zeros)
+    flat = HypersurfaceData(np.zeros(shape + (2, 2)), zeros, zeros, zeros)
     assert curvature_coefficient(flat) == 0.0
     assert select_C(flat) == pytest.approx(2.2)
     assert headroom_value(2.2, flat, 0.0) == pytest.approx(1.2)
-    curved = HypersurfaceData(("x", "y"), np.zeros(shape + (2, 2)),
-                              np.full(shape, 1.0), np.full(shape, 0.25),
-                              np.full(shape, 0.5))
+    curved = HypersurfaceData(np.zeros(shape + (2, 2)), np.full(shape, 1.0),
+                              np.full(shape, 0.25), np.full(shape, 0.5))
     assert curvature_coefficient(curved) == pytest.approx(2.25)
     assert select_C(curved, k1=0.5) == pytest.approx(1.1 * (1.5 * 2.25 + 0.5 + 2))
     assert headroom_value(6.0, curved, 0.5) == pytest.approx(7 - 3.375 - 2.5)
@@ -279,20 +272,19 @@ def run_tiny_scenario(name, res=12, t_nodes=17, delta=200.0, **params):
     h = make_metric(name, doms["y"], **params)
     fr = normal_frame(h)
     g_m = product_extend(h, doms["m"])
-    r_g = scalar_curvature(g_m)
+    r_g = g_m.scalar
     tangent = [nm for nm in doms["y"].names if nm != "theta"]
-    bundle = curvature_bundle(h)
-    sd = hypersurface_data(h, tangent, fr.mu, bundle=bundle)
-    return doms, h, fr, g_m, r_g, sd, bundle
+    sd = hypersurface_data(h, tangent, fr.mu)
+    return doms, h, fr, g_m, r_g, sd
 
 
 def test_certificate_of_undeformed_flat_slice():
-    doms, h, fr, g_m, r_g, sd, bundle = run_tiny_scenario("product_flat")
+    doms, h, fr, g_m, r_g, sd = run_tiny_scenario("product_flat")
     y, w = doms["y"], doms["w"]
     u_y, phi_y = lift_solution(w, np.zeros(w.shape), 0.0, 3)
     zeros = np.zeros(y.shape)
     cert = certificate(u_y, phi_y, 3, sd, zeros, zeros, zeros,
-                       0.0, zeros, h, fr.mu, bundle=bundle)
+                       0.0, zeros, h, fr.mu)
     assert cert.min_bound == 0.0 and cert.verdict is False
     assert cert.chain_gap_max < 1e-13
     assert np.max(np.abs(cert.r_bound)) < 1e-13
@@ -300,7 +292,7 @@ def test_certificate_of_undeformed_flat_slice():
 
 
 def test_certificate_of_undeformed_sphere_slice():
-    doms, h, fr, g_m, r_g, sd, bundle = run_tiny_scenario(
+    doms, h, fr, g_m, r_g, sd = run_tiny_scenario(
         "sphere_product", res=24, r=1.0)
     y, w = doms["y"], doms["w"]
     m = doms["m"]
@@ -309,7 +301,7 @@ def test_certificate_of_undeformed_sphere_slice():
     r_g0 = np.take(np.broadcast_to(r_g, w.shape), it0, axis=m.array_axis("t"))
     zeros = np.zeros(y.shape)
     cert = certificate(u_y, phi_y, 3, sd, zeros, zeros, zeros,
-                       0.0, r_g0, h, fr.mu, bundle=bundle)
+                       0.0, r_g0, h, fr.mu)
     # undeformed: every evaluation is the round slice curvature 2
     assert cert.min_bound == pytest.approx(2.0, abs=1e-10)
     assert cert.min_chain == pytest.approx(2.0, abs=1e-10)
@@ -319,11 +311,11 @@ def test_certificate_of_undeformed_sphere_slice():
 
 
 def test_certificate_refuses_unconverged_solve():
-    doms, h, fr, g_m, r_g, sd, bundle = run_tiny_scenario("product_flat")
+    doms, h, fr, g_m, r_g, sd = run_tiny_scenario("product_flat")
     y, w = doms["y"], doms["w"]
     u_y, phi_y = lift_solution(w, np.zeros(w.shape), 0.0, 3)
     zeros = np.zeros(y.shape)
     with pytest.raises(NumericalFailure, match="certificate refused"):
         certificate(u_y, phi_y, 3, sd, zeros, zeros, zeros,
-                    0.0, zeros, h, fr.mu, bundle=bundle,
+                    0.0, zeros, h, fr.mu,
                     residual_inf=1e-6, tolerance=1e-10)

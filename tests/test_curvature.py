@@ -6,19 +6,18 @@ import pytest
 from pscbench.errors import NumericalFailure
 from pscbench.grids import DomainSpec, build_domain, w_domains, TORUS, SPHERE
 from pscbench.metrics import make_metric, as_fd
-from pscbench.curvature import (christoffel, ricci, scalar_curvature,
-                                curvature_bundle, laplacian,
-                                hypersurface_data, gauss_codazzi_scalar)
+from pscbench.curvature import (laplacian, hypersurface_data,
+                                gauss_codazzi_scalar)
 
 
 def test_flat_metric_curvature_vanishes():
     y = w_domains(DomainSpec(TORUS, 2, (8, 8), 5))["y"]
     g = make_metric("product_flat", y)
-    assert np.max(np.abs(christoffel(g))) == 0.0
-    assert np.max(np.abs(ricci(g))) == 0.0
-    assert np.max(np.abs(scalar_curvature(g))) == 0.0
+    assert np.max(np.abs(g.gamma)) == 0.0
+    assert np.max(np.abs(g.ricci)) == 0.0
+    assert np.max(np.abs(g.scalar)) == 0.0
     gt = make_metric("twisted_flat", y, c=0.7)  # constant coefficients
-    assert np.max(np.abs(scalar_curvature(gt))) < 1e-13
+    assert np.max(np.abs(gt.scalar)) < 1e-13
 
 
 def test_round_sphere_scalar_closed_form():
@@ -26,7 +25,7 @@ def test_round_sphere_scalar_closed_form():
     for r in (1.0, 0.5):
         x = build_domain(DomainSpec(SPHERE, 2, (32,), 5)).without("t")
         g = make_metric("sphere_product", x, r=r)
-        assert np.max(np.abs(scalar_curvature(g) - 2.0 / r ** 2)) < 1e-11
+        assert np.max(np.abs(g.scalar - 2.0 / r ** 2)) < 1e-11
 
 
 def test_round_sphere_fd_jets_converge():
@@ -34,14 +33,14 @@ def test_round_sphere_fd_jets_converge():
     for res in (16, 32):
         x = build_domain(DomainSpec(SPHERE, 2, (res,), 5)).without("t")
         g = as_fd(make_metric("sphere_product", x, r=1.0))
-        errs.append(float(np.max(np.abs(scalar_curvature(g) - 2.0))) / 2.0)
+        errs.append(float(np.max(np.abs(g.scalar - 2.0))) / 2.0)
     assert errs[1] < errs[0] / 3.5
 
 
 def test_sphere_product_circle_factor_inert():
     y = w_domains(DomainSpec(SPHERE, 2, (32,), 5))["y"]
     g = make_metric("sphere_product", y, r=1.0)
-    assert np.max(np.abs(scalar_curvature(g) - 2.0)) < 1e-11
+    assert np.max(np.abs(g.scalar - 2.0)) < 1e-11
 
 
 def test_twisted_sphere_scalar_closed_form():
@@ -51,7 +50,7 @@ def test_twisted_sphere_scalar_closed_form():
         g = make_metric("sphere_twist", y, r=r, beta0=b0)
         rho = y.mesh("rho")
         expected = 2.0 / r ** 2 - 2.0 * b0 ** 2 * np.cos(rho) ** 2 / r ** 4
-        assert np.max(np.abs(scalar_curvature(g) - expected)) < 1e-12
+        assert np.max(np.abs(g.scalar - expected)) < 1e-12
 
 
 def test_flat_laplacian_is_stencil_sum():
@@ -62,14 +61,15 @@ def test_flat_laplacian_is_stencil_sum():
     assert np.max(np.abs(laplacian(g, f) - manual)) == 0.0
 
 
-def test_bundle_normal_ricci_contraction():
+def test_hypersurface_normal_ricci_contraction():
+    # r = 1, so the rho direction is unit and g-orthogonal to alpha, theta
     y = w_domains(DomainSpec(SPHERE, 2, (24,), 5))["y"]
     g = make_metric("sphere_twist", y, r=1.0, beta0=0.5)
-    b = curvature_bundle(g)
     v = np.zeros(y.shape + (3,))
     v[..., y.index("rho")] = 1.0
-    manual = np.einsum("...ij,...i,...j->...", b.ricci, v, v)
-    assert np.max(np.abs(b.ric_vv(v) - manual)) < 1e-14
+    manual = np.einsum("...ij,...i,...j->...", g.ricci, v, v)
+    hyp = hypersurface_data(g, ("alpha", "theta"), v)
+    assert np.max(np.abs(hyp.ric_nn - manual)) < 1e-14
 
 
 def test_product_slice_is_totally_geodesic():
@@ -82,7 +82,7 @@ def test_product_slice_is_totally_geodesic():
     assert np.max(np.abs(hyp.h_mean)) == 0.0
     assert np.max(np.abs(hyp.a_norm2)) == 0.0
     assert np.max(np.abs(hyp.ric_nn)) == 0.0
-    gc = gauss_codazzi_scalar(scalar_curvature(g), hyp.ric_nn,
+    gc = gauss_codazzi_scalar(g.scalar, hyp.ric_nn,
                               hyp.h_mean, hyp.a_norm2)
     assert np.max(np.abs(gc)) == 0.0
 

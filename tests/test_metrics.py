@@ -126,7 +126,6 @@ def test_as_fd_matches_the_stencil_loop_bitwise():
                          rng_phi(y, seed=5))
     new, ref = as_fd(g), as_fd_reference(g)
     assert np.max(np.abs(ref.d2[..., 0, 0, 0, 2])) > 0.0
-    assert new.name == ref.name
     for a, b in ((new.comp, ref.comp), (new.d1, ref.d1), (new.d2, ref.d2)):
         assert a.shape == b.shape and np.array_equal(a, b)
 

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+from functools import cached_property
 
 import pytest
 
@@ -10,6 +11,7 @@ from pscbench import fd, pipeline, solver
 from pscbench.config import parse_config
 from pscbench.errors import ConfigError, HypothesisViolation
 from pscbench.grids import w_domains
+from pscbench.metrics import MetricField
 from pscbench.pipeline import run_scenario
 from pscbench.report import write_field_csvs
 
@@ -215,6 +217,28 @@ def test_solution_differentiated_once_per_pass(tmp_path, monkeypatch, text,
     assert len(passes) == 2
     assert len(w_sized) == w_diffs
     assert inside == dict.fromkeys(inside, 0)
+
+
+@pytest.mark.parametrize("text", [TWISTED_OK, SPHERE_TWIST],
+                         ids=["twisted_flat", "sphere_twist"])
+def test_curvature_evaluated_once_per_metric(tmp_path, monkeypatch, text):
+    # each metric caches its own Christoffel symbols and Ricci tensor: one
+    # gamma on h (Y), g_M, g_W and the deformed slice metric (X); Ricci only
+    # on h and the deformed slice, since R_g of g = h + dt^2 is R_h
+    cfg = parse_config(write(tmp_path, "s.cfg", text))
+    label = {dom.names: key.upper()
+             for key, dom in w_domains(cfg.domain).items()}
+    evals = []
+    for prop in ("gamma", "ricci"):
+        def counted(metric, prop=prop, func=vars(MetricField)[prop].func):
+            evals.append((prop, label[metric.domain.names]))
+            return func(metric)
+        wrapped = cached_property(counted)
+        wrapped.__set_name__(MetricField, prop)
+        monkeypatch.setattr(MetricField, prop, wrapped)
+    run_scenario(cfg)
+    assert sorted(evals) == [("gamma", "M"), ("gamma", "W"), ("gamma", "X"),
+                             ("gamma", "Y"), ("ricci", "X"), ("ricci", "Y")]
 
 
 def test_unknown_stage_rejected(tmp_path):

@@ -18,11 +18,12 @@ import pytest
 SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
 
 
-def run_script(name, tmp_path, *args):
+def run_script(name, tmp_path, *args, code=0):
     proc = subprocess.run([sys.executable, str(SCRIPTS / name), *args],
                           cwd=tmp_path, capture_output=True, text=True,
                           timeout=300)
-    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.returncode == code, proc.stdout + proc.stderr
+    return proc
 
 
 def read_rows(path):
@@ -42,10 +43,26 @@ def test_angle_sweep_twisted_flat(tmp_path):
         assert r["elliptic"] == ("true" if c < 1.0 else "false")
 
 
+@pytest.mark.parametrize("args", [("--steps", "0"),
+                                  ("--steps", "3", "--resolution", "3")],
+                         ids=["no-steps", "grid-too-coarse"])
+def test_angle_sweep_with_no_surviving_row_exits_4(tmp_path, args):
+    # every value rejected (or none swept): a one-line refusal, exit 4, and
+    # an existing output file is left as it was
+    out = tmp_path / "angle_sweep.csv"
+    out.write_text("earlier sweep\n")
+    proc = run_script("angle_sweep.py", tmp_path, *args, code=4)
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert out.read_text() == "earlier sweep\n"
+
+
 # study -> ({resolution: sup_error}, smallest observed order allowed)
 STUDIES = {
     "sphere-oracle": ({16: 2.675896e-01, 32: 6.813074e-02,
                        64: 1.710926e-02, 128: 4.282091e-03}, 1.9),
+    "slice-curvature": ({16: 5.972056e-03, 32: 1.509524e-03,
+                         64: 3.784262e-04}, 1.9),
     "certificate-gap": ({24: 4.178480e-07, 48: 2.681071e-08,
                          96: 1.689275e-09}, 3.9),
 }
@@ -83,3 +100,15 @@ def test_bench_dry_run_prints_the_runs(tmp_path):
         assert cmd[cmd.index("--seed") + 1] == "0"
         assert cmd[cmd.index("--seconds") + 1] == str(bench["run_seconds"])
     assert not (SCRIPTS.parent / "BENCH_dry.json").exists()
+
+
+def test_bench_refuses_a_checkout_without_the_driver(tmp_path):
+    # a missing checkout must not overwrite a BENCH file with null results
+    label = "missing-checkout-test"
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "bench.py"), label,
+         "--checkout", str(tmp_path / "absent")],
+        cwd=tmp_path, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2, proc.stderr
+    assert "perfbench/run.py" in proc.stderr
+    assert not (SCRIPTS.parent / f"BENCH_{label}.json").exists()

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from pscbench.errors import ConfigError, HypothesisViolation, NumericalFailure
-from pscbench.curvature import scalar_curvature
 from pscbench.grids import (DomainSpec, build_domain, c1_norm, gradient,
                             w_domains, TORUS, SPHERE)
 from pscbench.metrics import (MetricField, make_metric, product_extend,
@@ -133,7 +132,7 @@ def materialise(metric):
     dom = metric.domain
     full = [np.broadcast_to(a, dom.shape + a.shape[len(dom.shape):]).copy()
             for a in (metric.comp, metric.d1, metric.d2)]
-    return MetricField(dom, *full, name=metric.name, params=metric.params)
+    return MetricField(dom, *full)
 
 
 @pytest.mark.parametrize("name, spec, params", [
@@ -151,9 +150,9 @@ def test_length1_t_fields_match_materialised_oracle(name, spec, params):
     kt = m.array_axis("t")
     for arr in (g_m.comp, g_m.d1, g_m.d2):
         assert arr.shape[kt] == 1
-    r_m = scalar_curvature(g_m)
+    r_m = g_m.scalar
     assert r_m.shape[kt] == 1
-    r_full = scalar_curvature(materialise(g_m))
+    r_full = materialise(g_m).scalar
     for it in range(m.axis("t").n):
         assert np.array_equal(np.take(r_full, it, axis=kt), r_m[..., 0])
 
@@ -220,7 +219,7 @@ def test_assembly_factors_once_and_matches_a_fresh_factorization(
     h = make_metric("twisted_flat", doms["y"], c=0.5)
     g_m = product_extend(h, doms["m"])
     args = (_extend_drift(normal_frame(h).v, doms["y"], w),
-            scalar_curvature(g_m), restrict_metric(g_m, w))
+            g_m.scalar, restrict_metric(g_m, w))
     calls = []
     splu = solver.spla.splu
     monkeypatch.setattr(solver.spla, "splu",
