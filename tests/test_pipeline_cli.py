@@ -119,6 +119,21 @@ def test_stage_certify_full_fields(tmp_path):
     assert rep.min_r_bound < 1e-10
 
 
+@pytest.mark.parametrize("c", [0.35, 0.5, 0.65])
+def test_twisted_flat_torus_never_certifies(tmp_path, c):
+    # negative control on the fast-diagonalization path: a flat 2-torus
+    # admits no PSC metric, so min R_bound and min R_exact are round-off
+    # about 0 and the verdict is false, whatever that round-off's sign
+    text = ("[domain]\nresolution = 12\nt_nodes = 49\n\n"
+            f"[metric]\nname = twisted_flat\nc = {c}\n\n"
+            "[forcing]\np = 1\ndelta = 160.0\nC = auto\n")
+    rep = run_scenario(parse_config(write(tmp_path, "s.cfg", text)))
+    assert rep.solver_stats["method"] == "fastdiag"
+    assert rep.verdict is False
+    assert abs(rep.min_r_bound) <= 1e-9
+    assert abs(rep.min_r_exact) <= 1e-9
+
+
 def test_auto_c_resolve_reuses_the_one_factorization(tmp_path,
                                                      monkeypatch):
     # the auto-C re-budget changes the forcing only, so the second solve

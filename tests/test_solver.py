@@ -166,6 +166,19 @@ def test_length1_t_fields_match_materialised_oracle(name, spec, params):
     assert np.array_equal(np.broadcast_to(asm.c1, oracle.c1.shape), oracle.c1)
     assert np.array_equal(np.broadcast_to(asm.c2, oracle.c2.shape), oracle.c2)
 
+    # the length-1 assembly separates in t and is solved by fast
+    # diagonalization; the materialised one takes the 3-D LU, the oracle
+    forcing = build_bump(2.2, 0.5, w)
+    fast = solve_dirichlet(asm, forcing)
+    full = solve_dirichlet(oracle, forcing)
+    assert fast.stats["method"] == "fastdiag"
+    assert full.stats["method"] == "splu"
+    assert np.max(np.abs(fast.u - full.u)) <= 1e-12
+    assert fast.residual_inf <= 1e-10 and full.residual_inf <= 1e-10
+    # a potential that varies in t does not separate
+    varying = assemble(v_w, r_m * (1.0 + w.mesh("t") ** 2), g_w)
+    assert solve_dirichlet(varying, forcing).stats["method"] == "splu"
+
 
 def test_assemble_rejects_domain_without_t():
     doms = w_domains(DomainSpec(TORUS, 2, (6, 6), 7))
@@ -235,14 +248,31 @@ def test_assembly_factors_once_and_matches_a_fresh_factorization(
     assert second.residual_inf == fresh.residual_inf
 
 
-def test_singular_operator_raises_numerical_failure():
-    dom = build_domain(DomainSpec(TORUS, 2, (6, 6), 7))
-    g = make_metric("product_flat", dom)
-    asm = assemble(np.zeros(dom.shape + (3,)), 1.0, g)
-    row = int(np.flatnonzero(asm.interior)[0])
-    mat = asm.matrix.tolil()
-    mat[row, :] = 0.0
-    singular = dataclasses.replace(asm, matrix=mat.tocsr())
+@pytest.mark.parametrize("method", ["splu", "fastdiag"])
+def test_singular_operator_raises_numerical_failure(method):
+    doms = w_domains(DomainSpec(TORUS, 2, (6, 6), 7))
+    w = doms["w"]
+    if method == "splu":
+        # fields materialised over t: the operator is factored in 3-D
+        g = make_metric("product_flat", w)
+        asm = assemble(np.zeros(w.shape + (3,)), 1.0, g)
+        row = int(np.flatnonzero(asm.interior)[0])
+        mat = asm.matrix.tolil()
+        mat[row, :] = 0.0
+        singular = dataclasses.replace(asm, matrix=mat.tocsr())
+    else:
+        # length-1 t fields: the operator separates in t. Zeroing a row of
+        # L_X alone leaves every block L_X + lam_k I regular, so the row
+        # becomes -lam_0 on its diagonal: block k = 0 gets a zero row
+        g = restrict_metric(
+            product_extend(make_metric("product_flat", doms["y"]), doms["m"]),
+            w)
+        asm = assemble(np.zeros((1, 1, 1, 3)), 1.0, g)
+        lx = asm.slice_operator.tolil()
+        lx[0, :] = 0.0
+        lx[0, 0] = -asm.t_eigvals[0]
+        singular = dataclasses.replace(asm, slice_operator=lx.tocsr())
+    assert asm.method == method
     with pytest.raises(NumericalFailure, match="factorization") as err:
-        solve_dirichlet(singular, np.ones(dom.shape))
+        solve_dirichlet(singular, np.ones(w.shape))
     assert err.value.exit_code == 3
