@@ -16,21 +16,21 @@ Coefficient sums run over the full coordinate set including virtual axes:
 the funnel terms g^{aa} Gamma^k_aa of an axisymmetric Laplacian live in the
 virtual azimuth slot even though no difference matrix exists there.
 
-The matrix is a sum of Kronecker products of 1-d difference matrices scaled
-by node-diagonal coefficients. Rows at t = +-1 are replaced by identity
-(homogeneous Dirichlet); the right-hand side is zeroed there.
+Every coefficient holds t at length 1 and t enters only through a constant
+c2[t,t] d_t^2 term, since g = h + dt^2 is a product, V has no t component
+and R_g is R_h held at length 1 on t. So the operator is the Kronecker sum
+L_X (x) I + I (x) T on the interior rows, with L_X the operator on the
+slice X (Kronecker products of 1-d difference matrices scaled by
+node-diagonal coefficients) and T = c2[t,t] D2_t, and identity on the
+t = +-1 rows (homogeneous Dirichlet; the right-hand side is zeroed there).
+`assemble` refuses any other operator: in the pipeline it would be a bug.
 
-When every coefficient is constant in t and t enters only through a
-constant c2[t,t] d_t^2 term (no mixed or first-order t term), the interior
-block is a Kronecker sum L_X (x) I + I (x) T, with L_X the operator on the
-slice X and T = c2[t,t] D2_t the Dirichlet t block. Every builtin scenario
-is of this kind: g = h + dt^2 is a product and V has no t component. Such an
-operator is solved by fast diagonalization in t (Lynch, Rice & Thomas,
-Numer. Math. 6 (1964) 185-199): with T = Q diag(lam) Q^T, rotating the
-interior right-hand side by Q^T decouples it into t_nodes - 2 slice problems
-(L_X + lam_k I) w_k = f_k, which one sparse LU of the block-diagonal
-kron(I, L_X) + kron(diag(lam), I) solves together. Every other operator is
-factored as the full matrix.
+The solve is fast diagonalization in t (Lynch, Rice & Thomas, Numer. Math.
+6 (1964) 185-199): with T's Dirichlet block Q diag(lam) Q^T, rotating the
+interior right-hand side by Q^T decouples it into t_nodes - 2 slice
+problems (L_X + lam_k I) w_k = f_k, which one sparse LU of the
+block-diagonal kron(I, L_X) + kron(diag(lam), I) solves together.
+Residuals apply the operator matrix-free; no 3-D matrix is built.
 """
 
 from __future__ import annotations
@@ -53,58 +53,70 @@ ANISOTROPY_WARN_RATIO = 1e6
 
 @dataclass(frozen=True)
 class OperatorAssembly:
-    """Assembled operator plus the coefficient fields it was built from.
+    """The operator as its slice part L_X and its t part T, plus the
+    coefficient fields it was built from.
 
-    Frozen, so the LU factorization cached on first use stays the factor
-    of `matrix`, or on the fast path of its t-rotated interior block; every
-    solve with this assembly reuses it. `slice_operator` (L_X) and the
-    eigenpairs of the t block are set only when the operator separates in t.
+    `t_operator` holds the interior rows of T over every t node, and
+    `t_eigvals`, `t_eigvecs` the eigenpairs of its Dirichlet block. Frozen,
+    so the LU of the t-rotated interior block cached on first use stays
+    the factor of this operator; every solve with this assembly reuses it.
     """
     domain: DiscreteDomain
-    matrix: sp.csr_matrix
     c2: np.ndarray
     c1: np.ndarray
     c0: np.ndarray
-    interior: np.ndarray
-    slice_operator: sp.csr_matrix | None = None
-    t_eigvals: np.ndarray | None = None
-    t_eigvecs: np.ndarray | None = None
-
-    @property
-    def method(self) -> str:
-        return "splu" if self.slice_operator is None else "fastdiag"
+    slice_operator: sp.csr_matrix
+    t_operator: sp.csr_matrix
+    t_eigvals: np.ndarray
+    t_eigvecs: np.ndarray
 
     @cached_property
     def lu(self):
-        mat = self.matrix
-        if self.slice_operator is not None:
-            eye_x = sp.identity(self.slice_operator.shape[0], format="csr")
-            mat = (sp.kron(sp.identity(self.t_eigvals.size, format="csr"),
-                           self.slice_operator)
-                   + sp.kron(sp.diags(self.t_eigvals), eye_x))
+        eye_x = sp.identity(self.slice_operator.shape[0], format="csr")
+        mat = (sp.kron(sp.identity(self.t_eigvals.size, format="csr"),
+                       self.slice_operator)
+               + sp.kron(sp.diags(self.t_eigvals), eye_x))
         try:
             return spla.splu(mat.tocsc())
         except RuntimeError as exc:
             raise NumericalFailure(
                 f"sparse LU factorization failed: {exc}") from exc
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """matrix^-1 rhs for a flat rhs that is zero on the t = +-1 rows.
-
-        On the fast path the interior rows are rotated into the eigenbasis
-        of the t block, solved with the block-diagonal factor and rotated
-        back; the t = +-1 rows stay exactly 0.
-        """
-        if self.slice_operator is None:
-            return self.lu.solve(rhs)
+    def _t_first(self, values: np.ndarray) -> np.ndarray:
+        """A field on the domain as (t_nodes, |X|): one row per t slice."""
         kt = self.domain.array_axis("t")
-        f = np.moveaxis(rhs.reshape(self.domain.shape), kt, 0)
+        f = np.moveaxis(np.reshape(values, self.domain.shape), kt, 0)
+        return f.reshape(f.shape[0], -1)
+
+    def _on_domain(self, rows: np.ndarray) -> np.ndarray:
+        """Inverse of `_t_first`."""
+        shape = self.domain.shape
+        kt = self.domain.array_axis("t")
+        f = rows.reshape((shape[kt],) + shape[:kt] + shape[kt + 1:])
+        return np.moveaxis(f, 0, kt)
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """The operator's inverse on a field that is zero at t = +-1.
+
+        The interior rows are rotated into the eigenbasis of T, solved with
+        the block-diagonal factor and rotated back; the t = +-1 rows of the
+        result are exactly 0.
+        """
+        f = self._t_first(rhs)
         m = self.t_eigvals.size
-        rotated = self.t_eigvecs.T @ f[1:-1].reshape(m, -1)
-        w = self.lu.solve(rotated.ravel()).reshape(m, -1)
+        w = self.lu.solve((self.t_eigvecs.T @ f[1:-1]).ravel())
         u = np.zeros_like(f)
-        u[1:-1] = (self.t_eigvecs @ w).reshape(f[1:-1].shape)
-        return np.moveaxis(u, 0, kt).ravel()
+        u[1:-1] = self.t_eigvecs @ w.reshape(m, -1)
+        return self._on_domain(u)
+
+    def apply(self, u: np.ndarray) -> np.ndarray:
+        """The operator times a field: L_X on each t slice plus T along t
+        on the interior rows, identity on the t = +-1 rows."""
+        f = self._t_first(u)
+        out = f.copy()
+        out[1:-1] = ((self.slice_operator @ f[1:-1].T).T
+                     + self.t_operator @ f)
+        return self._on_domain(out)
 
 
 @dataclass(frozen=True)
@@ -126,22 +138,55 @@ def _embed(shape, factors):
 
 def assemble(v: np.ndarray, potential,
              metric: MetricField) -> OperatorAssembly:
-    """The operator on the metric's domain, which must contain t."""
+    """The operator on the metric's domain, which must contain t: L_X on
+    the slice grid, T and the eigenpairs of T's Dirichlet block."""
     dom = metric.domain
     if "t" not in dom.names:
         raise ConfigError("assembly domain must contain the cylinder axis t")
-    d = dom.dim
-    shape = dom.shape
-    inv = metric.inverse
+    c2, c1, c0 = _coefficients(v, potential, metric)
 
-    # coefficient fields keep the grid shape they come with (a length-1 t
-    # axis for t-independent ones); only the matrix build below expands them
+    # per-axis second-order stiffness spread; purely advisory
+    scales = [float(np.max(np.abs(c2[..., k, k]))) / ax.spacing ** 2
+              for k, ax in enumerate(dom.axes) if ax.stored]
+    ratio = max(scales) / min(scales)
+    if ratio > ANISOTROPY_WARN_RATIO:
+        warnings.warn(
+            f"second-order coefficient anisotropy ratio {ratio:.2e} exceeds "
+            "the stability heuristic; expect accuracy loss", RuntimeWarning)
+
+    it, kt = dom.index("t"), dom.array_axis("t")
+    if not _separates_in_t(c2, c1, c0, it, kt, len(dom.shape)):
+        raise ValueError(
+            "operator does not separate in t: a coefficient varies in t, or "
+            "t has a mixed or first-order term")
+    # L_X: the coefficients' t = 0 slice without t's coordinate slot, on
+    # the slice grid
+    x = dom.without("t")
+    keep = [i for i in range(dom.dim) if i != it]
+    c2_x = np.take(c2, 0, axis=kt)[(...,) + np.ix_(keep, keep)]
+    c1_x = np.take(c1, 0, axis=kt)[..., keep]
+    c0_x = np.take(np.broadcast_to(c0, dom.shape[:kt] + (1,)
+                                   + dom.shape[kt + 1:]), 0, axis=kt)
+    ax = dom.axis("t")
+    t_operator = (c2[..., it, it].flat[0]
+                  * diff_matrix(2, ax.n, ax.spacing, ax.closure)[1:-1])
+    lam, q = np.linalg.eigh(t_operator[:, 1:-1].toarray())
+    return OperatorAssembly(
+        domain=dom, c2=c2, c1=c1, c0=c0,
+        slice_operator=_sum_terms(x.shape, _terms(x, c2_x, c1_x), c0_x),
+        t_operator=t_operator, t_eigvals=lam, t_eigvecs=q)
+
+
+def _coefficients(v: np.ndarray, potential, metric: MetricField):
+    """(c2, c1, c0), each in the grid shape its inputs come with (a length-1
+    t axis for t-independent ones). The principal symbol must be positive
+    definite at every node, virtual directions included."""
+    dom = metric.domain
+    inv = metric.inverse
     v = np.asarray(v, dtype=float)
     c0 = np.asarray(potential, dtype=float)
-    np.broadcast_to(v, shape + (d,))  # raises on a shape mismatch
+    np.broadcast_to(v, dom.shape + (dom.dim,))  # raises on a shape mismatch
 
-    # the principal symbol must stay positive definite over every node,
-    # virtual directions included
     symbol = inv - v[..., :, None] * v[..., None, :]
     eigmin = float(np.min(np.linalg.eigvalsh(symbol)))
     if eigmin <= 0.0:
@@ -154,73 +199,29 @@ def assemble(v: np.ndarray, potential,
     term3 = np.einsum("...ij,...kij->...k", inv, gamma)
     c1 = 4.0 * (term1 - term2 + term3)
     c2 = 4.0 * (v[..., :, None] * v[..., None, :] - inv)
+    return c2, c1, c0
 
-    stored = [(dom.index(nm), dom.array_axis(nm), dom.axis(nm))
-              for nm in dom.names if dom.axis(nm).stored]
 
+def _terms(dom: DiscreteDomain, c2, c1) -> list:
+    """(coefficient, {array axis: 1-d difference matrix}) for every second-
+    and first-order term along the stored axes of `dom`, whose coordinate
+    slots c2 and c1 index."""
+    def diff(order, ax):
+        return diff_matrix(order, ax.n, ax.spacing, ax.closure)
+
+    stored = [(dom.index(ax.name), dom.array_axis(ax.name), ax)
+              for ax in dom.stored_axes]
     terms = []
     for ca, ka, ax in stored:
-        terms.append((c2[..., ca, ca],
-                      {ka: diff_matrix(2, ax.n, ax.spacing, ax.closure)}))
-        coef1 = c1[..., ca]
-        if np.any(coef1 != 0.0):
-            terms.append((coef1,
-                          {ka: diff_matrix(1, ax.n, ax.spacing, ax.closure)}))
-    for i in range(len(stored)):
-        for j in range(i + 1, len(stored)):
-            ca, ka, axa = stored[i]
-            cb, kb, axb = stored[j]
+        terms.append((c2[..., ca, ca], {ka: diff(2, ax)}))
+        if np.any(c1[..., ca] != 0.0):
+            terms.append((c1[..., ca], {ka: diff(1, ax)}))
+    for i, (ca, ka, axa) in enumerate(stored):
+        for cb, kb, axb in stored[i + 1:]:
             coef = c2[..., ca, cb] + c2[..., cb, ca]
             if np.any(coef != 0.0):
-                terms.append((coef,
-                              {ka: diff_matrix(1, axa.n, axa.spacing,
-                                               axa.closure),
-                               kb: diff_matrix(1, axb.n, axb.spacing,
-                                               axb.closure)}))
-
-    mat = _sum_terms(shape, terms, c0)
-
-    # per-axis second-order stiffness spread; purely advisory
-    scales = [float(np.max(np.abs(c2[..., ca, ca]))) / ax.spacing ** 2
-              for ca, ka, ax in stored]
-    ratio = max(scales) / min(scales)
-    if ratio > ANISOTROPY_WARN_RATIO:
-        warnings.warn(
-            f"second-order coefficient anisotropy ratio {ratio:.2e} exceeds "
-            "the stability heuristic; expect accuracy loss", RuntimeWarning)
-
-    kt = dom.array_axis("t")
-    nt = dom.axis("t").n
-    bmask = np.zeros(shape, dtype=bool)
-    sl = [slice(None)] * len(shape)
-    sl[kt] = 0
-    bmask[tuple(sl)] = True
-    sl[kt] = nt - 1
-    bmask[tuple(sl)] = True
-    interior = ~bmask.ravel()
-    mat = (sp.diags(interior.astype(float)) @ mat
-           + sp.diags((~interior).astype(float))).tocsr()
-
-    fast = {}
-    it = dom.index("t")
-    if _separates_in_t(c2, c1, c0, it, kt, len(shape)):
-        # L_X: the same terms without t, on the slice grid (t dropped from
-        # the shape, so array axes after t move down by one)
-        x_shape = shape[:kt] + shape[kt + 1:]
-        t1_shape = shape[:kt] + (1,) + shape[kt + 1:]
-        x_terms = [(np.broadcast_to(coef, t1_shape).reshape(x_shape),
-                    {k - (k > kt): op for k, op in ops.items()})
-                   for coef, ops in terms if kt not in ops]
-        ax = dom.axis("t")
-        d2t = diff_matrix(2, ax.n, ax.spacing, ax.closure)[1:-1, 1:-1]
-        lam, q = np.linalg.eigh(c2[..., it, it].flat[0] * d2t.toarray())
-        fast = {"slice_operator": _sum_terms(
-                    x_shape, x_terms,
-                    np.broadcast_to(c0, t1_shape).reshape(x_shape)),
-                "t_eigvals": lam, "t_eigvecs": q}
-
-    return OperatorAssembly(domain=dom, matrix=mat, c2=c2, c1=c1, c0=c0,
-                            interior=interior, **fast)
+                terms.append((coef, {ka: diff(1, axa), kb: diff(1, axb)}))
+    return terms
 
 
 def _sum_terms(shape, terms, c0) -> sp.csr_matrix:
@@ -255,42 +256,37 @@ def solve_dirichlet(assembly: OperatorAssembly, forcing,
                     tolerance: float = 1e-10) -> SolveReport:
     """Solve L u = F with u = 0 at t = +-1.
 
-    One sparse LU per assembly (see OperatorAssembly.lu): of the t-rotated
-    block-diagonal operator when the operator separates in t (stats method
-    "fastdiag"), else of the full matrix ("splu"). At least one
-    iterative-refinement step follows, with residuals taken against the
-    full matrix on both paths. A failed factorization, or an infinity-norm
+    One sparse LU per assembly, of the t-rotated block-diagonal operator
+    (see OperatorAssembly.lu). At least one iterative-refinement step
+    follows; every residual applies the operator matrix-free
+    (OperatorAssembly.apply). A failed factorization, or an infinity-norm
     residual that ends above tolerance, raises NumericalFailure.
 
     The returned report carries u shaped like the domain (exactly zero on
     the boundary rows) and the final residual.
     """
     dom = assembly.domain
-    rhs = np.asarray(np.broadcast_to(forcing, dom.shape), dtype=float) \
-        .ravel().copy()
-    rhs[~assembly.interior] = 0.0
-    mat = assembly.matrix
+    rhs = np.array(np.broadcast_to(forcing, dom.shape), dtype=float)
+    np.moveaxis(rhs, dom.array_axis("t"), 0)[[0, -1]] = 0.0
     u = assembly.solve(rhs)
-    resid = rhs - mat @ u
+    resid = rhs - assembly.apply(u)
     refinements = 0
     while refinements < 4:
         if refinements >= 1 and float(np.max(np.abs(resid))) <= tolerance:
             break
         u = u + assembly.solve(resid)
-        resid = rhs - mat @ u
+        resid = rhs - assembly.apply(u)
         refinements += 1
-    stats = {"nodes": rhs.size, "nnz": int(mat.nnz),
-             "method": assembly.method, "refinements": refinements}
-
-    u[~assembly.interior] = 0.0
-    residual_inf = float(np.max(np.abs(rhs - mat @ u)))
-    stats["residual_inf"] = residual_inf
+    residual_inf = float(np.max(np.abs(resid)))
+    stats = {"nodes": rhs.size,
+             "slice_nnz": int(assembly.slice_operator.nnz),
+             "refinements": refinements, "residual_inf": residual_inf}
     if residual_inf > tolerance:
         raise NumericalFailure(
             f"solver residual {residual_inf:.3e} exceeds "
             f"tolerance {tolerance:.1e}")
-    u = u.reshape(dom.shape)
-    return SolveReport(u=u, residual_inf=residual_inf, stats=stats)
+    return SolveReport(u=np.ascontiguousarray(u), residual_inf=residual_inf,
+                       stats=stats)
 
 
 def dtt_monitor(d2u_dt2: np.ndarray, domain: DiscreteDomain,

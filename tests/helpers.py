@@ -1,16 +1,20 @@
 """Shared manufactured fields and residual constructions used across tests."""
 
 import numpy as np
+import scipy.sparse as sp
 
 from pscbench.grids import (DomainSpec, build_domain, derivatives,
-                            with_circle, TORUS)
+                            w_domains, with_circle, SPHERE, TORUS)
 from pscbench.metrics import (MetricField, make_metric, as_fd,
-                              conformal_metric, restrict_metric)
+                              conformal_metric, product_extend,
+                              restrict_metric)
 from pscbench.curvature import (hypersurface_data, gauss_codazzi_scalar,
                                 laplacian)
 from pscbench.normal import unit_normal, normal_frame
 from pscbench.conformal import conformal_scalar, conformal_ricci_normal
-from pscbench.solver import assemble, solve_dirichlet
+from pscbench.pipeline import _extend_drift
+from pscbench.solver import (assemble, solve_dirichlet, _coefficients,
+                             _sum_terms, _terms)
 
 
 def stored_theta_y(res):
@@ -163,39 +167,76 @@ def slice_laplacian_identity(u: np.ndarray, metric_m: MetricField) -> float:
     return float(np.max(np.abs(lap0 - lap_y - d2t0)))
 
 
+def product_fields(spec, name, drift=None, **params):
+    """W, the metric g = h + dt^2 and a drift V on W, both held at length 1
+    on t, built the way the pipeline builds them: h = make_metric(name) on
+    the slice Y, then product_extend and restrict_metric. `drift(y)` gives
+    V's components on Y; V is zero when it is omitted."""
+    doms = w_domains(spec)
+    y, w = doms["y"], doms["w"]
+    h = make_metric(name, y, **params)
+    g_w = restrict_metric(product_extend(h, doms["m"]), w)
+    v_y = np.zeros(y.shape + (y.dim,)) if drift is None else drift(y)
+    return w, g_w, _extend_drift(v_y, y, w)
+
+
+def oracle_operator(v, potential, metric):
+    """The operator as one 3-D sparse matrix, with its c2 and c1.
+
+    The general assembly for fields of any shape over t: the terms of
+    every stored axis, t's included, summed over the full grid, with
+    identity rows at t = +-1. The oracle the slice-native solver is
+    checked against.
+    """
+    dom = metric.domain
+    c2, c1, c0 = _coefficients(v, potential, metric)
+    mat = _sum_terms(dom.shape, _terms(dom, c2, c1), c0)
+    interior = np.ones(dom.shape)
+    np.moveaxis(interior, dom.array_axis("t"), 0)[[0, -1]] = 0.0
+    interior = interior.ravel()
+    mat = sp.diags(interior) @ mat + sp.diags(1.0 - interior)
+    return mat.tocsr(), c2, c1
+
+
 # --- manufactured Dirichlet solutions -------------------------------------
 # u* = cos(pi t / 2) * (slice profile) vanishes at t = +-1; F* = L u* is
 # computed from the closed-form action of the operator on u*.
 
 def mms_flat_cross(res, nt, v=(0.3, 0.4), c0=1.0):
-    dom = build_domain(DomainSpec(TORUS, 2, (res, res), nt))
-    g = make_metric("product_flat", dom)
+    dom, g, drift = product_fields(
+        DomainSpec(TORUS, 2, (res, res), nt), "product_flat",
+        drift=lambda y: np.broadcast_to([v[0], v[1], 0.0], y.shape + (3,)))
     xs, ys, ts = dom.mesh("x"), dom.mesh("y"), dom.mesh("t")
     u_true = np.cos(np.pi * ts / 2) * np.cos(xs + ys)
     fac = -4 * (v[0] + v[1]) ** 2 + 8 + np.pi ** 2 + c0
-    drift = np.zeros(dom.shape + (3,))
-    drift[..., 0] = v[0]
-    drift[..., 1] = v[1]
     rep = solve_dirichlet(assemble(drift, c0, g), fac * u_true)
     return float(np.max(np.abs(rep.u - u_true))), rep
 
 
 def mms_twisted(res, nt, c=0.5, c0=1.0):
-    dom = build_domain(DomainSpec(TORUS, 2, (res, res), nt))
-    g = make_metric("twisted_flat", dom, c=c)
+    vx = -c / np.sqrt(1 + c * c)
+    dom, g, drift = product_fields(
+        DomainSpec(TORUS, 2, (res, res), nt), "twisted_flat", c=c,
+        drift=lambda y: np.broadcast_to([vx, 0.0, 0.0], y.shape + (3,)))
     xs, ts = dom.mesh("x"), dom.mesh("t")
     u_true = np.cos(np.pi * ts / 2) * np.cos(xs)
     fac = 4 * (1 - c * c) / (1 + c * c) + np.pi ** 2 + c0
-    drift = np.zeros(dom.shape + (3,))
-    drift[..., 0] = -c / np.sqrt(1 + c * c)
     rep = solve_dirichlet(assemble(drift, c0, g), fac * u_true)
     return float(np.max(np.abs(rep.u - u_true))), rep
 
 
 def mms_sphere(nrho, nt, r=1.0, b0=0.5, c0=1.0):
-    from pscbench.grids import SPHERE
-    dom = build_domain(DomainSpec(SPHERE, 2, (nrho,), nt))
-    g = make_metric("sphere_twist", dom, r=r, beta0=b0)
+    def drift(y):
+        rh = y.mesh("rho")
+        beta = b0 * np.sin(rh) ** 2
+        v = np.zeros(y.shape + (y.dim,))
+        v[..., y.index("alpha")] = -beta / (
+            r * np.sin(rh) * np.sqrt(r ** 2 * np.sin(rh) ** 2 + beta ** 2))
+        return v
+
+    dom, g, drift_w = product_fields(
+        DomainSpec(SPHERE, 2, (nrho,), nt), "sphere_twist", drift=drift,
+        r=r, beta0=b0)
     rh, ts = dom.mesh("rho"), dom.mesh("t")
     T = np.cos(np.pi * ts / 2)
     u_true = T * np.cos(rh)
@@ -205,7 +246,5 @@ def mms_sphere(nrho, nt, r=1.0, b0=0.5, c0=1.0):
     F = (-2 * beta ** 2 * Bp * T / (r ** 4 * np.sin(rh) * B)
          + (4 * T / r ** 2) * (np.cos(rh) + Bp * np.sin(rh) / (2 * B))
          + (np.pi ** 2 + c0) * u_true)
-    drift = np.zeros(dom.shape + (3,))
-    drift[..., 1] = -beta / (r * np.sin(rh) * np.sqrt(B))
-    rep = solve_dirichlet(assemble(drift, c0, g), F)
+    rep = solve_dirichlet(assemble(drift_w, c0, g), F)
     return float(np.max(np.abs(rep.u - u_true))), rep

@@ -20,7 +20,7 @@ from scipy.linalg import solve_banded
 
 from helpers import (conformal_ricci_law_err, conformal_scalar_law_err,
                      gc_deformed_residual, mms_flat_cross, mms_sphere,
-                     slice_laplacian_identity)
+                     product_fields, slice_laplacian_identity)
 from pscbench.config import parse_config
 from pscbench.forcing import build_bump, bump_profile, calibrate_epsilon
 from pscbench.grids import (SPHERE, TORUS, DomainSpec, build_domain, c1_norm,
@@ -152,9 +152,9 @@ def test_criterion_06_solver_mms_zero_forcing_max_principle():
     e2, _ = mms_flat_cross(32, 33)
     order = math.log2(e1 / e2)
 
-    dom = build_domain(DomainSpec(TORUS, 2, (32, 32), 33))
-    g = make_metric("product_flat", dom)
-    asm = assemble(np.zeros(dom.shape + (3,)), 1.0, g)
+    dom, g, v = product_fields(DomainSpec(TORUS, 2, (32, 32), 33),
+                               "product_flat")
+    asm = assemble(v, 1.0, g)
     rep0 = solve_dirichlet(asm, np.zeros(dom.shape))
     zero_norm = float(np.max(np.abs(rep0.u)))
 
@@ -177,9 +177,9 @@ def test_criterion_06_solver_mms_zero_forcing_max_principle():
 
 def test_criterion_07_forcing_norm_controls_solution_norm():
     t0 = time.perf_counter()
-    dom = build_domain(DomainSpec(TORUS, 2, (8, 8), 129))
-    g = make_metric("product_flat", dom)
-    asm = assemble(np.zeros(dom.shape + (3,)), 1.0, g)
+    dom, g, v = product_fields(DomainSpec(TORUS, 2, (8, 8), 129),
+                               "product_flat")
+    asm = assemble(v, 1.0, g)
     base = 1.05 * lp_norm(build_bump(2.2, 0.25, dom),
                           g, 1)
     c1_values = []
@@ -227,11 +227,9 @@ def test_criterion_08_profile_curvature_control():
     t0 = time.perf_counter()
     C, r, tol = 2.2, 1.0, 5e-4
     ceiling = (C + 1.0) / 4.0
-    doms = w_domains(DomainSpec(SPHERE, 2, (32,), 193))
-    y, w = doms["y"], doms["w"]
-    h = make_metric("sphere_product", y, r=r)
-    g_w = restrict_metric(product_extend(h, doms["m"]), w)
-    asm = assemble(np.zeros(w.shape + (3,)), g_w.scalar, g_w)
+    w, g_w, v_w = product_fields(DomainSpec(SPHERE, 2, (32,), 193),
+                                 "sphere_product", r=r)
+    asm = assemble(v_w, g_w.scalar, g_w)
     dtts, refs, deltas = [], [], []
     for eps in (0.4, 0.2, 0.1):
         F = build_bump(C, eps, w)

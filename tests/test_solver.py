@@ -10,6 +10,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from pscbench.errors import ConfigError, HypothesisViolation, NumericalFailure
 from pscbench.grids import (DomainSpec, build_domain, c1_norm, gradient,
@@ -22,7 +23,8 @@ from pscbench.solver import assemble, solve_dirichlet, dtt_monitor, SolveReport
 from pscbench.forcing import build_bump, calibrate_epsilon
 from pscbench import fd, solver
 
-from helpers import mms_flat_cross, mms_twisted, mms_sphere
+from helpers import (mms_flat_cross, mms_twisted, mms_sphere,
+                     oracle_operator, product_fields)
 
 # (measured error at coarse, at fine); order = log2 ratio
 FROZEN = {
@@ -43,7 +45,8 @@ def test_mms_flat_cross_drift():
     e16, _ = mms_flat_cross(16, 17)
     e32, rep = mms_flat_cross(32, 33)
     check_frozen("flat_cross", e16, e32)
-    assert rep.stats["method"] == "splu"
+    # the drift's (x, y) cross term gives a 9-point stencil on the slice
+    assert rep.stats["slice_nnz"] == 9 * 32 * 32
     assert rep.residual_inf < 1e-10
 
 
@@ -61,18 +64,18 @@ def test_mms_sphere_twist_drift():
 
 
 def test_zero_forcing_zero_solution():
-    dom = build_domain(DomainSpec(TORUS, 2, (8, 8), 9))
-    g = make_metric("product_flat", dom)
-    asm = assemble(np.zeros(dom.shape + (3,)), 1.0, g)
+    dom, g, v = product_fields(DomainSpec(TORUS, 2, (8, 8), 9),
+                               "product_flat")
+    asm = assemble(v, 1.0, g)
     rep = solve_dirichlet(asm, np.zeros(dom.shape))
     assert np.max(np.abs(rep.u)) == 0.0
     assert c1_norm(rep.u, gradient(dom, rep.u)) == 0.0
 
 
 def test_boundary_rows_are_exact():
-    dom = build_domain(DomainSpec(TORUS, 2, (8, 8), 33))
-    g = make_metric("product_flat", dom)
-    asm = assemble(np.zeros(dom.shape + (3,)), 1.0, g)
+    dom, g, v = product_fields(DomainSpec(TORUS, 2, (8, 8), 33),
+                               "product_flat")
+    asm = assemble(v, 1.0, g)
     F = build_bump(9.0, 0.25, dom)
     u = solve_dirichlet(asm, F).u
     kt = dom.array_axis("t")
@@ -82,12 +85,12 @@ def test_boundary_rows_are_exact():
 
 def test_maximum_principle_for_bump():
     # nonnegative forcing, positive potential: solution stays nonnegative
-    dom = build_domain(DomainSpec(TORUS, 2, (8, 8), 49))
-    g = make_metric("product_flat", dom)
+    dom, g, v = product_fields(DomainSpec(TORUS, 2, (8, 8), 49),
+                               "product_flat")
     eps = calibrate_epsilon(9.0, 1, 160.0, g)
     assert eps == 0.25
     F = build_bump(9.0, eps, dom)
-    asm = assemble(np.zeros(dom.shape + (3,)), 1.0, g)
+    asm = assemble(v, 1.0, g)
     rep = solve_dirichlet(asm, F)
     assert float(rep.u.min()) >= -1e-12
     assert float(rep.u.max()) == pytest.approx(0.389639747002678, rel=1e-8)
@@ -105,11 +108,10 @@ def test_maximum_principle_for_bump():
 
 
 def test_assemble_flat_drift_free_matrix_is_kron_laplacian():
-    import scipy.sparse as sp
-    dom = build_domain(DomainSpec(TORUS, 2, (6, 6), 7))
-    g = make_metric("product_flat", dom)
+    dom, g, v = product_fields(DomainSpec(TORUS, 2, (6, 6), 7),
+                               "product_flat")
     c0 = 2.0
-    asm = assemble(np.zeros(dom.shape + (3,)), c0, g)
+    asm = assemble(v, c0, g)
     mats = []
     eyes = [sp.identity(n) for n in dom.shape]
     for k, ax in enumerate(dom.stored_axes):
@@ -120,11 +122,15 @@ def test_assemble_flat_drift_free_matrix_is_kron_laplacian():
             term = sp.kron(term, o)
         mats.append(term)
     manual = (-4.0) * sum(mats) + c0 * sp.identity(dom.node_count)
-    # overwrite boundary rows with identity, as the assembly does
-    interior = asm.interior.astype(float)
+    # overwrite boundary rows with identity, as the operator has them
+    interior = np.ones(dom.shape)
+    interior[..., [0, -1]] = 0.0
+    interior = interior.ravel()
     manual = sp.diags(interior) @ manual + sp.diags(1.0 - interior)
-    diff = (asm.matrix - manual.tocsr()).tocoo()
-    assert diff.nnz == 0 or np.max(np.abs(diff.data)) == 0.0
+    x = np.random.default_rng(3).standard_normal(dom.node_count)
+    expected = manual @ x
+    assert (np.max(np.abs(asm.apply(x).ravel() - expected))
+            <= 1e-13 * np.max(np.abs(expected)))
 
 
 def materialise(metric):
@@ -160,24 +166,55 @@ def test_length1_t_fields_match_materialised_oracle(name, spec, params):
     v_w = _extend_drift(normal_frame(h).v, doms["y"], w)
     asm = assemble(v_w, r_m, g_w)
     assert asm.c1.shape[kt] == 1 and asm.c2.shape[kt] == 1
-    oracle = assemble(np.broadcast_to(v_w, w.shape + (w.dim,)).copy(),
-                      np.broadcast_to(r_m, w.shape).copy(), materialise(g_w))
-    assert (asm.matrix != oracle.matrix).nnz == 0
-    assert np.array_equal(np.broadcast_to(asm.c1, oracle.c1.shape), oracle.c1)
-    assert np.array_equal(np.broadcast_to(asm.c2, oracle.c2.shape), oracle.c2)
+    full_v = np.broadcast_to(v_w, w.shape + (w.dim,)).copy()
+    full_r = np.broadcast_to(r_m, w.shape).copy()
+    oracle, c2, c1 = oracle_operator(full_v, full_r, materialise(g_w))
+    assert (oracle_operator(v_w, r_m, g_w)[0] != oracle).nnz == 0
+    assert np.array_equal(np.broadcast_to(asm.c1, c1.shape), c1)
+    assert np.array_equal(np.broadcast_to(asm.c2, c2.shape), c2)
+    # the matrix-free operator is the oracle's matrix
+    x = np.random.default_rng(5).standard_normal(w.node_count)
+    expected = oracle @ x
+    assert (np.max(np.abs(asm.apply(x).ravel() - expected))
+            <= 1e-13 * np.max(np.abs(expected)))
 
-    # the length-1 assembly separates in t and is solved by fast
-    # diagonalization; the materialised one takes the 3-D LU, the oracle
+    # fast diagonalization against the oracle's 3-D LU
     forcing = build_bump(2.2, 0.5, w)
     fast = solve_dirichlet(asm, forcing)
-    full = solve_dirichlet(oracle, forcing)
-    assert fast.stats["method"] == "fastdiag"
-    assert full.stats["method"] == "splu"
-    assert np.max(np.abs(fast.u - full.u)) <= 1e-12
-    assert fast.residual_inf <= 1e-10 and full.residual_inf <= 1e-10
-    # a potential that varies in t does not separate
-    varying = assemble(v_w, r_m * (1.0 + w.mesh("t") ** 2), g_w)
-    assert solve_dirichlet(varying, forcing).stats["method"] == "splu"
+    rhs = np.array(np.broadcast_to(forcing, w.shape))
+    np.moveaxis(rhs, kt, 0)[[0, -1]] = 0.0
+    rhs = rhs.ravel()
+    u_oracle = solver.spla.splu(oracle.tocsc()).solve(rhs)
+    assert np.max(np.abs(fast.u.ravel() - u_oracle)) <= 1e-12
+    assert fast.residual_inf <= 1e-10
+    assert np.max(np.abs(rhs - oracle @ u_oracle)) <= 1e-10
+
+    # a potential that varies in t: only the oracle takes it, and it adds
+    # r_m t^2 to the diagonal of the interior rows
+    shift = np.array(np.broadcast_to(r_m * w.mesh("t") ** 2, w.shape))
+    np.moveaxis(shift, kt, 0)[[0, -1]] = 0.0
+    varying, _, _ = oracle_operator(v_w, r_m * (1.0 + w.mesh("t") ** 2), g_w)
+    assert (np.max(np.abs(varying @ x - expected - shift.ravel() * x))
+            <= 1e-13 * np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize("case", ["potential", "drift", "metric"])
+def test_assemble_refuses_an_operator_that_does_not_separate_in_t(case):
+    spec = DomainSpec(TORUS, 2, (6, 6), 7)
+    w, g_w, v_w = product_fields(spec, "twisted_flat", c=0.5)
+    potential = 1.0
+    if case == "potential":
+        potential = 1.0 + w.mesh("t") ** 2
+    elif case == "drift":
+        # beside an x component, a t component gives a mixed (x, t) term
+        v_w = np.array(v_w)
+        v_w[..., w.index("x")] = 0.3
+        v_w[..., w.index("t")] = 0.1
+    else:
+        g_w = make_metric("twisted_flat", w, c=0.5)
+        assert g_w.comp.shape[w.array_axis("t")] == w.axis("t").n
+    with pytest.raises(ValueError, match="does not separate in t"):
+        assemble(v_w, potential, g_w)
 
 
 def test_assemble_rejects_domain_without_t():
@@ -200,10 +237,10 @@ def test_symbol_loses_ellipticity_with_unit_drift():
 
 
 def test_anisotropy_warning():
-    dom = build_domain(DomainSpec(TORUS, 2, (4, 4), 1281))
-    g = make_metric("product_flat", dom)
+    _, g, v = product_fields(DomainSpec(TORUS, 2, (4, 4), 1281),
+                             "product_flat")
     with pytest.warns(RuntimeWarning, match="anisotropy"):
-        assemble(np.zeros(dom.shape + (3,)), 1.0, g)
+        assemble(v, 1.0, g)
 
 
 def test_dtt_monitor_region_guard():
@@ -217,9 +254,9 @@ def test_dtt_monitor_region_guard():
 
 
 def test_solve_report_is_frozen_record():
-    dom = build_domain(DomainSpec(TORUS, 2, (6, 6), 7))
-    g = make_metric("product_flat", dom)
-    asm = assemble(np.zeros(dom.shape + (3,)), 1.0, g)
+    dom, g, v = product_fields(DomainSpec(TORUS, 2, (6, 6), 7),
+                               "product_flat")
+    asm = assemble(v, 1.0, g)
     rep = solve_dirichlet(asm, np.ones(dom.shape))
     with pytest.raises(dataclasses.FrozenInstanceError):
         rep.residual_inf = 0.0
@@ -248,31 +285,16 @@ def test_assembly_factors_once_and_matches_a_fresh_factorization(
     assert second.residual_inf == fresh.residual_inf
 
 
-@pytest.mark.parametrize("method", ["splu", "fastdiag"])
-def test_singular_operator_raises_numerical_failure(method):
-    doms = w_domains(DomainSpec(TORUS, 2, (6, 6), 7))
-    w = doms["w"]
-    if method == "splu":
-        # fields materialised over t: the operator is factored in 3-D
-        g = make_metric("product_flat", w)
-        asm = assemble(np.zeros(w.shape + (3,)), 1.0, g)
-        row = int(np.flatnonzero(asm.interior)[0])
-        mat = asm.matrix.tolil()
-        mat[row, :] = 0.0
-        singular = dataclasses.replace(asm, matrix=mat.tocsr())
-    else:
-        # length-1 t fields: the operator separates in t. Zeroing a row of
-        # L_X alone leaves every block L_X + lam_k I regular, so the row
-        # becomes -lam_0 on its diagonal: block k = 0 gets a zero row
-        g = restrict_metric(
-            product_extend(make_metric("product_flat", doms["y"]), doms["m"]),
-            w)
-        asm = assemble(np.zeros((1, 1, 1, 3)), 1.0, g)
-        lx = asm.slice_operator.tolil()
-        lx[0, :] = 0.0
-        lx[0, 0] = -asm.t_eigvals[0]
-        singular = dataclasses.replace(asm, slice_operator=lx.tocsr())
-    assert asm.method == method
+def test_singular_operator_raises_numerical_failure():
+    # Zeroing a row of L_X alone leaves every block L_X + lam_k I regular,
+    # so the row becomes -lam_0 on its diagonal: block k = 0 gets a zero row
+    dom, g, v = product_fields(DomainSpec(TORUS, 2, (6, 6), 7),
+                               "product_flat")
+    asm = assemble(v, 1.0, g)
+    lx = asm.slice_operator.tolil()
+    lx[0, :] = 0.0
+    lx[0, 0] = -asm.t_eigvals[0]
+    singular = dataclasses.replace(asm, slice_operator=lx.tocsr())
     with pytest.raises(NumericalFailure, match="factorization") as err:
-        solve_dirichlet(singular, np.ones(w.shape))
+        solve_dirichlet(singular, np.ones(dom.shape))
     assert err.value.exit_code == 3
