@@ -18,11 +18,11 @@ from .curvature import (HypersurfaceData, gauss_codazzi_scalar,
                         hypersurface_data, laplacian)
 from .errors import (ConfigError, HypothesisViolation, NumericalFailure,
                      PscbenchError)
-from .forcing import build_bump, calibrate_epsilon
+from .forcing import build_bump, calibrate_epsilon, forcing_norm
 from .grids import (SPHERE, TORUS, DiscreteDomain, DomainSpec, build_domain,
                     c1_norm, lp_norm, w_domains, with_circle)
 from .metrics import (MetricField, conformal_metric, load_metric_csv,
-                      make_metric, product_extend, restrict_metric)
+                      make_metric, restrict_metric)
 from .normal import (NormalFrame, angle_field, decompose_normal,
                      ellipticity_minors, normal_frame, unit_normal)
 from .pipeline import run_scenario

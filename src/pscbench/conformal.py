@@ -152,24 +152,33 @@ def exact_slice_scalar(metric_y: MetricField, phi_y: np.ndarray,
                             d2phi[..., x, :][..., :, x]).scalar
 
 
-def laplacian_comparison(grad: np.ndarray, hess: np.ndarray,
-                         metric_m: MetricField, metric_w: MetricField):
+def laplacian_comparison(m: DiscreteDomain, grad: np.ndarray,
+                         hess: np.ndarray, metric_y: MetricField,
+                         metric_x: MetricField):
     """B1 = Lap_{g_M} u - Lap_{sigma* g} u over the W nodes, and K1.
 
     grad and hess are the partials of u over M's coordinates
-    (grids.derivatives). M and W share stored axes (theta is virtual), so
-    the theta slots are zero and the W Laplacian reads the W index block
-    of the same partials. For product metrics and theta-independent u
-    every extra M term is exactly zero and B1 vanishes to round-off;
-    twisted metrics leave a genuine residue from the differing
-    inverse-metric blocks.
+    (grids.derivatives on the domain m). g_M = h + dt^2 and sigma* g =
+    h_X + dt^2 carry the same d^2u/dt^2 term, which cancels: B1 is
+    Lap_h - Lap_{h_X} on each t slice, the contractions of the Y and X
+    index blocks of the same partials with metric_y = h and metric_x =
+    h_X. For product metrics and theta-independent u the two agree and
+    B1 vanishes to round-off; twisted metrics leave a genuine residue
+    from the differing inverse-metric blocks.
 
     Returns (B1 field, K1 = 4 sup|B1|).
     """
-    w = [metric_m.domain.index(name) for name in metric_w.domain.names]
-    b1 = (laplacian_trace(metric_m, grad, hess)
-          - laplacian_trace(metric_w, grad[..., w],
-                            hess[..., w, :][..., :, w]))
+    kt = m.array_axis("t")
+
+    def slice_laplacian(metric):
+        # t first, so the t-free metric arrays broadcast over the slices
+        idx = [m.index(name) for name in metric.domain.names]
+        return laplacian_trace(metric, np.moveaxis(grad[..., idx], kt, 0),
+                               np.moveaxis(hess[..., idx, :][..., :, idx],
+                                           kt, 0))
+
+    b1 = np.moveaxis(slice_laplacian(metric_y) - slice_laplacian(metric_x),
+                     0, kt)
     return b1, 4.0 * float(np.max(np.abs(b1)))
 
 

@@ -7,8 +7,13 @@ point, which the downstream cancellation checks rely on.
 
 calibrate_epsilon picks the largest dyadic eps = 2^-k whose forcing has
 L^p norm below delta, refusing (ConfigError) once the plateau would cover
-fewer than min_plateau_nodes grid points: a bump the grid cannot resolve
-produces garbage second differences, not small ones.
+fewer than min_plateau_nodes grid points, or the monitor core (see
+monitor_core) fewer than 3: a bump the grid cannot resolve produces garbage
+second differences, not small ones.
+
+The forcing is constant on X and the volume element of g = h_X + dt^2 is
+constant in t, so its norm on W is a product quadrature: vol_h(X) times a
+1-D quadrature of the profile in t (forcing_norm).
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConfigError
-from .grids import DiscreteDomain, lp_norm
+from .grids import Axis, DiscreteDomain
 from .metrics import MetricField
 
 # relative fuzz for plateau/support comparisons: t coordinates are computed
@@ -57,29 +62,60 @@ def build_bump(C: float, epsilon: float,
     return (C + 1.0) * bump_profile(domain.mesh("t"), epsilon)
 
 
-def plateau_node_count(domain: DiscreteDomain, epsilon: float) -> int:
-    t = domain.axis("t").coords()
+def plateau_node_count(t_axis: Axis, epsilon: float) -> int:
+    t = t_axis.coords()
     return int(np.sum(np.abs(t) <= 0.5 * epsilon * (1.0 + _EDGE_TOL)))
 
 
-def calibrate_epsilon(C: float, p: float, delta: float, metric: MetricField,
+def monitor_core(t_axis: Axis, epsilon: float) -> np.ndarray:
+    """Indices of the t nodes in the core |t| < epsilon/4, strict, over
+    which solver.dtt_monitor takes eta'.
+
+    Refuses (ConfigError) when the core holds fewer than 3 t-nodes: a sup
+    over one or two points says nothing about the profile curvature.
+    """
+    core = np.nonzero(np.abs(t_axis.coords()) < 0.25 * epsilon)[0]
+    if core.size < 3:
+        raise ConfigError(
+            f"monitor region |t| < {0.25 * epsilon:g} contains only "
+            f"{core.size} t-nodes (need >= 3); refine the t grid")
+    return core
+
+
+def forcing_norm(C: float, epsilon: float, p: int, metric_x: MetricField,
+                 t_axis: Axis) -> float:
+    """||(C+1) bump_eps(t)||_p on W = X x t_axis with g = h_X + dt^2:
+    (C+1) (vol_h(X) sum_t w_t bump^p)^(1/p), with metric_x = h_X."""
+    if int(p) != p or p < 1:
+        raise ConfigError(f"p must be an integer >= 1, got {p}")
+    volume = float(metric_x.domain.integrate(metric_x.sqrt_det))
+    profile = float(np.sum(t_axis.weights()
+                           * bump_profile(t_axis.coords(), epsilon) ** p))
+    return (C + 1.0) * (volume * profile) ** (1.0 / p)
+
+
+def calibrate_epsilon(C: float, p: float, delta: float,
+                      metric_x: MetricField, t_axis: Axis,
                       min_plateau_nodes: int = 4) -> float:
-    """Largest dyadic epsilon = 2^-k with ||(C+1) bump_eps||_p < delta.
+    """Largest dyadic epsilon = 2^-k with ||(C+1) bump_eps||_p < delta on
+    W = X x t_axis, metric_x = h_X (see forcing_norm).
 
     Walks k = 1, 2, ... downward in width. Raises ConfigError if no epsilon
     the t grid can resolve is quiet enough; the fix is more t nodes (which
-    shrinks the resolvable-width floor), not a looser delta.
+    shrinks the resolvable-width floor), not a looser delta. A width whose
+    monitor core holds too few nodes is refused here, before any solve:
+    dtt_monitor would refuse it after one.
     """
     if delta <= 0.0:
         raise ConfigError(f"forcing threshold delta={delta} must be positive")
-    dom = metric.domain
     k = 1
     while True:
         eps = 2.0 ** (-k)
-        if plateau_node_count(dom, eps) < min_plateau_nodes:
+        if plateau_node_count(t_axis, eps) < min_plateau_nodes:
             raise ConfigError(
                 f"no epsilon with plateau >= {min_plateau_nodes} t-nodes "
                 f"satisfies ||F||_{p:g} < {delta:g}; refine the t grid")
-        if lp_norm(build_bump(C, eps, dom), metric, p) < delta:
+        monitor_core(t_axis, eps)
+        if forcing_norm(C, eps, p, metric_x, t_axis) < delta:
             return eps
         k += 1

@@ -9,10 +9,10 @@ by the full coordinate order, virtual axes included, so tensor algebra never
 needs to know which axes happen to be stored.
 
 A field that is constant along a stored axis may hold it at length 1
-instead of the axis' node count: every field but the solution u is
-constant in t, so metrics, curvature and drift fields keep a length-1 t
-axis and NumPy broadcasting pairs them with fields that vary in t. Such an
-axis differentiates to zero, exactly as a virtual one does.
+instead of the axis' node count; such an axis differentiates to zero,
+exactly as a virtual one does. Only the solution u and the forcing bump
+carry t: every other field of a run (metric, curvature, drift) lives on
+the t-free slice domains X and Y.
 
 Domain construction for a run:
 
@@ -161,14 +161,12 @@ class DiscreteDomain:
         return fd.apply_diff(values, k, order, a.n, a.spacing, a.closure)
 
     def at_t0(self, values: np.ndarray) -> np.ndarray:
-        """The t = 0 slice of a field: node n_t // 2 on t's array axis, or
-        index 0 where the field holds t at length 1.
+        """The t = 0 slice of a field: node n_t // 2 on t's array axis.
 
         Trailing component dimensions pass through.
         """
-        k = self.array_axis("t")
-        i = self.axis("t").n // 2 if values.shape[k] > 1 else 0
-        return np.take(values, i, axis=k)
+        return np.take(values, self.axis("t").n // 2,
+                       axis=self.array_axis("t"))
 
     def integrate(self, values: np.ndarray) -> np.ndarray:
         """Quadrature over the stored grid times virtual circumferences.

@@ -22,13 +22,14 @@ arrays they are pointwise exact; FD-mode metrics give second order
 accuracy instead.
 
 The grid dimensions of each array need only broadcast to the domain's
-shape: a metric constant along a stored axis holds that axis at length 1.
-product_extend builds h (+) dt^2 this way, with a length-1 t axis, so the
-metrics of M and W, and every field computed from them, store one copy of
-X instead of t_nodes identical ones.
+shape. A run builds its metrics on the t-free domains only: h on Y and its
+restriction h_X on X. The product metrics h + dt^2 of M and W are never
+built, since every consumer of them reads the slice data (solver.assemble,
+forcing.forcing_norm, conformal.laplacian_comparison).
 
 Builtins, constructed on any of the X/Y/W/M domains of a run (components
-appear according to which axes the domain has):
+appear according to which axes the domain has; on W and M they are the
+product metrics materialised over t, which the tests use as oracles):
 
     product_flat           flat torus cross circle, identity components
     twisted_flat{c}        dx^2 + dy^2 (+ dz^2) + (dtheta + c dx)^2
@@ -285,36 +286,11 @@ def restrict_metric(metric: MetricField, sub: DiscreteDomain, at=None) -> Metric
     def pull(arr):
         sl = [slice(None)] * len(src.shape)
         for k, i in dropped.items():
-            # a length-1 axis holds one value for every node: read index 0
-            sl[k] = i if arr.shape[k] > 1 else 0
+            sl[k] = i
         return arr[tuple(sl)][(...,) + np.ix_(*[keep] * (arr.ndim - len(sl)))]
 
     return MetricField(sub, pull(metric.comp), pull(metric.d1),
                        pull(metric.d2))
-
-
-def product_extend(h: MetricField, m_domain: DiscreteDomain) -> MetricField:
-    """g = h (+) dt^2 on the t-extended domain, stored with a length-1 t axis."""
-    src = h.domain
-    if "t" in src.names or "t" not in m_domain.names:
-        raise ValueError("product_extend maps a t-free metric to a t-domain")
-    for n in src.names:
-        if n not in m_domain.names:
-            raise ValueError(f"target domain lacks axis {n!r}")
-
-    dm = m_domain.dim
-    t_pos = m_domain.array_axis("t")
-    shape = tuple(1 if k == t_pos else n for k, n in enumerate(m_domain.shape))
-    idx = [m_domain.index(n) for n in src.names]
-    comp = np.zeros(shape + (dm, dm))
-    d1 = np.zeros(shape + (dm, dm, dm))
-    d2 = np.zeros(shape + (dm, dm, dm, dm))
-    comp[(...,) + np.ix_(idx, idx)] = np.expand_dims(h.comp, t_pos)
-    d1[(...,) + np.ix_(idx, idx, idx)] = np.expand_dims(h.d1, t_pos)
-    d2[(...,) + np.ix_(idx, idx, idx, idx)] = np.expand_dims(h.d2, t_pos)
-    it = m_domain.index("t")
-    comp[..., it, it] = 1.0
-    return MetricField(m_domain, comp, d1, d2)
 
 
 def _component_names(domain: DiscreteDomain):

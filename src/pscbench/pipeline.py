@@ -22,10 +22,9 @@ from .conformal import (certificate, headroom_value, k2_field, lift_solution,
 from .config import RunConfig
 from .curvature import hypersurface_data
 from .errors import ConfigError, HypothesisViolation, NumericalFailure
-from .forcing import build_bump, calibrate_epsilon
-from .grids import c1_norm, derivatives, lp_norm, w_domains
-from .metrics import load_metric_csv, make_metric, product_extend, \
-    restrict_metric
+from .forcing import build_bump, calibrate_epsilon, forcing_norm
+from .grids import c1_norm, derivatives, w_domains
+from .metrics import load_metric_csv, make_metric, restrict_metric
 from .normal import MARGIN_FLOOR, normal_frame
 from .report import RunReport
 from .solver import assemble, dtt_monitor, solve_dirichlet
@@ -39,30 +38,19 @@ def build_slice_metric(config: RunConfig, dom_y):
     return make_metric(config.metric_name, dom_y, **config.metric_params)
 
 
-def _extend_drift(v_y: np.ndarray, dom_y, dom_w) -> np.ndarray:
-    """V on W with a length-1 t axis: slice components, t component zero."""
-    kt = dom_w.array_axis("t")
-    v_w = np.zeros(np.expand_dims(v_y, kt).shape[:-1] + (dom_w.dim,))
-    for name in dom_y.names:
-        if name == "theta":
-            continue
-        col = np.expand_dims(v_y[..., dom_y.index(name)], kt)
-        v_w[..., dom_w.index(name)] = col
-    return v_w
-
-
-def _solve_pass(config: RunConfig, metric_m, metric_w, assembly, c_value):
+def _solve_pass(config: RunConfig, doms: dict, h, h_x, assembly, c_value):
     """Calibrate epsilon for one C, build the bump, solve with the run's
     one assembly (C scales only the forcing), and differentiate u once over
     M's coordinates. The W-sized partials end here; B1 and the gradient on
     Y's coordinates (M's without t) come back as their t = 0 slices."""
-    epsilon = calibrate_epsilon(c_value, config.p, config.delta, metric_w)
-    forcing = build_bump(c_value, epsilon, metric_w.domain)
+    w, m = doms["w"], doms["m"]
+    epsilon = calibrate_epsilon(c_value, config.p, config.delta, h_x,
+                                w.axis("t"))
+    forcing = build_bump(c_value, epsilon, w)
     solve = solve_dirichlet(assembly, forcing, tolerance=config.tolerance)
-    m = metric_m.domain
     it = m.index("t")
     grad, hess = derivatives(m, solve.u)
-    b1, k1 = laplacian_comparison(grad, hess, metric_m, metric_w)
+    b1, k1 = laplacian_comparison(m, grad, hess, h, h_x)
     eta_prime = dtt_monitor(hess[..., it, it], m, epsilon)
     du_y = np.delete(m.at_t0(grad), it, axis=-1)
     return (epsilon, forcing, solve, c1_norm(solve.u, grad), m.at_t0(b1), k1,
@@ -105,20 +93,18 @@ def run_scenario(config: RunConfig, stage: str = "certify") -> RunReport:
         return report
 
     # -- forcing budget and Dirichlet solve ------------------------------
-    g_m = product_extend(h, doms["m"])
-    metric_w = restrict_metric(g_m, doms["w"])
-    # g = h + dt^2 is a product, so R_g is R_h held at length 1 on t
-    r_g = np.expand_dims(h.scalar, doms["w"].array_axis("t"))
-    v_w = _extend_drift(frame.v, doms["y"], doms["w"])
-    assembly = assemble(v_w, r_g, metric_w)
-
-    tangent = [nm for nm in doms["y"].names if nm != "theta"]
-    slice_data = hypersurface_data(h, tangent, frame.mu)
+    # g = h + dt^2 is a product and V is tangent to X, so the operator is
+    # built from slice data: h_X, V's X components and R_g = R_h
+    x = doms["x"]
+    h_x = restrict_metric(h, x)
+    v_x = frame.v[..., [doms["y"].index(nm) for nm in x.names]]
+    assembly = assemble(v_x, h.scalar, h_x, doms["w"].axis("t"))
+    slice_data = hypersurface_data(h, x.names, frame.mu)
 
     auto_c = config.c_mode == "auto"
     c_value = select_C(slice_data, k1=0.0) if auto_c else float(config.c_mode)
     epsilon, forcing, solve, c1, b1_0, k1, eta_prime, du_y = _solve_pass(
-        config, g_m, metric_w, assembly, c_value)
+        config, doms, h, h_x, assembly, c_value)
     if auto_c:
         c_second = select_C(slice_data, k1=k1)
         if c_second > c_value:
@@ -126,12 +112,13 @@ def run_scenario(config: RunConfig, stage: str = "certify") -> RunReport:
             # re-budget once with the measured K1 and re-solve
             c_value = c_second
             epsilon, forcing, solve, c1, b1_0, k1, eta_prime, du_y = \
-                _solve_pass(config, g_m, metric_w, assembly, c_value)
+                _solve_pass(config, doms, h, h_x, assembly, c_value)
 
     report.c_used = c_value
     report.k1 = k1
     report.epsilon = epsilon
-    report.forcing_norm = lp_norm(forcing, metric_w, config.p)
+    report.forcing_norm = forcing_norm(c_value, epsilon, config.p, h_x,
+                                       doms["w"].axis("t"))
     report.solver_stats = dict(solve.stats)
     report.c1_u = c1
     report.dtt_max = eta_prime
@@ -149,7 +136,7 @@ def run_scenario(config: RunConfig, stage: str = "certify") -> RunReport:
     u_y, phi_y = lift_solution(w, solve.u, c1, n)
     k2 = k2_field(u_y, du_y, h, frame.v, n)
     cert = certificate(u_y, phi_y, n, slice_data, w.at_t0(forcing),
-                       b1_0, k2, eta_prime, w.at_t0(r_g), h, frame.mu,
+                       b1_0, k2, eta_prime, h.scalar, h, frame.mu,
                        residual_inf=solve.residual_inf,
                        tolerance=config.tolerance)
     if cert.k2_max >= 1.0:

@@ -16,14 +16,14 @@ Coefficient sums run over the full coordinate set including virtual axes:
 the funnel terms g^{aa} Gamma^k_aa of an axisymmetric Laplacian live in the
 virtual azimuth slot even though no difference matrix exists there.
 
-Every coefficient holds t at length 1 and t enters only through a constant
-c2[t,t] d_t^2 term, since g = h + dt^2 is a product, V has no t component
-and R_g is R_h held at length 1 on t. So the operator is the Kronecker sum
-L_X (x) I + I (x) T on the interior rows, with L_X the operator on the
-slice X (Kronecker products of 1-d difference matrices scaled by
-node-diagonal coefficients) and T = c2[t,t] D2_t, and identity on the
-t = +-1 rows (homogeneous Dirichlet; the right-hand side is zeroed there).
-`assemble` refuses any other operator: in the pipeline it would be a bug.
+The metric is g = h_X + dt^2 and the drift V is tangent to X, so t enters
+only through the constant c2[t,t] = -4 and the operator is the Kronecker
+sum L_X (x) I + I (x) T on the interior rows: L_X is the operator on the
+slice X, built from h_X, V's X components and the potential (Kronecker
+products of 1-d difference matrices scaled by node-diagonal
+coefficients), and T = -4 D2_t. The t = +-1 rows are identity
+(homogeneous Dirichlet; the right-hand side is zeroed there). `assemble`
+takes the slice data and the t axis; no field of the operator carries t.
 
 The solve is fast diagonalization in t (Lynch, Rice & Thomas, Numer. Math.
 6 (1964) 185-199): with T's Dirichlet block Q diag(lam) Q^T, rotating the
@@ -43,9 +43,10 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .errors import ConfigError, HypothesisViolation, NumericalFailure
+from .errors import HypothesisViolation, NumericalFailure
 from .fd import diff_matrix
-from .grids import DiscreteDomain, gradient
+from .forcing import monitor_core
+from .grids import Axis, DiscreteDomain, gradient
 from .metrics import MetricField
 
 ANISOTROPY_WARN_RATIO = 1e6
@@ -53,8 +54,7 @@ ANISOTROPY_WARN_RATIO = 1e6
 
 @dataclass(frozen=True)
 class OperatorAssembly:
-    """The operator as its slice part L_X and its t part T, plus the
-    coefficient fields it was built from.
+    """The operator as its slice part L_X and its t part T on the domain W.
 
     `t_operator` holds the interior rows of T over every t node, and
     `t_eigvals`, `t_eigvecs` the eigenpairs of its Dirichlet block. Frozen,
@@ -62,9 +62,6 @@ class OperatorAssembly:
     the factor of this operator; every solve with this assembly reuses it.
     """
     domain: DiscreteDomain
-    c2: np.ndarray
-    c1: np.ndarray
-    c0: np.ndarray
     slice_operator: sp.csr_matrix
     t_operator: sp.csr_matrix
     t_eigvals: np.ndarray
@@ -136,51 +133,38 @@ def _embed(shape, factors):
     return out.tocsr()
 
 
-def assemble(v: np.ndarray, potential,
-             metric: MetricField) -> OperatorAssembly:
-    """The operator on the metric's domain, which must contain t: L_X on
-    the slice grid, T and the eigenpairs of T's Dirichlet block."""
-    dom = metric.domain
-    if "t" not in dom.names:
-        raise ConfigError("assembly domain must contain the cylinder axis t")
-    c2, c1, c0 = _coefficients(v, potential, metric)
+def assemble(v_x: np.ndarray, potential, metric_x: MetricField,
+             t_axis: Axis) -> OperatorAssembly:
+    """The operator on W = X x t_axis for g = h_X + dt^2 (metric_x = h_X)
+    and a drift tangent to X with components v_x: L_X on the slice grid,
+    T = -4 D2_t and the eigenpairs of T's Dirichlet block."""
+    x = metric_x.domain
+    c2, c1, c0 = _coefficients(v_x, potential, metric_x)
 
-    # per-axis second-order stiffness spread; purely advisory
+    # per-axis second-order stiffness spread, t's c2[t,t] = -4 included;
+    # purely advisory
     scales = [float(np.max(np.abs(c2[..., k, k]))) / ax.spacing ** 2
-              for k, ax in enumerate(dom.axes) if ax.stored]
+              for k, ax in enumerate(x.axes) if ax.stored]
+    scales.append(4.0 / t_axis.spacing ** 2)
     ratio = max(scales) / min(scales)
     if ratio > ANISOTROPY_WARN_RATIO:
         warnings.warn(
             f"second-order coefficient anisotropy ratio {ratio:.2e} exceeds "
             "the stability heuristic; expect accuracy loss", RuntimeWarning)
 
-    it, kt = dom.index("t"), dom.array_axis("t")
-    if not _separates_in_t(c2, c1, c0, it, kt, len(dom.shape)):
-        raise ValueError(
-            "operator does not separate in t: a coefficient varies in t, or "
-            "t has a mixed or first-order term")
-    # L_X: the coefficients' t = 0 slice without t's coordinate slot, on
-    # the slice grid
-    x = dom.without("t")
-    keep = [i for i in range(dom.dim) if i != it]
-    c2_x = np.take(c2, 0, axis=kt)[(...,) + np.ix_(keep, keep)]
-    c1_x = np.take(c1, 0, axis=kt)[..., keep]
-    c0_x = np.take(np.broadcast_to(c0, dom.shape[:kt] + (1,)
-                                   + dom.shape[kt + 1:]), 0, axis=kt)
-    ax = dom.axis("t")
-    t_operator = (c2[..., it, it].flat[0]
-                  * diff_matrix(2, ax.n, ax.spacing, ax.closure)[1:-1])
+    t_operator = -4.0 * diff_matrix(2, t_axis.n, t_axis.spacing,
+                                    t_axis.closure)[1:-1]
     lam, q = np.linalg.eigh(t_operator[:, 1:-1].toarray())
     return OperatorAssembly(
-        domain=dom, c2=c2, c1=c1, c0=c0,
-        slice_operator=_sum_terms(x.shape, _terms(x, c2_x, c1_x), c0_x),
+        domain=x.with_axis(t_axis),
+        slice_operator=_sum_terms(x.shape, _terms(x, c2, c1), c0),
         t_operator=t_operator, t_eigvals=lam, t_eigvecs=q)
 
 
 def _coefficients(v: np.ndarray, potential, metric: MetricField):
-    """(c2, c1, c0), each in the grid shape its inputs come with (a length-1
-    t axis for t-independent ones). The principal symbol must be positive
-    definite at every node, virtual directions included."""
+    """(c2, c1, c0) on the metric's domain, each in the grid shape its
+    inputs come with. The principal symbol must be positive definite at
+    every node, virtual directions included."""
     dom = metric.domain
     inv = metric.inverse
     v = np.asarray(v, dtype=float)
@@ -234,24 +218,6 @@ def _sum_terms(shape, terms, c0) -> sp.csr_matrix:
     return mat + sp.diags(np.broadcast_to(c0, shape).ravel())
 
 
-def _separates_in_t(c2, c1, c0, it, kt, ndim) -> bool:
-    """Whether the interior operator is a Kronecker sum L_X (x) I + I (x) T.
-
-    Decided from the coefficients' structure alone: each holds t at length
-    1 (or lacks the axis), no mixed (t, X) or first-order t term exists, and
-    c2[t,t] is one constant. `kt` is t's array axis among `ndim` grid axes.
-    """
-    back = kt - ndim   # t's array axis counted from the right
-    for coef in (c2[..., 0, 0], c1[..., 0], c0):
-        if coef.ndim >= -back and coef.shape[back] != 1:
-            return False
-    c2tt = c2[..., it, it]
-    return (not np.any(np.delete(c2[..., it, :], it, axis=-1))
-            and not np.any(np.delete(c2[..., :, it], it, axis=-1))
-            and not np.any(c1[..., it])
-            and bool(np.all(c2tt == c2tt.flat[0])))
-
-
 def solve_dirichlet(assembly: OperatorAssembly, forcing,
                     tolerance: float = 1e-10) -> SolveReport:
     """Solve L u = F with u = 0 at t = +-1.
@@ -299,14 +265,9 @@ def dtt_monitor(d2u_dt2: np.ndarray, domain: DiscreteDomain,
     eta' ~ (C+1 - R_g u)/4, just below (C+1)/4 for small u, and it tends
     to (C+1)/4 as the bump narrows at fixed metric scaling.
 
-    Refuses (ConfigError) when the region holds fewer than 3 t-nodes: a
-    sup over one or two points says nothing about the profile curvature.
+    Refuses (ConfigError) when the region holds fewer than 3 t-nodes
+    (forcing.monitor_core); calibrate_epsilon refuses such a width first.
     """
-    ax = domain.axis("t")
-    region = np.nonzero(np.abs(ax.coords()) < 0.25 * epsilon)[0]
-    if region.size < 3:
-        raise ConfigError(
-            f"monitor region |t| < {0.25 * epsilon:g} contains only "
-            f"{region.size} t-nodes (need >= 3); refine the t grid")
-    sub = np.take(d2u_dt2, region, axis=domain.array_axis("t"))
+    sub = np.take(d2u_dt2, monitor_core(domain.axis("t"), epsilon),
+                  axis=domain.array_axis("t"))
     return float(np.max(np.abs(sub)))

@@ -6,13 +6,11 @@ import scipy.sparse as sp
 from pscbench.grids import (DomainSpec, build_domain, derivatives,
                             w_domains, with_circle, SPHERE, TORUS)
 from pscbench.metrics import (MetricField, make_metric, as_fd,
-                              conformal_metric, product_extend,
-                              restrict_metric)
+                              conformal_metric, restrict_metric)
 from pscbench.curvature import (hypersurface_data, gauss_codazzi_scalar,
                                 laplacian)
 from pscbench.normal import unit_normal, normal_frame
 from pscbench.conformal import conformal_scalar, conformal_ricci_normal
-from pscbench.pipeline import _extend_drift
 from pscbench.solver import (assemble, solve_dirichlet, _coefficients,
                              _sum_terms, _terms)
 
@@ -155,12 +153,8 @@ def slice_laplacian_identity(u: np.ndarray, metric_m: MetricField) -> float:
     is a consistency diagnostic for the slice bookkeeping.
     """
     dom = metric_m.domain
-    kt = dom.array_axis("t")
-    # g_M's t = 0 slice, held at length 1 on t, restricts to the induced g_Y
-    at_0 = [np.expand_dims(dom.at_t0(a), kt)
-            for a in (metric_m.comp, metric_m.d1, metric_m.d2)]
-    metric_y = restrict_metric(MetricField(dom, *at_0), dom.without("t"),
-                               at={"t": 0})
+    metric_y = restrict_metric(metric_m, dom.without("t"),
+                               at={"t": dom.axis("t").n // 2})
     lap0 = dom.at_t0(laplacian(metric_m, u))
     d2t0 = dom.at_t0(dom.diff(u, "t", 2))
     lap_y = laplacian(metric_y, dom.at_t0(u))
@@ -168,16 +162,15 @@ def slice_laplacian_identity(u: np.ndarray, metric_m: MetricField) -> float:
 
 
 def product_fields(spec, name, drift=None, **params):
-    """W, the metric g = h + dt^2 and a drift V on W, both held at length 1
-    on t, built the way the pipeline builds them: h = make_metric(name) on
-    the slice Y, then product_extend and restrict_metric. `drift(y)` gives
-    V's components on Y; V is zero when it is omitted."""
+    """W, the slice metric h_X and a drift's X components, the slice data
+    the pipeline assembles from: h = make_metric(name) on the slice Y,
+    restricted to X. `drift(y)` gives V's components on Y; V is zero when
+    it is omitted. Assemble with `assemble(v_x, c0, h_x, w.axis("t"))`."""
     doms = w_domains(spec)
-    y, w = doms["y"], doms["w"]
-    h = make_metric(name, y, **params)
-    g_w = restrict_metric(product_extend(h, doms["m"]), w)
+    y, x = doms["y"], doms["x"]
+    h_x = restrict_metric(make_metric(name, y, **params), x)
     v_y = np.zeros(y.shape + (y.dim,)) if drift is None else drift(y)
-    return w, g_w, _extend_drift(v_y, y, w)
+    return doms["w"], h_x, v_y[..., [y.index(nm) for nm in x.names]]
 
 
 def oracle_operator(v, potential, metric):
@@ -209,7 +202,8 @@ def mms_flat_cross(res, nt, v=(0.3, 0.4), c0=1.0):
     xs, ys, ts = dom.mesh("x"), dom.mesh("y"), dom.mesh("t")
     u_true = np.cos(np.pi * ts / 2) * np.cos(xs + ys)
     fac = -4 * (v[0] + v[1]) ** 2 + 8 + np.pi ** 2 + c0
-    rep = solve_dirichlet(assemble(drift, c0, g), fac * u_true)
+    rep = solve_dirichlet(assemble(drift, c0, g, dom.axis("t")),
+                          fac * u_true)
     return float(np.max(np.abs(rep.u - u_true))), rep
 
 
@@ -221,7 +215,8 @@ def mms_twisted(res, nt, c=0.5, c0=1.0):
     xs, ts = dom.mesh("x"), dom.mesh("t")
     u_true = np.cos(np.pi * ts / 2) * np.cos(xs)
     fac = 4 * (1 - c * c) / (1 + c * c) + np.pi ** 2 + c0
-    rep = solve_dirichlet(assemble(drift, c0, g), fac * u_true)
+    rep = solve_dirichlet(assemble(drift, c0, g, dom.axis("t")),
+                          fac * u_true)
     return float(np.max(np.abs(rep.u - u_true))), rep
 
 
@@ -234,7 +229,7 @@ def mms_sphere(nrho, nt, r=1.0, b0=0.5, c0=1.0):
             r * np.sin(rh) * np.sqrt(r ** 2 * np.sin(rh) ** 2 + beta ** 2))
         return v
 
-    dom, g, drift_w = product_fields(
+    dom, g, drift_x = product_fields(
         DomainSpec(SPHERE, 2, (nrho,), nt), "sphere_twist", drift=drift,
         r=r, beta0=b0)
     rh, ts = dom.mesh("rho"), dom.mesh("t")
@@ -246,5 +241,5 @@ def mms_sphere(nrho, nt, r=1.0, b0=0.5, c0=1.0):
     F = (-2 * beta ** 2 * Bp * T / (r ** 4 * np.sin(rh) * B)
          + (4 * T / r ** 2) * (np.cos(rh) + Bp * np.sin(rh) / (2 * B))
          + (np.pi ** 2 + c0) * u_true)
-    rep = solve_dirichlet(assemble(drift_w, c0, g), F)
+    rep = solve_dirichlet(assemble(drift_x, c0, g, dom.axis("t")), F)
     return float(np.max(np.abs(rep.u - u_true))), rep

@@ -24,11 +24,9 @@ def test_torus_w_domain_layout():
     assert dom.axis("x").spacing == pytest.approx(TWO_PI / 8)
     assert dom.axis("t").spacing == pytest.approx(2.0 / 8)
     assert dom.axis("t").coords()[4] == 0.0  # odd count pins t = 0 on a node
-    # at_t0 reads that node; a field held at length 1 on t, its one value;
-    # trailing component dimensions pass through
+    # at_t0 reads that node; trailing component dimensions pass through
     f = rng_phi(dom, seed=5)
     assert np.array_equal(dom.at_t0(f), np.take(f, 4, axis=2))
-    assert np.array_equal(dom.at_t0(f[..., 2:3]), f[..., 2])
     vec = np.stack([f, 2.0 * f], axis=-1)
     assert np.array_equal(dom.at_t0(vec), np.take(vec, 4, axis=2))
 

@@ -7,7 +7,7 @@ from pscbench.errors import ConfigError, NumericalFailure
 from pscbench.grids import DomainSpec, build_domain, w_domains, TORUS, SPHERE
 from pscbench.metrics import (MetricField, make_metric, as_fd,
                               conformal_metric, restrict_metric,
-                              product_extend, metric_to_csv, load_metric_csv)
+                              metric_to_csv, load_metric_csv)
 
 from helpers import as_fd_reference, phi_and_jets, rng_phi, stored_theta_y
 
@@ -148,27 +148,10 @@ def test_conformal_metric_analytic_vs_numeric_jets():
     assert np.max(np.abs(exact.d2 - numer.d2)) < 1e-1
 
 
-def test_restrict_and_product_extend_roundtrip():
-    doms = w_domains(DomainSpec(TORUS, 2, (6, 6), 7))
-    h = make_metric("twisted_flat", doms["y"], c=0.5)
-    g_m = product_extend(h, doms["m"])
-    it = doms["m"].index("t")
-    assert np.all(g_m.comp[..., it, it] == 1.0)
-    assert np.max(np.abs(g_m.comp[..., it, :it])) == 0.0
-    # restricting M back to the central slice returns the h block
-    h_back = restrict_metric(g_m, doms["y"], at={"t": doms["m"].axis("t").n // 2})
-    ix = doms["y"].index("x")
-    assert np.max(np.abs(h_back.comp - h.comp)) == 0.0
-    # W restriction drops theta but keeps the twisted x block
-    g_w = restrict_metric(g_m, doms["w"])
-    assert g_w.domain.names == ("x", "y", "t")
-    assert np.all(g_w.comp[..., ix, ix] == 1.25)
-
-
 def test_restrict_metric_at_slice():
     doms = w_domains(DomainSpec(TORUS, 2, (6, 6), 7))
     m = doms["m"]
-    g_m = product_extend(make_metric("product_flat", doms["y"]), m)
+    g_m = make_metric("product_flat", m)
     phi = 0.1 * np.cos(m.mesh("x")) * (1.0 + np.asarray(m.mesh("t")))
     gt = conformal_metric(g_m, phi)
     it0 = m.axis("t").n // 2
@@ -176,6 +159,12 @@ def test_restrict_metric_at_slice():
     kt = m.array_axis("t")
     assert np.max(np.abs(gy.comp
                          - np.take(gt.comp, it0, axis=kt)[..., :3, :3])) == 0.0
+    # dropping the virtual theta needs no index: h_X keeps the twisted x
+    # block of h
+    h_x = restrict_metric(make_metric("twisted_flat", doms["y"], c=0.5),
+                          doms["x"])
+    assert h_x.domain.names == ("x", "y")
+    assert np.all(h_x.comp[..., 0, 0] == 1.25)
 
 
 def test_metric_csv_roundtrip(tmp_path):

@@ -238,9 +238,10 @@ def test_solution_differentiated_once_per_pass(tmp_path, monkeypatch, text,
 @pytest.mark.parametrize("text", [TWISTED_OK, SPHERE_TWIST],
                          ids=["twisted_flat", "sphere_twist"])
 def test_curvature_evaluated_once_per_metric(tmp_path, monkeypatch, text):
-    # each metric caches its own Christoffel symbols and Ricci tensor: one
-    # gamma on h (Y), g_M, g_W and the deformed slice metric (X); Ricci only
-    # on h and the deformed slice, since R_g of g = h + dt^2 is R_h
+    # each metric caches its own Christoffel symbols and Ricci tensor, and
+    # a run builds metrics on Y and X only: gamma on h (Y), h_X and the
+    # deformed slice metric (both X); Ricci on h and the deformed slice,
+    # since R_g of g = h + dt^2 is R_h. No metric on M or W is built
     cfg = parse_config(write(tmp_path, "s.cfg", text))
     label = {dom.names: key.upper()
              for key, dom in w_domains(cfg.domain).items()}
@@ -253,8 +254,29 @@ def test_curvature_evaluated_once_per_metric(tmp_path, monkeypatch, text):
         wrapped.__set_name__(MetricField, prop)
         monkeypatch.setattr(MetricField, prop, wrapped)
     run_scenario(cfg)
-    assert sorted(evals) == [("gamma", "M"), ("gamma", "W"), ("gamma", "X"),
-                             ("gamma", "Y"), ("ricci", "X"), ("ricci", "Y")]
+    assert sorted(evals) == [("gamma", "X"), ("gamma", "X"), ("gamma", "Y"),
+                             ("ricci", "X"), ("ricci", "Y")]
+
+
+def test_unresolvable_monitor_core_exits_4_before_any_solve(tmp_path,
+                                                           monkeypatch):
+    # at 17 t-nodes every width calibration could pick leaves the monitor
+    # core |t| < eps/4 with fewer than 3 nodes: the run is refused while
+    # calibrating, not after a solve whose eta' it cannot read
+    shipped = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                           "twisted_flat_c05.cfg")
+    with open(shipped, encoding="utf-8") as fh:
+        text = fh.read().replace("t_nodes = 49", "t_nodes = 17")
+    assert "t_nodes = 17" in text
+    solves = []
+    solve_dirichlet = pipeline.solve_dirichlet
+    monkeypatch.setattr(
+        pipeline, "solve_dirichlet",
+        lambda *args, **kw: solves.append(1) or solve_dirichlet(*args, **kw))
+    with pytest.raises(ConfigError, match="contains only 1 t-nodes") as err:
+        run_scenario(parse_config(write(tmp_path, "tf17.cfg", text)))
+    assert err.value.exit_code == 4
+    assert solves == []
 
 
 def test_unknown_stage_rejected(tmp_path):

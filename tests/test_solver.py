@@ -15,10 +15,8 @@ import scipy.sparse as sp
 from pscbench.errors import ConfigError, HypothesisViolation, NumericalFailure
 from pscbench.grids import (DomainSpec, build_domain, c1_norm, gradient,
                             w_domains, TORUS, SPHERE)
-from pscbench.metrics import (MetricField, make_metric, product_extend,
-                              restrict_metric)
+from pscbench.metrics import make_metric, restrict_metric
 from pscbench.normal import normal_frame
-from pscbench.pipeline import _extend_drift
 from pscbench.solver import assemble, solve_dirichlet, dtt_monitor, SolveReport
 from pscbench.forcing import build_bump, calibrate_epsilon
 from pscbench import fd, solver
@@ -66,7 +64,7 @@ def test_mms_sphere_twist_drift():
 def test_zero_forcing_zero_solution():
     dom, g, v = product_fields(DomainSpec(TORUS, 2, (8, 8), 9),
                                "product_flat")
-    asm = assemble(v, 1.0, g)
+    asm = assemble(v, 1.0, g, dom.axis("t"))
     rep = solve_dirichlet(asm, np.zeros(dom.shape))
     assert np.max(np.abs(rep.u)) == 0.0
     assert c1_norm(rep.u, gradient(dom, rep.u)) == 0.0
@@ -75,7 +73,7 @@ def test_zero_forcing_zero_solution():
 def test_boundary_rows_are_exact():
     dom, g, v = product_fields(DomainSpec(TORUS, 2, (8, 8), 33),
                                "product_flat")
-    asm = assemble(v, 1.0, g)
+    asm = assemble(v, 1.0, g, dom.axis("t"))
     F = build_bump(9.0, 0.25, dom)
     u = solve_dirichlet(asm, F).u
     kt = dom.array_axis("t")
@@ -87,10 +85,10 @@ def test_maximum_principle_for_bump():
     # nonnegative forcing, positive potential: solution stays nonnegative
     dom, g, v = product_fields(DomainSpec(TORUS, 2, (8, 8), 49),
                                "product_flat")
-    eps = calibrate_epsilon(9.0, 1, 160.0, g)
+    eps = calibrate_epsilon(9.0, 1, 160.0, g, dom.axis("t"))
     assert eps == 0.25
     F = build_bump(9.0, eps, dom)
-    asm = assemble(v, 1.0, g)
+    asm = assemble(v, 1.0, g, dom.axis("t"))
     rep = solve_dirichlet(asm, F)
     assert float(rep.u.min()) >= -1e-12
     assert float(rep.u.max()) == pytest.approx(0.389639747002678, rel=1e-8)
@@ -111,7 +109,7 @@ def test_assemble_flat_drift_free_matrix_is_kron_laplacian():
     dom, g, v = product_fields(DomainSpec(TORUS, 2, (6, 6), 7),
                                "product_flat")
     c0 = 2.0
-    asm = assemble(v, c0, g)
+    asm = assemble(v, c0, g, dom.axis("t"))
     mats = []
     eyes = [sp.identity(n) for n in dom.shape]
     for k, ax in enumerate(dom.stored_axes):
@@ -133,49 +131,38 @@ def test_assemble_flat_drift_free_matrix_is_kron_laplacian():
             <= 1e-13 * np.max(np.abs(expected)))
 
 
-def materialise(metric):
-    """The same metric with every array copied out to the full grid."""
-    dom = metric.domain
-    full = [np.broadcast_to(a, dom.shape + a.shape[len(dom.shape):]).copy()
-            for a in (metric.comp, metric.d1, metric.d2)]
-    return MetricField(dom, *full)
-
-
 @pytest.mark.parametrize("name, spec, params", [
     ("twisted_flat", DomainSpec(TORUS, 2, (6, 6), 9), {"c": 0.5}),
     ("sphere_twist", DomainSpec(SPHERE, 2, (12,), 9),
      {"r": 1.0, "beta0": 0.5}),
 ], ids=["twisted_flat", "sphere_twist"])
-def test_length1_t_fields_match_materialised_oracle(name, spec, params):
-    # t-independent fields are stored once with a length-1 t axis; copying
-    # them out to t_nodes slices must not change a single bit downstream
+def test_slice_assembly_matches_materialised_oracle(name, spec, params):
+    # the operator built from slice data (h_X, V's X components, R_h) is
+    # the general 3-D assembly of the same fields materialised over every
+    # t node: g = h_X + dt^2 as a metric on W, V with a zero t component
     doms = w_domains(spec)
-    m, w = doms["m"], doms["w"]
+    x, w = doms["x"], doms["w"]
     h = make_metric(name, doms["y"], **params)
-    g_m = product_extend(h, m)
-    kt = m.array_axis("t")
-    for arr in (g_m.comp, g_m.d1, g_m.d2):
-        assert arr.shape[kt] == 1
-    r_m = g_m.scalar
-    assert r_m.shape[kt] == 1
-    r_full = materialise(g_m).scalar
-    for it in range(m.axis("t").n):
-        assert np.array_equal(np.take(r_full, it, axis=kt), r_m[..., 0])
+    v_x = normal_frame(h).v[..., [doms["y"].index(nm) for nm in x.names]]
+    r_h = h.scalar
+    asm = assemble(v_x, r_h, restrict_metric(h, x), w.axis("t"))
 
-    g_w = restrict_metric(g_m, w)
-    v_w = _extend_drift(normal_frame(h).v, doms["y"], w)
-    asm = assemble(v_w, r_m, g_w)
-    assert asm.c1.shape[kt] == 1 and asm.c2.shape[kt] == 1
-    full_v = np.broadcast_to(v_w, w.shape + (w.dim,)).copy()
-    full_r = np.broadcast_to(r_m, w.shape).copy()
-    oracle, c2, c1 = oracle_operator(full_v, full_r, materialise(g_w))
-    assert (oracle_operator(v_w, r_m, g_w)[0] != oracle).nnz == 0
-    assert np.array_equal(np.broadcast_to(asm.c1, c1.shape), c1)
-    assert np.array_equal(np.broadcast_to(asm.c2, c2.shape), c2)
+    kt, it = w.array_axis("t"), w.index("t")
+    g_w = make_metric(name, w, **params)
+    assert g_w.comp.shape[kt] == w.axis("t").n
+    full_v = np.zeros(w.shape + (w.dim,))
+    full_v[..., [w.index(nm) for nm in x.names]] = np.expand_dims(v_x, kt)
+    full_r = np.array(np.broadcast_to(np.expand_dims(r_h, kt), w.shape))
+    oracle, c2, c1 = oracle_operator(full_v, full_r, g_w)
+    # t enters the oracle only through c2[t,t] = -4, as the slice assembly
+    # takes by construction
+    assert np.all(c2[..., it, it] == -4.0)
+    assert not np.any(np.delete(c2[..., it, :], it, axis=-1))
+    assert not np.any(c1[..., it])
     # the matrix-free operator is the oracle's matrix
-    x = np.random.default_rng(5).standard_normal(w.node_count)
-    expected = oracle @ x
-    assert (np.max(np.abs(asm.apply(x).ravel() - expected))
+    x_vec = np.random.default_rng(5).standard_normal(w.node_count)
+    expected = oracle @ x_vec
+    assert (np.max(np.abs(asm.apply(x_vec).ravel() - expected))
             <= 1e-13 * np.max(np.abs(expected)))
 
     # fast diagonalization against the oracle's 3-D LU
@@ -190,57 +177,33 @@ def test_length1_t_fields_match_materialised_oracle(name, spec, params):
     assert np.max(np.abs(rhs - oracle @ u_oracle)) <= 1e-10
 
     # a potential that varies in t: only the oracle takes it, and it adds
-    # r_m t^2 to the diagonal of the interior rows
-    shift = np.array(np.broadcast_to(r_m * w.mesh("t") ** 2, w.shape))
+    # r_h t^2 to the diagonal of the interior rows
+    shift = full_r * np.broadcast_to(w.mesh("t") ** 2, w.shape)
     np.moveaxis(shift, kt, 0)[[0, -1]] = 0.0
-    varying, _, _ = oracle_operator(v_w, r_m * (1.0 + w.mesh("t") ** 2), g_w)
-    assert (np.max(np.abs(varying @ x - expected - shift.ravel() * x))
+    varying, _, _ = oracle_operator(full_v, full_r * (1.0 + w.mesh("t") ** 2),
+                                    g_w)
+    assert (np.max(np.abs(varying @ x_vec - expected
+                          - shift.ravel() * x_vec))
             <= 1e-13 * np.max(np.abs(expected)))
 
 
-@pytest.mark.parametrize("case", ["potential", "drift", "metric"])
-def test_assemble_refuses_an_operator_that_does_not_separate_in_t(case):
-    spec = DomainSpec(TORUS, 2, (6, 6), 7)
-    w, g_w, v_w = product_fields(spec, "twisted_flat", c=0.5)
-    potential = 1.0
-    if case == "potential":
-        potential = 1.0 + w.mesh("t") ** 2
-    elif case == "drift":
-        # beside an x component, a t component gives a mixed (x, t) term
-        v_w = np.array(v_w)
-        v_w[..., w.index("x")] = 0.3
-        v_w[..., w.index("t")] = 0.1
-    else:
-        g_w = make_metric("twisted_flat", w, c=0.5)
-        assert g_w.comp.shape[w.array_axis("t")] == w.axis("t").n
-    with pytest.raises(ValueError, match="does not separate in t"):
-        assemble(v_w, potential, g_w)
-
-
-def test_assemble_rejects_domain_without_t():
-    doms = w_domains(DomainSpec(TORUS, 2, (6, 6), 7))
-    g = make_metric("product_flat", doms["y"])
-    with pytest.raises(ConfigError):
-        assemble(np.zeros(doms["y"].shape + (3,)), 1.0, g)
-
-
 def test_symbol_loses_ellipticity_with_unit_drift():
-    dom = build_domain(DomainSpec(TORUS, 2, (6, 6), 7))
-    g = make_metric("product_flat", dom)
-    v = np.zeros(dom.shape + (3,))
+    dom, g, v = product_fields(DomainSpec(TORUS, 2, (6, 6), 7),
+                               "product_flat")
+    v = np.array(v)
     v[..., 0] = 1.2
     with pytest.raises(HypothesisViolation):
-        assemble(v, 1.0, g)
+        assemble(v, 1.0, g, dom.axis("t"))
     v[..., 0] = 1.0  # borderline: symbol is singular, not positive
     with pytest.raises(HypothesisViolation):
-        assemble(v, 1.0, g)
+        assemble(v, 1.0, g, dom.axis("t"))
 
 
 def test_anisotropy_warning():
-    _, g, v = product_fields(DomainSpec(TORUS, 2, (4, 4), 1281),
-                             "product_flat")
+    dom, g, v = product_fields(DomainSpec(TORUS, 2, (4, 4), 1281),
+                               "product_flat")
     with pytest.warns(RuntimeWarning, match="anisotropy"):
-        assemble(v, 1.0, g)
+        assemble(v, 1.0, g, dom.axis("t"))
 
 
 def test_dtt_monitor_region_guard():
@@ -256,7 +219,7 @@ def test_dtt_monitor_region_guard():
 def test_solve_report_is_frozen_record():
     dom, g, v = product_fields(DomainSpec(TORUS, 2, (6, 6), 7),
                                "product_flat")
-    asm = assemble(v, 1.0, g)
+    asm = assemble(v, 1.0, g, dom.axis("t"))
     rep = solve_dirichlet(asm, np.ones(dom.shape))
     with pytest.raises(dataclasses.FrozenInstanceError):
         rep.residual_inf = 0.0
@@ -265,11 +228,10 @@ def test_solve_report_is_frozen_record():
 def test_assembly_factors_once_and_matches_a_fresh_factorization(
         monkeypatch):
     doms = w_domains(DomainSpec(TORUS, 2, (8, 8), 33))
-    w = doms["w"]
+    x, w = doms["x"], doms["w"]
     h = make_metric("twisted_flat", doms["y"], c=0.5)
-    g_m = product_extend(h, doms["m"])
-    args = (_extend_drift(normal_frame(h).v, doms["y"], w),
-            g_m.scalar, restrict_metric(g_m, w))
+    args = (normal_frame(h).v[..., [doms["y"].index(nm) for nm in x.names]],
+            h.scalar, restrict_metric(h, x), w.axis("t"))
     calls = []
     splu = solver.spla.splu
     monkeypatch.setattr(solver.spla, "splu",
@@ -290,7 +252,7 @@ def test_singular_operator_raises_numerical_failure():
     # so the row becomes -lam_0 on its diagonal: block k = 0 gets a zero row
     dom, g, v = product_fields(DomainSpec(TORUS, 2, (6, 6), 7),
                                "product_flat")
-    asm = assemble(v, 1.0, g)
+    asm = assemble(v, 1.0, g, dom.axis("t"))
     lx = asm.slice_operator.tolil()
     lx[0, :] = 0.0
     lx[0, 0] = -asm.t_eigvals[0]
