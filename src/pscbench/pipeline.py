@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,7 +28,8 @@ from .grids import c1_norm, derivatives, w_domains
 from .metrics import load_metric_csv, make_metric, restrict_metric
 from .normal import MARGIN_FLOOR, normal_frame
 from .report import RunReport
-from .solver import assemble, dtt_monitor, solve_dirichlet
+from .solver import (SolveReport, assemble, dtt_monitor, rescale_solution,
+                     solve_dirichlet)
 
 STAGES = ("angle", "solve", "certify")
 
@@ -38,14 +40,26 @@ def build_slice_metric(config: RunConfig, dom_y):
     return make_metric(config.metric_name, dom_y, **config.metric_params)
 
 
-def _solve_pass(config: RunConfig, doms: dict, h, h_x, assembly, c_value):
-    """Calibrate epsilon for one C, build the bump, solve with the run's
-    one assembly (C scales only the forcing), and differentiate u once over
-    M's coordinates. The W-sized partials end here; B1 and the gradient on
-    Y's coordinates (M's without t) come back as their t = 0 slices."""
+class _Pass(NamedTuple):
+    """One solve pass at a fixed C and epsilon. Every field but the forcing
+    is linear in u, so in C + 1."""
+    forcing: np.ndarray
+    solve: SolveReport
+    c1: float
+    b1_0: np.ndarray
+    k1: float
+    eta_prime: float
+    du_y: np.ndarray
+
+
+def _solve_pass(config: RunConfig, doms: dict, h, h_x, assembly, epsilon,
+                c_value) -> _Pass:
+    """Build the bump for one C at a calibrated epsilon, solve with the
+    run's one assembly (C scales only the forcing), and differentiate u
+    once over M's coordinates. The W-sized partials end here; B1 and the
+    gradient on Y's coordinates (M's without t) come back as their t = 0
+    slices."""
     w, m = doms["w"], doms["m"]
-    epsilon = calibrate_epsilon(c_value, config.p, config.delta, h_x,
-                                w.axis("t"))
     forcing = build_bump(c_value, epsilon, w)
     solve = solve_dirichlet(assembly, forcing, tolerance=config.tolerance)
     it = m.index("t")
@@ -53,8 +67,20 @@ def _solve_pass(config: RunConfig, doms: dict, h, h_x, assembly, c_value):
     b1, k1 = laplacian_comparison(m, grad, hess, h, h_x)
     eta_prime = dtt_monitor(hess[..., it, it], m, epsilon)
     du_y = np.delete(m.at_t0(grad), it, axis=-1)
-    return (epsilon, forcing, solve, c1_norm(solve.u, grad), m.at_t0(b1), k1,
-            eta_prime, du_y)
+    return _Pass(forcing, solve, c1_norm(solve.u, grad), m.at_t0(b1), k1,
+                 eta_prime, du_y)
+
+
+def _rescaled_pass(config: RunConfig, assembly, done: _Pass, scale: float,
+                   forcing) -> _Pass:
+    """The pass for `forcing` = scale x the forcing `done` solved, at the
+    same epsilon: everything read from u scales with it, so no derivative
+    pass runs; the scaled u is refined against `forcing`
+    (solver.rescale_solution)."""
+    solve = rescale_solution(assembly, done.solve, scale, forcing,
+                             tolerance=config.tolerance)
+    return _Pass(forcing, solve, scale * done.c1, scale * done.b1_0,
+                 scale * done.k1, scale * done.eta_prime, scale * done.du_y)
 
 
 def run_scenario(config: RunConfig, stage: str = "certify") -> RunReport:
@@ -95,44 +121,53 @@ def run_scenario(config: RunConfig, stage: str = "certify") -> RunReport:
     # -- forcing budget and Dirichlet solve ------------------------------
     # g = h + dt^2 is a product and V is tangent to X, so the operator is
     # built from slice data: h_X, V's X components and R_g = R_h
-    x = doms["x"]
+    x, w = doms["x"], doms["w"]
+    t_axis = w.axis("t")
     h_x = restrict_metric(h, x)
     v_x = frame.v[..., [doms["y"].index(nm) for nm in x.names]]
-    assembly = assemble(v_x, h.scalar, h_x, doms["w"].axis("t"))
+    assembly = assemble(v_x, h.scalar, h_x, t_axis)
     slice_data = hypersurface_data(h, x.names, frame.mu)
 
     auto_c = config.c_mode == "auto"
     c_value = select_C(slice_data, k1=0.0) if auto_c else float(config.c_mode)
-    epsilon, forcing, solve, c1, b1_0, k1, eta_prime, du_y = _solve_pass(
-        config, doms, h, h_x, assembly, c_value)
+    epsilon = calibrate_epsilon(c_value, config.p, config.delta, h_x, t_axis)
+    done = _solve_pass(config, doms, h, h_x, assembly, epsilon, c_value)
     if auto_c:
-        c_second = select_C(slice_data, k1=k1)
+        c_second = select_C(slice_data, k1=done.k1)
         if c_second > c_value:
             # the measured Laplacian mismatch consumed the 10% headroom;
-            # re-budget once with the measured K1 and re-solve
-            c_value = c_second
-            epsilon, forcing, solve, c1, b1_0, k1, eta_prime, du_y = \
-                _solve_pass(config, doms, h, h_x, assembly, c_value)
+            # re-budget once with the measured K1. At an unchanged width
+            # the forcing only scales, and so does everything read from u
+            eps_second = calibrate_epsilon(c_second, config.p, config.delta,
+                                           h_x, t_axis)
+            if eps_second == epsilon:
+                done = _rescaled_pass(config, assembly, done,
+                                      (c_second + 1.0) / (c_value + 1.0),
+                                      build_bump(c_second, epsilon, w))
+            else:
+                done = _solve_pass(config, doms, h, h_x, assembly,
+                                   eps_second, c_second)
+            c_value, epsilon = c_second, eps_second
+    forcing, solve, c1, b1_0, k1, eta_prime, du_y = done
 
     report.c_used = c_value
     report.k1 = k1
     report.epsilon = epsilon
     report.forcing_norm = forcing_norm(c_value, epsilon, config.p, h_x,
-                                       doms["w"].axis("t"))
+                                       t_axis)
     report.solver_stats = dict(solve.stats)
     report.c1_u = c1
     report.dtt_max = eta_prime
     report.headroom = headroom_value(c_value, slice_data, k1)
     if stage == "solve":
         report.wall_time = time.perf_counter() - t_start
-        report.fields = {"y": doms["y"], "w": doms["w"],
+        report.fields = {"y": doms["y"], "w": w,
                          "angle": frame.angle,
                          "margin_minor": frame.dets[..., -1],
                          "u": solve.u}
         return report
 
     # -- conformal lift and certificate ----------------------------------
-    w = doms["w"]
     u_y, phi_y = lift_solution(w, solve.u, c1, n)
     k2 = k2_field(u_y, du_y, h, frame.v, n)
     cert = certificate(u_y, phi_y, n, slice_data, w.at_t0(forcing),
@@ -152,7 +187,7 @@ def run_scenario(config: RunConfig, stage: str = "certify") -> RunReport:
     report.bound_minus_chain_max = cert.bound_minus_chain_max
     report.verdict = cert.verdict
     report.wall_time = time.perf_counter() - t_start
-    report.fields = {"y": doms["y"], "w": doms["w"],
+    report.fields = {"y": doms["y"], "w": w,
                      "angle": frame.angle,
                      "margin_minor": frame.dets[..., -1],
                      "u": solve.u,

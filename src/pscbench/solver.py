@@ -27,9 +27,16 @@ takes the slice data and the t axis; no field of the operator carries t.
 
 The solve is fast diagonalization in t (Lynch, Rice & Thomas, Numer. Math.
 6 (1964) 185-199): with T's Dirichlet block Q diag(lam) Q^T, rotating the
-interior right-hand side by Q^T decouples it into t_nodes - 2 slice
-problems (L_X + lam_k I) w_k = f_k, which one sparse LU of the
-block-diagonal kron(I, L_X) + kron(diag(lam), I) solves together.
+interior right-hand side by Q^T decouples it into slice problems
+(L_X + lam_k I) w_k = f_k. T's Dirichlet block commutes with the
+reflection t -> -t, so each eigenvector is even or odd in t, and the
+operator maps even fields to even fields. The forcing (C+1) bump(t) (x) 1_X
+is even, so only the ceil((t_nodes - 2)/2) even modes are kept, and one
+sparse LU of the block-diagonal kron(I, L_X) + kron(diag(lam_even), I)
+solves them together. The even eigenvectors are symmetrized exactly, so
+the solution is exactly even in t. The odd part of a right-hand side is
+not solved for: the matrix-free residual against the full right-hand side
+carries it, and a residual above tolerance raises NumericalFailure.
 Residuals apply the operator matrix-free; no 3-D matrix is built.
 """
 
@@ -57,9 +64,12 @@ class OperatorAssembly:
     """The operator as its slice part L_X and its t part T on the domain W.
 
     `t_operator` holds the interior rows of T over every t node, and
-    `t_eigvals`, `t_eigvecs` the eigenpairs of its Dirichlet block. Frozen,
-    so the LU of the t-rotated interior block cached on first use stays
-    the factor of this operator; every solve with this assembly reuses it.
+    `t_eigvals`, `t_eigvecs` the even eigenpairs of its Dirichlet block,
+    in ascending order, each vector symmetrized so that it is exactly even
+    in t: the forcing is even, T commutes with t -> -t, so the solution
+    lies in their span and is exactly even. Frozen, so the LU of the
+    t-rotated interior block cached on first use stays the factor of this
+    operator; every solve with this assembly reuses it.
     """
     domain: DiscreteDomain
     slice_operator: sp.csr_matrix
@@ -93,15 +103,18 @@ class OperatorAssembly:
         return np.moveaxis(f, 0, kt)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """The operator's inverse on a field that is zero at t = +-1.
+        """The operator's inverse on the even part in t of a field that is
+        zero at t = +-1; its odd part is dropped.
 
-        The interior rows are rotated into the eigenbasis of T, solved with
-        the block-diagonal factor and rotated back; the t = +-1 rows of the
-        result are exactly 0.
+        The even part (f + Jf)/2 of the interior rows is rotated into the
+        even eigenbasis of T, solved with the block-diagonal factor and
+        rotated back; the t = +-1 rows of the result are exactly 0.
         """
         f = self._t_first(rhs)
+        inner = f[1:-1]
         m = self.t_eigvals.size
-        w = self.lu.solve((self.t_eigvecs.T @ f[1:-1]).ravel())
+        w = self.lu.solve(
+            (self.t_eigvecs.T @ (0.5 * (inner + inner[::-1]))).ravel())
         u = np.zeros_like(f)
         u[1:-1] = self.t_eigvecs @ w.reshape(m, -1)
         return self._on_domain(u)
@@ -137,7 +150,7 @@ def assemble(v_x: np.ndarray, potential, metric_x: MetricField,
              t_axis: Axis) -> OperatorAssembly:
     """The operator on W = X x t_axis for g = h_X + dt^2 (metric_x = h_X)
     and a drift tangent to X with components v_x: L_X on the slice grid,
-    T = -4 D2_t and the eigenpairs of T's Dirichlet block."""
+    T = -4 D2_t and the even eigenpairs of T's Dirichlet block."""
     x = metric_x.domain
     c2, c1, c0 = _coefficients(v_x, potential, metric_x)
 
@@ -155,6 +168,10 @@ def assemble(v_x: np.ndarray, potential, metric_x: MetricField,
     t_operator = -4.0 * diff_matrix(2, t_axis.n, t_axis.spacing,
                                     t_axis.closure)[1:-1]
     lam, q = np.linalg.eigh(t_operator[:, 1:-1].toarray())
+    # the block is reflection-symmetric, so each eigenvector is even
+    # (q . Jq = +1) or odd (-1); keep the even ones, made exactly even
+    even = np.einsum("ik,ik->k", q, q[::-1]) > 0.0
+    lam, q = lam[even], 0.5 * (q[:, even] + q[::-1, even])
     return OperatorAssembly(
         domain=x.with_axis(t_axis),
         slice_operator=_sum_terms(x.shape, _terms(x, c2, c1), c0),
@@ -218,23 +235,20 @@ def _sum_terms(shape, terms, c0) -> sp.csr_matrix:
     return mat + sp.diags(np.broadcast_to(c0, shape).ravel())
 
 
-def solve_dirichlet(assembly: OperatorAssembly, forcing,
-                    tolerance: float = 1e-10) -> SolveReport:
-    """Solve L u = F with u = 0 at t = +-1.
-
-    One sparse LU per assembly, of the t-rotated block-diagonal operator
-    (see OperatorAssembly.lu). At least one iterative-refinement step
-    follows; every residual applies the operator matrix-free
-    (OperatorAssembly.apply). A failed factorization, or an infinity-norm
-    residual that ends above tolerance, raises NumericalFailure.
-
-    The returned report carries u shaped like the domain (exactly zero on
-    the boundary rows) and the final residual.
-    """
+def _dirichlet_rhs(assembly: OperatorAssembly, forcing) -> np.ndarray:
+    """The forcing on the assembly's domain, zeroed at t = +-1."""
     dom = assembly.domain
     rhs = np.array(np.broadcast_to(forcing, dom.shape), dtype=float)
     np.moveaxis(rhs, dom.array_axis("t"), 0)[[0, -1]] = 0.0
-    u = assembly.solve(rhs)
+    return rhs
+
+
+def _refined(assembly: OperatorAssembly, rhs: np.ndarray,
+             u: np.ndarray, tolerance: float) -> SolveReport:
+    """Iterative refinement of u against rhs: at least one step, at most
+    four, each residual applied matrix-free (OperatorAssembly.apply)
+    against the full rhs. NumericalFailure if the infinity-norm residual
+    ends above tolerance."""
     resid = rhs - assembly.apply(u)
     refinements = 0
     while refinements < 4:
@@ -253,6 +267,33 @@ def solve_dirichlet(assembly: OperatorAssembly, forcing,
             f"tolerance {tolerance:.1e}")
     return SolveReport(u=np.ascontiguousarray(u), residual_inf=residual_inf,
                        stats=stats)
+
+
+def solve_dirichlet(assembly: OperatorAssembly, forcing,
+                    tolerance: float = 1e-10) -> SolveReport:
+    """Solve L u = F with u = 0 at t = +-1.
+
+    One sparse LU per assembly, of the t-rotated block-diagonal operator on
+    the even modes of T (see OperatorAssembly.lu), then refinement against
+    the full F: an odd part of F, which the even modes cannot solve for,
+    stays in the residual. A failed factorization, or an infinity-norm
+    residual that ends above tolerance, raises NumericalFailure.
+
+    The returned report carries u shaped like the domain (exactly zero on
+    the boundary rows) and the final residual.
+    """
+    rhs = _dirichlet_rhs(assembly, forcing)
+    return _refined(assembly, rhs, assembly.solve(rhs), tolerance)
+
+
+def rescale_solution(assembly: OperatorAssembly, report: SolveReport,
+                     scale: float, forcing,
+                     tolerance: float = 1e-10) -> SolveReport:
+    """The solve of `forcing` = scale x the forcing `report` solved, by
+    linearity: scale x u, refined against `forcing` as solve_dirichlet
+    refines its first solve."""
+    return _refined(assembly, _dirichlet_rhs(assembly, forcing),
+                    scale * report.u, tolerance)
 
 
 def dtt_monitor(d2u_dt2: np.ndarray, domain: DiscreteDomain,

@@ -5,11 +5,13 @@ import subprocess
 import sys
 from functools import cached_property
 
+import numpy as np
 import pytest
 
 from pscbench import fd, pipeline, solver
 from pscbench.config import parse_config
 from pscbench.errors import ConfigError, HypothesisViolation
+from pscbench.forcing import forcing_norm
 from pscbench.grids import w_domains
 from pscbench.metrics import MetricField
 from pscbench.pipeline import run_scenario
@@ -137,20 +139,67 @@ def test_twisted_flat_torus_never_certifies(tmp_path, c):
 
 def test_auto_c_resolve_reuses_the_one_factorization(tmp_path,
                                                      monkeypatch):
-    # the auto-C re-budget changes the forcing only, so the second solve
-    # pass must reuse the first pass's LU
+    # the auto-C re-budget changes the forcing only, so a second solve
+    # pass at a new epsilon must reuse the first pass's LU. A delta between
+    # the two C values' forcing norms at eps = 1/4 makes the second C
+    # calibrate to eps = 1/8; 97 t-nodes resolve that width's monitor core
+    text = SPHERE_TWIST.replace("t_nodes = 49", "t_nodes = 97")
+    args = []
+    solve_pass = pipeline._solve_pass
+    monkeypatch.setattr(
+        pipeline, "_solve_pass",
+        lambda *a: args.append(a) or solve_pass(*a))
+    first = run_scenario(parse_config(write(tmp_path, "s.cfg", text)),
+                         stage="solve")
+    (config, doms, _, h_x, _, eps, c_first), = args
+    assert eps == 0.25 and first.epsilon == 0.25
+    t_axis = doms["w"].axis("t")
+    norms = [forcing_norm(c, eps, config.p, h_x, t_axis)
+             for c in (c_first, first.c_used)]
+    assert norms[0] < norms[1]
+    text = text.replace("delta = 40.0", f"delta = {sum(norms) / 2!r}")
+
     factorizations, passes = [], []
-    splu, solve_pass = solver.spla.splu, pipeline._solve_pass
+    splu = solver.spla.splu
     monkeypatch.setattr(solver.spla, "splu",
                         lambda mat: factorizations.append(1) or splu(mat))
     monkeypatch.setattr(
         pipeline, "_solve_pass",
-        lambda *args: passes.append(args[-1]) or solve_pass(*args))
-    cfg = parse_config(write(tmp_path, "s.cfg", SPHERE_TWIST))
-    rep = run_scenario(cfg, stage="solve")
-    assert len(passes) == 2 and passes[1] > passes[0]
-    assert rep.c_used == passes[1]
+        lambda *a: passes.append(a[-2:]) or solve_pass(*a))
+    rep = run_scenario(parse_config(write(tmp_path, "s.cfg", text)),
+                       stage="solve")
+    assert passes == [(0.25, c_first), (0.125, first.c_used)]
+    assert (rep.c_used, rep.epsilon) == (first.c_used, 0.125)
     assert len(factorizations) == 1
+
+
+def test_same_epsilon_rebudget_rescales_the_first_pass(tmp_path,
+                                                       monkeypatch):
+    # at an unchanged epsilon the second C only scales the forcing, so the
+    # pass is the first one times (C2 + 1)/(C1 + 1): it must match a fresh
+    # solve pass at C2
+    args = []
+    solve_pass = pipeline._solve_pass
+    monkeypatch.setattr(
+        pipeline, "_solve_pass",
+        lambda *a: args.append(a) or solve_pass(*a))
+    rep = run_scenario(parse_config(write(tmp_path, "s.cfg", SPHERE_TWIST)),
+                       stage="solve")
+    (config, doms, h, h_x, assembly, eps, c_first), = args
+    assert rep.epsilon == eps and rep.c_used > c_first
+    fresh = solve_pass(config, doms, h, h_x, assembly, eps, rep.c_used)
+    u, fresh_u = rep.fields["u"], fresh.solve.u
+    assert np.max(np.abs(u - fresh_u)) <= 1e-12 * np.max(np.abs(fresh_u))
+    for value, fresh_value in ((rep.k1, fresh.k1),
+                               (rep.dtt_max, fresh.eta_prime),
+                               (rep.c1_u, fresh.c1)):
+        assert value == pytest.approx(fresh_value, rel=1e-12, abs=0.0)
+    # the reported residual is the scaled u's against C2's forcing, within
+    # round-off of the fresh solve's, relative to the forcing's sup C2 + 1
+    residual = rep.solver_stats["residual_inf"]
+    assert residual <= config.tolerance
+    assert (abs(residual - fresh.solve.residual_inf)
+            <= 1e-12 * (rep.c_used + 1.0))
 
 
 @pytest.mark.parametrize("text, diffs", [(TWISTED_OK, 5), (SPHERE_TWIST, 2)],
@@ -187,12 +236,13 @@ def test_certificate_differentiates_phi_y_once(tmp_path, monkeypatch, text,
     assert calls == {"certificate": diffs, "lift_solution": 0}
 
 
-@pytest.mark.parametrize("text, w_diffs", [(TWISTED_OK, 18),
-                                           (SPHERE_TWIST, 10)],
+@pytest.mark.parametrize("text, w_diffs", [(TWISTED_OK, 9),
+                                           (SPHERE_TWIST, 5)],
                          ids=["twisted_flat", "sphere_twist"])
 def test_solution_differentiated_once_per_pass(tmp_path, monkeypatch, text,
                                                w_diffs):
-    # each of the two auto-C passes takes one derivative pass of u over M's
+    # the auto-C re-budget keeps epsilon on both configs, so it rescales
+    # the one solve pass, which takes one derivative pass of u over M's
     # stored axes: 3 first, 3 second and 3 mixed stencils on the torus'
     # x, y, t; 2 + 2 + 1 on the sphere's rho, t. The C^1 norm, B1, eta'
     # and K2 read those partials and apply no stencil of their own.
@@ -230,7 +280,7 @@ def test_solution_differentiated_once_per_pass(tmp_path, monkeypatch, text,
         pipeline, "_solve_pass",
         lambda *args: passes.append(1) or solve_pass(*args))
     run_scenario(cfg)
-    assert len(passes) == 2
+    assert len(passes) == 1
     assert len(w_sized) == w_diffs
     assert inside == dict.fromkeys(inside, 0)
 

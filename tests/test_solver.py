@@ -131,6 +131,31 @@ def test_assemble_flat_drift_free_matrix_is_kron_laplacian():
             <= 1e-13 * np.max(np.abs(expected)))
 
 
+def _slice_and_materialised(name, spec, params):
+    """The slice-built assembly on W, and the fields of the same operator
+    materialised over every t node: g = h_X + dt^2 as a metric on W, V
+    with a zero t component, R_h copied along t."""
+    doms = w_domains(spec)
+    x, w = doms["x"], doms["w"]
+    h = make_metric(name, doms["y"], **params)
+    v_x = normal_frame(h).v[..., [doms["y"].index(nm) for nm in x.names]]
+    r_h = h.scalar
+    asm = assemble(v_x, r_h, restrict_metric(h, x), w.axis("t"))
+    kt = w.array_axis("t")
+    g_w = make_metric(name, w, **params)
+    assert g_w.comp.shape[kt] == w.axis("t").n
+    full_v = np.zeros(w.shape + (w.dim,))
+    full_v[..., [w.index(nm) for nm in x.names]] = np.expand_dims(v_x, kt)
+    full_r = np.array(np.broadcast_to(np.expand_dims(r_h, kt), w.shape))
+    return asm, full_v, full_r, g_w
+
+
+def _dirichlet_rhs(forcing, w):
+    rhs = np.array(np.broadcast_to(forcing, w.shape))
+    np.moveaxis(rhs, w.array_axis("t"), 0)[[0, -1]] = 0.0
+    return rhs.ravel()
+
+
 @pytest.mark.parametrize("name, spec, params", [
     ("twisted_flat", DomainSpec(TORUS, 2, (6, 6), 9), {"c": 0.5}),
     ("sphere_twist", DomainSpec(SPHERE, 2, (12,), 9),
@@ -139,20 +164,10 @@ def test_assemble_flat_drift_free_matrix_is_kron_laplacian():
 def test_slice_assembly_matches_materialised_oracle(name, spec, params):
     # the operator built from slice data (h_X, V's X components, R_h) is
     # the general 3-D assembly of the same fields materialised over every
-    # t node: g = h_X + dt^2 as a metric on W, V with a zero t component
-    doms = w_domains(spec)
-    x, w = doms["x"], doms["w"]
-    h = make_metric(name, doms["y"], **params)
-    v_x = normal_frame(h).v[..., [doms["y"].index(nm) for nm in x.names]]
-    r_h = h.scalar
-    asm = assemble(v_x, r_h, restrict_metric(h, x), w.axis("t"))
-
+    # t node
+    asm, full_v, full_r, g_w = _slice_and_materialised(name, spec, params)
+    w = asm.domain
     kt, it = w.array_axis("t"), w.index("t")
-    g_w = make_metric(name, w, **params)
-    assert g_w.comp.shape[kt] == w.axis("t").n
-    full_v = np.zeros(w.shape + (w.dim,))
-    full_v[..., [w.index(nm) for nm in x.names]] = np.expand_dims(v_x, kt)
-    full_r = np.array(np.broadcast_to(np.expand_dims(r_h, kt), w.shape))
     oracle, c2, c1 = oracle_operator(full_v, full_r, g_w)
     # t enters the oracle only through c2[t,t] = -4, as the slice assembly
     # takes by construction
@@ -168,9 +183,7 @@ def test_slice_assembly_matches_materialised_oracle(name, spec, params):
     # fast diagonalization against the oracle's 3-D LU
     forcing = build_bump(2.2, 0.5, w)
     fast = solve_dirichlet(asm, forcing)
-    rhs = np.array(np.broadcast_to(forcing, w.shape))
-    np.moveaxis(rhs, kt, 0)[[0, -1]] = 0.0
-    rhs = rhs.ravel()
+    rhs = _dirichlet_rhs(forcing, w)
     u_oracle = solver.spla.splu(oracle.tocsc()).solve(rhs)
     assert np.max(np.abs(fast.u.ravel() - u_oracle)) <= 1e-12
     assert fast.residual_inf <= 1e-10
@@ -185,6 +198,40 @@ def test_slice_assembly_matches_materialised_oracle(name, spec, params):
     assert (np.max(np.abs(varying @ x_vec - expected
                           - shift.ravel() * x_vec))
             <= 1e-13 * np.max(np.abs(expected)))
+
+
+def test_even_mode_solve_matches_the_oracle_on_a_non_dyadic_t_grid():
+    # 49 t-nodes: the spacing 1/24 is not dyadic, so t and the bump are
+    # even only to round-off, and the odd part the even modes drop is
+    # round-off too
+    asm, full_v, full_r, g_w = _slice_and_materialised(
+        "twisted_flat", DomainSpec(TORUS, 2, (6, 6), 49), {"c": 0.5})
+    w = asm.domain
+    forcing = build_bump(2.2, 0.25, w)
+    kt = w.array_axis("t")
+    assert not np.array_equal(forcing, np.flip(forcing, kt))
+    m = w.axis("t").n - 2
+    assert asm.lu.shape[0] == (m + 1) // 2 * 36
+    assert np.array_equal(asm.t_eigvecs, asm.t_eigvecs[::-1])
+    fast = solve_dirichlet(asm, forcing)
+    assert np.array_equal(fast.u, np.flip(fast.u, kt))
+    oracle, _, _ = oracle_operator(full_v, full_r, g_w)
+    u_oracle = solver.spla.splu(oracle.tocsc()).solve(
+        _dirichlet_rhs(forcing, w))
+    assert np.max(np.abs(fast.u.ravel() - u_oracle)) <= 1e-12
+    assert fast.residual_inf <= 1e-10
+
+
+def test_odd_forcing_fails_the_residual_check():
+    # the even modes cannot solve an odd forcing; the matrix-free residual
+    # against the full forcing keeps it, and the solve refuses
+    dom, g, v = product_fields(DomainSpec(TORUS, 2, (6, 6), 33),
+                               "product_flat")
+    asm = assemble(v, 1.0, g, dom.axis("t"))
+    odd = np.broadcast_to(np.sin(np.pi * dom.mesh("t")), dom.shape)
+    with pytest.raises(NumericalFailure, match="residual") as err:
+        solve_dirichlet(asm, odd)
+    assert err.value.exit_code == 3
 
 
 def test_symbol_loses_ellipticity_with_unit_drift():
@@ -250,6 +297,7 @@ def test_assembly_factors_once_and_matches_a_fresh_factorization(
 def test_singular_operator_raises_numerical_failure():
     # Zeroing a row of L_X alone leaves every block L_X + lam_k I regular,
     # so the row becomes -lam_0 on its diagonal: block k = 0 gets a zero row
+    # (lam_0's eigenvector is even, so its block is factored)
     dom, g, v = product_fields(DomainSpec(TORUS, 2, (6, 6), 7),
                                "product_flat")
     asm = assemble(v, 1.0, g, dom.axis("t"))
