@@ -10,8 +10,8 @@ gives a deformed metric on X whose scalar curvature is evaluated three ways:
             curvature from them;
   bound  -- the certificate: a per-node lower estimate using only the PDE
             data (forcing value, curvature coefficients, the Laplacian
-            mismatch B1, the gradient correction K2, and the profile
-            curvature monitor eta').
+            mismatch B1 (an operator on X), the gradient correction K2,
+            and the profile curvature monitor eta').
 
 The certificate verdict is min bound > 0, strict. Soundness (bound does not
 exceed the chain value beyond discretization noise) is recorded, never
@@ -41,6 +41,7 @@ from .curvature import _FRAME_TOL, HypersurfaceData, laplacian_trace
 from .errors import ConfigError, NumericalFailure
 from .grids import DiscreteDomain, derivatives
 from .metrics import MetricField, conformal_metric, restrict_metric
+from .solver import operator_matrix, slice_apply
 
 POSITIVITY_FLOOR = 1e-8
 
@@ -152,33 +153,26 @@ def exact_slice_scalar(metric_y: MetricField, phi_y: np.ndarray,
                             d2phi[..., x, :][..., :, x]).scalar
 
 
-def laplacian_comparison(m: DiscreteDomain, grad: np.ndarray,
-                         hess: np.ndarray, metric_y: MetricField,
-                         metric_x: MetricField):
+def laplacian_comparison(w: DiscreteDomain, u: np.ndarray,
+                         metric_y: MetricField, metric_x: MetricField):
     """B1 = Lap_{g_M} u - Lap_{sigma* g} u over the W nodes, and K1.
 
-    grad and hess are the partials of u over M's coordinates
-    (grids.derivatives on the domain m). g_M = h + dt^2 and sigma* g =
-    h_X + dt^2 carry the same d^2u/dt^2 term, which cancels: B1 is
-    Lap_h - Lap_{h_X} on each t slice, the contractions of the Y and X
-    index blocks of the same partials with metric_y = h and metric_x =
-    h_X. For product metrics and theta-independent u the two agree and
-    B1 vanishes to round-off; twisted metrics leave a genuine residue
-    from the differing inverse-metric blocks.
+    The d^2u/dt^2 terms of g_M = h + dt^2 and sigma* g = h_X + dt^2 cancel
+    and u does not depend on theta, so B1 is one operator on the slice X
+    (metric_y = h, metric_x = h_X) applied to every t slice of u, with
+    c2 = (h^-1)_XX - h_X^-1, c1 = h_X^ij Gamma_X^k_ij - (h^ij Gamma^k_ij)|_X
+    and c0 = 0. Both vanish exactly for product metrics; twisted metrics
+    leave a genuine residue from the differing inverse-metric blocks.
 
     Returns (B1 field, K1 = 4 sup|B1|).
     """
-    kt = m.array_axis("t")
-
-    def slice_laplacian(metric):
-        # t first, so the t-free metric arrays broadcast over the slices
-        idx = [m.index(name) for name in metric.domain.names]
-        return laplacian_trace(metric, np.moveaxis(grad[..., idx], kt, 0),
-                               np.moveaxis(hess[..., idx, :][..., :, idx],
-                                           kt, 0))
-
-    b1 = np.moveaxis(slice_laplacian(metric_y) - slice_laplacian(metric_x),
-                     0, kt)
+    x = metric_x.domain
+    idx = [metric_y.domain.index(name) for name in x.names]
+    c2 = metric_y.inverse[..., idx, :][..., :, idx] - metric_x.inverse
+    c1 = (np.einsum("...ij,...kij->...k", metric_x.inverse, metric_x.gamma)
+          - np.einsum("...ij,...kij->...k", metric_y.inverse,
+                      metric_y.gamma)[..., idx])
+    b1 = slice_apply(operator_matrix(x, c2, c1, 0.0), w, u)
     return b1, 4.0 * float(np.max(np.abs(b1)))
 
 

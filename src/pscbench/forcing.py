@@ -7,7 +7,7 @@ point, which the downstream cancellation checks rely on.
 
 calibrate_epsilon picks the largest dyadic eps = 2^-k whose forcing has
 L^p norm below delta, refusing (ConfigError) once the plateau would cover
-fewer than min_plateau_nodes grid points, or the monitor core (see
+fewer than MIN_PLATEAU_NODES grid points, or the monitor core (see
 monitor_core) fewer than 3: a bump the grid cannot resolve produces garbage
 second differences, not small ones.
 
@@ -27,6 +27,7 @@ from .metrics import MetricField
 # relative fuzz for plateau/support comparisons: t coordinates are computed
 # by accumulation and can sit 1 ulp off an exact dyadic boundary
 _EDGE_TOL = 1e-12
+MIN_PLATEAU_NODES = 4
 
 
 def smooth_step(s: np.ndarray) -> np.ndarray:
@@ -95,8 +96,7 @@ def forcing_norm(C: float, epsilon: float, p: int, metric_x: MetricField,
 
 
 def calibrate_epsilon(C: float, p: float, delta: float,
-                      metric_x: MetricField, t_axis: Axis,
-                      min_plateau_nodes: int = 4) -> float:
+                      metric_x: MetricField, t_axis: Axis) -> float:
     """Largest dyadic epsilon = 2^-k with ||(C+1) bump_eps||_p < delta on
     W = X x t_axis, metric_x = h_X (see forcing_norm).
 
@@ -111,9 +111,9 @@ def calibrate_epsilon(C: float, p: float, delta: float,
     k = 1
     while True:
         eps = 2.0 ** (-k)
-        if plateau_node_count(t_axis, eps) < min_plateau_nodes:
+        if plateau_node_count(t_axis, eps) < MIN_PLATEAU_NODES:
             raise ConfigError(
-                f"no epsilon with plateau >= {min_plateau_nodes} t-nodes "
+                f"no epsilon with plateau >= {MIN_PLATEAU_NODES} t-nodes "
                 f"satisfies ||F||_{p:g} < {delta:g}; refine the t grid")
         monitor_core(t_axis, eps)
         if forcing_norm(C, eps, p, metric_x, t_axis) < delta:

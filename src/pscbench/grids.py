@@ -19,10 +19,9 @@ Domain construction for a run:
     W = build_domain(spec)             # X x [-1, 1], the solve domain
     X = W.without("t")
     Y = with_circle(X)                 # X x S^1, virtual circle by default
-    M = with_circle(W, before="t")     # Y x [-1, 1], ambient for the chain
 
-Dropping t from M gives Y and dropping theta gives W, with axis orders
-matching the directly built domains.
+A run builds no M = Y x [-1, 1]. Tests build it as with_circle(W,
+before="t"): without t it has Y's axis order, without theta W's.
 """
 
 from __future__ import annotations
@@ -267,15 +266,10 @@ def with_circle(domain: DiscreteDomain, name: str = "theta", n: int = None,
 
 
 def w_domains(spec: DomainSpec) -> dict:
-    """The four domains of one run, keyed 'x', 'y', 'w', 'm'."""
+    """The three domains of one run, keyed 'x', 'y', 'w'."""
     w = build_domain(spec)
     x = w.without("t")
-    return {
-        "x": x,
-        "y": with_circle(x),
-        "w": w,
-        "m": with_circle(w, before="t"),
-    }
+    return {"x": x, "y": with_circle(x), "w": w}
 
 
 def lp_norm(values: np.ndarray, metric, p: int) -> float:
@@ -334,17 +328,22 @@ def coordinate_columns(domain: DiscreteDomain) -> dict:
 
 def fields_to_csv(path, domain: DiscreteDomain, columns: dict) -> None:
     """One row per node: stored coordinates, then the named field columns."""
-    cols = coordinate_columns(domain)
+    fields = []
     for name, values in columns.items():
-        arr = np.asarray(values)
+        arr = np.asarray(values, dtype=float)
         if arr.shape != domain.shape:
             raise ValueError(
                 f"column {name!r} has shape {arr.shape}, grid is {domain.shape}")
-        cols[name] = arr.ravel()
-    data = np.column_stack(list(cols.values()))
-    # one %-format call for the whole table instead of one per row; the
-    # text is byte for byte what np.savetxt(fmt="%.12g") writes
-    row = ",".join(["%.12g"] * data.shape[1]) + "\n"
+        fields.append(arr.ravel())
+    # each axis' coordinates are formatted once, as literal text in the row
+    # formats; the text is byte for byte what np.savetxt(fmt="%.12g") writes
+    rows = [""]
+    for a in domain.stored_axes:
+        texts = ["%.12g," % c for c in a.coords()]
+        rows = [r + c for r in rows for c in texts]
+    tail = ",".join(["%.12g"] * len(fields)) + "\n"
+    names = [a.name for a in domain.stored_axes] + list(columns)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(cols) + "\n")
-        fh.write((row * data.shape[0]) % tuple(data.ravel().tolist()))
+        fh.write(",".join(names) + "\n")
+        fh.write((tail.join(rows) + tail)
+                 % tuple(np.column_stack(fields).ravel().tolist()))

@@ -23,13 +23,13 @@ accuracy instead.
 
 The grid dimensions of each array need only broadcast to the domain's
 shape. A run builds its metrics on the t-free domains only: h on Y and its
-restriction h_X on X. The product metrics h + dt^2 of M and W are never
-built, since every consumer of them reads the slice data (solver.assemble,
-forcing.forcing_norm, conformal.laplacian_comparison).
+restriction h_X on X. The product metrics h + dt^2 on M = Y x [-1, 1] and
+W are never built: solver.assemble, forcing.forcing_norm and the slice
+operator B1 of conformal.laplacian_comparison read the slice data.
 
-Builtins, constructed on any of the X/Y/W/M domains of a run (components
-appear according to which axes the domain has; on W and M they are the
-product metrics materialised over t, which the tests use as oracles):
+Builtins, constructed on any domain whose axes they name (components
+appear according to which axes the domain has; on W and M, which only the
+tests build, they are the product metrics materialised over t):
 
     product_flat           flat torus cross circle, identity components
     twisted_flat{c}        dx^2 + dy^2 (+ dz^2) + (dtheta + c dx)^2

@@ -122,11 +122,22 @@ class OperatorAssembly:
     def apply(self, u: np.ndarray) -> np.ndarray:
         """The operator times a field: L_X on each t slice plus T along t
         on the interior rows, identity on the t = +-1 rows."""
+        u = np.reshape(u, self.domain.shape)
         f = self._t_first(u)
-        out = f.copy()
-        out[1:-1] = ((self.slice_operator @ f[1:-1].T).T
-                     + self.t_operator @ f)
+        out = self._t_first(slice_apply(self.slice_operator, self.domain, u))
+        out[1:-1] += self.t_operator @ f
+        out[[0, -1]] = f[[0, -1]]
         return self._on_domain(out)
+
+
+def slice_apply(mat: sp.spmatrix, domain: DiscreteDomain,
+                values: np.ndarray) -> np.ndarray:
+    """A matrix on the slice grid (the domain without t) applied to every
+    t slice of a field that broadcasts to the domain's shape."""
+    kt = domain.array_axis("t")
+    f = np.moveaxis(np.broadcast_to(values, domain.shape), kt, -1)
+    out = mat @ f.reshape(mat.shape[1], -1)
+    return np.moveaxis(out.reshape(f.shape), -1, kt)
 
 
 @dataclass(frozen=True)
@@ -174,7 +185,7 @@ def assemble(v_x: np.ndarray, potential, metric_x: MetricField,
     lam, q = lam[even], 0.5 * (q[:, even] + q[::-1, even])
     return OperatorAssembly(
         domain=x.with_axis(t_axis),
-        slice_operator=_sum_terms(x.shape, _terms(x, c2, c1), c0),
+        slice_operator=operator_matrix(x, c2, c1, c0),
         t_operator=t_operator, t_eigvals=lam, t_eigvecs=q)
 
 
@@ -203,35 +214,32 @@ def _coefficients(v: np.ndarray, potential, metric: MetricField):
     return c2, c1, c0
 
 
-def _terms(dom: DiscreteDomain, c2, c1) -> list:
-    """(coefficient, {array axis: 1-d difference matrix}) for every second-
-    and first-order term along the stored axes of `dom`, whose coordinate
-    slots c2 and c1 index."""
+def operator_matrix(dom: DiscreteDomain, c2, c1, c0) -> sp.csr_matrix:
+    """sum C2[a,b] d_a d_b + sum C1[k] d_k + C0 as a sparse matrix over
+    the stored grid of `dom`, whose coordinate slots c2 and c1 index:
+    node-diagonal coefficients times Kronecker-embedded 1-d difference
+    matrices."""
+    shape = dom.shape
+
+    def term(coef, factors):
+        return (sp.diags(np.broadcast_to(coef, shape).ravel())
+                @ _embed(shape, factors))
+
     def diff(order, ax):
         return diff_matrix(order, ax.n, ax.spacing, ax.closure)
 
     stored = [(dom.index(ax.name), dom.array_axis(ax.name), ax)
               for ax in dom.stored_axes]
-    terms = []
+    mat = sp.csr_matrix((dom.node_count, dom.node_count))
     for ca, ka, ax in stored:
-        terms.append((c2[..., ca, ca], {ka: diff(2, ax)}))
+        mat = mat + term(c2[..., ca, ca], {ka: diff(2, ax)})
         if np.any(c1[..., ca] != 0.0):
-            terms.append((c1[..., ca], {ka: diff(1, ax)}))
+            mat = mat + term(c1[..., ca], {ka: diff(1, ax)})
     for i, (ca, ka, axa) in enumerate(stored):
         for cb, kb, axb in stored[i + 1:]:
             coef = c2[..., ca, cb] + c2[..., cb, ca]
             if np.any(coef != 0.0):
-                terms.append((coef, {ka: diff(1, axa), kb: diff(1, axb)}))
-    return terms
-
-
-def _sum_terms(shape, terms, c0) -> sp.csr_matrix:
-    """sum of diag(coef) @ (Kronecker-embedded ops) over terms, plus diag(c0)."""
-    nodes = int(np.prod(shape))
-    mat = sp.csr_matrix((nodes, nodes))
-    for coef, ops in terms:
-        mat = mat + sp.diags(np.broadcast_to(coef, shape).ravel()) \
-            @ _embed(shape, ops)
+                mat = mat + term(coef, {ka: diff(1, axa), kb: diff(1, axb)})
     return mat + sp.diags(np.broadcast_to(c0, shape).ravel())
 
 
@@ -299,7 +307,7 @@ def rescale_solution(assembly: OperatorAssembly, report: SolveReport,
 def dtt_monitor(d2u_dt2: np.ndarray, domain: DiscreteDomain,
                 epsilon: float) -> float:
     """sup of |d^2 u / dt^2| over the core region |t| < epsilon/4, read
-    from the field d2u_dt2 (the (t, t) slot of grids.derivatives of u).
+    from the field d2u_dt2 (DiscreteDomain.diff of u, order 2 along t).
 
     This is eta' of the certificate. It is not a small error term: on the
     forcing plateau the equation balances as 4 u'' ~ R_g u - (C+1), so

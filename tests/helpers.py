@@ -11,8 +11,8 @@ from pscbench.curvature import (hypersurface_data, gauss_codazzi_scalar,
                                 laplacian)
 from pscbench.normal import unit_normal, normal_frame
 from pscbench.conformal import conformal_scalar, conformal_ricci_normal
-from pscbench.solver import (assemble, solve_dirichlet, _coefficients,
-                             _sum_terms, _terms)
+from pscbench.solver import (assemble, solve_dirichlet, operator_matrix,
+                             _coefficients)
 
 
 def stored_theta_y(res):
@@ -183,7 +183,7 @@ def oracle_operator(v, potential, metric):
     """
     dom = metric.domain
     c2, c1, c0 = _coefficients(v, potential, metric)
-    mat = _sum_terms(dom.shape, _terms(dom, c2, c1), c0)
+    mat = operator_matrix(dom, c2, c1, c0)
     interior = np.ones(dom.shape)
     np.moveaxis(interior, dom.array_axis("t"), 0)[[0, -1]] = 0.0
     interior = interior.ravel()

@@ -25,7 +25,7 @@ from pscbench.config import parse_config
 from pscbench.forcing import (build_bump, bump_profile, calibrate_epsilon,
                               forcing_norm)
 from pscbench.grids import (SPHERE, TORUS, DomainSpec, build_domain, c1_norm,
-                            derivatives, gradient, w_domains)
+                            gradient, w_domains, with_circle)
 from pscbench.metrics import as_fd, make_metric, restrict_metric
 from pscbench.normal import angle_field, minors_direct, normal_frame, unit_normal
 from pscbench.conformal import laplacian_comparison
@@ -280,15 +280,16 @@ def test_criterion_09_laplacian_identities_and_mismatch_trend(tmp_path):
         wdom = doms["w"]
         xc = wdom.mesh(wdom.names[0])
         u = np.cos(xc) * (1.0 - np.asarray(wdom.mesh("t")) ** 2)
-        b1, _ = laplacian_comparison(doms["m"], *derivatives(doms["m"], u),
-                                     h, restrict_metric(h, doms["x"]))
+        b1, _ = laplacian_comparison(wdom, u, h,
+                                     restrict_metric(h, doms["x"]))
         b1_sup[name] = float(np.max(np.abs(b1)))
     products_ok = all(v < 1e-12 for v in b1_sup.values())
 
     # slice identity residual stays under an O(h^2) envelope
     slice_ok = True
     for res in (12, 24):
-        m = w_domains(DomainSpec(TORUS, 2, (res, res), 9))["m"]
+        m = with_circle(build_domain(DomainSpec(TORUS, 2, (res, res), 9)),
+                        before="t")
         g_m = make_metric("twisted_flat", m, c=0.5)
         u = np.cos(m.mesh("x")) * np.cos(np.pi * np.asarray(m.mesh("t")) / 2)
         resid = slice_laplacian_identity(u, g_m)

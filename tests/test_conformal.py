@@ -10,7 +10,7 @@ import pytest
 
 from pscbench.errors import ConfigError, NumericalFailure
 from pscbench.grids import (DomainSpec, build_domain, c1_norm, derivatives,
-                            gradient, w_domains, TORUS, SPHERE)
+                            gradient, w_domains, with_circle, TORUS, SPHERE)
 from pscbench.metrics import make_metric, restrict_metric
 from pscbench.curvature import hypersurface_data, HypersurfaceData, laplacian
 from pscbench.normal import normal_frame
@@ -199,17 +199,15 @@ def test_select_c_and_headroom_arithmetic():
 
 def test_laplacian_comparison_product_and_constant():
     doms = w_domains(DomainSpec(TORUS, 2, (8, 8), 9))
-    m = doms["m"]
+    w = doms["w"]
     h = make_metric("product_flat", doms["y"])
-    u = 1.0 + 0.1 * np.cos(m.mesh("x")) \
-        * np.asarray(np.broadcast_to(m.mesh("t"), m.shape))
-    b1, k1 = laplacian_comparison(m, *derivatives(m, u), h,
-                                  restrict_metric(h, doms["x"]))
+    u = 1.0 + 0.1 * np.cos(w.mesh("x")) \
+        * np.asarray(np.broadcast_to(w.mesh("t"), w.shape))
+    b1, k1 = laplacian_comparison(w, u, h, restrict_metric(h, doms["x"]))
     assert np.max(np.abs(b1)) == 0.0 and k1 == 0.0
     ht = make_metric("twisted_flat", doms["y"], c=0.5)
-    b1c, k1c = laplacian_comparison(
-        m, *derivatives(m, np.ones(m.shape)), ht,
-        restrict_metric(ht, doms["x"]))
+    b1c, k1c = laplacian_comparison(w, np.ones(w.shape), ht,
+                                    restrict_metric(ht, doms["x"]))
     assert np.max(np.abs(b1c)) == 0.0 and k1c == 0.0
 
 
@@ -218,11 +216,10 @@ def test_laplacian_comparison_twisted_residue():
     doms = w_domains(DomainSpec(TORUS, 2, (16, 16), 9))
     c = 0.5
     ht = make_metric("twisted_flat", doms["y"], c=c)
-    m = doms["m"]
-    u = np.cos(m.mesh("x")) * np.ones(m.shape)
-    b1, k1 = laplacian_comparison(m, *derivatives(m, u), ht,
-                                  restrict_metric(ht, doms["x"]))
-    ref = (c * c / (1 + c * c)) * m.diff(u, "x", 2)
+    w = doms["w"]
+    u = np.cos(w.mesh("x")) * np.ones(w.shape)
+    b1, k1 = laplacian_comparison(w, u, ht, restrict_metric(ht, doms["x"]))
+    ref = (c * c / (1 + c * c)) * w.diff(u, "x", 2)
     assert np.max(np.abs(b1 - ref)) < 1e-13
     assert k1 == pytest.approx(4.0 * float(np.max(np.abs(ref))))
 
@@ -231,28 +228,30 @@ def test_laplacian_comparison_twisted_residue():
     ("twisted_flat", DomainSpec(TORUS, 2, (8, 8), 9), {"c": 0.5}),
     ("sphere_twist", DomainSpec(SPHERE, 2, (16,), 9),
      {"r": 1.0, "beta0": 0.5}),
-], ids=["twisted_flat", "sphere_twist"])
+    ("twisted_flat", DomainSpec(TORUS, 3, (6, 6, 6), 9), {"c": 0.5}),
+], ids=["twisted_flat", "sphere_twist", "twisted_flat_dim3"])
 def test_laplacian_comparison_differentiates_u_once(name, spec, params):
-    # both Laplacians contract the one derivative pass over M's coordinates
-    # (the pipeline's count of that pass is in test_pipeline_cli)
+    # B1 is one operator on the slice X applied to every t slice of u; no
+    # partial of u over M's coordinates is taken (the pipeline's count of
+    # u's stencils is in test_pipeline_cli)
     doms = w_domains(spec)
-    m = doms["m"]
+    w = doms["w"]
     h = make_metric(name, doms["y"], **params)
-    u = 1.0 + rng_phi(doms["w"], seed=2)
-    b1, k1 = laplacian_comparison(m, *derivatives(m, u), h,
-                                  restrict_metric(h, doms["x"]))
+    u = 1.0 + rng_phi(w, seed=2)
+    b1, k1 = laplacian_comparison(w, u, h, restrict_metric(h, doms["x"]))
     assert k1 == 4.0 * float(np.max(np.abs(b1))) and k1 > 0.0
     # the oracle: the two Laplacians of the product metrics g_M = h + dt^2
     # and g_W = h_X + dt^2, materialised over t. Their d^2u/dt^2 terms
     # cancel analytically in B1, so the two agree to round-off
-    lap_m = laplacian(make_metric(name, m, **params), u)
-    oracle = lap_m - laplacian(make_metric(name, doms["w"], **params), u)
+    lap_m = laplacian(make_metric(name, with_circle(w, before="t"), **params),
+                      u)
+    oracle = lap_m - laplacian(make_metric(name, w, **params), u)
     assert np.max(np.abs(b1 - oracle)) <= 1e-14 * np.max(np.abs(lap_m))
 
 
 def test_slice_laplacian_identity_cases():
-    doms = w_domains(DomainSpec(TORUS, 2, (8, 8), 9))
-    m = doms["m"]
+    m = with_circle(build_domain(DomainSpec(TORUS, 2, (8, 8), 9)),
+                    before="t")
     g_m = make_metric("product_flat", m)
     # t-independent field: the d^2/dt^2 term vanishes and the slice
     # Laplacian is the full one

@@ -63,12 +63,14 @@ def test_domain_spec_validation():
 
 def test_w_domains_share_stored_shapes():
     doms = w_domains(DomainSpec(TORUS, 2, (6, 6), 7))
-    assert set(doms) == {"x", "y", "w", "m"}
+    assert set(doms) == {"x", "y", "w"}
+    # M, the tests' ambient domain for product metrics over t
+    m = with_circle(doms["w"], before="t")
     assert doms["y"].names == ("x", "y", "theta")
-    assert doms["m"].names == ("x", "y", "theta", "t")
+    assert m.names == ("x", "y", "theta", "t")
     # theta is virtual: the circle adds no array dimension
     assert doms["y"].shape == doms["x"].shape
-    assert doms["m"].shape == doms["w"].shape
+    assert m.shape == doms["w"].shape
 
 
 def test_integrate_counts_virtual_circumference():

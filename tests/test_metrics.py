@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from pscbench.errors import ConfigError, NumericalFailure
-from pscbench.grids import DomainSpec, build_domain, w_domains, TORUS, SPHERE
+from pscbench.grids import (DomainSpec, build_domain, w_domains, with_circle,
+                            TORUS, SPHERE)
 from pscbench.metrics import (MetricField, make_metric, as_fd,
                               conformal_metric, restrict_metric,
                               metric_to_csv, load_metric_csv)
@@ -150,7 +151,7 @@ def test_conformal_metric_analytic_vs_numeric_jets():
 
 def test_restrict_metric_at_slice():
     doms = w_domains(DomainSpec(TORUS, 2, (6, 6), 7))
-    m = doms["m"]
+    m = with_circle(doms["w"], before="t")
     g_m = make_metric("product_flat", m)
     phi = 0.1 * np.cos(m.mesh("x")) * (1.0 + np.asarray(m.mesh("t")))
     gt = conformal_metric(g_m, phi)
