@@ -9,11 +9,11 @@ positivity on X.
 __version__ = "0.1.0"
 
 from .config import RunConfig, parse_config
-from .conformal import (CertificateReport, certificate, chain_scalar,
-                        conformal_ricci_normal, conformal_scalar,
-                        conformal_second_fundamental, exact_slice_scalar,
-                        k2_field, laplacian_comparison, lift_solution,
-                        select_C)
+from .conformal import (CertificateReport, b1_operator, certificate,
+                        chain_scalar, conformal_ricci_normal,
+                        conformal_scalar, conformal_second_fundamental,
+                        exact_slice_scalar, k2_field, laplacian_comparison,
+                        lift_solution, select_C)
 from .curvature import (HypersurfaceData, gauss_codazzi_scalar,
                         hypersurface_data, laplacian)
 from .errors import (ConfigError, HypothesisViolation, NumericalFailure,

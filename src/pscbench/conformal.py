@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
 
 from .curvature import _FRAME_TOL, HypersurfaceData, laplacian_trace
 from .errors import ConfigError, NumericalFailure
@@ -153,18 +154,18 @@ def exact_slice_scalar(metric_y: MetricField, phi_y: np.ndarray,
                             d2phi[..., x, :][..., :, x]).scalar
 
 
-def laplacian_comparison(w: DiscreteDomain, u: np.ndarray,
-                         metric_y: MetricField, metric_x: MetricField):
-    """B1 = Lap_{g_M} u - Lap_{sigma* g} u over the W nodes, and K1.
+def b1_operator(metric_y: MetricField,
+                metric_x: MetricField) -> sp.csr_matrix:
+    """The operator on the slice X whose value on u is the Laplacian
+    mismatch B1 = Lap_{g_M} u - Lap_{sigma* g} u.
 
     The d^2u/dt^2 terms of g_M = h + dt^2 and sigma* g = h_X + dt^2 cancel
     and u does not depend on theta, so B1 is one operator on the slice X
     (metric_y = h, metric_x = h_X) applied to every t slice of u, with
     c2 = (h^-1)_XX - h_X^-1, c1 = h_X^ij Gamma_X^k_ij - (h^ij Gamma^k_ij)|_X
     and c0 = 0. Both vanish exactly for product metrics; twisted metrics
-    leave a genuine residue from the differing inverse-metric blocks.
-
-    Returns (B1 field, K1 = 4 sup|B1|).
+    leave a genuine residue from the differing inverse-metric blocks. It
+    does not depend on u, so a run builds it once.
     """
     x = metric_x.domain
     idx = [metric_y.domain.index(name) for name in x.names]
@@ -172,8 +173,15 @@ def laplacian_comparison(w: DiscreteDomain, u: np.ndarray,
     c1 = (np.einsum("...ij,...kij->...k", metric_x.inverse, metric_x.gamma)
           - np.einsum("...ij,...kij->...k", metric_y.inverse,
                       metric_y.gamma)[..., idx])
-    b1 = slice_apply(operator_matrix(x, c2, c1, 0.0), w, u)
-    return b1, 4.0 * float(np.max(np.abs(b1)))
+    return operator_matrix(x, c2, c1, 0.0)
+
+
+def laplacian_comparison(w: DiscreteDomain, u: np.ndarray,
+                         b1: sp.spmatrix):
+    """B1 over the W nodes, the operator b1 (b1_operator) applied to every
+    t slice of u, and K1 = 4 sup|B1|."""
+    b1_u = slice_apply(b1, w, u)
+    return b1_u, 4.0 * float(np.max(np.abs(b1_u)))
 
 
 def k2_field(u_w: np.ndarray, du: np.ndarray, metric: MetricField,

@@ -25,7 +25,7 @@ The grid dimensions of each array need only broadcast to the domain's
 shape. A run builds its metrics on the t-free domains only: h on Y and its
 restriction h_X on X. The product metrics h + dt^2 on M = Y x [-1, 1] and
 W are never built: solver.assemble, forcing.forcing_norm and the slice
-operator B1 of conformal.laplacian_comparison read the slice data.
+operator of conformal.b1_operator read the slice data.
 
 Builtins, constructed on any domain whose axes they name (components
 appear according to which axes the domain has; on W and M, which only the

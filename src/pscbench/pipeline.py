@@ -18,8 +18,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .conformal import (certificate, headroom_value, k2_field, lift_solution,
-                        laplacian_comparison, select_C)
+from .conformal import (b1_operator, certificate, headroom_value, k2_field,
+                        lift_solution, laplacian_comparison, select_C)
 from .config import RunConfig
 from .curvature import hypersurface_data
 from .errors import ConfigError, HypothesisViolation, NumericalFailure
@@ -52,16 +52,17 @@ class _Pass(NamedTuple):
     du_y: np.ndarray
 
 
-def _solve_pass(config: RunConfig, doms: dict, h, h_x, assembly, epsilon,
+def _solve_pass(config: RunConfig, doms: dict, assembly, b1_op, epsilon,
                 c_value) -> _Pass:
     """Build the bump for one C at a calibrated epsilon, solve with the
     run's one assembly (C scales only the forcing), and read from u only
-    the partials used: its gradient (C^1 norm), d^2u/dt^2 (eta'), B1 (K1)
-    and the gradient of its t = 0 slice on Y's coordinates (K2)."""
+    the partials used: its gradient (C^1 norm), d^2u/dt^2 (eta'), B1 (the
+    run's one B1 operator b1_op applied to u; K1) and the gradient of its
+    t = 0 slice on Y's coordinates (K2)."""
     w = doms["w"]
     forcing = build_bump(c_value, epsilon, w)
     solve = solve_dirichlet(assembly, forcing, tolerance=config.tolerance)
-    b1, k1 = laplacian_comparison(w, solve.u, h, h_x)
+    b1, k1 = laplacian_comparison(w, solve.u, b1_op)
     return _Pass(forcing, solve, c1_norm(solve.u, gradient(w, solve.u)),
                  w.at_t0(b1), k1,
                  dtt_monitor(w.diff(solve.u, "t", 2), w, epsilon),
@@ -123,12 +124,13 @@ def run_scenario(config: RunConfig, stage: str = "certify") -> RunReport:
     h_x = restrict_metric(h, x)
     v_x = frame.v[..., [doms["y"].index(nm) for nm in x.names]]
     assembly = assemble(v_x, h.scalar, h_x, t_axis)
+    b1_op = b1_operator(h, h_x)
     slice_data = hypersurface_data(h, x.names, frame.mu)
 
     auto_c = config.c_mode == "auto"
     c_value = select_C(slice_data, k1=0.0) if auto_c else float(config.c_mode)
     epsilon = calibrate_epsilon(c_value, config.p, config.delta, h_x, t_axis)
-    done = _solve_pass(config, doms, h, h_x, assembly, epsilon, c_value)
+    done = _solve_pass(config, doms, assembly, b1_op, epsilon, c_value)
     if auto_c:
         c_second = select_C(slice_data, k1=done.k1)
         if c_second > c_value:
@@ -142,7 +144,7 @@ def run_scenario(config: RunConfig, stage: str = "certify") -> RunReport:
                                       (c_second + 1.0) / (c_value + 1.0),
                                       build_bump(c_second, epsilon, w))
             else:
-                done = _solve_pass(config, doms, h, h_x, assembly,
+                done = _solve_pass(config, doms, assembly, b1_op,
                                    eps_second, c_second)
             c_value, epsilon = c_second, eps_second
     forcing, solve, c1, b1_0, k1, eta_prime, du_y = done

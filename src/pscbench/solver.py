@@ -32,12 +32,23 @@ interior right-hand side by Q^T decouples it into slice problems
 reflection t -> -t, so each eigenvector is even or odd in t, and the
 operator maps even fields to even fields. The forcing (C+1) bump(t) (x) 1_X
 is even, so only the ceil((t_nodes - 2)/2) even modes are kept, and one
-sparse LU of the block-diagonal kron(I, L_X) + kron(diag(lam_even), I)
-solves them together. The even eigenvectors are symmetrized exactly, so
-the solution is exactly even in t. The odd part of a right-hand side is
-not solved for: the matrix-free residual against the full right-hand side
-carries it, and a residual above tolerance raises NumericalFailure.
-Residuals apply the operator matrix-free; no 3-D matrix is built.
+LU of the block-diagonal kron(I, L_X) + kron(diag(lam_even), I) solves
+them together. The even eigenvectors are symmetrized exactly, so the
+solution is exactly even in t.
+
+The LU takes one of two routes. Every block L_X + lam_k I has L_X's kl
+sub- and ku super-diagonals. When L_X is banded in its natural order,
+that is when the band storage (2 kl + ku + 1) |X| is at most 2 nnz(L_X)
+(every one-axis slice without a periodic closure: the sphere), the block
+matrix is written straight into LAPACK band storage and factored by band
+LU (gbtrf; solves by gbtrs). Otherwise (the 2-D torus slices, whose
+periodic rows span the grid) it is assembled as a sparse matrix and
+factored by SuperLU (spla.splu).
+
+The odd part of a right-hand side is not solved for: the matrix-free
+residual against the full right-hand side carries it, and a residual
+above tolerance raises NumericalFailure. Residuals apply the operator
+matrix-free; no 3-D matrix is built.
 """
 
 from __future__ import annotations
@@ -49,6 +60,7 @@ from functools import cached_property
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import HypothesisViolation, NumericalFailure
 from .fd import diff_matrix
@@ -57,6 +69,34 @@ from .grids import Axis, DiscreteDomain, gradient
 from .metrics import MetricField
 
 ANISOTROPY_WARN_RATIO = 1e6
+
+
+class _BandLU:
+    """LAPACK band LU (gbtrf) of the block-diagonal
+    kron(I, L_X) + kron(diag(lam), I), L_X (COO) having kl sub- and ku
+    super-diagonals; `solve` is gbtrs. `nnz` counts the band storage,
+    (2 kl + ku + 1) x the order."""
+
+    def __init__(self, lx: sp.coo_matrix, kl: int, ku: int,
+                 lam: np.ndarray):
+        # column j of the band array is node j, row kl + ku + i - j holds
+        # entry (i, j); built transposed, so that the array gbtrf takes is
+        # Fortran-ordered and factored in place
+        block = np.zeros((lx.shape[0], 2 * kl + ku + 1))
+        np.add.at(block, (lx.col, kl + ku + lx.row - lx.col), lx.data)
+        band = np.repeat(block[None], lam.size, axis=0)
+        band[:, :, kl + ku] += lam[:, None]
+        lu, self._piv, info = dgbtrf(band.reshape(-1, block.shape[1]).T,
+                                     kl, ku, overwrite_ab=1)
+        if info > 0:
+            raise NumericalFailure(
+                f"band LU factorization failed: exactly singular pivot at "
+                f"row {info}")
+        self._lu, self._kl, self._ku = lu, kl, ku
+        self.nnz = lu.size
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        return dgbtrs(self._lu, self._kl, self._ku, rhs, self._piv)[0]
 
 
 @dataclass(frozen=True)
@@ -70,6 +110,10 @@ class OperatorAssembly:
     lies in their span and is exactly even. Frozen, so the LU of the
     t-rotated interior block cached on first use stays the factor of this
     operator; every solve with this assembly reuses it.
+
+    The factor is a band LU when L_X is banded in its natural order (band
+    storage (2 kl + ku + 1) |X| <= 2 nnz(L_X)), else SuperLU of the sparse
+    block matrix; `factor_stats` names the route and its stored entries.
     """
     domain: DiscreteDomain
     slice_operator: sp.csr_matrix
@@ -79,6 +123,13 @@ class OperatorAssembly:
 
     @cached_property
     def lu(self):
+        """The factor of the t-rotated block matrix: band LU when L_X is
+        banded in its natural order, else SuperLU."""
+        lx = self.slice_operator.tocoo()
+        kl = int(np.max(lx.row - lx.col, initial=0))
+        ku = int(np.max(lx.col - lx.row, initial=0))
+        if (2 * kl + ku + 1) * lx.shape[0] <= 2 * lx.nnz:
+            return _BandLU(lx, kl, ku, self.t_eigvals)
         eye_x = sp.identity(self.slice_operator.shape[0], format="csr")
         mat = (sp.kron(sp.identity(self.t_eigvals.size, format="csr"),
                        self.slice_operator)
@@ -88,6 +139,16 @@ class OperatorAssembly:
         except RuntimeError as exc:
             raise NumericalFailure(
                 f"sparse LU factorization failed: {exc}") from exc
+
+    @property
+    def factor_stats(self) -> dict:
+        """The factor route ("banded" or "sparse_lu") and the entries the
+        factor stores: the band storage, or SuperLU's supernodal L and U
+        storage (its `nnz`; exporting L and U to count them costs a copy
+        of the factor)."""
+        return {"factor": ("banded" if isinstance(self.lu, _BandLU)
+                           else "sparse_lu"),
+                "factor_nnz": int(self.lu.nnz)}
 
     def _t_first(self, values: np.ndarray) -> np.ndarray:
         """A field on the domain as (t_nodes, |X|): one row per t slice."""
@@ -268,7 +329,8 @@ def _refined(assembly: OperatorAssembly, rhs: np.ndarray,
     residual_inf = float(np.max(np.abs(resid)))
     stats = {"nodes": rhs.size,
              "slice_nnz": int(assembly.slice_operator.nnz),
-             "refinements": refinements, "residual_inf": residual_inf}
+             "refinements": refinements, "residual_inf": residual_inf,
+             **assembly.factor_stats}
     if residual_inf > tolerance:
         raise NumericalFailure(
             f"solver residual {residual_inf:.3e} exceeds "
@@ -281,14 +343,19 @@ def solve_dirichlet(assembly: OperatorAssembly, forcing,
                     tolerance: float = 1e-10) -> SolveReport:
     """Solve L u = F with u = 0 at t = +-1.
 
-    One sparse LU per assembly, of the t-rotated block-diagonal operator on
-    the even modes of T (see OperatorAssembly.lu), then refinement against
-    the full F: an odd part of F, which the even modes cannot solve for,
-    stays in the residual. A failed factorization, or an infinity-norm
-    residual that ends above tolerance, raises NumericalFailure.
+    One LU per assembly, of the t-rotated block-diagonal operator on the
+    even modes of T (see OperatorAssembly.lu): a LAPACK band LU when L_X
+    is banded in its natural order (band storage (2 kl + ku + 1) |X| at
+    most 2 nnz(L_X)), else SuperLU of the sparse block matrix. Then
+    refinement against the full F: an odd part of F, which the even modes
+    cannot solve for, stays in the residual. A failed factorization, or
+    an infinity-norm residual that ends above tolerance, raises
+    NumericalFailure.
 
     The returned report carries u shaped like the domain (exactly zero on
-    the boundary rows) and the final residual.
+    the boundary rows) and the final residual; its stats name the factor
+    route (`factor`: banded or sparse_lu) and its stored entries
+    (`factor_nnz`).
     """
     rhs = _dirichlet_rhs(assembly, forcing)
     return _refined(assembly, rhs, assembly.solve(rhs), tolerance)

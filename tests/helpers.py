@@ -1,5 +1,7 @@
 """Shared manufactured fields and residual constructions used across tests."""
 
+from functools import cached_property
+
 import numpy as np
 import scipy.sparse as sp
 
@@ -11,8 +13,8 @@ from pscbench.curvature import (hypersurface_data, gauss_codazzi_scalar,
                                 laplacian)
 from pscbench.normal import unit_normal, normal_frame
 from pscbench.conformal import conformal_scalar, conformal_ricci_normal
-from pscbench.solver import (assemble, solve_dirichlet, operator_matrix,
-                             _coefficients)
+from pscbench.solver import (OperatorAssembly, assemble, solve_dirichlet,
+                             operator_matrix, _coefficients)
 
 
 def stored_theta_y(res):
@@ -171,6 +173,22 @@ def product_fields(spec, name, drift=None, **params):
     h_x = restrict_metric(make_metric(name, y, **params), x)
     v_y = np.zeros(y.shape + (y.dim,)) if drift is None else drift(y)
     return doms["w"], h_x, v_y[..., [y.index(nm) for nm in x.names]]
+
+
+def record_factorizations(monkeypatch) -> list:
+    """Record every assembly whose factor is built (OperatorAssembly.lu),
+    whichever route factors it; returns the record."""
+    built = []
+    func = vars(OperatorAssembly)["lu"].func
+
+    def counted(assembly):
+        built.append(assembly)
+        return func(assembly)
+
+    wrapped = cached_property(counted)
+    wrapped.__set_name__(OperatorAssembly, "lu")
+    monkeypatch.setattr(OperatorAssembly, "lu", wrapped)
+    return built
 
 
 def oracle_operator(v, potential, metric):

@@ -28,7 +28,7 @@ from pscbench.grids import (SPHERE, TORUS, DomainSpec, build_domain, c1_norm,
                             gradient, w_domains, with_circle)
 from pscbench.metrics import as_fd, make_metric, restrict_metric
 from pscbench.normal import angle_field, minors_direct, normal_frame, unit_normal
-from pscbench.conformal import laplacian_comparison
+from pscbench.conformal import b1_operator, laplacian_comparison
 from pscbench.pipeline import run_scenario
 from pscbench.solver import assemble, dtt_monitor, solve_dirichlet
 
@@ -280,8 +280,8 @@ def test_criterion_09_laplacian_identities_and_mismatch_trend(tmp_path):
         wdom = doms["w"]
         xc = wdom.mesh(wdom.names[0])
         u = np.cos(xc) * (1.0 - np.asarray(wdom.mesh("t")) ** 2)
-        b1, _ = laplacian_comparison(wdom, u, h,
-                                     restrict_metric(h, doms["x"]))
+        b1, _ = laplacian_comparison(
+            wdom, u, b1_operator(h, restrict_metric(h, doms["x"])))
         b1_sup[name] = float(np.max(np.abs(b1)))
     products_ok = all(v < 1e-12 for v in b1_sup.values())
 

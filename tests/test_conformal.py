@@ -14,7 +14,7 @@ from pscbench.grids import (DomainSpec, build_domain, c1_norm, derivatives,
 from pscbench.metrics import make_metric, restrict_metric
 from pscbench.curvature import hypersurface_data, HypersurfaceData, laplacian
 from pscbench.normal import normal_frame
-from pscbench.conformal import (lift_solution, conformal_scalar,
+from pscbench.conformal import (b1_operator, lift_solution, conformal_scalar,
                                 conformal_ricci_normal,
                                 conformal_second_fundamental, chain_scalar,
                                 exact_slice_scalar, laplacian_comparison,
@@ -203,11 +203,13 @@ def test_laplacian_comparison_product_and_constant():
     h = make_metric("product_flat", doms["y"])
     u = 1.0 + 0.1 * np.cos(w.mesh("x")) \
         * np.asarray(np.broadcast_to(w.mesh("t"), w.shape))
-    b1, k1 = laplacian_comparison(w, u, h, restrict_metric(h, doms["x"]))
+    b1, k1 = laplacian_comparison(
+        w, u, b1_operator(h, restrict_metric(h, doms["x"])))
     assert np.max(np.abs(b1)) == 0.0 and k1 == 0.0
     ht = make_metric("twisted_flat", doms["y"], c=0.5)
-    b1c, k1c = laplacian_comparison(w, np.ones(w.shape), ht,
-                                    restrict_metric(ht, doms["x"]))
+    b1c, k1c = laplacian_comparison(
+        w, np.ones(w.shape),
+        b1_operator(ht, restrict_metric(ht, doms["x"])))
     assert np.max(np.abs(b1c)) == 0.0 and k1c == 0.0
 
 
@@ -218,7 +220,8 @@ def test_laplacian_comparison_twisted_residue():
     ht = make_metric("twisted_flat", doms["y"], c=c)
     w = doms["w"]
     u = np.cos(w.mesh("x")) * np.ones(w.shape)
-    b1, k1 = laplacian_comparison(w, u, ht, restrict_metric(ht, doms["x"]))
+    b1, k1 = laplacian_comparison(
+        w, u, b1_operator(ht, restrict_metric(ht, doms["x"])))
     ref = (c * c / (1 + c * c)) * w.diff(u, "x", 2)
     assert np.max(np.abs(b1 - ref)) < 1e-13
     assert k1 == pytest.approx(4.0 * float(np.max(np.abs(ref))))
@@ -238,7 +241,8 @@ def test_laplacian_comparison_differentiates_u_once(name, spec, params):
     w = doms["w"]
     h = make_metric(name, doms["y"], **params)
     u = 1.0 + rng_phi(w, seed=2)
-    b1, k1 = laplacian_comparison(w, u, h, restrict_metric(h, doms["x"]))
+    b1, k1 = laplacian_comparison(
+        w, u, b1_operator(h, restrict_metric(h, doms["x"])))
     assert k1 == 4.0 * float(np.max(np.abs(b1))) and k1 > 0.0
     # the oracle: the two Laplacians of the product metrics g_M = h + dt^2
     # and g_W = h_X + dt^2, materialised over t. Their d^2u/dt^2 terms

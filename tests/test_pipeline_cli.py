@@ -8,14 +8,16 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from pscbench import cli, fd, pipeline, solver
+from pscbench import cli, conformal, fd, pipeline, solver
 from pscbench.config import parse_config
 from pscbench.errors import ConfigError, HypothesisViolation
 from pscbench.forcing import forcing_norm
 from pscbench.grids import w_domains
-from pscbench.metrics import MetricField
+from pscbench.metrics import MetricField, restrict_metric
 from pscbench.pipeline import run_scenario
 from pscbench.report import parse_report, write_field_csvs
+
+from helpers import record_factorizations
 
 TWISTED_OK = """\
 [domain]
@@ -151,18 +153,26 @@ def test_auto_c_resolve_reuses_the_one_factorization(tmp_path,
         lambda *a: args.append(a) or solve_pass(*a))
     first = run_scenario(parse_config(write(tmp_path, "s.cfg", text)),
                          stage="solve")
-    (config, doms, _, h_x, _, eps, c_first), = args
+    (config, doms, _, _, eps, c_first), = args
     assert eps == 0.25 and first.epsilon == 0.25
+    h_x = restrict_metric(pipeline.build_slice_metric(config, doms["y"]),
+                          doms["x"])
     t_axis = doms["w"].axis("t")
     norms = [forcing_norm(c, eps, config.p, h_x, t_axis)
              for c in (c_first, first.c_used)]
     assert norms[0] < norms[1]
     text = text.replace("delta = 40.0", f"delta = {sum(norms) / 2!r}")
 
-    factorizations, passes = [], []
-    splu = solver.spla.splu
-    monkeypatch.setattr(solver.spla, "splu",
-                        lambda mat: factorizations.append(1) or splu(mat))
+    # the sphere's slice is banded, so the factor is a band LU; count
+    # builds of the factor, which both routes pass through. The slice
+    # matrices are built once per run too: L_X and B1's operator
+    factorizations = record_factorizations(monkeypatch)
+    matrices, passes = [], []
+    operator_matrix = solver.operator_matrix
+    for module in (solver, conformal):
+        monkeypatch.setattr(
+            module, "operator_matrix",
+            lambda *a: matrices.append(1) or operator_matrix(*a))
     monkeypatch.setattr(
         pipeline, "_solve_pass",
         lambda *a: passes.append(a[-2:]) or solve_pass(*a))
@@ -170,7 +180,9 @@ def test_auto_c_resolve_reuses_the_one_factorization(tmp_path,
                        stage="solve")
     assert passes == [(0.25, c_first), (0.125, first.c_used)]
     assert (rep.c_used, rep.epsilon) == (first.c_used, 0.125)
+    assert rep.solver_stats["factor"] == "banded"
     assert len(factorizations) == 1
+    assert len(matrices) == 2
 
 
 def test_same_epsilon_rebudget_rescales_the_first_pass(tmp_path,
@@ -185,9 +197,9 @@ def test_same_epsilon_rebudget_rescales_the_first_pass(tmp_path,
         lambda *a: args.append(a) or solve_pass(*a))
     rep = run_scenario(parse_config(write(tmp_path, "s.cfg", SPHERE_TWIST)),
                        stage="solve")
-    (config, doms, h, h_x, assembly, eps, c_first), = args
+    (config, doms, assembly, b1_op, eps, c_first), = args
     assert rep.epsilon == eps and rep.c_used > c_first
-    fresh = solve_pass(config, doms, h, h_x, assembly, eps, rep.c_used)
+    fresh = solve_pass(config, doms, assembly, b1_op, eps, rep.c_used)
     u, fresh_u = rep.fields["u"], fresh.solve.u
     assert np.max(np.abs(u - fresh_u)) <= 1e-12 * np.max(np.abs(fresh_u))
     for value, fresh_value in ((rep.k1, fresh.k1),
@@ -487,6 +499,16 @@ SHIPPED_SOLVE = {
     "sphere_twist": (3.84756472335, 0.25, 24.6651144865),
     "twisted_flat_c05": (2.2, 0.5, 105.931710489),
 }
+# (solver_factor, solver_factor_nnz): the sphere slices (48 colatitude
+# nodes, two sub- and super-diagonals) are factored by band LU, 24 even
+# t-modes x 48 nodes x 7 band rows; the torus slices by SuperLU, whose
+# fill is SuperLU's own and not pinned here
+SHIPPED_FACTOR = {
+    "flat_torus": ("sparse_lu", None),
+    "sphere_product": ("banded", 24 * 48 * 7),
+    "sphere_twist": ("banded", 24 * 48 * 7),
+    "twisted_flat_c05": ("sparse_lu", None),
+}
 # (min_r_bound, min_r_exact) of the positive cases; perfbench's seed-0
 # references for the same configs
 SPHERE_REFERENCES = {
@@ -503,14 +525,21 @@ def test_shipped_config_outcomes(tmp_path, stem):
     out = str(tmp_path / "out")
     code = cli.main(["certify", os.path.join(CONFIGS, f"{stem}.cfg"),
                      "--output-dir", out])
+    report = os.path.join(out, f"{stem}.report.ini")
     if stem == "twisted_flat_c10":
+        # the angle check aborts the run before any factor: no report
         assert code == 2
+        assert not os.path.exists(report)
         return
     assert code == 0
-    doc = parse_report(os.path.join(out, f"{stem}.report.ini"))
+    doc = parse_report(report)
     solve = tuple(float(doc.get("solve", key))
                   for key in ("C", "epsilon", "forcing_norm"))
     assert solve == SHIPPED_SOLVE[stem]
+    factor, factor_nnz = SHIPPED_FACTOR[stem]
+    assert doc.get("solve", "solver_factor") == factor
+    if factor_nnz is not None:
+        assert int(doc.get("solve", "solver_factor_nnz")) == factor_nnz
     minima = [float(doc.get("certificate", key))
               for key in ("min_r_bound", "min_r_exact", "min_r_chain")]
     if stem in SPHERE_REFERENCES:

@@ -22,7 +22,7 @@ from pscbench.forcing import build_bump, calibrate_epsilon
 from pscbench import fd, solver
 
 from helpers import (mms_flat_cross, mms_twisted, mms_sphere,
-                     oracle_operator, product_fields)
+                     oracle_operator, product_fields, record_factorizations)
 
 # (measured error at coarse, at fine); order = log2 ratio
 FROZEN = {
@@ -279,10 +279,7 @@ def test_assembly_factors_once_and_matches_a_fresh_factorization(
     h = make_metric("twisted_flat", doms["y"], c=0.5)
     args = (normal_frame(h).v[..., [doms["y"].index(nm) for nm in x.names]],
             h.scalar, restrict_metric(h, x), w.axis("t"))
-    calls = []
-    splu = solver.spla.splu
-    monkeypatch.setattr(solver.spla, "splu",
-                        lambda mat: calls.append(mat) or splu(mat))
+    calls = record_factorizations(monkeypatch)
     asm = assemble(*args)
     solve_dirichlet(asm, build_bump(2.2, 0.5, w))
     forcing = build_bump(9.0, 0.25, w)
@@ -307,4 +304,84 @@ def test_singular_operator_raises_numerical_failure():
     singular = dataclasses.replace(asm, slice_operator=lx.tocsr())
     with pytest.raises(NumericalFailure, match="factorization") as err:
         solve_dirichlet(singular, np.ones(dom.shape))
+    assert err.value.exit_code == 3
+
+
+def _pipeline_assembly(name, spec, params):
+    """The assembly a run builds for the builtin metric `name` on `spec`."""
+    doms = w_domains(spec)
+    x = doms["x"]
+    h = make_metric(name, doms["y"], **params)
+    v_x = normal_frame(h).v[..., [doms["y"].index(nm) for nm in x.names]]
+    return assemble(v_x, h.scalar, restrict_metric(h, x),
+                    doms["w"].axis("t"))
+
+
+def _block_matrix(asm):
+    """kron(I, L_X) + kron(diag(lam_even), I): the matrix both factor
+    routes factor."""
+    n_x = asm.slice_operator.shape[0]
+    return (sp.kron(sp.identity(asm.t_eigvals.size), asm.slice_operator)
+            + sp.kron(sp.diags(asm.t_eigvals), sp.identity(n_x))).tocsc()
+
+
+@pytest.mark.parametrize("name, params", [
+    ("sphere_twist", {"r": 1.0, "beta0": 0.5}),
+    ("sphere_product", {"r": 1.0}),
+], ids=["sphere_twist", "sphere_product"])
+def test_band_factor_matches_superlu_of_the_block_matrix(name, params):
+    # the shipped sphere grid: L_X has two sub- and two super-diagonals,
+    # so the blocks are factored by band LU; SuperLU of the same block
+    # matrix is the general route's answer
+    asm = _pipeline_assembly(name, DomainSpec(SPHERE, 2, (48,), 49), params)
+    assert asm.factor_stats == {"factor": "banded",
+                                "factor_nnz": 24 * 48 * (2 * 2 + 2 + 1)}
+    mat = _block_matrix(asm)
+    rhs = np.random.default_rng(8).standard_normal(mat.shape[0])
+    band = asm.lu.solve(rhs)
+    sparse = solver.spla.splu(mat).solve(rhs)
+    assert (np.max(np.abs(band - sparse))
+            <= 1e-12 * np.max(np.abs(sparse)))
+    for u in (band, sparse):
+        assert np.max(np.abs(rhs - mat @ u)) <= 1e-10
+
+
+@pytest.mark.parametrize("name, spec, params, factor", [
+    ("twisted_flat", DomainSpec(TORUS, 2, (8, 8), 9), {"c": 0.5},
+     "sparse_lu"),
+    ("sphere_twist", DomainSpec(SPHERE, 2, (16,), 9),
+     {"r": 1.0, "beta0": 0.5}, "banded"),
+], ids=["torus_2d", "sphere_axisym"])
+def test_factor_route_follows_the_slice_band(name, spec, params, factor):
+    # a 2-D torus slice's periodic rows span the grid, so its band storage
+    # is far above 2 nnz(L_X): SuperLU. The sphere's one-axis slice is
+    # banded in its natural order: band LU
+    asm = _pipeline_assembly(name, spec, params)
+    assert asm.factor_stats["factor"] == factor
+    assert isinstance(asm.lu, solver.spla.SuperLU) == (factor == "sparse_lu")
+    rep = solve_dirichlet(asm, build_bump(2.2, 0.5, asm.domain))
+    assert rep.stats["factor"] == factor
+    # the entries the factor stores: SuperLU's supernodal storage, which
+    # holds at least the exported L and U less L's unit diagonal; or the
+    # band storage, 2 kl + ku + 1 = 7 rows per node of every block
+    order = asm.t_eigvals.size * asm.slice_operator.shape[0]
+    lu = asm.lu
+    if factor == "sparse_lu":
+        assert rep.stats["factor_nnz"] >= lu.L.nnz + lu.U.nnz - order
+    else:
+        assert rep.stats["factor_nnz"] == order * 7
+
+
+def test_singular_band_block_raises_numerical_failure():
+    # test_singular_operator_raises_numerical_failure on the band route:
+    # block k = 0 of the sphere slice gets a zero row
+    asm = _pipeline_assembly("sphere_product", DomainSpec(SPHERE, 2, (16,), 7),
+                             {"r": 1.0})
+    lx = asm.slice_operator.tolil()
+    lx[0, :] = 0.0
+    lx[0, 0] = -asm.t_eigvals[0]
+    singular = dataclasses.replace(asm, slice_operator=lx.tocsr())
+    with pytest.raises(NumericalFailure,
+                       match="band LU factorization") as err:
+        solve_dirichlet(singular, np.ones(asm.domain.shape))
     assert err.value.exit_code == 3
