@@ -28,7 +28,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from pscbench.config import parse_config
 from pscbench.curvature import gauss_codazzi_scalar, hypersurface_data
 from pscbench.grids import (SPHERE, TORUS, DomainSpec, build_domain,
-                            w_domains, with_circle)
+                            periodic_axis, w_domains)
 from pscbench.metrics import as_fd, conformal_metric, make_metric, \
     restrict_metric
 from pscbench.normal import unit_normal
@@ -46,7 +46,7 @@ def slice_curvature_error(n):
     # only the direct curvature of the restricted slice is re-derived with
     # stencils, so the residual is a genuine truncation error
     xdom = build_domain(DomainSpec(TORUS, 2, (n, n), 5)).without("t")
-    y = with_circle(xdom, n=n)
+    y = xdom.with_axis(periodic_axis("theta", n))
     g0 = make_metric("twisted_flat", y, c=0.5)
     cx, cy, ct = (y.mesh(nm) for nm in ("x", "y", "theta"))
     a = 0.1

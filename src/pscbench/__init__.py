@@ -15,12 +15,12 @@ from .conformal import (CertificateReport, b1_operator, certificate,
                         exact_slice_scalar, k2_field, laplacian_comparison,
                         lift_solution, select_C)
 from .curvature import (HypersurfaceData, gauss_codazzi_scalar,
-                        hypersurface_data, laplacian)
+                        hypersurface_data)
 from .errors import (ConfigError, HypothesisViolation, NumericalFailure,
                      PscbenchError)
 from .forcing import build_bump, calibrate_epsilon, forcing_norm
 from .grids import (SPHERE, TORUS, DiscreteDomain, DomainSpec, build_domain,
-                    c1_norm, lp_norm, w_domains, with_circle)
+                    c1_norm, w_domains, with_circle)
 from .metrics import (MetricField, conformal_metric, load_metric_csv,
                       make_metric, restrict_metric)
 from .normal import (NormalFrame, angle_field, decompose_normal,

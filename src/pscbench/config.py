@@ -16,23 +16,19 @@ from dataclasses import dataclass, field
 
 from .errors import ConfigError
 from .grids import SPHERE, TORUS, DomainSpec, build_domain
+from .metrics import BUILTINS
 
 # section -> known keys; unknown keys are refused, not ignored, so a typo
-# like "tolerence" cannot silently run with the default
+# like "tolerence" cannot silently run with the default. [metric] takes
+# every builtin's parameters; which one takes which is checked per name
 _SCHEMA = {
     "domain": ("backend", "dim_x", "resolution", "t_nodes"),
-    "metric": ("name", "c", "r", "beta0", "components_file"),
+    "metric": ("name", "components_file",
+               *dict.fromkeys(p.name for b in BUILTINS.values()
+                              for p in b.params)),
     "forcing": ("p", "delta", "C"),
     "solver": ("tolerance",),
     "output": ("directory",),
-}
-
-_METRIC_PARAMS = {
-    "product_flat": (),
-    "twisted_flat": ("c",),
-    "sphere_product": ("r",),
-    "sphere_twist": ("r", "beta0"),
-    "csv": ("components_file",),
 }
 
 _SECTION_RE = re.compile(r"^\s*\[([^\]]+)\]\s*$")
@@ -217,41 +213,29 @@ def parse_config(path: str) -> RunConfig:
                 f"{r.loc('metric', 'name')}: components_file and builtin "
                 f"name {name!r} are mutually exclusive")
         name = "csv"
-    if name is None:
+    elif name in (None, "csv"):
+        # "csv" names a components_file table, so it needs one
         raise ConfigError(
             f"{_where(path, keys, sections, 'metric')}: [metric] needs a "
             f"builtin name or a components_file")
-    if name not in _METRIC_PARAMS:
+    elif name not in BUILTINS:
         raise ConfigError(
             f"{r.loc('metric', 'name')}: unknown metric {name!r}; builtins: "
-            f"{', '.join(sorted(k for k in _METRIC_PARAMS if k != 'csv'))}")
-    allowed = _METRIC_PARAMS[name]
+            f"{', '.join(sorted(BUILTINS))}")
+    builtin = BUILTINS.get(name)  # None for a components_file table
+    takes = builtin.params if builtin else ()
+    allowed = ("name", "components_file", *(p.name for p in takes))
     for key in parser.options("metric"):
-        if key in ("name", "components_file"):
-            continue
         if key not in allowed:
             raise ConfigError(
                 f"{r.loc('metric', key)}: metric {name!r} does not take "
                 f"parameter {key!r}")
-
-    params = {}
-    if name == "twisted_flat":
-        params["c"] = r.number("metric", "c", 0.0, lambda v: v >= 0.0,
-                               "c >= 0")
-    elif name == "sphere_product":
-        params["r"] = r.number("metric", "r", 1.0, lambda v: v > 0.0, "r > 0")
-    elif name == "sphere_twist":
-        params["r"] = r.number("metric", "r", 1.0, lambda v: v > 0.0, "r > 0")
-        params["beta0"] = r.number("metric", "beta0", 0.0,
-                                   lambda v: v >= 0.0, "beta0 >= 0")
-    if name.startswith("sphere") and backend != SPHERE:
+    params = {p.name: r.number("metric", p.name, p.default, p.check,
+                               p.describe) for p in takes}
+    if builtin is not None and backend != builtin.backend:
         raise ConfigError(
             f"{r.loc('metric', 'name')}: metric {name!r} needs "
-            f"backend = {SPHERE}")
-    if name in ("product_flat", "twisted_flat") and backend != TORUS:
-        raise ConfigError(
-            f"{r.loc('metric', 'name')}: metric {name!r} needs "
-            f"backend = {TORUS}")
+            f"backend = {builtin.backend}")
 
     p = r.integer("forcing", "p", 4, lambda v: v >= 1, ">= 1")
     delta = r.number("forcing", "delta", 1e-2, lambda v: v > 0.0, "> 0")

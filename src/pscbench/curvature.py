@@ -1,4 +1,4 @@
-"""The Laplace-Beltrami operator and hypersurface quantities.
+"""The Laplace-Beltrami contraction and hypersurface quantities.
 
 Both contract coordinate partials with the Christoffel symbols and Ricci
 tensor a MetricField caches (metrics.py), over the full coordinate order
@@ -12,15 +12,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalFailure
-from .grids import derivatives, gradient
+from .grids import gradient
 from .metrics import MetricField
 
 _FRAME_TOL = 1e-8
-
-
-def laplacian(metric: MetricField, f: np.ndarray) -> np.ndarray:
-    """Laplace-Beltrami of a scalar, g^ij (d2_ij f - Gamma^k_ij d_k f)."""
-    return laplacian_trace(metric, *derivatives(metric.domain, f))
 
 
 def laplacian_trace(metric: MetricField, grad: np.ndarray,

@@ -18,10 +18,12 @@ Domain construction for a run:
 
     W = build_domain(spec)             # X x [-1, 1], the solve domain
     X = W.without("t")
-    Y = with_circle(X)                 # X x S^1, virtual circle by default
+    Y = with_circle(X)                 # X x S^1, the circle virtual
 
-A run builds no M = Y x [-1, 1]. Tests build it as with_circle(W,
-before="t"): without t it has Y's axis order, without theta W's.
+A run builds no M = Y x [-1, 1]. Tests build it as
+with_circle(X).with_axis(W.axis("t")): without t it has Y's axis order,
+without theta W's. A Y whose circle is stored, for fields that vary
+along it, is X.with_axis(periodic_axis("theta", n)).
 """
 
 from __future__ import annotations
@@ -36,11 +38,6 @@ from .errors import ConfigError
 
 TORUS = "torus"
 SPHERE = "sphere-axisym"
-
-# scalar fields are ndarrays over the stored grid; vectors append one
-# component dimension of size domain.dim, metrics append two
-ScalarField = np.ndarray
-VectorField = np.ndarray
 
 _TORUS_AXIS_NAMES = ("x", "y", "z")
 
@@ -189,13 +186,10 @@ class DiscreteDomain:
         self.index(name)  # raise on unknown axis
         return DiscreteDomain(tuple(a for a in self.axes if a.name != name))
 
-    def with_axis(self, axis: Axis, before: str = None) -> "DiscreteDomain":
+    def with_axis(self, axis: Axis) -> "DiscreteDomain":
         if axis.name in self.names:
             raise ValueError(f"axis {axis.name!r} already present")
-        if before is None:
-            return DiscreteDomain(self.axes + (axis,))
-        pos = self.index(before)
-        return DiscreteDomain(self.axes[:pos] + (axis,) + self.axes[pos:])
+        return DiscreteDomain(self.axes + (axis,))
 
 
 @dataclass(frozen=True)
@@ -251,18 +245,10 @@ def build_domain(spec: DomainSpec) -> DiscreteDomain:
     return DiscreteDomain(tuple(axes))
 
 
-def with_circle(domain: DiscreteDomain, name: str = "theta", n: int = None,
-                before: str = None) -> DiscreteDomain:
-    """Append the S^1 factor: virtual by default, stored periodic if n given.
-
-    Pipeline domains keep theta virtual (every field is theta-independent).
-    Stored-theta domains exist so tests can exercise fields that do vary
-    along the circle.
-    """
-    ax = periodic_axis(name, n) if n else virtual_axis(name)
-    if before is not None and before in domain.names:
-        return domain.with_axis(ax, before=before)
-    return domain.with_axis(ax)
+def with_circle(domain: DiscreteDomain, name: str = "theta") -> DiscreteDomain:
+    """Append the S^1 factor as a virtual axis: every field of a run is
+    theta-independent."""
+    return domain.with_axis(virtual_axis(name))
 
 
 def w_domains(spec: DomainSpec) -> dict:
@@ -270,15 +256,6 @@ def w_domains(spec: DomainSpec) -> dict:
     w = build_domain(spec)
     x = w.without("t")
     return {"x": x, "y": with_circle(x), "w": w}
-
-
-def lp_norm(values: np.ndarray, metric, p: int) -> float:
-    """Discrete L^p norm with metric volume weight sqrt(det g)."""
-    if int(p) != p or p < 1:
-        raise ConfigError(f"p must be an integer >= 1, got {p}")
-    dom = metric.domain
-    integrand = np.abs(values) ** p * metric.sqrt_det
-    return float(dom.integrate(integrand) ** (1.0 / p))
 
 
 def c1_norm(values: np.ndarray, grad: np.ndarray) -> float:

@@ -29,7 +29,8 @@ operator of conformal.b1_operator read the slice data.
 
 Builtins, constructed on any domain whose axes they name (components
 appear according to which axes the domain has; on W and M, which only the
-tests build, they are the product metrics materialised over t):
+tests build, they are the product metrics materialised over t). BUILTINS
+gives each one's backend and its parameters' defaults and ranges:
 
     product_flat           flat torus cross circle, identity components
     twisted_flat{c}        dx^2 + dy^2 (+ dz^2) + (dtheta + c dx)^2
@@ -43,15 +44,42 @@ the metric smooth there; its twist strength grows toward the equator.
 
 from __future__ import annotations
 
-import math
 from functools import cached_property
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, NumericalFailure
-from .grids import DiscreteDomain, derivatives
+from .grids import SPHERE, TORUS, DiscreteDomain, derivatives
 
-BUILTIN_NAMES = ("product_flat", "twisted_flat", "sphere_product", "sphere_twist")
+
+class Param(NamedTuple):
+    """One parameter of a builtin: config key, default and allowed range."""
+    name: str
+    default: float
+    check: Callable[[float], bool]
+    describe: str
+
+
+class Builtin(NamedTuple):
+    """The backend a builtin metric lives on and the parameters it takes."""
+    backend: str
+    params: tuple = ()
+
+
+_R = Param("r", 1.0, lambda v: v > 0.0, "r > 0")
+
+# The one catalogue of builtin metrics: config.parse_config and make_metric
+# read each one's parameters, defaults and ranges from it, the parser also
+# its backend
+BUILTINS = {
+    "product_flat": Builtin(TORUS),
+    "twisted_flat": Builtin(TORUS, (
+        Param("c", 0.0, lambda v: v >= 0.0, "c >= 0"),)),
+    "sphere_product": Builtin(SPHERE, (_R,)),
+    "sphere_twist": Builtin(SPHERE, (
+        _R, Param("beta0", 0.0, lambda v: v >= 0.0, "beta0 >= 0"))),
+}
 
 _SPD_FLOOR = 1e-10
 
@@ -161,14 +189,26 @@ def _opt_index(domain, name):
 
 
 def make_metric(name: str, domain: DiscreteDomain, **params) -> MetricField:
-    """Construct a builtin metric on the given domain."""
+    """Construct a builtin metric on the given domain; parameters missing
+    from `params` take their BUILTINS defaults."""
+    if name not in BUILTINS:
+        raise ConfigError(f"unknown builtin metric {name!r}")
+    takes = BUILTINS[name].params
+    extra = set(params) - {p.name for p in takes}
+    if extra:
+        raise ConfigError(f"metric {name!r} does not take {sorted(extra)}")
+    values = {}
+    for p in takes:
+        value = float(params.get(p.name, p.default))
+        if not p.check(value):
+            raise ConfigError(f"{name} requires {p.describe}, got {value}")
+        values[p.name] = value
+
     if name == "product_flat":
         comp, d1, d2 = _identity(domain)
 
     elif name == "twisted_flat":
-        c = float(params.get("c", 0.0))
-        if c < 0:
-            raise ConfigError(f"twisted_flat requires c >= 0, got {c}")
+        c = values["c"]
         comp, d1, d2 = _identity(domain)
         ix = _opt_index(domain, "x")
         if ix is None:
@@ -180,9 +220,7 @@ def make_metric(name: str, domain: DiscreteDomain, **params) -> MetricField:
             comp[..., ith, ix] = c
 
     elif name == "sphere_product":
-        r = float(params.get("r", 1.0))
-        if r <= 0:
-            raise ConfigError(f"sphere_product requires r > 0, got {r}")
+        r = values["r"]
         comp, d1, d2 = _identity(domain)
         irho = _opt_index(domain, "rho")
         ia = _opt_index(domain, "alpha")
@@ -194,13 +232,8 @@ def make_metric(name: str, domain: DiscreteDomain, **params) -> MetricField:
         d1[..., ia, ia, irho] = r * r * np.sin(2.0 * rho)
         d2[..., ia, ia, irho, irho] = 2.0 * r * r * np.cos(2.0 * rho)
 
-    elif name == "sphere_twist":
-        r = float(params.get("r", 1.0))
-        b0 = float(params.get("beta0", 0.0))
-        if r <= 0:
-            raise ConfigError(f"sphere_twist requires r > 0, got {r}")
-        if b0 < 0:
-            raise ConfigError(f"sphere_twist requires beta0 >= 0, got {b0}")
+    else:  # sphere_twist
+        r, b0 = values["r"], values["beta0"]
         comp, d1, d2 = _identity(domain)
         irho = _opt_index(domain, "rho")
         ia = _opt_index(domain, "alpha")
@@ -224,9 +257,6 @@ def make_metric(name: str, domain: DiscreteDomain, **params) -> MetricField:
             d1[..., ith, ia, irho] = db
             d2[..., ia, ith, irho, irho] = ddb
             d2[..., ith, ia, irho, irho] = ddb
-
-    else:
-        raise ConfigError(f"unknown builtin metric {name!r}")
 
     return MetricField(domain, comp, d1, d2)
 

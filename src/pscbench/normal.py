@@ -64,17 +64,6 @@ def angle_field(h: MetricField, mu: np.ndarray) -> np.ndarray:
     return np.arccos(np.clip(cosang, -1.0, 1.0))
 
 
-def v_norm2_ratio(h: MetricField, mu: np.ndarray) -> np.ndarray:
-    """|V|^2 via the identity -1 + h(d_theta,d_theta)/h(mu,d_theta)^2.
-
-    Independent of the direct h(V, V) evaluation; the two must agree.
-    """
-    dom = h.domain
-    ith = dom.index("theta")
-    pair = np.einsum("...ij,...j->...i", h.comp, mu)[..., ith]
-    return -1.0 + h.comp[..., ith, ith] / pair ** 2
-
-
 def slice_tangent_indices(h: MetricField):
     return [i for i, n in enumerate(h.domain.names) if n != "theta"]
 
@@ -101,17 +90,6 @@ def ellipticity_minors(v: np.ndarray, h: MetricField):
     dets = 1.0 - np.cumsum(b * b, axis=-1)
     margin = float(np.min(dets[..., -1]))
     return dets, margin > MARGIN_FLOOR, margin
-
-
-def minors_direct(b: np.ndarray) -> np.ndarray:
-    """Oracle: determinants of the leading minors of I - b b^T, computed
-    directly. Cross-checks the closed form on arbitrary b."""
-    b = np.asarray(b, dtype=float)
-    m = b.shape[-1]
-    eye = np.eye(m)
-    big = eye - b[..., :, None] * b[..., None, :]
-    return np.stack([np.linalg.det(big[..., : k + 1, : k + 1])
-                     for k in range(m)], axis=-1)
 
 
 @dataclass

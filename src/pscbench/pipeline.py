@@ -101,6 +101,8 @@ def run_scenario(config: RunConfig, stage: str = "certify") -> RunReport:
         elliptic=frame.is_elliptic,
         min_r_h=min_r_h,
         psc_hypothesis=bool(min_r_h > 0.0),
+        fields={"y": doms["y"], "angle": frame.angle,
+                "margin_minor": frame.dets[..., -1]},
     )
     if frame.max_angle >= math.pi / 4.0:
         raise HypothesisViolation(
@@ -112,8 +114,6 @@ def run_scenario(config: RunConfig, stage: str = "certify") -> RunReport:
             f"operator is not elliptic")
     if stage == "angle":
         report.wall_time = time.perf_counter() - t_start
-        report.fields = {"y": doms["y"], "angle": frame.angle,
-                         "margin_minor": frame.dets[..., -1]}
         return report
 
     # -- forcing budget and Dirichlet solve ------------------------------
@@ -158,12 +158,9 @@ def run_scenario(config: RunConfig, stage: str = "certify") -> RunReport:
     report.c1_u = c1
     report.dtt_max = eta_prime
     report.headroom = headroom_value(c_value, slice_data, k1)
+    report.fields.update(w=w, u=solve.u)
     if stage == "solve":
         report.wall_time = time.perf_counter() - t_start
-        report.fields = {"y": doms["y"], "w": w,
-                         "angle": frame.angle,
-                         "margin_minor": frame.dets[..., -1],
-                         "u": solve.u}
         return report
 
     # -- conformal lift and certificate ----------------------------------
@@ -185,12 +182,7 @@ def run_scenario(config: RunConfig, stage: str = "certify") -> RunReport:
     report.chain_gap_max = cert.chain_gap_max
     report.bound_minus_chain_max = cert.bound_minus_chain_max
     report.verdict = cert.verdict
+    report.fields.update(r_exact=cert.r_exact, r_chain=cert.r_chain,
+                         r_bound=cert.r_bound)
     report.wall_time = time.perf_counter() - t_start
-    report.fields = {"y": doms["y"], "w": w,
-                     "angle": frame.angle,
-                     "margin_minor": frame.dets[..., -1],
-                     "u": solve.u,
-                     "r_exact": cert.r_exact,
-                     "r_chain": cert.r_chain,
-                     "r_bound": cert.r_bound}
     return report

@@ -167,9 +167,6 @@ class ReportDoc:
                 return value
         return None
 
-    def as_dict(self) -> dict:
-        return {f"{sec}.{key}": value for sec, key, value in self.pairs}
-
 
 def parse_report(path: str) -> ReportDoc:
     """Inverse of the structured writer: serializing the result is
@@ -201,10 +198,6 @@ def parse_report(path: str) -> ReportDoc:
         else:
             pairs.append((section, key, value))
     return ReportDoc(pairs=pairs, footer=footer)
-
-
-def serialize_report_doc(doc: ReportDoc) -> str:
-    return _render(doc.pairs, doc.footer, structured=True)
 
 
 def write_field_csvs(report: RunReport, out_dir: str, stem: str) -> list:

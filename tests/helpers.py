@@ -1,26 +1,90 @@
-"""Shared manufactured fields and residual constructions used across tests."""
+"""Shared manufactured fields, residual constructions and the oracles
+the package's production path is checked against."""
 
+import os
 from functools import cached_property
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
+from pscbench.errors import ConfigError
 from pscbench.grids import (DomainSpec, build_domain, derivatives,
-                            w_domains, with_circle, SPHERE, TORUS)
+                            periodic_axis, w_domains, SPHERE, TORUS)
 from pscbench.metrics import (MetricField, make_metric, as_fd,
                               conformal_metric, restrict_metric)
 from pscbench.curvature import (hypersurface_data, gauss_codazzi_scalar,
-                                laplacian)
+                                laplacian_trace)
 from pscbench.normal import unit_normal, normal_frame
 from pscbench.conformal import conformal_scalar, conformal_ricci_normal
+from pscbench.report import _render
 from pscbench.solver import (OperatorAssembly, assemble, solve_dirichlet,
                              operator_matrix, _coefficients)
+
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def cli_env():
+    """The environment with this tree's src first on PYTHONPATH, so that a
+    `python -m pscbench` subprocess runs the package under test whether or
+    not it is installed."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def stored_theta_y(res):
     """T^3 with a stored theta axis, for fields that vary along the circle."""
     x = build_domain(DomainSpec(TORUS, 2, (res, res), 5)).without("t")
-    return with_circle(x, n=res)
+    return x.with_axis(periodic_axis("theta", res))
+
+
+def lp_norm(values, metric, p):
+    """Discrete L^p norm with metric volume weight sqrt(det g)."""
+    if int(p) != p or p < 1:
+        raise ConfigError(f"p must be an integer >= 1, got {p}")
+    dom = metric.domain
+    integrand = np.abs(values) ** p * metric.sqrt_det
+    return float(dom.integrate(integrand) ** (1.0 / p))
+
+
+def laplacian(metric, f):
+    """Laplace-Beltrami of a scalar, g^ij (d2_ij f - Gamma^k_ij d_k f)."""
+    return laplacian_trace(metric, *derivatives(metric.domain, f))
+
+
+def v_norm2_ratio(h, mu):
+    """|V|^2 via the identity -1 + h(d_theta,d_theta)/h(mu,d_theta)^2.
+
+    Independent of the direct h(V, V) evaluation; the two must agree.
+    """
+    dom = h.domain
+    ith = dom.index("theta")
+    pair = np.einsum("...ij,...j->...i", h.comp, mu)[..., ith]
+    return -1.0 + h.comp[..., ith, ith] / pair ** 2
+
+
+def minors_direct(b):
+    """Oracle: determinants of the leading minors of I - b b^T, computed
+    directly. Cross-checks the closed form on arbitrary b."""
+    b = np.asarray(b, dtype=float)
+    m = b.shape[-1]
+    eye = np.eye(m)
+    big = eye - b[..., :, None] * b[..., None, :]
+    return np.stack([np.linalg.det(big[..., : k + 1, : k + 1])
+                     for k in range(m)], axis=-1)
+
+
+def serialize_report_doc(doc):
+    """A parsed structured report written back in the structured format."""
+    return _render(doc.pairs, doc.footer, structured=True)
+
+
+def report_dict(doc):
+    """A parsed report's body as {"section.key": value}."""
+    return {f"{sec}.{key}": value for sec, key, value in doc.pairs}
 
 
 def hessian_coords_reference(domain, values):
@@ -106,7 +170,7 @@ def gc_deformed_residual(res, name, **params):
     only the hypersurface/"direct" comparison itself is discretized.
     """
     xdom = build_domain(DomainSpec(TORUS, 2, (res, res), 5)).without("t")
-    y = with_circle(xdom, n=res)
+    y = xdom.with_axis(periodic_axis("theta", res))
     g0 = make_metric(name, y, **params)
     phi, dphi, d2phi = phi_and_jets(y)
     g = conformal_metric(g0, phi, dphi=dphi, d2phi=d2phi)

@@ -9,7 +9,6 @@ table even when a criterion fails. Runtime budgets are part of each check.
 """
 
 import math
-import os
 import subprocess
 import sys
 import time
@@ -18,8 +17,9 @@ import numpy as np
 import pytest
 from scipy.linalg import solve_banded
 
-from helpers import (conformal_ricci_law_err, conformal_scalar_law_err,
-                     gc_deformed_residual, mms_flat_cross, mms_sphere,
+from helpers import (cli_env, conformal_ricci_law_err,
+                     conformal_scalar_law_err, gc_deformed_residual,
+                     minors_direct, mms_flat_cross, mms_sphere,
                      product_fields, slice_laplacian_identity)
 from pscbench.config import parse_config
 from pscbench.forcing import (build_bump, bump_profile, calibrate_epsilon,
@@ -27,7 +27,7 @@ from pscbench.forcing import (build_bump, bump_profile, calibrate_epsilon,
 from pscbench.grids import (SPHERE, TORUS, DomainSpec, build_domain, c1_norm,
                             gradient, w_domains, with_circle)
 from pscbench.metrics import as_fd, make_metric, restrict_metric
-from pscbench.normal import angle_field, minors_direct, normal_frame, unit_normal
+from pscbench.normal import angle_field, normal_frame, unit_normal
 from pscbench.conformal import b1_operator, laplacian_comparison
 from pscbench.pipeline import run_scenario
 from pscbench.solver import assemble, dtt_monitor, solve_dirichlet
@@ -288,8 +288,8 @@ def test_criterion_09_laplacian_identities_and_mismatch_trend(tmp_path):
     # slice identity residual stays under an O(h^2) envelope
     slice_ok = True
     for res in (12, 24):
-        m = with_circle(build_domain(DomainSpec(TORUS, 2, (res, res), 9)),
-                        before="t")
+        w = build_domain(DomainSpec(TORUS, 2, (res, res), 9))
+        m = with_circle(w.without("t")).with_axis(w.axis("t"))
         g_m = make_metric("twisted_flat", m, c=0.5)
         u = np.cos(m.mesh("x")) * np.cos(np.pi * np.asarray(m.mesh("t")) / 2)
         resid = slice_laplacian_identity(u, g_m)
@@ -360,7 +360,7 @@ def test_criterion_11_negative_controls(tmp_path):
     flat.write_text(
         "[domain]\nresolution = 12\nt_nodes = 49\n\n"
         "[metric]\nname = product_flat\n\n[forcing]\np = 1\ndelta = 160\n")
-    env = dict(os.environ)
+    env = cli_env()
     env["PSCBENCH_OUTPUT_DIR"] = str(tmp_path / "out")
 
     res_crit = subprocess.run(

@@ -1,10 +1,13 @@
 """Scenario-file parsing: schema, defaults, and located diagnostics."""
 
+import re
+
 import pytest
 
 from pscbench.config import parse_config
 from pscbench.errors import ConfigError
-from pscbench.grids import SPHERE, TORUS
+from pscbench.grids import SPHERE, TORUS, DomainSpec, w_domains
+from pscbench.metrics import BUILTINS, make_metric
 
 
 def write_cfg(tmp_path, text, name="scenario.cfg"):
@@ -146,6 +149,8 @@ def test_missing_metric_section(tmp_path):
     ("[domain]\nbackend = sphere-axisym\n\n[metric]\nname = twisted_flat\n",
      r"needs backend = torus"),
     ("[metric]\nname = klein_bottle\n", r"unknown metric"),
+    ("[metric]\nname = csv\n",
+     r":1: \[metric\] needs a builtin name or a components_file"),
     ("[metric]\nname = product_flat\nc = 0.5\n",
      r":3.*does not take parameter 'c'"),
     ("[domain]\ndim_x = 4\n\n[metric]\nname = product_flat\n",
@@ -156,6 +161,55 @@ def test_missing_metric_section(tmp_path):
 def test_validation_errors(tmp_path, body, pattern):
     with pytest.raises(ConfigError, match=pattern):
         parse_config(write_cfg(tmp_path, body))
+
+
+BUILTIN_PARAMS = [(name, p) for name, b in BUILTINS.items()
+                  for p in b.params]
+
+
+def builtin_y(backend):
+    res = (8,) if backend == SPHERE else (8, 8)
+    return w_domains(DomainSpec(backend, 2, res, 5))["y"]
+
+
+@pytest.mark.parametrize("name,param", BUILTIN_PARAMS,
+                         ids=[f"{n}.{p.name}" for n, p in BUILTIN_PARAMS])
+def test_builtin_parameter_out_of_range_is_refused(tmp_path, name, param):
+    # both readers of BUILTINS refuse the value: make_metric by name,
+    # parse_config at the key's line
+    backend = BUILTINS[name].backend
+    assert not param.check(-1.0)
+    describe = re.escape(param.describe)
+    with pytest.raises(ConfigError,
+                       match=rf"{name} requires {describe}, got -1.0"):
+        make_metric(name, builtin_y(backend), **{param.name: -1.0})
+    path = write_cfg(tmp_path, f"[domain]\nbackend = {backend}\n\n"
+                               f"[metric]\nname = {name}\n"
+                               f"{param.name} = -1\n")
+    with pytest.raises(ConfigError,
+                       match=rf"{re.escape(path)}:6: \[metric\] {param.name} "
+                             rf"= -1 out of range \({describe}\)"):
+        parse_config(path)
+
+
+@pytest.mark.parametrize("name", sorted(BUILTINS))
+def test_builtin_parses_on_its_backend_with_defaults(tmp_path, name):
+    builtin = BUILTINS[name]
+    cfg = parse_config(write_cfg(
+        tmp_path, f"[domain]\nbackend = {builtin.backend}\n\n"
+                  f"[metric]\nname = {name}\n"))
+    assert cfg.metric_params == {p.name: p.default for p in builtin.params}
+    assert {k: v for k, v in cfg.echo.items() if k.startswith("metric.")} \
+        == {"metric.name": name,
+            **{f"metric.{p.name}": f"{p.default:.12g}"
+               for p in builtin.params}}
+    make_metric(name, builtin_y(builtin.backend), **cfg.metric_params)
+    other = TORUS if builtin.backend == SPHERE else SPHERE
+    with pytest.raises(ConfigError,
+                       match=rf":5: metric '{name}' needs backend = "
+                             rf"{builtin.backend}"):
+        parse_config(write_cfg(tmp_path, f"[domain]\nbackend = {other}\n\n"
+                                         f"[metric]\nname = {name}\n"))
 
 
 def test_non_finite_numbers_report_line(tmp_path):

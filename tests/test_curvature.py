@@ -6,8 +6,9 @@ import pytest
 from pscbench.errors import NumericalFailure
 from pscbench.grids import DomainSpec, build_domain, w_domains, TORUS, SPHERE
 from pscbench.metrics import make_metric, as_fd
-from pscbench.curvature import (laplacian, hypersurface_data,
-                                gauss_codazzi_scalar)
+from pscbench.curvature import hypersurface_data, gauss_codazzi_scalar
+
+from helpers import laplacian
 
 
 def test_flat_metric_curvature_vanishes():

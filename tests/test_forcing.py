@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from pscbench.errors import ConfigError
-from pscbench.grids import (DomainSpec, build_domain, lp_norm, w_domains,
-                            SPHERE, TORUS)
+from pscbench.grids import (DomainSpec, build_domain, w_domains, SPHERE,
+                            TORUS)
 from pscbench.metrics import make_metric, restrict_metric
 from pscbench.forcing import (smooth_step, bump_profile,
                               build_bump, plateau_node_count,
                               calibrate_epsilon, forcing_norm)
+
+from helpers import lp_norm
 
 
 def slice_metric(dom, name, **params):

@@ -8,11 +8,12 @@ import pytest
 from pscbench.errors import ConfigError
 from pscbench.grids import (DiscreteDomain, DomainSpec, build_domain,
                             bounded_axis, mirror_axis, periodic_axis,
-                            with_circle, w_domains, lp_norm, c1_norm,
+                            w_domains, c1_norm,
                             gradient, derivatives, coordinate_columns, fields_to_csv, TORUS, SPHERE)
 from pscbench.metrics import make_metric
 
-from helpers import hessian_coords_reference, rng_phi, stored_theta_y
+from helpers import (hessian_coords_reference, lp_norm, rng_phi,
+                     stored_theta_y)
 
 TWO_PI = 2.0 * math.pi
 
@@ -65,7 +66,7 @@ def test_w_domains_share_stored_shapes():
     doms = w_domains(DomainSpec(TORUS, 2, (6, 6), 7))
     assert set(doms) == {"x", "y", "w"}
     # M, the tests' ambient domain for product metrics over t
-    m = with_circle(doms["w"], before="t")
+    m = doms["y"].with_axis(doms["w"].axis("t"))
     assert doms["y"].names == ("x", "y", "theta")
     assert m.names == ("x", "y", "theta", "t")
     # theta is virtual: the circle adds no array dimension
@@ -150,8 +151,9 @@ def test_derivatives_match_the_separate_passes_bitwise():
     # one pass must give exactly the partials of gradient plus the old
     # hessian loop, which took the first differences a second time
     t3 = stored_theta_y(8)
-    m = with_circle(build_domain(DomainSpec(TORUS, 2, (6, 6), 7)), n=6,
-                    before="t")
+    w = build_domain(DomainSpec(TORUS, 2, (6, 6), 7))
+    m = w.without("t").with_axis(periodic_axis("theta", 6)).with_axis(
+        w.axis("t"))
     for dom in (t3, m):
         f = rng_phi(dom, seed=3)
         grad, hess = derivatives(dom, f)

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from pscbench.errors import ConfigError, NumericalFailure
-from pscbench.grids import (DomainSpec, build_domain, w_domains, with_circle,
-                            TORUS, SPHERE)
+from pscbench.grids import (DomainSpec, build_domain, w_domains, TORUS,
+                            SPHERE)
 from pscbench.metrics import (MetricField, make_metric, as_fd,
                               conformal_metric, restrict_metric,
                               metric_to_csv, load_metric_csv)
@@ -81,6 +81,8 @@ def test_make_metric_validation(torus_y, sphere_y):
         make_metric("mobius", torus_y)
     with pytest.raises(ConfigError):
         make_metric("twisted_flat", sphere_y, c=0.5)  # needs an x axis
+    with pytest.raises(ConfigError, match=r"does not take \['beta0'\]"):
+        make_metric("twisted_flat", torus_y, beta0=0.5)
 
 
 def test_metric_field_rejects_bad_tensors(torus_y):
@@ -151,7 +153,7 @@ def test_conformal_metric_analytic_vs_numeric_jets():
 
 def test_restrict_metric_at_slice():
     doms = w_domains(DomainSpec(TORUS, 2, (6, 6), 7))
-    m = with_circle(doms["w"], before="t")
+    m = doms["y"].with_axis(doms["w"].axis("t"))
     g_m = make_metric("product_flat", m)
     phi = 0.1 * np.cos(m.mesh("x")) * (1.0 + np.asarray(m.mesh("t")))
     gt = conformal_metric(g_m, phi)

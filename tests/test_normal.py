@@ -9,8 +9,10 @@ from hypothesis import given, settings, strategies as st
 from pscbench.grids import DomainSpec, w_domains, TORUS, SPHERE
 from pscbench.metrics import MetricField, make_metric, conformal_metric
 from pscbench.normal import (MARGIN_FLOOR, unit_normal, decompose_normal,
-                             angle_field, v_norm2_ratio, frame_components,
-                             ellipticity_minors, minors_direct, normal_frame)
+                             angle_field, frame_components,
+                             ellipticity_minors, normal_frame)
+
+from helpers import minors_direct, v_norm2_ratio
 
 
 def torus_y(res=8):

@@ -17,7 +17,7 @@ from pscbench.metrics import MetricField, restrict_metric
 from pscbench.pipeline import run_scenario
 from pscbench.report import parse_report, write_field_csvs
 
-from helpers import record_factorizations
+from helpers import cli_env, record_factorizations
 
 TWISTED_OK = """\
 [domain]
@@ -77,7 +77,7 @@ def write(tmp_path, name, text):
 
 
 def run_cli(args, env_extra=None, cwd=None):
-    env = dict(os.environ)
+    env = cli_env()
     env.pop("PSCBENCH_OUTPUT_DIR", None)
     if env_extra:
         env.update(env_extra)

@@ -13,8 +13,9 @@ from pscbench.errors import ConfigError, NumericalFailure
 from pscbench.config import parse_config
 from pscbench.pipeline import run_scenario
 from pscbench.report import (FOOTER_MARK, PSC_FLAG, RunReport, emit_report,
-                             parse_report, render_report,
-                             serialize_report_doc, write_field_csvs)
+                             parse_report, render_report, write_field_csvs)
+
+from helpers import report_dict, serialize_report_doc
 
 SMALL = """\
 [domain]
@@ -71,7 +72,7 @@ def test_structured_report_parses_back_byte_exact(tmp_path):
     assert doc.get("certificate", "verdict") == "false"
     assert doc.get("run", "stage") == "certify"
     assert doc.get("config", "metric.c") == "0.5"
-    assert "angle.elliptic" in doc.as_dict()
+    assert "angle.elliptic" in report_dict(doc)
     assert doc.get("nope", "missing") is None
 
 
