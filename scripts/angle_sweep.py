@@ -5,8 +5,11 @@ For the flat twisted torus the angle is arctan(c) and the operator
 degenerates at c = 1; for the twisted sphere bundle the worst angle is
 arctan(beta0 * max sin(rho) / r). The sweep writes one CSV row per
 parameter value so the approach to the critical angle can be plotted.
-Values whose metric or grid is rejected are printed and skipped; when none
-is left the script exits 4 and writes no file.
+The swept parameter is the last one metrics.BUILTINS declares for the
+metric (c, beta0); the metric's backend and its other parameters (--r)
+come from the same table. Values whose metric or grid is rejected are
+printed and skipped; when none is left the script exits 4 and writes no
+file.
 
     python3 scripts/angle_sweep.py --metric twisted_flat --stop 1.2
     python3 scripts/angle_sweep.py --metric sphere_twist --stop 1.5 --r 1.0
@@ -23,33 +26,34 @@ import numpy as np
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from pscbench.errors import PscbenchError
-from pscbench.grids import SPHERE, TORUS, DomainSpec, w_domains
-from pscbench.metrics import make_metric
+from pscbench.grids import TORUS, DomainSpec, w_domains
+from pscbench.metrics import BUILTINS, make_metric
 from pscbench.normal import normal_frame
+
+SWEEPABLE = sorted(name for name, b in BUILTINS.items() if b.params)
 
 
 def sweep_value(metric, value, resolution, r):
-    if metric == "twisted_flat":
-        spec = DomainSpec(TORUS, 2, (resolution, resolution), 5)
-        params = {"c": value}
-    else:
-        spec = DomainSpec(SPHERE, 2, (resolution,), 5)
-        params = {"r": r, "beta0": value}
+    builtin = BUILTINS[metric]
+    names = [p.name for p in builtin.params]
+    spec = DomainSpec(builtin.backend, 2,
+                      (resolution,) * (2 if builtin.backend == TORUS else 1),
+                      5)
+    params = {"r": r} if "r" in names else {}
+    params[names[-1]] = value
     y = w_domains(spec)["y"]
-    frame = normal_frame(make_metric(metric, y, **params))
-    return frame
+    return normal_frame(make_metric(metric, y, **params))
 
 
 def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--metric", choices=("twisted_flat", "sphere_twist"),
-                    default="twisted_flat")
+    ap.add_argument("--metric", choices=SWEEPABLE, default="twisted_flat")
     ap.add_argument("--start", type=float, default=0.0)
     ap.add_argument("--stop", type=float, default=1.2)
     ap.add_argument("--steps", type=int, default=25)
     ap.add_argument("--resolution", type=int, default=24)
     ap.add_argument("--r", type=float, default=1.0,
-                    help="sphere radius (sphere_twist only)")
+                    help="sphere radius, for the metrics that take r")
     ap.add_argument("--out", default="angle_sweep.csv")
     args = ap.parse_args()
 

@@ -29,7 +29,7 @@ along it, is X.with_axis(periodic_axis("theta", n)).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -44,21 +44,27 @@ _TORUS_AXIS_NAMES = ("x", "y", "z")
 
 @dataclass(frozen=True)
 class Axis:
+    """Node k < n sits at start + (first + k) * spacing, or half a spacing
+    further on a mirror axis. `first` is nonzero only on an axis cut from
+    a longer one (upper_half), so its nodes keep the longer axis'
+    coordinates bit for bit."""
     name: str
     closure: str
     n: int
     spacing: float
     start: float
     length: float
+    first: int = 0
 
     @property
     def stored(self) -> bool:
         return self.closure != fd.VIRTUAL
 
     def coords(self) -> np.ndarray:
+        k = np.arange(self.first, self.first + self.n)
         if self.closure == fd.MIRROR:
-            return self.start + (np.arange(self.n) + 0.5) * self.spacing
-        return self.start + np.arange(self.n) * self.spacing
+            return self.start + (k + 0.5) * self.spacing
+        return self.start + k * self.spacing
 
     def weights(self) -> np.ndarray:
         """Quadrature weights; trapezoid on bounded axes, midpoint otherwise."""
@@ -85,6 +91,14 @@ def bounded_axis(name: str, n: int, lo: float = -1.0, hi: float = 1.0) -> Axis:
 
 def virtual_axis(name: str, length: float = 2.0 * math.pi) -> Axis:
     return Axis(name, fd.VIRTUAL, 1, 0.0, 0.0, length)
+
+
+def upper_half(axis: Axis) -> Axis:
+    """The nodes of a bounded axis with an odd node count from its
+    midpoint up: t = 0 through t = 1 of W's t axis."""
+    half = axis.n // 2
+    return replace(axis, n=half + 1, first=axis.first + half,
+                   length=axis.length / 2.0)
 
 
 @dataclass(frozen=True)

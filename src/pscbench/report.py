@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericalFailure
-from .grids import fields_to_csv
+from .grids import DiscreteDomain, fields_to_csv, upper_half
 
 FOOTER_MARK = "# --- non-deterministic footer ---"
 PSC_FLAG = "PSC hypothesis fails"
@@ -202,8 +202,27 @@ def parse_report(path: str) -> ReportDoc:
 
 def write_field_csvs(report: RunReport, out_dir: str, stem: str) -> list:
     """Dump the per-node fields: slice diagnostics, u, and the three
-    certificate curvatures. Only what the reached stage produced."""
-    fields = report.fields or {}
+    certificate curvatures. Only what the reached stage produced.
+
+    u is even in t, so its dump holds the t >= 0 half of W: rows t = 0
+    through t = 1 for every X node, each byte for byte the row a dump over
+    all of W holds; u(-t) = u(t) gives the rest. A u that is not bitwise
+    even would lose information that way: NumericalFailure, and nothing
+    is written.
+    """
+    fields = dict(report.fields or {})
+    if "u" in fields:
+        w, u = fields["w"], fields["u"]
+        t, kt = w.axis("t"), w.array_axis("t")
+        mirror = np.flip(u, kt)
+        if not np.array_equal(u, mirror):
+            raise NumericalFailure(
+                f"u is not even in t (max |u(t) - u(-t)| = "
+                f"{float(np.max(np.abs(u - mirror))):.3e}); refusing to "
+                f"write its t >= 0 half")
+        fields["w"] = DiscreteDomain(tuple(upper_half(a) if a is t else a
+                                           for a in w.axes))
+        fields["u"] = np.take(u, np.arange(t.n // 2, t.n), axis=kt)
     written = []
 
     def dump(name, domain_key, columns):

@@ -8,7 +8,7 @@ import pytest
 from pscbench.errors import ConfigError
 from pscbench.grids import (DiscreteDomain, DomainSpec, build_domain,
                             bounded_axis, mirror_axis, periodic_axis,
-                            w_domains, c1_norm,
+                            upper_half, w_domains, c1_norm,
                             gradient, derivatives, coordinate_columns, fields_to_csv, TORUS, SPHERE)
 from pscbench.metrics import make_metric
 
@@ -30,6 +30,18 @@ def test_torus_w_domain_layout():
     assert np.array_equal(dom.at_t0(f), np.take(f, 4, axis=2))
     vec = np.stack([f, 2.0 * f], axis=-1)
     assert np.array_equal(dom.at_t0(vec), np.take(vec, 4, axis=2))
+
+
+def test_upper_half_keeps_the_full_axis_coordinates_bitwise():
+    # the u dump's t >= 0 rows must print as the full dump's did; a fresh
+    # bounded_axis(t, n // 2 + 1, 0, 1) does not: at n = 99 the full axis
+    # puts t = 0 at -1.1e-16, at n = 713 a later node differs in the 12th
+    # digit
+    for n in range(5, 1001, 2):
+        t = bounded_axis("t", n)
+        half = upper_half(t)
+        assert half.n == n // 2 + 1 and half.length == 1.0
+        assert np.array_equal(half.coords(), t.coords()[n // 2:])
 
 
 def test_sphere_w_domain_layout():

@@ -11,6 +11,7 @@ import pytest
 
 from pscbench.errors import ConfigError, NumericalFailure
 from pscbench.config import parse_config
+from pscbench.grids import fields_to_csv
 from pscbench.pipeline import run_scenario
 from pscbench.report import (FOOTER_MARK, PSC_FLAG, RunReport, emit_report,
                              parse_report, render_report, write_field_csvs)
@@ -134,7 +135,42 @@ def test_write_field_csvs_emits_three_tables(tmp_path):
     assert head == "x,y,r_exact,r_chain,r_bound"
     data = np.loadtxt(str(tmp_path / "small_u.csv"), delimiter=",",
                       skiprows=1)
-    assert data.shape == (8 * 8 * 33, 4)
+    assert data.shape == (8 * 8 * 17, 4)
+
+
+def test_u_dump_holds_the_t_nonnegative_rows_of_the_full_dump(tmp_path):
+    rep = run_scenario(small_config(tmp_path), stage="solve")
+    w, u = rep.fields["w"], rep.fields["u"]
+    n_t = w.axis("t").n
+    write_field_csvs(rep, str(tmp_path), "half")
+    half = (tmp_path / "half_u.csv").read_text().splitlines()
+    # the oracle: one row per node of all of W
+    fields_to_csv(tmp_path / "full_u.csv", w, {"u": u})
+    full = (tmp_path / "full_u.csv").read_text().splitlines()
+    assert half[0] == full[0] == "x,y,t,u"
+    rows = np.array(full[1:]).reshape(8, 8, n_t)
+    kept = rows[..., n_t // 2:]
+    assert kept.shape[-1] == n_t // 2 + 1
+    assert half[1:] == kept.ravel().tolist()
+    # u(-t) = u(t) rebuilds the full u from the kept rows, to 12 digits
+    data = np.loadtxt(tmp_path / "half_u.csv", delimiter=",", skiprows=1)
+    assert np.all(data[:, 2].reshape(8, 8, -1) >= 0.0)
+    upper = data[:, 3].reshape(8, 8, -1)
+    rebuilt = np.concatenate([np.flip(upper[..., 1:], -1), upper], axis=-1)
+    assert np.all(np.abs(rebuilt - u) <= 5e-12 * np.abs(u))
+
+
+def test_u_dump_refuses_a_u_that_is_not_even(tmp_path):
+    rep = run_scenario(small_config(tmp_path), stage="solve")
+    u = rep.fields["u"].copy()
+    u[3, 4, 2] += 1e-15 * np.max(np.abs(u))
+    rep.fields["u"] = u
+    out = tmp_path / "out"
+    out.mkdir()
+    with pytest.raises(NumericalFailure, match="not even in t") as err:
+        write_field_csvs(rep, str(out), "odd")
+    assert err.value.exit_code == 3
+    assert not list(out.iterdir())
 
 
 def test_angle_stage_writes_only_angle_csv(tmp_path):

@@ -222,6 +222,28 @@ def test_even_mode_solve_matches_the_oracle_on_a_non_dyadic_t_grid():
     assert fast.residual_inf <= 1e-10
 
 
+@pytest.mark.parametrize("name, spec, params, factor", [
+    ("twisted_flat", DomainSpec(TORUS, 2, (6, 6), 49), {"c": 0.5},
+     "sparse_lu"),
+    ("sphere_twist", DomainSpec(SPHERE, 2, (48,), 49),
+     {"r": 1.0, "beta0": 0.5}, "banded"),
+], ids=["torus_2d", "sphere_axisym"])
+def test_solve_and_rescale_return_a_bitwise_even_u(name, spec, params,
+                                                   factor):
+    # the u dump keeps t >= 0 only, so u must be exactly even on both
+    # factor routes, and after the same-epsilon auto-C re-budget, which
+    # scales the first u and refines it against the second C's forcing
+    asm = _pipeline_assembly(name, spec, params)
+    assert asm.factor_stats["factor"] == factor
+    kt = asm.domain.array_axis("t")
+    first = solve_dirichlet(asm, build_bump(2.2, 0.25, asm.domain))
+    scaled = solver.rescale_solution(asm, first, 4.0 / 3.2,
+                                     build_bump(3.0, 0.25, asm.domain))
+    assert scaled.stats["refinements"] >= 1
+    for u in (first.u, scaled.u):
+        assert np.array_equal(u, np.flip(u, kt))
+
+
 def test_odd_forcing_fails_the_residual_check():
     # the even modes cannot solve an odd forcing; the matrix-free residual
     # against the full forcing keeps it, and the solve refuses
