@@ -37,13 +37,19 @@ them together. The even eigenvectors are symmetrized exactly, so the
 solution is exactly even in t.
 
 The LU takes one of two routes. Every block L_X + lam_k I has L_X's kl
-sub- and ku super-diagonals. When L_X is banded in its natural order,
-that is when the band storage (2 kl + ku + 1) |X| is at most 2 nnz(L_X)
-(every one-axis slice without a periodic closure: the sphere), the block
-matrix is written straight into LAPACK band storage and factored by band
-LU (gbtrf; solves by gbtrs). Otherwise (the 2-D torus slices, whose
-periodic rows span the grid) it is assembled as a sparse matrix and
-factored by SuperLU (spla.splu).
+sub- and ku super-diagonals, read with the nodes of every periodic slice
+axis in ring order 0, n-1, 1, n-2, ... (mirror and bounded axes keep
+their natural order), so that periodic neighbours sit at most 2
+positions apart: an N x N torus slice has kl = ku = 2N, against
+N (N - 1) in natural order. When that band holds at most BAND_ROWS_CAP
+entries per node (2 kl + ku + 1 <= 160: every sphere slice, 2-D torus
+slices up to N = 26), the blocks are written in that node order into
+LAPACK band storage and factored by band LU (gbtrf; solves by gbtrs),
+in arrays of at most BAND_CHUNK_BYTES. Otherwise (2-D torus slices
+above N = 26, 3-D ones from 6^3 nodes on) the block matrix is assembled
+as a sparse matrix in natural order and factored by SuperLU
+(spla.splu). The node order is internal to the band factor: its solve
+permutes each mode's right-hand side in and the solution back out.
 
 The odd part of a right-hand side is not solved for: the matrix-free
 residual against the full right-hand side carries it, and a residual
@@ -63,40 +69,91 @@ import scipy.sparse.linalg as spla
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import HypothesisViolation, NumericalFailure
-from .fd import diff_matrix
+from .fd import PERIODIC, diff_matrix
 from .forcing import monitor_core
 from .grids import Axis, DiscreteDomain, gradient
 from .metrics import MetricField
 
 ANISOTROPY_WARN_RATIO = 1e6
+# Band route: the most band entries per node, 2 kl + ku + 1, that the band
+# LU takes (see OperatorAssembly.lu for the measured ladder behind it), and
+# the most bytes of one band array: several modes share one gbtrf call.
+BAND_ROWS_CAP = 160
+BAND_CHUNK_BYTES = 4 * 2 ** 20
+
+
+def ring_order(n: int) -> np.ndarray:
+    """The nodes of a periodic axis of n nodes in ring order
+    0, n-1, 1, n-2, ...: position k holds node k // 2 for even k and
+    n - 1 - k // 2 for odd k, so ring neighbours sit at most 2 positions
+    apart."""
+    k = np.arange(n)
+    return np.where(k % 2 == 0, k // 2, n - 1 - k // 2)
+
+
+def slice_order(axes) -> np.ndarray:
+    """The band factor's node order on a slice grid with these stored axes
+    (C order over their shape): position p holds node order[p]. Periodic
+    axes are read in ring order, the others in natural order, so a slice
+    without a periodic axis keeps its natural order."""
+    shape = tuple(ax.n for ax in axes)
+    index = np.arange(int(np.prod(shape))).reshape(shape)
+    return index[np.ix_(*[ring_order(ax.n) if ax.closure == PERIODIC
+                          else np.arange(ax.n) for ax in axes])].ravel()
 
 
 class _BandLU:
     """LAPACK band LU (gbtrf) of the block-diagonal
-    kron(I, L_X) + kron(diag(lam), I), L_X (COO) having kl sub- and ku
-    super-diagonals; `solve` is gbtrs. `nnz` counts the band storage,
+    kron(I, L_X) + kron(diag(lam), I), L_X (COO, in the node order
+    `order`) having kl sub- and ku super-diagonals.
+
+    The blocks are factored a few modes at a time, each group in its own
+    band array of at most BAND_CHUNK_BYTES. The blocks do not couple, so
+    this is the factor one gbtrf call over all of them gives. One band
+    array per run (16 MB on torus24) made the peak memory of some
+    processes step up by 14 MB once glibc's dynamic mmap threshold moved
+    such arrays onto the heap; arrays of this size did not. `solve`
+    permutes each mode's block of the right-hand side into the node
+    order, solves every group (gbtrs) and permutes the solution back. `nnz` counts the band storage,
     (2 kl + ku + 1) x the order."""
 
     def __init__(self, lx: sp.coo_matrix, kl: int, ku: int,
-                 lam: np.ndarray):
+                 lam: np.ndarray, order: np.ndarray):
+        n_x, width = lx.shape[0], 2 * kl + ku + 1
         # column j of the band array is node j, row kl + ku + i - j holds
         # entry (i, j); built transposed, so that the array gbtrf takes is
         # Fortran-ordered and factored in place
-        block = np.zeros((lx.shape[0], 2 * kl + ku + 1))
+        block = np.zeros((n_x, width))
         np.add.at(block, (lx.col, kl + ku + lx.row - lx.col), lx.data)
-        band = np.repeat(block[None], lam.size, axis=0)
-        band[:, :, kl + ku] += lam[:, None]
-        lu, self._piv, info = dgbtrf(band.reshape(-1, block.shape[1]).T,
-                                     kl, ku, overwrite_ab=1)
-        if info > 0:
-            raise NumericalFailure(
-                f"band LU factorization failed: exactly singular pivot at "
-                f"row {info}")
-        self._lu, self._kl, self._ku = lu, kl, ku
-        self.nnz = lu.size
+        step = max(1, BAND_CHUNK_BYTES // block.nbytes)
+        self._groups = []
+        for first in range(0, lam.size, step):
+            modes = lam[first:first + step]
+            band = np.repeat(block[None], modes.size, axis=0)
+            band[:, :, kl + ku] += modes[:, None]
+            lu, piv, info = dgbtrf(band.reshape(-1, width).T, kl, ku,
+                                   overwrite_ab=1)
+            if info > 0:
+                mode, pos = divmod(first * n_x + info - 1, n_x)
+                node = int(order[pos])
+                raise NumericalFailure(
+                    f"band LU factorization failed: exactly singular pivot "
+                    f"at row {mode * n_x + node} of the block matrix (mode "
+                    f"{mode}, slice node {node}; 0-based, natural order)")
+            self._groups.append((first, modes.size, lu, piv))
+        self._kl, self._ku, self._order = kl, ku, order
+        self._modes = lam.size
+        self.nnz = lam.size * n_x * width
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        return dgbtrs(self._lu, self._kl, self._ku, rhs, self._piv)[0]
+        f = np.reshape(rhs, (self._modes, -1))[:, self._order]
+        w = np.empty_like(f)
+        for first, count, lu, piv in self._groups:
+            w[first:first + count] = dgbtrs(
+                lu, self._kl, self._ku, f[first:first + count].ravel(),
+                piv)[0].reshape(count, -1)
+        w[:, self._order] = w.copy()
+        return w.ravel()
 
 
 @dataclass(frozen=True)
@@ -111,9 +168,10 @@ class OperatorAssembly:
     t-rotated interior block cached on first use stays the factor of this
     operator; every solve with this assembly reuses it.
 
-    The factor is a band LU when L_X is banded in its natural order (band
-    storage (2 kl + ku + 1) |X| <= 2 nnz(L_X)), else SuperLU of the sparse
-    block matrix; `factor_stats` names the route and its stored entries.
+    The factor is a band LU when L_X, with the periodic slice axes in
+    ring order, holds at most BAND_ROWS_CAP band entries per node, else
+    SuperLU of the sparse block matrix; `factor_stats` names the route and
+    its stored entries.
     """
     domain: DiscreteDomain
     slice_operator: sp.csr_matrix
@@ -123,13 +181,34 @@ class OperatorAssembly:
 
     @cached_property
     def lu(self):
-        """The factor of the t-rotated block matrix: band LU when L_X is
-        banded in its natural order, else SuperLU."""
-        lx = self.slice_operator.tocoo()
+        """The factor of the t-rotated block matrix.
+
+        Band LU (_BandLU) when L_X, read in `slice_order` (ring order on
+        the periodic axes), has 2 kl + ku + 1 <= BAND_ROWS_CAP; else
+        SuperLU of the block matrix in natural order. An N x N torus slice
+        needs 6N + 1 (6N + 7 with a cross term), a sphere slice 7, so the
+        cap keeps 2-D slices up to N = 26 on the band route; torus24 needs
+        145. The cap is read off a ladder of factor times, SuperLU against
+        band LU, for a non-symmetric variable-coefficient periodic L_X
+        with 24-48 even modes:
+
+            N = 12:  11-21 ms   vs   2.1 ms
+            N = 24:  43-81 ms   vs  15-17 ms  (16 MB band, 10-13 MB fill)
+            N = 32: 121-241 ms  vs  55-63 ms  (51 MB band, 28-37 MB fill)
+            N = 48: 579-892 ms  vs 485-495 ms (256 MB band, 124-142 MB)
+
+        The band stores more than SuperLU's fill at every rung and its
+        gain shrinks with N, so the cap keeps the route where the gain is
+        2.5-5x and the band at most ~20 MB. A 3-D slice of n^3 nodes needs
+        6 n^2 + 1 and passes the cap only below n = 6.
+        """
+        axes = [ax for ax in self.domain.stored_axes if ax.name != "t"]
+        order = slice_order(axes)
+        lx = self.slice_operator[order][:, order].tocoo()
         kl = int(np.max(lx.row - lx.col, initial=0))
         ku = int(np.max(lx.col - lx.row, initial=0))
-        if (2 * kl + ku + 1) * lx.shape[0] <= 2 * lx.nnz:
-            return _BandLU(lx, kl, ku, self.t_eigvals)
+        if 2 * kl + ku + 1 <= BAND_ROWS_CAP:
+            return _BandLU(lx, kl, ku, self.t_eigvals, order)
         eye_x = sp.identity(self.slice_operator.shape[0], format="csr")
         mat = (sp.kron(sp.identity(self.t_eigvals.size, format="csr"),
                        self.slice_operator)
@@ -344,9 +423,9 @@ def solve_dirichlet(assembly: OperatorAssembly, forcing,
     """Solve L u = F with u = 0 at t = +-1.
 
     One LU per assembly, of the t-rotated block-diagonal operator on the
-    even modes of T (see OperatorAssembly.lu): a LAPACK band LU when L_X
-    is banded in its natural order (band storage (2 kl + ku + 1) |X| at
-    most 2 nnz(L_X)), else SuperLU of the sparse block matrix. Then
+    even modes of T (see OperatorAssembly.lu): a LAPACK band LU when L_X,
+    with its periodic axes in ring order, holds at most BAND_ROWS_CAP band
+    entries per node, else SuperLU of the sparse block matrix. Then
     refinement against the full F: an odd part of F, which the even modes
     cannot solve for, stays in the residual. A failed factorization, or
     an infinity-norm residual that ends above tolerance, raises

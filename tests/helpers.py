@@ -277,10 +277,16 @@ def oracle_operator(v, potential, metric):
 # u* = cos(pi t / 2) * (slice profile) vanishes at t = +-1; F* = L u* is
 # computed from the closed-form action of the operator on u*.
 
-def mms_flat_cross(res, nt, v=(0.3, 0.4), c0=1.0):
-    dom, g, drift = product_fields(
+def flat_cross_fields(res, nt, v=(0.3, 0.4)):
+    """product_fields of the flat torus at res^2 x nt with the constant
+    drift (v_x, v_y): its (x, y) cross term gives L_X a 9-point stencil."""
+    return product_fields(
         DomainSpec(TORUS, 2, (res, res), nt), "product_flat",
         drift=lambda y: np.broadcast_to([v[0], v[1], 0.0], y.shape + (3,)))
+
+
+def mms_flat_cross(res, nt, v=(0.3, 0.4), c0=1.0):
+    dom, g, drift = flat_cross_fields(res, nt, v)
     xs, ys, ts = dom.mesh("x"), dom.mesh("y"), dom.mesh("t")
     u_true = np.cos(np.pi * ts / 2) * np.cos(xs + ys)
     fac = -4 * (v[0] + v[1]) ** 2 + 8 + np.pi ** 2 + c0

@@ -499,15 +499,15 @@ SHIPPED_SOLVE = {
     "sphere_twist": (3.84756472335, 0.25, 24.6651144865),
     "twisted_flat_c05": (2.2, 0.5, 105.931710489),
 }
-# (solver_factor, solver_factor_nnz): the sphere slices (48 colatitude
-# nodes, two sub- and super-diagonals) are factored by band LU, 24 even
-# t-modes x 48 nodes x 7 band rows; the torus slices by SuperLU, whose
-# fill is SuperLU's own and not pinned here
+# (solver_factor, solver_factor_nnz): every shipped slice is factored by
+# band LU over 24 even t-modes. The sphere slices (48 colatitude nodes,
+# two sub- and super-diagonals) store 7 band rows per node; the 12^2 torus
+# slices, with both periodic axes in ring order (kl = ku = 24), store 73
 SHIPPED_FACTOR = {
-    "flat_torus": ("sparse_lu", None),
+    "flat_torus": ("banded", 24 * 144 * 73),
     "sphere_product": ("banded", 24 * 48 * 7),
     "sphere_twist": ("banded", 24 * 48 * 7),
-    "twisted_flat_c05": ("sparse_lu", None),
+    "twisted_flat_c05": ("banded", 24 * 144 * 73),
 }
 # (min_r_bound, min_r_exact) of the positive cases; perfbench's seed-0
 # references for the same configs
@@ -538,8 +538,7 @@ def test_shipped_config_outcomes(tmp_path, stem):
     assert solve == SHIPPED_SOLVE[stem]
     factor, factor_nnz = SHIPPED_FACTOR[stem]
     assert doc.get("solve", "solver_factor") == factor
-    if factor_nnz is not None:
-        assert int(doc.get("solve", "solver_factor_nnz")) == factor_nnz
+    assert int(doc.get("solve", "solver_factor_nnz")) == factor_nnz
     minima = [float(doc.get("certificate", key))
               for key in ("min_r_bound", "min_r_exact", "min_r_chain")]
     if stem in SPHERE_REFERENCES:

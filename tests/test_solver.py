@@ -21,8 +21,9 @@ from pscbench.solver import assemble, solve_dirichlet, dtt_monitor, SolveReport
 from pscbench.forcing import build_bump, calibrate_epsilon
 from pscbench import fd, solver
 
-from helpers import (mms_flat_cross, mms_twisted, mms_sphere,
-                     oracle_operator, product_fields, record_factorizations)
+from helpers import (flat_cross_fields, mms_flat_cross, mms_twisted,
+                     mms_sphere, oracle_operator, product_fields,
+                     record_factorizations)
 
 # (measured error at coarse, at fine); order = log2 ratio
 FROZEN = {
@@ -40,12 +41,16 @@ def check_frozen(name, coarse, fine):
 
 
 def test_mms_flat_cross_drift():
-    e16, _ = mms_flat_cross(16, 17)
+    e16, rep16 = mms_flat_cross(16, 17)
     e32, rep = mms_flat_cross(32, 33)
     check_frozen("flat_cross", e16, e32)
     # the drift's (x, y) cross term gives a 9-point stencil on the slice
     assert rep.stats["slice_nnz"] == 9 * 32 * 32
     assert rep.residual_inf < 1e-10
+    # 6N + 7 band rows per node: 103 at N = 16 takes the band route, 199
+    # at N = 32 is above the cap, so the same problem runs both factors
+    assert rep16.stats["factor"] == "banded"
+    assert rep.stats["factor"] == "sparse_lu"
 
 
 def test_mms_twisted_drift():
@@ -156,16 +161,20 @@ def _dirichlet_rhs(forcing, w):
     return rhs.ravel()
 
 
-@pytest.mark.parametrize("name, spec, params", [
-    ("twisted_flat", DomainSpec(TORUS, 2, (6, 6), 9), {"c": 0.5}),
+@pytest.mark.parametrize("name, spec, params, factor", [
+    ("twisted_flat", DomainSpec(TORUS, 2, (6, 6), 9), {"c": 0.5}, "banded"),
     ("sphere_twist", DomainSpec(SPHERE, 2, (12,), 9),
-     {"r": 1.0, "beta0": 0.5}),
-], ids=["twisted_flat", "sphere_twist"])
-def test_slice_assembly_matches_materialised_oracle(name, spec, params):
+     {"r": 1.0, "beta0": 0.5}, "banded"),
+    ("twisted_flat", DomainSpec(TORUS, 3, (6, 6, 6), 9), {"c": 0.5},
+     "sparse_lu"),
+], ids=["twisted_flat", "sphere_twist", "twisted_flat_3d"])
+def test_slice_assembly_matches_materialised_oracle(name, spec, params,
+                                                    factor):
     # the operator built from slice data (h_X, V's X components, R_h) is
     # the general 3-D assembly of the same fields materialised over every
     # t node
     asm, full_v, full_r, g_w = _slice_and_materialised(name, spec, params)
+    assert asm.factor_stats["factor"] == factor
     w = asm.domain
     kt, it = w.array_axis("t"), w.index("t")
     oracle, c2, c1 = oracle_operator(full_v, full_r, g_w)
@@ -211,7 +220,11 @@ def test_even_mode_solve_matches_the_oracle_on_a_non_dyadic_t_grid():
     kt = w.array_axis("t")
     assert not np.array_equal(forcing, np.flip(forcing, kt))
     m = w.axis("t").n - 2
-    assert asm.lu.shape[0] == (m + 1) // 2 * 36
+    # one block per even mode; on the band route each stores 2 kl + ku + 1
+    # = 37 band rows per node (kl = ku = 12 in ring order)
+    assert asm.t_eigvals.size == (m + 1) // 2
+    assert asm.factor_stats == {"factor": "banded",
+                                "factor_nnz": (m + 1) // 2 * 36 * 37}
     assert np.array_equal(asm.t_eigvecs, asm.t_eigvecs[::-1])
     fast = solve_dirichlet(asm, forcing)
     assert np.array_equal(fast.u, np.flip(fast.u, kt))
@@ -224,10 +237,12 @@ def test_even_mode_solve_matches_the_oracle_on_a_non_dyadic_t_grid():
 
 @pytest.mark.parametrize("name, spec, params, factor", [
     ("twisted_flat", DomainSpec(TORUS, 2, (6, 6), 49), {"c": 0.5},
-     "sparse_lu"),
+     "banded"),
     ("sphere_twist", DomainSpec(SPHERE, 2, (48,), 49),
      {"r": 1.0, "beta0": 0.5}, "banded"),
-], ids=["torus_2d", "sphere_axisym"])
+    ("twisted_flat", DomainSpec(TORUS, 3, (8, 8, 8), 49), {"c": 0.5},
+     "sparse_lu"),
+], ids=["torus_2d", "sphere_axisym", "torus_3d"])
 def test_solve_and_rescale_return_a_bitwise_even_u(name, spec, params,
                                                    factor):
     # the u dump keeps t >= 0 only, so u must be exactly even on both
@@ -347,17 +362,46 @@ def _block_matrix(asm):
             + sp.kron(sp.diags(asm.t_eigvals), sp.identity(n_x))).tocsc()
 
 
-@pytest.mark.parametrize("name, params", [
-    ("sphere_twist", {"r": 1.0, "beta0": 0.5}),
-    ("sphere_product", {"r": 1.0}),
-], ids=["sphere_twist", "sphere_product"])
-def test_band_factor_matches_superlu_of_the_block_matrix(name, params):
-    # the shipped sphere grid: L_X has two sub- and two super-diagonals,
-    # so the blocks are factored by band LU; SuperLU of the same block
-    # matrix is the general route's answer
-    asm = _pipeline_assembly(name, DomainSpec(SPHERE, 2, (48,), 49), params)
+def _assembly(case):
+    """A builtin metric's pipeline assembly, or for ("cross", res, nt)
+    that of helpers.mms_flat_cross: a flat torus slice whose constant
+    drift gives L_X a 9-point stencil."""
+    if case[0] == "cross":
+        dom, g, drift = flat_cross_fields(*case[1:])
+        return assemble(drift, 1.0, g, dom.axis("t"))
+    return _pipeline_assembly(*case)
+
+
+SPHERE_48 = DomainSpec(SPHERE, 2, (48,), 49)
+
+
+@pytest.mark.parametrize("case, rows", [
+    (("sphere_twist", SPHERE_48, {"r": 1.0, "beta0": 0.5}), 2 * 2 + 2 + 1),
+    (("sphere_product", SPHERE_48, {"r": 1.0}), 2 * 2 + 2 + 1),
+    (("twisted_flat", DomainSpec(TORUS, 2, (6, 6), 9), {"c": 0.5}),
+     6 * 6 + 1),
+    (("twisted_flat", DomainSpec(TORUS, 2, (7, 7), 9), {"c": 0.5}),
+     6 * 7 + 1),
+    (("cross", 10, 9), 6 * 10 + 7),
+    (("twisted_flat", DomainSpec(TORUS, 2, (24, 24), 49), {"c": 0.5}),
+     6 * 24 + 1),
+], ids=["sphere_twist", "sphere_product", "torus_6x6", "torus_7x7",
+        "cross_10x10", "torus_24x24"])
+def test_band_factor_matches_superlu_of_the_block_matrix(case, rows):
+    # the shipped sphere grid has two sub- and two super-diagonals; an
+    # N x N torus slice in ring order 2N of each, and 2N + 2 with the
+    # cross drift's 9-point stencil: all are factored by band LU, in the
+    # permuted node order on the torus. SuperLU of the same block matrix
+    # in natural order is the general route's answer
+    asm = _assembly(case)
+    order = asm.t_eigvals.size * asm.slice_operator.shape[0]
     assert asm.factor_stats == {"factor": "banded",
-                                "factor_nnz": 24 * 48 * (2 * 2 + 2 + 1)}
+                                "factor_nnz": order * rows}
+    # no band array exceeds BAND_CHUNK_BYTES: torus24's 0.67 MB modes are
+    # factored six to an array
+    groups = asm.lu._groups
+    assert all(lu.nbytes <= solver.BAND_CHUNK_BYTES for *_, lu, _ in groups)
+    assert sum(count for _, count, _, _ in groups) == asm.t_eigvals.size
     mat = _block_matrix(asm)
     rhs = np.random.default_rng(8).standard_normal(mat.shape[0])
     band = asm.lu.solve(rhs)
@@ -368,30 +412,68 @@ def test_band_factor_matches_superlu_of_the_block_matrix(name, params):
         assert np.max(np.abs(rhs - mat @ u)) <= 1e-10
 
 
-@pytest.mark.parametrize("name, spec, params, factor", [
-    ("twisted_flat", DomainSpec(TORUS, 2, (8, 8), 9), {"c": 0.5},
-     "sparse_lu"),
-    ("sphere_twist", DomainSpec(SPHERE, 2, (16,), 9),
-     {"r": 1.0, "beta0": 0.5}, "banded"),
-], ids=["torus_2d", "sphere_axisym"])
-def test_factor_route_follows_the_slice_band(name, spec, params, factor):
-    # a 2-D torus slice's periodic rows span the grid, so its band storage
-    # is far above 2 nnz(L_X): SuperLU. The sphere's one-axis slice is
-    # banded in its natural order: band LU
-    asm = _pipeline_assembly(name, spec, params)
+@pytest.mark.parametrize("case, factor, rows", [
+    (("twisted_flat", DomainSpec(TORUS, 2, (8, 8), 9), {"c": 0.5}),
+     "banded", 6 * 8 + 1),
+    (("sphere_twist", DomainSpec(SPHERE, 2, (16,), 9),
+      {"r": 1.0, "beta0": 0.5}), "banded", 7),
+    (("twisted_flat", DomainSpec(TORUS, 3, (8, 8, 8), 9), {"c": 0.5}),
+     "sparse_lu", None),
+    (("cross", 32, 9), "sparse_lu", None),
+], ids=["torus_2d", "sphere_axisym", "torus_3d", "cross_32x32"])
+def test_factor_route_follows_the_slice_band(case, factor, rows):
+    # band entries per node, 2 kl + ku + 1, with the periodic axes in
+    # ring order: 6N + 1 on an N x N torus slice, 7 on the sphere's
+    # one-axis slice, both under the cap: band LU. 6 n^2 + 1 = 385 on an
+    # 8^3 torus slice and 6N + 7 = 199 on the 32^2 cross-drift slice are
+    # above it: SuperLU
+    asm = _assembly(case)
     assert asm.factor_stats["factor"] == factor
     assert isinstance(asm.lu, solver.spla.SuperLU) == (factor == "sparse_lu")
     rep = solve_dirichlet(asm, build_bump(2.2, 0.5, asm.domain))
     assert rep.stats["factor"] == factor
     # the entries the factor stores: SuperLU's supernodal storage, which
     # holds at least the exported L and U less L's unit diagonal; or the
-    # band storage, 2 kl + ku + 1 = 7 rows per node of every block
+    # band storage, 2 kl + ku + 1 rows per node of every block
     order = asm.t_eigvals.size * asm.slice_operator.shape[0]
     lu = asm.lu
     if factor == "sparse_lu":
         assert rep.stats["factor_nnz"] >= lu.L.nnz + lu.U.nnz - order
     else:
-        assert rep.stats["factor_nnz"] == order * 7
+        assert rep.stats["factor_nnz"] == order * rows
+
+
+@pytest.mark.parametrize("n", range(3, 42))
+def test_ring_order_keeps_periodic_neighbours_two_apart(n):
+    order = solver.ring_order(n)
+    assert np.array_equal(np.sort(order), np.arange(n))
+    position = np.argsort(order)
+    gaps = np.abs(position - np.roll(position, -1))
+    assert gaps.max() <= 2
+
+
+@pytest.mark.parametrize("res", [6, 7, 12, 24, 25])
+def test_ring_ordered_torus_slice_has_bandwidth_2n(res):
+    # natural order puts the periodic closure of the outer axis N (N - 1)
+    # rows away; ring order brings it to 2N, or 2N + 2 with cross terms
+    def bandwidths(asm):
+        axes = [ax for ax in asm.domain.stored_axes if ax.name != "t"]
+        order = solver.slice_order(axes)
+        lx = asm.slice_operator[order][:, order].tocoo()
+        return (int(np.max(lx.row - lx.col)), int(np.max(lx.col - lx.row)))
+
+    dom, g, v = product_fields(DomainSpec(TORUS, 2, (res, res), 5),
+                               "product_flat")
+    assert bandwidths(assemble(v, 1.0, g, dom.axis("t"))) == (2 * res,
+                                                              2 * res)
+    kl, ku = bandwidths(_assembly(("cross", res, 5)))
+    assert 2 * res <= max(kl, ku) <= 2 * res + 2
+
+
+def test_slice_order_keeps_a_slice_without_periodic_axes():
+    sphere = w_domains(DomainSpec(SPHERE, 2, (16,), 9))["x"]
+    assert np.array_equal(solver.slice_order(sphere.stored_axes),
+                          np.arange(16))
 
 
 def test_singular_band_block_raises_numerical_failure():
@@ -406,4 +488,40 @@ def test_singular_band_block_raises_numerical_failure():
     with pytest.raises(NumericalFailure,
                        match="band LU factorization") as err:
         solve_dirichlet(singular, np.ones(asm.domain.shape))
+    assert err.value.exit_code == 3
+
+
+def test_singular_periodic_band_block_names_the_natural_node():
+    # a zero column of block k = 0 is its first zero pivot. Node 7 of the
+    # 6 x 6 slice, (1, 1), sits at position 14 in ring order; the message
+    # names the node in the natural numbering the caller knows
+    dom, g, v = product_fields(DomainSpec(TORUS, 2, (6, 6), 7),
+                               "product_flat")
+    asm = assemble(v, 1.0, g, dom.axis("t"))
+    assert solver.slice_order(dom.stored_axes[:2])[14] == 7
+    lx = asm.slice_operator.tolil()
+    lx[:, 7] = 0.0
+    lx[7, 7] = -asm.t_eigvals[0]
+    singular = dataclasses.replace(asm, slice_operator=lx.tocsr())
+    with pytest.raises(NumericalFailure,
+                       match=r"band LU factorization .* row 7 .*mode 0, "
+                             r"slice node 7;") as err:
+        solve_dirichlet(singular, np.ones(dom.shape))
+    assert err.value.exit_code == 3
+
+
+def test_singular_sparse_block_raises_numerical_failure():
+    # the zero row of test_singular_operator_raises_numerical_failure on a
+    # 6^3 torus slice, whose 217 band rows per node take SuperLU
+    dom, g, v = product_fields(DomainSpec(TORUS, 3, (6, 6, 6), 7),
+                               "product_flat")
+    asm = assemble(v, 1.0, g, dom.axis("t"))
+    assert asm.factor_stats["factor"] == "sparse_lu"
+    lx = asm.slice_operator.tolil()
+    lx[0, :] = 0.0
+    lx[0, 0] = -asm.t_eigvals[0]
+    singular = dataclasses.replace(asm, slice_operator=lx.tocsr())
+    with pytest.raises(NumericalFailure,
+                       match="sparse LU factorization") as err:
+        solve_dirichlet(singular, np.ones(dom.shape))
     assert err.value.exit_code == 3
