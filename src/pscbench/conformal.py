@@ -206,16 +206,22 @@ def curvature_coefficient(slice_data: HypersurfaceData) -> float:
                         + slice_data.h_mean ** 2 + slice_data.a_norm2))
 
 
+def _budget(slice_data: HypersurfaceData, k1: float) -> float:
+    """What the certificate consumes of C + 1:
+    3/2 sup(2|Ric| + h^2 + |A|^2) + K1 + 2."""
+    return 1.5 * curvature_coefficient(slice_data) + k1 + 2.0
+
+
 def select_C(slice_data: HypersurfaceData, k1: float = 0.0) -> float:
     """Forcing amplitude: 10% above the certificate's consumption budget."""
-    return 1.1 * (1.5 * curvature_coefficient(slice_data) + k1 + 2.0)
+    return 1.1 * _budget(slice_data, k1)
 
 
 def headroom_value(C: float, slice_data: HypersurfaceData,
                    k1: float) -> float:
-    """Slack C + 1 - 3/2 sup(2|Ric| + h^2 + |A|^2) - K1 - 2; positive iff
-    the budget actually covers the curvature terms."""
-    return C + 1.0 - 1.5 * curvature_coefficient(slice_data) - k1 - 2.0
+    """Slack C + 1 minus the consumption budget; positive iff the budget
+    actually covers the curvature terms."""
+    return C + 1.0 - _budget(slice_data, k1)
 
 
 @dataclass

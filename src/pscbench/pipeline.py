@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import time
-from typing import NamedTuple
 
 import numpy as np
 
@@ -28,10 +27,13 @@ from .grids import c1_norm, gradient, w_domains
 from .metrics import load_metric_csv, make_metric, restrict_metric
 from .normal import MARGIN_FLOOR, normal_frame
 from .report import RunReport
-from .solver import (SolveReport, assemble, dtt_monitor, rescale_solution,
-                     solve_dirichlet)
+from .solver import assemble, dtt_monitor, solve_dirichlet
 
 STAGES = ("angle", "solve", "certify")
+# The auto-C re-budget runs only when the first pass's K1 exceeds this
+# multiple of the forcing's sup C + 1: below it K1 is round-off (a flat
+# slice's B1 is zero up to ~1e-15) and a re-budget would move C by an ulp
+K1_ROUNDOFF = 1e-12
 
 
 def build_slice_metric(config: RunConfig, dom_y):
@@ -40,45 +42,19 @@ def build_slice_metric(config: RunConfig, dom_y):
     return make_metric(config.metric_name, dom_y, **config.metric_params)
 
 
-class _Pass(NamedTuple):
-    """One solve pass at a fixed C and epsilon. Every field but the forcing
-    is linear in u, so in C + 1."""
-    forcing: np.ndarray
-    solve: SolveReport
-    c1: float
-    b1_0: np.ndarray
-    k1: float
-    eta_prime: float
-    du_y: np.ndarray
-
-
-def _solve_pass(config: RunConfig, doms: dict, assembly, b1_op, epsilon,
-                c_value) -> _Pass:
-    """Build the bump for one C at a calibrated epsilon, solve with the
-    run's one assembly (C scales only the forcing), and read from u only
-    the partials used: its gradient (C^1 norm), d^2u/dt^2 (eta'), B1 (the
-    run's one B1 operator b1_op applied to u; K1) and the gradient of its
-    t = 0 slice on Y's coordinates (K2)."""
-    w = doms["w"]
+def _solve_pass(config: RunConfig, w, assembly, b1_op, epsilon, c_value,
+                start=None):
+    """One solve pass at a fixed C and epsilon: build the bump, solve with
+    the run's one assembly (C scales only the forcing), from `start` when
+    given (solver.solve_dirichlet), and apply the run's one B1 operator
+    b1_op to u. Returns (forcing, solve, B1 at t = 0, K1): the certificate
+    reads B1 on the t = 0 slice only, and a W-sized B1 kept alive through
+    it raised the peak RSS of the 256 x 129 sphere run by 0.8 MB."""
     forcing = build_bump(c_value, epsilon, w)
-    solve = solve_dirichlet(assembly, forcing, tolerance=config.tolerance)
+    solve = solve_dirichlet(assembly, forcing, tolerance=config.tolerance,
+                            start=start)
     b1, k1 = laplacian_comparison(w, solve.u, b1_op)
-    return _Pass(forcing, solve, c1_norm(solve.u, gradient(w, solve.u)),
-                 w.at_t0(b1), k1,
-                 dtt_monitor(w.diff(solve.u, "t", 2), w, epsilon),
-                 gradient(doms["y"], w.at_t0(solve.u)))
-
-
-def _rescaled_pass(config: RunConfig, assembly, done: _Pass, scale: float,
-                   forcing) -> _Pass:
-    """The pass for `forcing` = scale x the forcing `done` solved, at the
-    same epsilon: everything read from u scales with it, so no derivative
-    pass runs; the scaled u is refined against `forcing`
-    (solver.rescale_solution)."""
-    solve = rescale_solution(assembly, done.solve, scale, forcing,
-                             tolerance=config.tolerance)
-    return _Pass(forcing, solve, scale * done.c1, scale * done.b1_0,
-                 scale * done.k1, scale * done.eta_prime, scale * done.du_y)
+    return forcing, solve, w.at_t0(b1), k1
 
 
 def run_scenario(config: RunConfig, stage: str = "certify") -> RunReport:
@@ -130,24 +106,24 @@ def run_scenario(config: RunConfig, stage: str = "certify") -> RunReport:
     auto_c = config.c_mode == "auto"
     c_value = select_C(slice_data, k1=0.0) if auto_c else float(config.c_mode)
     epsilon = calibrate_epsilon(c_value, config.p, config.delta, h_x, t_axis)
-    done = _solve_pass(config, doms, assembly, b1_op, epsilon, c_value)
-    if auto_c:
-        c_second = select_C(slice_data, k1=done.k1)
-        if c_second > c_value:
-            # the measured Laplacian mismatch consumed the 10% headroom;
-            # re-budget once with the measured K1. At an unchanged width
-            # the forcing only scales, and so does everything read from u
-            eps_second = calibrate_epsilon(c_second, config.p, config.delta,
-                                           h_x, t_axis)
-            if eps_second == epsilon:
-                done = _rescaled_pass(config, assembly, done,
-                                      (c_second + 1.0) / (c_value + 1.0),
-                                      build_bump(c_second, epsilon, w))
-            else:
-                done = _solve_pass(config, doms, assembly, b1_op,
-                                   eps_second, c_second)
-            c_value, epsilon = c_second, eps_second
-    forcing, solve, c1, b1_0, k1, eta_prime, du_y = done
+    forcing, solve, b1_0, k1 = _solve_pass(config, w, assembly, b1_op,
+                                           epsilon, c_value)
+    if auto_c and k1 > K1_ROUNDOFF * (c_value + 1.0):
+        # K1 above round-off: re-budget once with the measured K1. At an
+        # unchanged width the forcing only scales by (C2 + 1)/(C1 + 1), so
+        # the second solve starts from the first u scaled by that ratio
+        c_second = select_C(slice_data, k1=k1)
+        eps_second = calibrate_epsilon(c_second, config.p, config.delta,
+                                       h_x, t_axis)
+        start = ((c_second + 1.0) / (c_value + 1.0) * solve.u
+                 if eps_second == epsilon else None)
+        c_value, epsilon = c_second, eps_second
+        forcing, solve, b1_0, k1 = _solve_pass(config, w, assembly, b1_op,
+                                               epsilon, c_value, start)
+    # C and epsilon are settled: read the final u
+    u = solve.u
+    c1 = c1_norm(u, gradient(w, u))
+    eta_prime = dtt_monitor(w.diff(u, "t", 2), w, epsilon)
 
     report.c_used = c_value
     report.k1 = k1
@@ -158,14 +134,14 @@ def run_scenario(config: RunConfig, stage: str = "certify") -> RunReport:
     report.c1_u = c1
     report.dtt_max = eta_prime
     report.headroom = headroom_value(c_value, slice_data, k1)
-    report.fields.update(w=w, u=solve.u)
+    report.fields.update(w=w, u=u)
     if stage == "solve":
         report.wall_time = time.perf_counter() - t_start
         return report
 
     # -- conformal lift and certificate ----------------------------------
-    u_y, phi_y = lift_solution(w, solve.u, c1, n)
-    k2 = k2_field(u_y, du_y, h, frame.v, n)
+    u_y, phi_y = lift_solution(w, u, c1, n)
+    k2 = k2_field(u_y, gradient(doms["y"], w.at_t0(u)), h, frame.v, n)
     cert = certificate(u_y, phi_y, n, slice_data, w.at_t0(forcing),
                        b1_0, k2, eta_prime, h.scalar, h, frame.mu,
                        residual_inf=solve.residual_inf,

@@ -391,12 +391,30 @@ def _dirichlet_rhs(assembly: OperatorAssembly, forcing) -> np.ndarray:
     return rhs
 
 
-def _refined(assembly: OperatorAssembly, rhs: np.ndarray,
-             u: np.ndarray, tolerance: float) -> SolveReport:
-    """Iterative refinement of u against rhs: at least one step, at most
-    four, each residual applied matrix-free (OperatorAssembly.apply)
-    against the full rhs. NumericalFailure if the infinity-norm residual
-    ends above tolerance."""
+def solve_dirichlet(assembly: OperatorAssembly, forcing,
+                    tolerance: float = 1e-10, start=None) -> SolveReport:
+    """Solve L u = F with u = 0 at t = +-1.
+
+    One LU per assembly, of the t-rotated block-diagonal operator on the
+    even modes of T (see OperatorAssembly.lu): a LAPACK band LU when L_X,
+    with its periodic axes in ring order, holds at most BAND_ROWS_CAP band
+    entries per node, else SuperLU of the sparse block matrix. The first
+    iterate is the LU solve of F, or `start` when given (an even field
+    zero at t = +-1: the auto-C re-budget passes the first pass's u scaled
+    to the new forcing). Then iterative refinement against the full F: at
+    least one step, at most four, each residual applied matrix-free
+    (OperatorAssembly.apply), so an odd part of F, which the even modes
+    cannot solve for, stays in the residual. A failed factorization, or
+    an infinity-norm residual that ends above tolerance, raises
+    NumericalFailure.
+
+    The returned report carries u shaped like the domain (exactly zero on
+    the boundary rows) and the final residual; its stats name the factor
+    route (`factor`: banded or sparse_lu) and its stored entries
+    (`factor_nnz`).
+    """
+    rhs = _dirichlet_rhs(assembly, forcing)
+    u = assembly.solve(rhs) if start is None else start
     resid = rhs - assembly.apply(u)
     refinements = 0
     while refinements < 4:
@@ -416,38 +434,6 @@ def _refined(assembly: OperatorAssembly, rhs: np.ndarray,
             f"tolerance {tolerance:.1e}")
     return SolveReport(u=np.ascontiguousarray(u), residual_inf=residual_inf,
                        stats=stats)
-
-
-def solve_dirichlet(assembly: OperatorAssembly, forcing,
-                    tolerance: float = 1e-10) -> SolveReport:
-    """Solve L u = F with u = 0 at t = +-1.
-
-    One LU per assembly, of the t-rotated block-diagonal operator on the
-    even modes of T (see OperatorAssembly.lu): a LAPACK band LU when L_X,
-    with its periodic axes in ring order, holds at most BAND_ROWS_CAP band
-    entries per node, else SuperLU of the sparse block matrix. Then
-    refinement against the full F: an odd part of F, which the even modes
-    cannot solve for, stays in the residual. A failed factorization, or
-    an infinity-norm residual that ends above tolerance, raises
-    NumericalFailure.
-
-    The returned report carries u shaped like the domain (exactly zero on
-    the boundary rows) and the final residual; its stats name the factor
-    route (`factor`: banded or sparse_lu) and its stored entries
-    (`factor_nnz`).
-    """
-    rhs = _dirichlet_rhs(assembly, forcing)
-    return _refined(assembly, rhs, assembly.solve(rhs), tolerance)
-
-
-def rescale_solution(assembly: OperatorAssembly, report: SolveReport,
-                     scale: float, forcing,
-                     tolerance: float = 1e-10) -> SolveReport:
-    """The solve of `forcing` = scale x the forcing `report` solved, by
-    linearity: scale x u, refined against `forcing` as solve_dirichlet
-    refines its first solve."""
-    return _refined(assembly, _dirichlet_rhs(assembly, forcing),
-                    scale * report.u, tolerance)
 
 
 def dtt_monitor(d2u_dt2: np.ndarray, domain: DiscreteDomain,

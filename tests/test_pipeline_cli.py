@@ -12,7 +12,7 @@ from pscbench import cli, conformal, fd, pipeline, solver
 from pscbench.config import parse_config
 from pscbench.errors import ConfigError, HypothesisViolation
 from pscbench.forcing import forcing_norm
-from pscbench.grids import w_domains
+from pscbench.grids import c1_norm, gradient, w_domains
 from pscbench.metrics import MetricField, restrict_metric
 from pscbench.pipeline import run_scenario
 from pscbench.report import parse_report, write_field_csvs
@@ -55,6 +55,14 @@ p = 1
 delta = 40.0
 C = auto
 """
+
+# sphere_twist at 97 t-nodes with a delta between the forcing norms at
+# eps = 1/4 of the first C and the re-budgeted one (24.6595 and 24.6651):
+# the re-budget halves eps, and 97 t-nodes resolve the monitor core of
+# eps = 1/8
+EPS_CHANGE_DELTA = 24.662
+SPHERE_EPS_CHANGE = SPHERE_TWIST.replace("t_nodes = 49", "t_nodes = 97") \
+    .replace("delta = 40.0", f"delta = {EPS_CHANGE_DELTA}")
 
 FLAT = """\
 [domain]
@@ -144,7 +152,7 @@ def test_auto_c_resolve_reuses_the_one_factorization(tmp_path,
     # the auto-C re-budget changes the forcing only, so a second solve
     # pass at a new epsilon must reuse the first pass's LU. A delta between
     # the two C values' forcing norms at eps = 1/4 makes the second C
-    # calibrate to eps = 1/8; 97 t-nodes resolve that width's monitor core
+    # calibrate to eps = 1/8 (SPHERE_EPS_CHANGE)
     text = SPHERE_TWIST.replace("t_nodes = 49", "t_nodes = 97")
     args = []
     solve_pass = pipeline._solve_pass
@@ -153,15 +161,17 @@ def test_auto_c_resolve_reuses_the_one_factorization(tmp_path,
         lambda *a: args.append(a) or solve_pass(*a))
     first = run_scenario(parse_config(write(tmp_path, "s.cfg", text)),
                          stage="solve")
-    (config, doms, _, _, eps, c_first), = args
-    assert eps == 0.25 and first.epsilon == 0.25
+    # the re-budget keeps eps = 1/4 here: the second pass starts from u
+    (config, w, _, _, eps, c_first), (*_, eps_second, _, start) = args
+    assert eps == eps_second == 0.25 and first.epsilon == 0.25
+    assert start is not None
+    doms = w_domains(config.domain)
     h_x = restrict_metric(pipeline.build_slice_metric(config, doms["y"]),
                           doms["x"])
-    t_axis = doms["w"].axis("t")
+    t_axis = w.axis("t")
     norms = [forcing_norm(c, eps, config.p, h_x, t_axis)
              for c in (c_first, first.c_used)]
-    assert norms[0] < norms[1]
-    text = text.replace("delta = 40.0", f"delta = {sum(norms) / 2!r}")
+    assert norms[0] < EPS_CHANGE_DELTA < norms[1]
 
     # the sphere's slice is banded, so the factor is a band LU; count
     # builds of the factor, which both routes pass through. The slice
@@ -175,10 +185,12 @@ def test_auto_c_resolve_reuses_the_one_factorization(tmp_path,
             lambda *a: matrices.append(1) or operator_matrix(*a))
     monkeypatch.setattr(
         pipeline, "_solve_pass",
-        lambda *a: passes.append(a[-2:]) or solve_pass(*a))
-    rep = run_scenario(parse_config(write(tmp_path, "s.cfg", text)),
-                       stage="solve")
-    assert passes == [(0.25, c_first), (0.125, first.c_used)]
+        lambda *a: passes.append(a[4:]) or solve_pass(*a))
+    rep = run_scenario(
+        parse_config(write(tmp_path, "s.cfg", SPHERE_EPS_CHANGE)),
+        stage="solve")
+    # a changed epsilon solves afresh: no start
+    assert passes == [(0.25, c_first), (0.125, first.c_used, None)]
     assert (rep.c_used, rep.epsilon) == (first.c_used, 0.125)
     assert rep.solver_stats["factor"] == "banded"
     assert len(factorizations) == 1
@@ -188,29 +200,34 @@ def test_auto_c_resolve_reuses_the_one_factorization(tmp_path,
 def test_same_epsilon_rebudget_rescales_the_first_pass(tmp_path,
                                                        monkeypatch):
     # at an unchanged epsilon the second C only scales the forcing, so the
-    # pass is the first one times (C2 + 1)/(C1 + 1): it must match a fresh
-    # solve pass at C2
-    args = []
+    # second pass starts from the first u times (C2 + 1)/(C1 + 1): it must
+    # match a fresh solve pass at C2
+    args, passes = [], []
     solve_pass = pipeline._solve_pass
-    monkeypatch.setattr(
-        pipeline, "_solve_pass",
-        lambda *a: args.append(a) or solve_pass(*a))
+
+    def recording(*a):
+        args.append(a)
+        passes.append(solve_pass(*a))
+        return passes[-1]
+
+    monkeypatch.setattr(pipeline, "_solve_pass", recording)
     rep = run_scenario(parse_config(write(tmp_path, "s.cfg", SPHERE_TWIST)),
                        stage="solve")
-    (config, doms, assembly, b1_op, eps, c_first), = args
-    assert rep.epsilon == eps and rep.c_used > c_first
-    fresh = solve_pass(config, doms, assembly, b1_op, eps, rep.c_used)
-    u, fresh_u = rep.fields["u"], fresh.solve.u
+    (config, w, assembly, b1_op, eps, c_first), second = args
+    assert second[:4] == (config, w, assembly, b1_op)
+    assert second[4] == eps and second[5] == rep.c_used > c_first
+    scale = (rep.c_used + 1.0) / (c_first + 1.0)
+    assert np.array_equal(second[6], scale * passes[0][1].u)
+    _, fresh, _, fresh_k1 = solve_pass(config, w, assembly, b1_op, eps,
+                                       rep.c_used)
+    u, fresh_u = rep.fields["u"], fresh.u
     assert np.max(np.abs(u - fresh_u)) <= 1e-12 * np.max(np.abs(fresh_u))
-    for value, fresh_value in ((rep.k1, fresh.k1),
-                               (rep.dtt_max, fresh.eta_prime),
-                               (rep.c1_u, fresh.c1)):
-        assert value == pytest.approx(fresh_value, rel=1e-12, abs=0.0)
+    assert rep.k1 == pytest.approx(fresh_k1, rel=1e-12, abs=0.0)
     # the reported residual is the scaled u's against C2's forcing, within
     # round-off of the fresh solve's, relative to the forcing's sup C2 + 1
     residual = rep.solver_stats["residual_inf"]
     assert residual <= config.tolerance
-    assert (abs(residual - fresh.solve.residual_inf)
+    assert (abs(residual - fresh.residual_inf)
             <= 1e-12 * (rep.c_used + 1.0))
 
 
@@ -248,17 +265,20 @@ def test_certificate_differentiates_phi_y_once(tmp_path, monkeypatch, text,
     assert calls == {"certificate": diffs, "lift_solution": 0}
 
 
-@pytest.mark.parametrize("text, w_diffs", [(TWISTED_OK, 4),
-                                           (SPHERE_TWIST, 3)],
-                         ids=["twisted_flat", "sphere_twist"])
+@pytest.mark.parametrize("text, w_diffs, passes",
+                         [(TWISTED_OK, 4, 1), (SPHERE_TWIST, 3, 2),
+                          (SPHERE_EPS_CHANGE, 3, 2)],
+                         ids=["twisted_flat", "sphere_twist",
+                              "sphere_eps_change"])
 def test_solution_differentiated_once_per_pass(tmp_path, monkeypatch, text,
-                                               w_diffs):
-    # the auto-C re-budget keeps epsilon on both configs, so it rescales
-    # the one solve pass, which applies to u only the W-sized stencils it
-    # reads: u's gradient for the C^1 norm (the torus' x, y, t; the
-    # sphere's rho, t) and d^2u/dt^2 for eta'. B1 is a sparse slice
-    # operator (no stencil pass), and K2's gradient is taken on the t = 0
-    # slice, so neither counts here.
+                                               w_diffs, passes):
+    # u is differentiated once, after C and epsilon are settled, whatever
+    # the re-budget did: none on the flat torus (its K1 is round-off), a
+    # second pass at the same epsilon on sphere_twist, one at a halved
+    # epsilon on SPHERE_EPS_CHANGE. The W-sized stencils are u's gradient
+    # for the C^1 norm (the torus' x, y, t; the sphere's rho, t) and
+    # d^2u/dt^2 for eta'. B1 is a sparse slice operator (no stencil pass),
+    # and K2's gradient is taken on the t = 0 slice, so neither counts here.
     cfg = parse_config(write(tmp_path, "s.cfg", text))
     w_shape = w_domains(cfg.domain)["w"].shape
     inside = {name: 0 for name in ("solve_dirichlet", "dtt_monitor",
@@ -287,15 +307,51 @@ def test_solution_differentiated_once_per_pass(tmp_path, monkeypatch, text,
     for name in inside:
         monkeypatch.setattr(pipeline, name,
                             tagged(name, getattr(pipeline, name)))
-    passes = []
+    ran = []
     solve_pass = pipeline._solve_pass
     monkeypatch.setattr(
         pipeline, "_solve_pass",
-        lambda *args: passes.append(1) or solve_pass(*args))
+        lambda *args: ran.append(1) or solve_pass(*args))
     run_scenario(cfg)
-    assert len(passes) == 1
+    assert len(ran) == passes
     assert len(w_sized) == w_diffs
     assert inside == dict.fromkeys(inside, 0)
+
+
+@pytest.mark.parametrize("text", [TWISTED_OK, SPHERE_TWIST,
+                                  SPHERE_EPS_CHANGE],
+                         ids=["twisted_flat", "sphere_twist",
+                              "sphere_eps_change"])
+def test_reported_reads_are_those_of_the_final_u(tmp_path, text):
+    # the report's C^1 norm, eta' and K1 are read from the u it carries,
+    # bitwise, on every re-budget route
+    cfg = parse_config(write(tmp_path, "s.cfg", text))
+    rep = run_scenario(cfg, stage="solve")
+    w, u = rep.fields["w"], rep.fields["u"]
+    h = pipeline.build_slice_metric(cfg, w_domains(cfg.domain)["y"])
+    b1_op = conformal.b1_operator(h, restrict_metric(h, w.without("t")))
+    assert rep.c1_u == c1_norm(u, gradient(w, u))
+    assert rep.dtt_max == solver.dtt_monitor(w.diff(u, "t", 2), w,
+                                             rep.epsilon)
+    assert rep.k1 == conformal.laplacian_comparison(w, u, b1_op)[1]
+
+
+def test_flat_torus_round_off_k1_runs_no_rebudget(monkeypatch):
+    # on a flat slice B1 vanishes and K1 is round-off, far below
+    # K1_ROUNDOFF (C + 1): C and epsilon are settled by the first pass
+    shipped = os.path.join(os.path.dirname(__file__), os.pardir, "configs",
+                           "twisted_flat_c05.cfg")
+    calls = {"calibrate_epsilon": 0, "_solve_pass": 0}
+    for name in calls:
+        func = getattr(pipeline, name)
+        monkeypatch.setattr(
+            pipeline, name,
+            lambda *a, name=name, func=func: calls.__setitem__(
+                name, calls[name] + 1) or func(*a))
+    rep = run_scenario(parse_config(shipped), stage="solve")
+    assert calls == {"calibrate_epsilon": 1, "_solve_pass": 1}
+    assert 0.0 <= rep.k1 <= pipeline.K1_ROUNDOFF * (rep.c_used + 1.0)
+    assert rep.c_used == pytest.approx(2.2, rel=1e-15)
 
 
 @pytest.mark.parametrize("text", [TWISTED_OK, SPHERE_TWIST],

@@ -112,3 +112,22 @@ def test_bench_refuses_a_checkout_without_the_driver(tmp_path):
     assert proc.returncode == 2, proc.stderr
     assert "perfbench/run.py" in proc.stderr
     assert not (SCRIPTS.parent / f"BENCH_{label}.json").exists()
+
+
+def test_body_diff_of_this_tree_against_itself_is_empty(tmp_path):
+    # the same source on both sides: every scenario identical, exit 0
+    proc = run_script("body_diff.py", tmp_path, "--checkout",
+                      str(SCRIPTS.parent))
+    lines = proc.stdout.splitlines()
+    assert [ln.split(":")[0] for ln in lines] == [
+        "flat_torus", "sphere_product", "sphere_twist", "twisted_flat_c05",
+        "twisted_flat_c10", "torus24", "sphere256"]
+    assert all(ln.endswith(", identical") for ln in lines)
+    assert "twisted_flat_c10: exit 2, identical" in lines
+
+
+def test_body_diff_refuses_a_checkout_without_the_package(tmp_path):
+    proc = run_script("body_diff.py", tmp_path, "--checkout",
+                      str(tmp_path / "absent"), code=2)
+    assert "src/pscbench" in proc.stderr
+    assert proc.stdout == ""

@@ -247,13 +247,14 @@ def test_solve_and_rescale_return_a_bitwise_even_u(name, spec, params,
                                                    factor):
     # the u dump keeps t >= 0 only, so u must be exactly even on both
     # factor routes, and after the same-epsilon auto-C re-budget, which
-    # scales the first u and refines it against the second C's forcing
+    # starts from the first u scaled and refines it against the second C's
+    # forcing
     asm = _pipeline_assembly(name, spec, params)
     assert asm.factor_stats["factor"] == factor
     kt = asm.domain.array_axis("t")
     first = solve_dirichlet(asm, build_bump(2.2, 0.25, asm.domain))
-    scaled = solver.rescale_solution(asm, first, 4.0 / 3.2,
-                                     build_bump(3.0, 0.25, asm.domain))
+    scaled = solve_dirichlet(asm, build_bump(3.0, 0.25, asm.domain),
+                             start=4.0 / 3.2 * first.u)
     assert scaled.stats["refinements"] >= 1
     for u in (first.u, scaled.u):
         assert np.array_equal(u, np.flip(u, kt))
