@@ -4,13 +4,14 @@
     python3 scripts/body_diff.py --checkout DIR
 
 Runs `python -m pscbench certify`, once with this tree's src/ and once
-with DIR's, on the five shipped configs (configs/*.cfg) and on the
+with DIR's, on the shipped configs (configs/*.cfg) and on the
 seed-0 torus24 and sphere256 configs of perfbench/workloads.py, both
 taken from this tree so that the two runs read the same input. For every
 scenario it prints a differing exit code, every report-body line (above
 the non-deterministic footer) that differs, with the absolute difference
-of its numbers, and every CSV that differs, with the largest absolute
-difference of its cells.
+of its numbers, every body line only one side writes (lines are matched
+by section and key), and every CSV that differs, with the largest
+absolute difference of its cells.
 
 Stdlib only. Exits 0 when nothing differs, 1 when something does, and 2,
 running nothing, when DIR holds no src/pscbench.
@@ -72,15 +73,33 @@ def number_gap(a: str, b: str) -> str:
         return "not numeric"
 
 
+def keyed(lines: list) -> dict:
+    """A body's lines by (section, key, occurrence): the key is the text
+    before " = ", or the whole line when it holds none."""
+    section, seen, out = "", {}, {}
+    for line in lines:
+        if line.startswith("== "):
+            section = line
+        key = (section, line.partition(" = ")[0])
+        seen[key] = seen.get(key, 0) + 1
+        out[key + (seen[key],)] = line
+    return out
+
+
 def body_diffs(ours: Path, theirs: Path) -> list:
-    mine, other = body(ours), body(theirs)
-    if len(mine) != len(other):
-        return [f"  {ours.name}: {len(mine)} body lines against {len(other)}"]
+    """Every body line that changed, with the gap of its numbers, and
+    every line only one side has, matched by section and key."""
+    mine, other = keyed(body(ours)), keyed(body(theirs))
     out = []
-    for a, b in zip(mine, other):
-        if a != b:
+    for key, b in other.items():
+        a = mine.get(key)
+        if a is None:
+            out.append(f"  {ours.name}: {b!r} removed")
+        elif a != b:
             gap = number_gap(a.partition(" = ")[2], b.partition(" = ")[2])
             out.append(f"  {ours.name}: {b!r} -> {a!r} (|diff| {gap})")
+    out += [f"  {ours.name}: {a!r} added"
+            for key, a in mine.items() if key not in other]
     return out
 
 

@@ -45,9 +45,11 @@ _TORUS_AXIS_NAMES = ("x", "y", "z")
 @dataclass(frozen=True)
 class Axis:
     """Node k < n sits at start + (first + k) * spacing, or half a spacing
-    further on a mirror axis. `first` is nonzero only on an axis cut from
-    a longer one (upper_half), so its nodes keep the longer axis'
-    coordinates bit for bit."""
+    further on a mirror axis. A bounded axis puts its last node exactly at
+    `stop` and, for an odd node count, its midpoint exactly at
+    (start + stop) / 2. `first` is nonzero only on an axis cut from a
+    longer one (upper_half, which keeps the longer axis' last node), so
+    its nodes keep the longer axis' coordinates bit for bit."""
     name: str
     closure: str
     n: int
@@ -55,6 +57,7 @@ class Axis:
     start: float
     length: float
     first: int = 0
+    stop: float = 0.0
 
     @property
     def stored(self) -> bool:
@@ -64,7 +67,13 @@ class Axis:
         k = np.arange(self.first, self.first + self.n)
         if self.closure == fd.MIRROR:
             return self.start + (k + 0.5) * self.spacing
-        return self.start + k * self.spacing
+        coords = self.start + k * self.spacing
+        if self.closure == fd.BOUNDED:
+            last = self.first + self.n - 1
+            coords[k == last] = self.stop
+            if last % 2 == 0:
+                coords[k == last // 2] = 0.5 * (self.start + self.stop)
+        return coords
 
     def weights(self) -> np.ndarray:
         """Quadrature weights; trapezoid on bounded axes, midpoint otherwise."""
@@ -86,7 +95,8 @@ def mirror_axis(name: str, n: int, length: float = math.pi) -> Axis:
 
 
 def bounded_axis(name: str, n: int, lo: float = -1.0, hi: float = 1.0) -> Axis:
-    return Axis(name, fd.BOUNDED, n, (hi - lo) / (n - 1), lo, hi - lo)
+    return Axis(name, fd.BOUNDED, n, (hi - lo) / (n - 1), lo, hi - lo,
+                stop=hi)
 
 
 def virtual_axis(name: str, length: float = 2.0 * math.pi) -> Axis:

@@ -31,25 +31,38 @@ interior right-hand side by Q^T decouples it into slice problems
 (L_X + lam_k I) w_k = f_k. T's Dirichlet block commutes with the
 reflection t -> -t, so each eigenvector is even or odd in t, and the
 operator maps even fields to even fields. The forcing (C+1) bump(t) (x) 1_X
-is even, so only the ceil((t_nodes - 2)/2) even modes are kept, and one
-LU of the block-diagonal kron(I, L_X) + kron(diag(lam_even), I) solves
-them together. The even eigenvectors are symmetrized exactly, so the
-solution is exactly even in t.
+is even, so only the ceil((t_nodes - 2)/2) even modes are kept. The even
+eigenvectors are symmetrized exactly, so the solution is exactly even in
+t, whatever solves the slice problems.
 
-The LU takes one of two routes. Every block L_X + lam_k I has L_X's kl
-sub- and ku super-diagonals, read with the nodes of every periodic slice
-axis in ring order 0, n-1, 1, n-2, ... (mirror and bounded axes keep
-their natural order), so that periodic neighbours sit at most 2
-positions apart: an N x N torus slice has kl = ku = 2N, against
-N (N - 1) in natural order. When that band holds at most BAND_ROWS_CAP
-entries per node (2 kl + ku + 1 <= 160: every sphere slice, 2-D torus
-slices up to N = 26), the blocks are written in that node order into
-LAPACK band storage and factored by band LU (gbtrf; solves by gbtrs),
-in arrays of at most BAND_CHUNK_BYTES. Otherwise (2-D torus slices
-above N = 26, 3-D ones from 6^3 nodes on) the block matrix is assembled
-as a sparse matrix in natural order and factored by SuperLU
-(spla.splu). The node order is internal to the band factor: its solve
-permutes each mode's right-hand side in and the solution back out.
+The modes are split once per assembly, from L_X alone. With a_ii the
+diagonal of L_X and r_i = sum_{j != i} |a_ij| its off-diagonal row sums,
+block k is strictly diagonally dominant when
+q_k = max_i r_i / |a_ii + lam_k| < 1, and then a plain Jacobi sweep
+contracts the error's infinity norm by at least q_k (Varga, Matrix
+Iterative Analysis, 1962): from the start D^-1 f_k,
+||e_s|| <= q_k^(s+1) ||w_k||. T's eigenvalues reach about 16/dt^2, far
+above L_X's diagonal, so most modes have a small q_k. A mode with
+q_k <= JACOBI_Q_MAX is solved by Jacobi sweeps, counted before any
+solve: s_k, the fewest with q_k^(s_k+1) <= 2^-52, is worked out for
+each such mode, and all of them take the largest s_k at once, one CSR
+product per sweep. A strictly dominant block is regular, so this route
+cannot fail. The remaining low modes are factored together, on one of
+two routes. Every block L_X + lam_k I has
+L_X's kl sub- and ku super-diagonals, read with the nodes of every
+periodic slice axis in ring order 0, n-1, 1, n-2, ... (mirror and
+bounded axes keep their natural order), so that periodic neighbours sit
+at most 2 positions apart: an N x N torus slice has kl = ku = 2N,
+against N (N - 1) in natural order. When that band holds at most
+BAND_ROWS_CAP entries per node (2 kl + ku + 1 <= 160: every sphere
+slice, 2-D torus slices up to N = 26), the low blocks are written in
+that node order into LAPACK band storage and factored by band LU (gbtrf;
+solves by gbtrs), in arrays of at most BAND_CHUNK_BYTES. Otherwise (2-D
+torus slices above N = 26, 3-D ones from 6^3 nodes on) the block matrix
+of the low modes is assembled as a sparse matrix in natural order and
+factored by SuperLU (spla.splu). The node order is internal to the band
+factor: its solve permutes each mode's right-hand side in and the
+solution back out.
 
 The odd part of a right-hand side is not solved for: the matrix-free
 residual against the full right-hand side carries it, and a residual
@@ -80,6 +93,13 @@ ANISOTROPY_WARN_RATIO = 1e6
 # the most bytes of one band array: several modes share one gbtrf call.
 BAND_ROWS_CAP = 160
 BAND_CHUNK_BYTES = 4 * 2 ** 20
+# Jacobi route: the largest contraction bound q_k of a mode solved by sweeps
+# instead of a factor; at 0.1 a mode takes at most 15 sweeps. The factor
+# and two solves take, on torus24 / the 12^3 x 49 T^3: 15-53 / 609-630 ms
+# at 0.02, 9.2-11 / 231-239 ms at 0.1, 8.8-11 / 115-123 ms at 0.3. The
+# 48-node sphere slices' smallest q_k is 0.243, so below that no sphere
+# slice iterates a mode and its factor stays that of all modes.
+JACOBI_Q_MAX = 0.1
 
 
 def ring_order(n: int) -> np.ndarray:
@@ -102,23 +122,53 @@ def slice_order(axes) -> np.ndarray:
                           else np.arange(ax.n) for ax in axes])].ravel()
 
 
+class _JacobiModes:
+    """Plain Jacobi sweeps on the strictly diagonally dominant blocks
+    L_X + lam_k I, one per mode, with `off` L_X less its diagonal `diag`
+    and q the modes' contraction bounds.
+
+    From the start D^-1 f_k, s sweeps bound mode k's error by
+    q_k^(s+1) times its solution; `sweeps[k]` is the fewest that bring
+    that bound to 2^-52 or below. Every mode takes the largest of them,
+    so that each sweep is one CSR product on an (|X|, modes) array; more
+    sweeps only lower a mode's bound."""
+
+    def __init__(self, off: sp.csr_matrix, diag: np.ndarray,
+                 lam: np.ndarray, q: np.ndarray):
+        self.sweeps = np.zeros(q.shape, dtype=int)
+        while np.any(short := q ** (self.sweeps + 1) > 2.0 ** -52):
+            self.sweeps += short
+        self._off = off
+        self._diag = diag[:, None] + lam
+
+    def solve(self, f: np.ndarray) -> np.ndarray:
+        """The blocks' solutions for right-hand sides f, one row per
+        mode."""
+        b = f.T
+        w = b / self._diag
+        for _ in range(int(self.sweeps.max())):
+            w = (b - self._off @ w) / self._diag
+        return w.T
+
+
 class _BandLU:
     """LAPACK band LU (gbtrf) of the block-diagonal
     kron(I, L_X) + kron(diag(lam), I), L_X (COO, in the node order
-    `order`) having kl sub- and ku super-diagonals.
+    `order`) having kl sub- and ku super-diagonals; lam[i] is the
+    eigenvalue of mode modes[i].
 
     The blocks are factored a few modes at a time, each group in its own
     band array of at most BAND_CHUNK_BYTES. The blocks do not couple, so
     this is the factor one gbtrf call over all of them gives. One band
-    array per run (16 MB on torus24) made the peak memory of some
-    processes step up by 14 MB once glibc's dynamic mmap threshold moved
-    such arrays onto the heap; arrays of this size did not. `solve`
-    permutes each mode's block of the right-hand side into the node
-    order, solves every group (gbtrs) and permutes the solution back. `nnz` counts the band storage,
-    (2 kl + ku + 1) x the order."""
+    array for all modes made the peak memory of some processes step up
+    by 14 MB once glibc's dynamic mmap threshold moved such arrays onto
+    the heap; arrays of this size did not. `solve` permutes each mode's
+    block of the right-hand side into the node order, solves every group
+    (gbtrs) and permutes the solution back. `nnz` counts the band
+    storage, (2 kl + ku + 1) x the order."""
 
     def __init__(self, lx: sp.coo_matrix, kl: int, ku: int,
-                 lam: np.ndarray, order: np.ndarray):
+                 lam: np.ndarray, order: np.ndarray, modes: np.ndarray):
         n_x, width = lx.shape[0], 2 * kl + ku + 1
         # column j of the band array is node j, row kl + ku + i - j holds
         # entry (i, j); built transposed, so that the array gbtrf takes is
@@ -128,19 +178,19 @@ class _BandLU:
         step = max(1, BAND_CHUNK_BYTES // block.nbytes)
         self._groups = []
         for first in range(0, lam.size, step):
-            modes = lam[first:first + step]
-            band = np.repeat(block[None], modes.size, axis=0)
-            band[:, :, kl + ku] += modes[:, None]
+            group = lam[first:first + step]
+            band = np.repeat(block[None], group.size, axis=0)
+            band[:, :, kl + ku] += group[:, None]
             lu, piv, info = dgbtrf(band.reshape(-1, width).T, kl, ku,
                                    overwrite_ab=1)
             if info > 0:
-                mode, pos = divmod(first * n_x + info - 1, n_x)
-                node = int(order[pos])
+                local, pos = divmod(first * n_x + info - 1, n_x)
+                mode, node = int(modes[local]), int(order[pos])
                 raise NumericalFailure(
                     f"band LU factorization failed: exactly singular pivot "
                     f"at row {mode * n_x + node} of the block matrix (mode "
                     f"{mode}, slice node {node}; 0-based, natural order)")
-            self._groups.append((first, modes.size, lu, piv))
+            self._groups.append((first, group.size, lu, piv))
         self._kl, self._ku, self._order = kl, ku, order
         self._modes = lam.size
         self.nnz = lam.size * n_x * width
@@ -156,6 +206,31 @@ class _BandLU:
         return w.ravel()
 
 
+class _ModeSplit:
+    """The solve of the block-diagonal kron(I, L_X) + kron(diag(lam), I)
+    over all even modes, split by mode: `factor` (a _BandLU, a SuperLU, or
+    None when no mode is factored) holds the blocks of the modes `low`,
+    `jacobi` (a _JacobiModes, or None) those of the modes `high`."""
+
+    def __init__(self, low: np.ndarray, factor, high: np.ndarray,
+                 jacobi: _JacobiModes | None):
+        self.low, self.factor = low, factor
+        self.high, self.jacobi = high, jacobi
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """The solution for a right-hand side with one block per mode, in
+        mode order, raveled."""
+        if self.jacobi is None:
+            return self.factor.solve(rhs)
+        f = np.reshape(rhs, (self.low.size + self.high.size, -1))
+        w = np.empty_like(f)
+        if self.factor is not None:
+            w[self.low] = self.factor.solve(
+                f[self.low].ravel()).reshape(self.low.size, -1)
+        w[self.high] = self.jacobi.solve(f[self.high])
+        return w.ravel()
+
+
 @dataclass(frozen=True)
 class OperatorAssembly:
     """The operator as its slice part L_X and its t part T on the domain W.
@@ -164,14 +239,17 @@ class OperatorAssembly:
     `t_eigvals`, `t_eigvecs` the even eigenpairs of its Dirichlet block,
     in ascending order, each vector symmetrized so that it is exactly even
     in t: the forcing is even, T commutes with t -> -t, so the solution
-    lies in their span and is exactly even. Frozen, so the LU of the
-    t-rotated interior block cached on first use stays the factor of this
-    operator; every solve with this assembly reuses it.
+    lies in their span and is exactly even. Frozen, so the mode split and
+    factor of the t-rotated interior block (`lu`), cached on first use,
+    stay those of this operator; every solve with this assembly reuses
+    them.
 
-    The factor is a band LU when L_X, with the periodic slice axes in
+    Each even mode is solved by Jacobi sweeps when its block is
+    diagonally dominant enough (q_k <= JACOBI_Q_MAX), else by the factor
+    of the low modes: a band LU when L_X, with the periodic slice axes in
     ring order, holds at most BAND_ROWS_CAP band entries per node, else
-    SuperLU of the sparse block matrix; `factor_stats` names the route and
-    its stored entries.
+    SuperLU of their sparse block matrix; `factor_stats` names the route
+    and counts its stored entries and the iterated modes.
     """
     domain: DiscreteDomain
     slice_operator: sp.csr_matrix
@@ -180,17 +258,22 @@ class OperatorAssembly:
     t_eigvecs: np.ndarray
 
     @cached_property
-    def lu(self):
-        """The factor of the t-rotated block matrix.
+    def lu(self) -> _ModeSplit:
+        """The solve of the t-rotated block matrix, split by mode.
 
-        Band LU (_BandLU) when L_X, read in `slice_order` (ring order on
-        the periodic axes), has 2 kl + ku + 1 <= BAND_ROWS_CAP; else
-        SuperLU of the block matrix in natural order. An N x N torus slice
-        needs 6N + 1 (6N + 7 with a cross term), a sphere slice 7, so the
-        cap keeps 2-D slices up to N = 26 on the band route; torus24 needs
-        145. The cap is read off a ladder of factor times, SuperLU against
-        band LU, for a non-symmetric variable-coefficient periodic L_X
-        with 24-48 even modes:
+        With a_ii the diagonal of L_X and r_i its off-diagonal row sums,
+        mode k's contraction bound is q_k = max_i r_i / |a_ii + lam_k|
+        (inf or nan, so factored, where a_ii + lam_k = 0). Modes with
+        q_k <= JACOBI_Q_MAX are solved by Jacobi sweeps (_JacobiModes),
+        the others factored: by band LU (_BandLU) when L_X, read in
+        `slice_order` (ring order on the periodic axes), has
+        2 kl + ku + 1 <= BAND_ROWS_CAP, else by one SuperLU of their block
+        matrix in natural order. An N x N torus slice needs 6N + 1 band
+        rows (6N + 7 with a cross term), a sphere slice 7, so the cap
+        keeps 2-D slices up to N = 26 on the band route; torus24 needs
+        145. The cap is read off a ladder of factor times over all modes,
+        SuperLU against band LU, for a non-symmetric variable-coefficient
+        periodic L_X with 24-48 even modes:
 
             N = 12:  11-21 ms   vs   2.1 ms
             N = 24:  43-81 ms   vs  15-17 ms  (16 MB band, 10-13 MB fill)
@@ -202,17 +285,37 @@ class OperatorAssembly:
         2.5-5x and the band at most ~20 MB. A 3-D slice of n^3 nodes needs
         6 n^2 + 1 and passes the cap only below n = 6.
         """
+        lx, lam = self.slice_operator.tocsr(), self.t_eigvals
+        diag = lx.diagonal()
+        row_of = np.repeat(np.arange(lx.shape[0]), np.diff(lx.indptr))
+        off_sums = np.bincount(row_of,
+                               np.abs(lx.data) * (lx.indices != row_of),
+                               minlength=lx.shape[0])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            q = np.max(off_sums[:, None] / np.abs(diag[:, None] + lam),
+                       axis=0)
+        iterated = q <= JACOBI_Q_MAX
+        low, high = np.flatnonzero(~iterated), np.flatnonzero(iterated)
+        jacobi = (_JacobiModes((lx - sp.diags(diag)).tocsr(), diag,
+                               lam[high], q[high]) if high.size else None)
+        return _ModeSplit(low, self._factor(low), high, jacobi)
+
+    def _factor(self, low: np.ndarray):
+        """The factor of the blocks of the modes `low`, None for none."""
+        if low.size == 0:
+            return None
         axes = [ax for ax in self.domain.stored_axes if ax.name != "t"]
         order = slice_order(axes)
         lx = self.slice_operator[order][:, order].tocoo()
         kl = int(np.max(lx.row - lx.col, initial=0))
         ku = int(np.max(lx.col - lx.row, initial=0))
+        lam = self.t_eigvals[low]
         if 2 * kl + ku + 1 <= BAND_ROWS_CAP:
-            return _BandLU(lx, kl, ku, self.t_eigvals, order)
+            return _BandLU(lx, kl, ku, lam, order, low)
         eye_x = sp.identity(self.slice_operator.shape[0], format="csr")
-        mat = (sp.kron(sp.identity(self.t_eigvals.size, format="csr"),
+        mat = (sp.kron(sp.identity(lam.size, format="csr"),
                        self.slice_operator)
-               + sp.kron(sp.diags(self.t_eigvals), eye_x))
+               + sp.kron(sp.diags(lam), eye_x))
         try:
             return spla.splu(mat.tocsc())
         except RuntimeError as exc:
@@ -221,13 +324,22 @@ class OperatorAssembly:
 
     @property
     def factor_stats(self) -> dict:
-        """The factor route ("banded" or "sparse_lu") and the entries the
-        factor stores: the band storage, or SuperLU's supernodal L and U
-        storage (its `nnz`; exporting L and U to count them costs a copy
-        of the factor)."""
-        return {"factor": ("banded" if isinstance(self.lu, _BandLU)
+        """The factor route of the low modes ("banded", "sparse_lu", or
+        "none" when every mode is iterated), the entries the factor
+        stores (the band storage, or SuperLU's supernodal L and U storage,
+        its `nnz`: exporting L and U to count them costs a copy of the
+        factor), the number of modes solved by Jacobi sweeps and the
+        largest sweep count."""
+        split = self.lu
+        jacobi = split.jacobi
+        return {"factor": ("none" if split.factor is None
+                           else "banded" if isinstance(split.factor, _BandLU)
                            else "sparse_lu"),
-                "factor_nnz": int(self.lu.nnz)}
+                "factor_nnz": (0 if split.factor is None
+                               else int(split.factor.nnz)),
+                "jacobi_modes": int(split.high.size),
+                "jacobi_sweeps": (0 if jacobi is None
+                                  else int(jacobi.sweeps.max()))}
 
     def _t_first(self, values: np.ndarray) -> np.ndarray:
         """A field on the domain as (t_nodes, |X|): one row per t slice."""
@@ -247,8 +359,9 @@ class OperatorAssembly:
         zero at t = +-1; its odd part is dropped.
 
         The even part (f + Jf)/2 of the interior rows is rotated into the
-        even eigenbasis of T, solved with the block-diagonal factor and
-        rotated back; the t = +-1 rows of the result are exactly 0.
+        even eigenbasis of T, solved mode by mode (`lu`: Jacobi sweeps or
+        the low modes' factor) and rotated back; the t = +-1 rows of the
+        result are exactly 0.
         """
         f = self._t_first(rhs)
         inner = f[1:-1]
@@ -395,23 +508,25 @@ def solve_dirichlet(assembly: OperatorAssembly, forcing,
                     tolerance: float = 1e-10, start=None) -> SolveReport:
     """Solve L u = F with u = 0 at t = +-1.
 
-    One LU per assembly, of the t-rotated block-diagonal operator on the
-    even modes of T (see OperatorAssembly.lu): a LAPACK band LU when L_X,
-    with its periodic axes in ring order, holds at most BAND_ROWS_CAP band
-    entries per node, else SuperLU of the sparse block matrix. The first
-    iterate is the LU solve of F, or `start` when given (an even field
-    zero at t = +-1: the auto-C re-budget passes the first pass's u scaled
-    to the new forcing). Then iterative refinement against the full F: at
-    least one step, at most four, each residual applied matrix-free
-    (OperatorAssembly.apply), so an odd part of F, which the even modes
-    cannot solve for, stays in the residual. A failed factorization, or
-    an infinity-norm residual that ends above tolerance, raises
-    NumericalFailure.
+    One mode split per assembly of the t-rotated block-diagonal operator
+    on the even modes of T (see OperatorAssembly.lu): the diagonally
+    dominant modes by a fixed number of Jacobi sweeps, the low modes by
+    one factor, a LAPACK band LU when L_X, with its periodic axes in ring
+    order, holds at most BAND_ROWS_CAP band entries per node, else SuperLU
+    of their sparse block matrix. The first iterate is the solve of F, or
+    `start` when given (an even field zero at t = +-1: the auto-C
+    re-budget passes the first pass's u scaled to the new forcing). Then
+    iterative refinement against the full F: at least one step, at most
+    four, each residual applied matrix-free (OperatorAssembly.apply), so
+    an odd part of F, which the even modes cannot solve for, stays in the
+    residual. A failed factorization, or an infinity-norm residual that
+    ends above tolerance, raises NumericalFailure.
 
     The returned report carries u shaped like the domain (exactly zero on
     the boundary rows) and the final residual; its stats name the factor
-    route (`factor`: banded or sparse_lu) and its stored entries
-    (`factor_nnz`).
+    route (`factor`: banded, sparse_lu or none), its stored entries
+    (`factor_nnz`), the modes solved by Jacobi sweeps (`jacobi_modes`) and
+    the largest sweep count (`jacobi_sweeps`).
     """
     rhs = _dirichlet_rhs(assembly, forcing)
     u = assembly.solve(rhs) if start is None else start

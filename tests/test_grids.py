@@ -34,14 +34,27 @@ def test_torus_w_domain_layout():
 
 def test_upper_half_keeps_the_full_axis_coordinates_bitwise():
     # the u dump's t >= 0 rows must print as the full dump's did; a fresh
-    # bounded_axis(t, n // 2 + 1, 0, 1) does not: at n = 99 the full axis
-    # puts t = 0 at -1.1e-16, at n = 713 a later node differs in the 12th
-    # digit
+    # bounded_axis(t, n // 2 + 1, 0, 1) does not: at n = 713 a node
+    # differs in the 12th digit
     for n in range(5, 1001, 2):
         t = bounded_axis("t", n)
         half = upper_half(t)
         assert half.n == n // 2 + 1 and half.length == 1.0
         assert np.array_equal(half.coords(), t.coords()[n // 2:])
+
+
+@pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (0.1, 0.7), (-3.0, 5.5)])
+def test_bounded_axis_pins_its_ends_and_midpoint(lo, hi):
+    # node k sits at lo + k * spacing except the last node, exactly hi,
+    # and the midpoint of an odd count, exactly (lo + hi) / 2; at n = 99
+    # on [-1, 1] the plain formula gives -1.1e-16 for the midpoint
+    for n in range(5, 1002, 2):
+        ax = bounded_axis("t", n, lo, hi)
+        c = ax.coords()
+        assert c[0] == lo and c[-1] == hi and c[n // 2] == (lo + hi) / 2
+        rest = np.delete(np.arange(n), [n - 1, n // 2])
+        assert np.array_equal(c[rest], lo + rest * ax.spacing)
+        assert np.array_equal(upper_half(ax).coords(), c[n // 2:])
 
 
 def test_sphere_w_domain_layout():

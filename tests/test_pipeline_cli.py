@@ -554,16 +554,22 @@ SHIPPED_SOLVE = {
     "sphere_product": (2.2, 0.25, 15.0823365906),
     "sphere_twist": (3.84756472335, 0.25, 24.6651144865),
     "twisted_flat_c05": (2.2, 0.5, 105.931710489),
+    "twisted_t3_c05": (2.2, 0.5, 665.588566909),
 }
-# (solver_factor, solver_factor_nnz): every shipped slice is factored by
-# band LU over 24 even t-modes. The sphere slices (48 colatitude nodes,
-# two sub- and super-diagonals) store 7 band rows per node; the 12^2 torus
-# slices, with both periodic axes in ring order (kl = ku = 24), store 73
+# (solver_factor, solver_factor_nnz, solver_jacobi_modes) over 24 even
+# t-modes: the diagonally dominant modes are iterated, the low ones
+# factored. The sphere slices (48 colatitude nodes, two sub- and
+# super-diagonals) iterate none and store 7 band rows per node; the 12^2
+# torus slices, with both periodic axes in ring order (kl = ku = 24),
+# band-factor 4 (product) or 3 (twisted) modes at 73 rows per node. The
+# 12^3 slice of the n = 4 control is above the band cap: SuperLU of its 4
+# low modes, whose stored entries are not pinned
 SHIPPED_FACTOR = {
-    "flat_torus": ("banded", 24 * 144 * 73),
-    "sphere_product": ("banded", 24 * 48 * 7),
-    "sphere_twist": ("banded", 24 * 48 * 7),
-    "twisted_flat_c05": ("banded", 24 * 144 * 73),
+    "flat_torus": ("banded", 4 * 144 * 73, 20),
+    "sphere_product": ("banded", 24 * 48 * 7, 0),
+    "sphere_twist": ("banded", 24 * 48 * 7, 0),
+    "twisted_flat_c05": ("banded", 3 * 144 * 73, 21),
+    "twisted_t3_c05": ("sparse_lu", None, 20),
 }
 # (min_r_bound, min_r_exact) of the positive cases; perfbench's seed-0
 # references for the same configs
@@ -592,9 +598,11 @@ def test_shipped_config_outcomes(tmp_path, stem):
     solve = tuple(float(doc.get("solve", key))
                   for key in ("C", "epsilon", "forcing_norm"))
     assert solve == SHIPPED_SOLVE[stem]
-    factor, factor_nnz = SHIPPED_FACTOR[stem]
+    factor, factor_nnz, jacobi_modes = SHIPPED_FACTOR[stem]
     assert doc.get("solve", "solver_factor") == factor
-    assert int(doc.get("solve", "solver_factor_nnz")) == factor_nnz
+    nnz = int(doc.get("solve", "solver_factor_nnz"))
+    assert (nnz > 0) if factor_nnz is None else (nnz == factor_nnz)
+    assert int(doc.get("solve", "solver_jacobi_modes")) == jacobi_modes
     minima = [float(doc.get("certificate", key))
               for key in ("min_r_bound", "min_r_exact", "min_r_chain")]
     if stem in SPHERE_REFERENCES:

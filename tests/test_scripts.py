@@ -121,9 +121,33 @@ def test_body_diff_of_this_tree_against_itself_is_empty(tmp_path):
     lines = proc.stdout.splitlines()
     assert [ln.split(":")[0] for ln in lines] == [
         "flat_torus", "sphere_product", "sphere_twist", "twisted_flat_c05",
-        "twisted_flat_c10", "torus24", "sphere256"]
+        "twisted_flat_c10", "twisted_t3_c05", "torus24", "sphere256"]
     assert all(ln.endswith(", identical") for ln in lines)
     assert "twisted_flat_c10: exit 2, identical" in lines
+
+
+def test_body_diff_matches_body_lines_by_section_and_key(tmp_path):
+    # a line added or removed on one side does not shift the comparison
+    # of the lines after it: each is matched by its section and key
+    sys.path.insert(0, str(SCRIPTS))
+    try:
+        import body_diff
+    finally:
+        sys.path.remove(str(SCRIPTS))
+    ours, theirs = tmp_path / "a.report.txt", tmp_path / "b.report.txt"
+    theirs.write_text("== solve ==\nC = 2.2\nsolver_factor_nnz = 9\n"
+                      "solver_nodes = 4\n\n== certificate ==\n"
+                      "verdict = false\n# --- non-deterministic footer ---\n"
+                      "time = 1\n")
+    ours.write_text("== solve ==\nC = 2.2\nsolver_factor_nnz = 3\n"
+                    "solver_jacobi_modes = 2\nsolver_nodes = 4\n\n"
+                    "== certificate ==\n# --- non-deterministic footer ---\n"
+                    "time = 2\n")
+    assert body_diff.body_diffs(ours, theirs) == [
+        "  a.report.txt: 'solver_factor_nnz = 9' -> "
+        "'solver_factor_nnz = 3' (|diff| 6)",
+        "  a.report.txt: 'verdict = false' removed",
+        "  a.report.txt: 'solver_jacobi_modes = 2' added"]
 
 
 def test_body_diff_refuses_a_checkout_without_the_package(tmp_path):

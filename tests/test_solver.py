@@ -11,6 +11,8 @@ import dataclasses
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.linalg.lapack import dgbtrf
+from hypothesis import assume, given, settings, strategies as st
 
 from pscbench.errors import ConfigError, HypothesisViolation, NumericalFailure
 from pscbench.grids import (DomainSpec, build_domain, c1_norm, gradient,
@@ -220,11 +222,14 @@ def test_even_mode_solve_matches_the_oracle_on_a_non_dyadic_t_grid():
     kt = w.array_axis("t")
     assert not np.array_equal(forcing, np.flip(forcing, kt))
     m = w.axis("t").n - 2
-    # one block per even mode; on the band route each stores 2 kl + ku + 1
-    # = 37 band rows per node (kl = ku = 12 in ring order)
+    # one block per even mode. The two lowest are factored on the band
+    # route, each storing 2 kl + ku + 1 = 37 band rows per node (kl = ku =
+    # 12 in ring order); the other 22 are diagonally dominant enough to be
+    # solved by at most 11 Jacobi sweeps
     assert asm.t_eigvals.size == (m + 1) // 2
     assert asm.factor_stats == {"factor": "banded",
-                                "factor_nnz": (m + 1) // 2 * 36 * 37}
+                                "factor_nnz": 2 * 36 * 37,
+                                "jacobi_modes": 22, "jacobi_sweeps": 11}
     assert np.array_equal(asm.t_eigvecs, asm.t_eigvecs[::-1])
     fast = solve_dirichlet(asm, forcing)
     assert np.array_equal(fast.u, np.flip(fast.u, kt))
@@ -235,22 +240,24 @@ def test_even_mode_solve_matches_the_oracle_on_a_non_dyadic_t_grid():
     assert fast.residual_inf <= 1e-10
 
 
-@pytest.mark.parametrize("name, spec, params, factor", [
+@pytest.mark.parametrize("name, spec, params, factor, iterated", [
     ("twisted_flat", DomainSpec(TORUS, 2, (6, 6), 49), {"c": 0.5},
-     "banded"),
+     "banded", 22),
     ("sphere_twist", DomainSpec(SPHERE, 2, (48,), 49),
-     {"r": 1.0, "beta0": 0.5}, "banded"),
+     {"r": 1.0, "beta0": 0.5}, "banded", 0),
     ("twisted_flat", DomainSpec(TORUS, 3, (8, 8, 8), 49), {"c": 0.5},
-     "sparse_lu"),
-], ids=["torus_2d", "sphere_axisym", "torus_3d"])
+     "sparse_lu", 21),
+    ("dominant", DomainSpec(TORUS, 2, (6, 6), 49), {}, "none", 24),
+], ids=["torus_2d", "sphere_axisym", "torus_3d", "all_iterated"])
 def test_solve_and_rescale_return_a_bitwise_even_u(name, spec, params,
-                                                   factor):
+                                                   factor, iterated):
     # the u dump keeps t >= 0 only, so u must be exactly even on both
-    # factor routes, and after the same-epsilon auto-C re-budget, which
-    # starts from the first u scaled and refines it against the second C's
-    # forcing
-    asm = _pipeline_assembly(name, spec, params)
+    # factor routes, with and without modes solved by Jacobi sweeps, and
+    # after the same-epsilon auto-C re-budget, which starts from the first
+    # u scaled and refines it against the second C's forcing
+    asm = _assembly((name, spec, params))
     assert asm.factor_stats["factor"] == factor
+    assert asm.factor_stats["jacobi_modes"] == iterated
     kt = asm.domain.array_axis("t")
     first = solve_dirichlet(asm, build_bump(2.2, 0.25, asm.domain))
     scaled = solve_dirichlet(asm, build_bump(3.0, 0.25, asm.domain),
@@ -364,45 +371,54 @@ def _block_matrix(asm):
 
 
 def _assembly(case):
-    """A builtin metric's pipeline assembly, or for ("cross", res, nt)
-    that of helpers.mms_flat_cross: a flat torus slice whose constant
-    drift gives L_X a 9-point stencil."""
+    """A builtin metric's pipeline assembly; for ("cross", res, nt) that
+    of helpers.mms_flat_cross, a flat torus slice whose constant drift
+    gives L_X a 9-point stencil; for ("dominant", spec, {}) the flat torus
+    with potential 1000, whose blocks are all diagonally dominant enough
+    to be iterated."""
     if case[0] == "cross":
         dom, g, drift = flat_cross_fields(*case[1:])
         return assemble(drift, 1.0, g, dom.axis("t"))
+    if case[0] == "dominant":
+        dom, g, v = product_fields(case[1], "product_flat")
+        return assemble(v, 1000.0, g, dom.axis("t"))
     return _pipeline_assembly(*case)
 
 
 SPHERE_48 = DomainSpec(SPHERE, 2, (48,), 49)
 
 
-@pytest.mark.parametrize("case, rows", [
-    (("sphere_twist", SPHERE_48, {"r": 1.0, "beta0": 0.5}), 2 * 2 + 2 + 1),
-    (("sphere_product", SPHERE_48, {"r": 1.0}), 2 * 2 + 2 + 1),
+@pytest.mark.parametrize("case, rows, factored", [
+    (("sphere_twist", SPHERE_48, {"r": 1.0, "beta0": 0.5}), 2 * 2 + 2 + 1,
+     24),
+    (("sphere_product", SPHERE_48, {"r": 1.0}), 2 * 2 + 2 + 1, 24),
     (("twisted_flat", DomainSpec(TORUS, 2, (6, 6), 9), {"c": 0.5}),
-     6 * 6 + 1),
+     6 * 6 + 1, 2),
     (("twisted_flat", DomainSpec(TORUS, 2, (7, 7), 9), {"c": 0.5}),
-     6 * 7 + 1),
-    (("cross", 10, 9), 6 * 10 + 7),
+     6 * 7 + 1, 2),
+    (("cross", 10, 9), 6 * 10 + 7, 4),
     (("twisted_flat", DomainSpec(TORUS, 2, (24, 24), 49), {"c": 0.5}),
-     6 * 24 + 1),
+     6 * 24 + 1, 7),
 ], ids=["sphere_twist", "sphere_product", "torus_6x6", "torus_7x7",
         "cross_10x10", "torus_24x24"])
-def test_band_factor_matches_superlu_of_the_block_matrix(case, rows):
+def test_band_factor_matches_superlu_of_the_block_matrix(case, rows,
+                                                         factored):
     # the shipped sphere grid has two sub- and two super-diagonals; an
     # N x N torus slice in ring order 2N of each, and 2N + 2 with the
-    # cross drift's 9-point stencil: all are factored by band LU, in the
-    # permuted node order on the torus. SuperLU of the same block matrix
-    # in natural order is the general route's answer
+    # cross drift's 9-point stencil: the low modes of all of them are
+    # factored by band LU, in the permuted node order on the torus, the
+    # others iterated. SuperLU of the all-mode block matrix in natural
+    # order is the general route's answer
     asm = _assembly(case)
-    order = asm.t_eigvals.size * asm.slice_operator.shape[0]
-    assert asm.factor_stats == {"factor": "banded",
-                                "factor_nnz": order * rows}
+    modes, n_x = asm.t_eigvals.size, asm.slice_operator.shape[0]
+    assert asm.factor_stats["factor"] == "banded"
+    assert asm.factor_stats["factor_nnz"] == factored * n_x * rows
+    assert asm.factor_stats["jacobi_modes"] == modes - factored
     # no band array exceeds BAND_CHUNK_BYTES: torus24's 0.67 MB modes are
     # factored six to an array
-    groups = asm.lu._groups
+    groups = asm.lu.factor._groups
     assert all(lu.nbytes <= solver.BAND_CHUNK_BYTES for *_, lu, _ in groups)
-    assert sum(count for _, count, _, _ in groups) == asm.t_eigvals.size
+    assert sum(count for _, count, _, _ in groups) == factored
     mat = _block_matrix(asm)
     rhs = np.random.default_rng(8).standard_normal(mat.shape[0])
     band = asm.lu.solve(rhs)
@@ -411,6 +427,113 @@ def test_band_factor_matches_superlu_of_the_block_matrix(case, rows):
             <= 1e-12 * np.max(np.abs(sparse)))
     for u in (band, sparse):
         assert np.max(np.abs(rhs - mat @ u)) <= 1e-10
+
+
+@pytest.mark.parametrize("case, factor, iterated", [
+    (("twisted_flat", DomainSpec(TORUS, 2, (24, 24), 49), {"c": 0.5}),
+     "banded", 17),
+    (("twisted_flat", DomainSpec(TORUS, 3, (8, 8, 8), 49), {"c": 0.5}),
+     "sparse_lu", 21),
+    (("cross", 32, 33), "sparse_lu", 4),
+    (("sphere_twist", SPHERE_48, {"r": 1.0, "beta0": 0.5}), "banded", 0),
+    (("dominant", DomainSpec(TORUS, 2, (6, 6), 49), {}), "none", 24),
+], ids=["torus_2d", "torus_3d", "cross_32x32", "sphere_axisym",
+        "all_iterated"])
+def test_split_solve_matches_superlu_of_the_all_mode_block_matrix(
+        case, factor, iterated):
+    # the modes with q_k <= JACOBI_Q_MAX are solved by Jacobi sweeps, the
+    # others by one factor of their block matrix, band LU or SuperLU;
+    # together they solve the all-mode block matrix as its SuperLU does
+    asm = _assembly(case)
+    stats = asm.factor_stats
+    assert (stats["factor"], stats["jacobi_modes"]) == (factor, iterated)
+    assert (0 < stats["jacobi_sweeps"] <= 15) == (iterated > 0)
+    assert asm.lu.low.size + iterated == asm.t_eigvals.size
+    mat = _block_matrix(asm)
+    rhs = np.random.default_rng(9).standard_normal(mat.shape[0])
+    split = asm.lu.solve(rhs)
+    sparse = solver.spla.splu(mat).solve(rhs)
+    assert (np.max(np.abs(split - sparse))
+            <= 1e-12 * np.max(np.abs(sparse)))
+    if iterated == 0:
+        # no mode iterated: the factor is gbtrf of the all-mode block
+        # matrix in band storage (the sphere slice keeps its node order),
+        # bitwise, and the split solve is its solve
+        (first, count, lu, piv), = asm.lu.factor._groups
+        kl = ku = 2
+        dense = mat.toarray()
+        band = np.zeros((2 * kl + ku + 1, dense.shape[0]))
+        for d in range(-kl, ku + 1):
+            band[kl + ku - d, max(d, 0):dense.shape[0] + min(d, 0)] = \
+                np.diagonal(dense, d)
+        old_lu, old_piv, info = dgbtrf(band, kl, ku)
+        assert info == 0 and (first, count) == (0, asm.t_eigvals.size)
+        assert np.array_equal(lu, old_lu) and np.array_equal(piv, old_piv)
+        assert np.array_equal(split, asm.lu.factor.solve(rhs))
+
+
+def _exact_solve(a, f):
+    """a^-1 f to about long-double precision: a float64 solve refined
+    twice against a long-double residual."""
+    w = np.linalg.solve(a, f).astype(np.longdouble)
+    for _ in range(2):
+        r = f.astype(np.longdouble) - a.astype(np.longdouble) @ w
+        w += np.linalg.solve(a, r.astype(float))
+    return w
+
+
+_JACOBI_BASES = {}
+
+
+@settings(max_examples=40, deadline=None)
+@given(side=st.sampled_from([4, 5, 6]), modes=st.integers(1, 8),
+       density=st.floats(0.05, 0.6), seed=st.integers(0, 2 ** 32 - 1))
+def test_jacobi_sweeps_meet_the_a_priori_bound(side, modes, density, seed):
+    # a random non-symmetric slice operator with diagonal entries of either
+    # sign, put in an assembly with random mode eigenvalues: each mode with
+    # q_k <= JACOBI_Q_MAX is iterated, and after at least its s_k sweeps
+    # from D^-1 f its error is within the a-priori bound q^(s+1) ||w||
+    # plus a round-off allowance. Each sweep adds at most (p + 2) 2^-53
+    # (|D^-1 f| + q ||w_s||) <= 2.25 (p + 2) 2^-53 ||w|| at q <= 1/2, p
+    # the most nonzeros in a row, and the sweeps damp what earlier ones
+    # added by q each, so the allowance is 4 (p + 2) 2^-53 ||w|| / (1 - q)
+    if side not in _JACOBI_BASES:
+        dom, g, v = product_fields(DomainSpec(TORUS, 2, (side, side), 5),
+                                   "product_flat")
+        _JACOBI_BASES[side] = assemble(v, 1.0, g, dom.axis("t"))
+    n = side * side
+    rng = np.random.default_rng(seed)
+    off = rng.standard_normal((n, n)) * (rng.random((n, n)) < density)
+    np.fill_diagonal(off, 0.0)
+    rows = np.abs(off).sum(axis=1)
+    scale = max(float(rows.max()), 1.0)
+    diag = rng.uniform(-3.0, 3.0, n) * scale
+    lam = np.sort(rng.uniform(0.0, 60.0, modes)) * scale
+    a = off + np.diag(diag)
+    asm = dataclasses.replace(_JACOBI_BASES[side],
+                              slice_operator=sp.csr_matrix(a),
+                              t_eigvals=lam)
+    with np.errstate(divide="ignore"):
+        q = np.max(rows[:, None] / np.abs(diag[:, None] + lam), axis=0)
+    split = asm.lu
+    high = set(split.high.tolist())
+    assert all(k in high for k in np.flatnonzero(
+        q <= solver.JACOBI_Q_MAX * (1 - 1e-12)))
+    assert not any(k in high for k in np.flatnonzero(
+        q > solver.JACOBI_Q_MAX * (1 + 1e-12)))
+    assume(split.high.size > 0)
+    f = rng.standard_normal((split.high.size, n))
+    w = split.jacobi.solve(f)
+    p = int(np.max(np.count_nonzero(a, axis=1)))
+    for i, k in enumerate(split.high):
+        s = int(split.jacobi.sweeps[i])
+        assert q[k] ** (s + 1) <= 2.0 ** -52
+        assert s == 0 or q[k] ** s > 2.0 ** -52
+        exact = _exact_solve(a + lam[k] * np.eye(n), f[i])
+        size = float(np.max(np.abs(exact)))
+        allowance = 4 * (p + 2) * 2.0 ** -53 * size / (1 - q[k])
+        err = float(np.max(np.abs(w[i] - exact)))
+        assert err <= q[k] ** (s + 1) * size + allowance
 
 
 @pytest.mark.parametrize("case, factor, rows", [
@@ -430,14 +553,14 @@ def test_factor_route_follows_the_slice_band(case, factor, rows):
     # above it: SuperLU
     asm = _assembly(case)
     assert asm.factor_stats["factor"] == factor
-    assert isinstance(asm.lu, solver.spla.SuperLU) == (factor == "sparse_lu")
+    lu = asm.lu.factor
+    assert isinstance(lu, solver.spla.SuperLU) == (factor == "sparse_lu")
     rep = solve_dirichlet(asm, build_bump(2.2, 0.5, asm.domain))
     assert rep.stats["factor"] == factor
     # the entries the factor stores: SuperLU's supernodal storage, which
     # holds at least the exported L and U less L's unit diagonal; or the
-    # band storage, 2 kl + ku + 1 rows per node of every block
-    order = asm.t_eigvals.size * asm.slice_operator.shape[0]
-    lu = asm.lu
+    # band storage, 2 kl + ku + 1 rows per node of every factored block
+    order = asm.lu.low.size * asm.slice_operator.shape[0]
     if factor == "sparse_lu":
         assert rep.stats["factor_nnz"] >= lu.L.nnz + lu.U.nnz - order
     else:
