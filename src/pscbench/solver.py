@@ -35,34 +35,39 @@ is even, so only the ceil((t_nodes - 2)/2) even modes are kept. The even
 eigenvectors are symmetrized exactly, so the solution is exactly even in
 t, whatever solves the slice problems.
 
-The modes are split once per assembly, from L_X alone. With a_ii the
-diagonal of L_X and r_i = sum_{j != i} |a_ij| its off-diagonal row sums,
-block k is strictly diagonally dominant when
-q_k = max_i r_i / |a_ii + lam_k| < 1, and then a plain Jacobi sweep
-contracts the error's infinity norm by at least q_k (Varga, Matrix
-Iterative Analysis, 1962): from the start D^-1 f_k,
-||e_s|| <= q_k^(s+1) ||w_k||. T's eigenvalues reach about 16/dt^2, far
-above L_X's diagonal, so most modes have a small q_k. A mode with
-q_k <= JACOBI_Q_MAX is solved by Jacobi sweeps, counted before any
-solve: s_k, the fewest with q_k^(s_k+1) <= 2^-52, is worked out for
-each such mode, and all of them take the largest s_k at once, one CSR
-product per sweep. A strictly dominant block is regular, so this route
-cannot fail. The remaining low modes are factored together, on one of
-two routes. Every block L_X + lam_k I has
-L_X's kl sub- and ku super-diagonals, read with the nodes of every
-periodic slice axis in ring order 0, n-1, 1, n-2, ... (mirror and
-bounded axes keep their natural order), so that periodic neighbours sit
-at most 2 positions apart: an N x N torus slice has kl = ku = 2N,
-against N (N - 1) in natural order. When that band holds at most
-BAND_ROWS_CAP entries per node (2 kl + ku + 1 <= 160: every sphere
-slice, 2-D torus slices up to N = 26), the low blocks are written in
-that node order into LAPACK band storage and factored by band LU (gbtrf;
-solves by gbtrs), in arrays of at most BAND_CHUNK_BYTES. Otherwise (2-D
-torus slices above N = 26, 3-D ones from 6^3 nodes on) the block matrix
-of the low modes is assembled as a sparse matrix in natural order and
-factored by SuperLU (spla.splu). The node order is internal to the band
-factor: its solve permutes each mode's right-hand side in and the
-solution back out.
+The modes are split once per assembly, from L_X alone, and the route of
+each is decided there. With a_ii the diagonal of L_X and
+r_i = sum_{j != i} |a_ij| its off-diagonal row sums, block k is strictly
+diagonally dominant when q_k = max_i r_i / |a_ii + lam_k| < 1 (inf or
+nan, so factored, where a_ii + lam_k = 0), and then a plain Jacobi sweep contracts the
+error's infinity norm by at least q_k (Varga, Matrix Iterative Analysis,
+1962): from the start D^-1 f_k, ||e_s|| <= q_k^(s+1) ||w_k||. T's
+eigenvalues reach about 16/dt^2, far above L_X's diagonal, so most modes
+have a small q_k. The factor-route rule:
+
+- A mode with q_k <= JACOBI_Q_MAX is solved by Jacobi sweeps, counted
+  before any solve: s_k, the fewest with q_k^(s_k+1) <= 2^-52, is worked
+  out for each such mode, and all of them take the largest s_k at once,
+  one CSR product per sweep. A strictly dominant block is regular, so
+  this route cannot fail.
+- The remaining low modes are factored together. Every block
+  L_X + lam_k I has L_X's kl sub- and ku super-diagonals, read with the
+  nodes of every periodic slice axis in ring order 0, n-1, 1, n-2, ...
+  (mirror and bounded axes keep their natural order), so that periodic
+  neighbours sit at most 2 positions apart: an N x N torus slice has
+  kl = ku = 2N, against N (N - 1) in natural order. When that band holds
+  at most BAND_ROWS_CAP entries per node (2 kl + ku + 1 <= 160: every
+  sphere slice, 2-D torus slices up to N = 26), the low blocks are
+  written in that node order into one LAPACK band array and factored by
+  one band LU (gbtrf; solves by gbtrs): route "banded". The solve
+  permutes each mode's right-hand side into the node order and the
+  solution back. Otherwise (2-D torus slices above N = 26, 3-D ones from
+  6^3 nodes on) the block matrix of the low modes is assembled as a
+  sparse matrix in natural order and factored by SuperLU (spla.splu):
+  route "sparse_lu".
+- When every mode is iterated, nothing is factored (route "none").
+
+Every route's solve takes and returns one row per mode.
 
 The odd part of a right-hand side is not solved for: the matrix-free
 residual against the full right-hand side carries it, and a residual
@@ -89,10 +94,14 @@ from .metrics import MetricField
 
 ANISOTROPY_WARN_RATIO = 1e6
 # Band route: the most band entries per node, 2 kl + ku + 1, that the band
-# LU takes (see OperatorAssembly.lu for the measured ladder behind it), and
-# the most bytes of one band array: several modes share one gbtrf call.
+# LU takes. Above the cap the band LU of the low modes is faster than
+# SuperLU but holds more memory. run_scenario of the twisted tori and the
+# T^3 in fresh processes (2 vCPUs, one BLAS thread), SuperLU against band
+# LU with the cap lifted, time / peak RSS: 32^2 x 65 0.048-0.069 /
+# 0.036-0.054 s, 78 / 85 MB; 48^2 x 97 0.159-0.181 / 0.127-0.152 s,
+# 114 / 150 MB; 12^3 x 49 0.216-0.226 / 0.111-0.116 s, 111 / 128 MB. The
+# cap keeps the 2-D slices up to N = 26 (torus24 needs 145) on the band.
 BAND_ROWS_CAP = 160
-BAND_CHUNK_BYTES = 4 * 2 ** 20
 # Jacobi route: the largest contraction bound q_k of a mode solved by sweeps
 # instead of a factor; at 0.1 a mode takes at most 15 sweeps. The factor
 # and two solves take, on torus24 / the 12^3 x 49 T^3: 15-53 / 609-630 ms
@@ -131,7 +140,7 @@ class _JacobiModes:
     q_k^(s+1) times its solution; `sweeps[k]` is the fewest that bring
     that bound to 2^-52 or below. Every mode takes the largest of them,
     so that each sweep is one CSR product on an (|X|, modes) array; more
-    sweeps only lower a mode's bound."""
+    sweeps only lower a mode's bound. Over no modes it does nothing."""
 
     def __init__(self, off: sp.csr_matrix, diag: np.ndarray,
                  lam: np.ndarray, q: np.ndarray):
@@ -146,26 +155,18 @@ class _JacobiModes:
         mode."""
         b = f.T
         w = b / self._diag
-        for _ in range(int(self.sweeps.max())):
+        for _ in range(int(self.sweeps.max(initial=0))):
             w = (b - self._off @ w) / self._diag
         return w.T
 
 
 class _BandLU:
     """LAPACK band LU (gbtrf) of the block-diagonal
-    kron(I, L_X) + kron(diag(lam), I), L_X (COO, in the node order
-    `order`) having kl sub- and ku super-diagonals; lam[i] is the
-    eigenvalue of mode modes[i].
-
-    The blocks are factored a few modes at a time, each group in its own
-    band array of at most BAND_CHUNK_BYTES. The blocks do not couple, so
-    this is the factor one gbtrf call over all of them gives. One band
-    array for all modes made the peak memory of some processes step up
-    by 14 MB once glibc's dynamic mmap threshold moved such arrays onto
-    the heap; arrays of this size did not. `solve` permutes each mode's
-    block of the right-hand side into the node order, solves every group
-    (gbtrs) and permutes the solution back. `nnz` counts the band
-    storage, (2 kl + ku + 1) x the order."""
+    kron(I, L_X) + kron(diag(lam), I) in one band array, L_X (COO, in the
+    node order `order`) having kl sub- and ku super-diagonals; lam[i] is
+    the eigenvalue of mode modes[i]. The blocks do not couple, so the
+    factor is that of each block. `solve` permutes each mode's row into
+    the node order, solves (gbtrs) and permutes the solution back."""
 
     def __init__(self, lx: sp.coo_matrix, kl: int, ku: int,
                  lam: np.ndarray, order: np.ndarray, modes: np.ndarray):
@@ -175,60 +176,64 @@ class _BandLU:
         # Fortran-ordered and factored in place
         block = np.zeros((n_x, width))
         np.add.at(block, (lx.col, kl + ku + lx.row - lx.col), lx.data)
-        step = max(1, BAND_CHUNK_BYTES // block.nbytes)
-        self._groups = []
-        for first in range(0, lam.size, step):
-            group = lam[first:first + step]
-            band = np.repeat(block[None], group.size, axis=0)
-            band[:, :, kl + ku] += group[:, None]
-            lu, piv, info = dgbtrf(band.reshape(-1, width).T, kl, ku,
-                                   overwrite_ab=1)
-            if info > 0:
-                local, pos = divmod(first * n_x + info - 1, n_x)
-                mode, node = int(modes[local]), int(order[pos])
-                raise NumericalFailure(
-                    f"band LU factorization failed: exactly singular pivot "
-                    f"at row {mode * n_x + node} of the block matrix (mode "
-                    f"{mode}, slice node {node}; 0-based, natural order)")
-            self._groups.append((first, group.size, lu, piv))
+        band = np.repeat(block[None], lam.size, axis=0)
+        band[:, :, kl + ku] += lam[:, None]
+        self.lu, self.piv, info = dgbtrf(band.reshape(-1, width).T, kl, ku,
+                                         overwrite_ab=1)
+        if info > 0:
+            local, pos = divmod(info - 1, n_x)
+            mode, node = int(modes[local]), int(order[pos])
+            raise NumericalFailure(
+                f"band LU factorization failed: exactly singular pivot "
+                f"at row {mode * n_x + node} of the block matrix (mode "
+                f"{mode}, slice node {node}; 0-based, natural order)")
         self._kl, self._ku, self._order = kl, ku, order
-        self._modes = lam.size
-        self.nnz = lam.size * n_x * width
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        f = np.reshape(rhs, (self._modes, -1))[:, self._order]
-        w = np.empty_like(f)
-        for first, count, lu, piv in self._groups:
-            w[first:first + count] = dgbtrs(
-                lu, self._kl, self._ku, f[first:first + count].ravel(),
-                piv)[0].reshape(count, -1)
+    def solve(self, f: np.ndarray) -> np.ndarray:
+        w = dgbtrs(self.lu, self._kl, self._ku, f[:, self._order].ravel(),
+                   self.piv)[0].reshape(f.shape)
         w[:, self._order] = w.copy()
-        return w.ravel()
+        return w
+
+
+class _SparseLU:
+    """SuperLU (spla.splu) of the block-diagonal
+    kron(I, L_X) + kron(diag(lam), I) in natural order."""
+
+    def __init__(self, lx: sp.csr_matrix, lam: np.ndarray):
+        mat = (sp.kron(sp.identity(lam.size, format="csr"), lx)
+               + sp.kron(sp.diags(lam),
+                         sp.identity(lx.shape[0], format="csr")))
+        try:
+            self.superlu = spla.splu(mat.tocsc())
+        except RuntimeError as exc:
+            raise NumericalFailure(
+                f"sparse LU factorization failed: {exc}") from exc
+
+    def solve(self, f: np.ndarray) -> np.ndarray:
+        return self.superlu.solve(f.ravel()).reshape(f.shape)
 
 
 class _ModeSplit:
     """The solve of the block-diagonal kron(I, L_X) + kron(diag(lam), I)
-    over all even modes, split by mode: `factor` (a _BandLU, a SuperLU, or
-    None when no mode is factored) holds the blocks of the modes `low`,
-    `jacobi` (a _JacobiModes, or None) those of the modes `high`."""
+    over all even modes, split by mode: `factor` holds the blocks of the
+    modes `low` (None when no mode is factored), `jacobi` those of the
+    modes `high`; `stats` names the route (see the module docstring)."""
 
     def __init__(self, low: np.ndarray, factor, high: np.ndarray,
-                 jacobi: _JacobiModes | None):
+                 jacobi: _JacobiModes, stats: dict):
         self.low, self.factor = low, factor
         self.high, self.jacobi = high, jacobi
+        self.stats = stats
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """The solution for a right-hand side with one block per mode, in
-        mode order, raveled."""
-        if self.jacobi is None:
-            return self.factor.solve(rhs)
-        f = np.reshape(rhs, (self.low.size + self.high.size, -1))
+    def solve(self, f: np.ndarray) -> np.ndarray:
+        """The solution for right-hand sides f, one row per mode, in mode
+        order."""
         w = np.empty_like(f)
         if self.factor is not None:
-            w[self.low] = self.factor.solve(
-                f[self.low].ravel()).reshape(self.low.size, -1)
+            w[self.low] = self.factor.solve(f[self.low])
         w[self.high] = self.jacobi.solve(f[self.high])
-        return w.ravel()
+        return w
 
 
 @dataclass(frozen=True)
@@ -242,14 +247,8 @@ class OperatorAssembly:
     lies in their span and is exactly even. Frozen, so the mode split and
     factor of the t-rotated interior block (`lu`), cached on first use,
     stay those of this operator; every solve with this assembly reuses
-    them.
-
-    Each even mode is solved by Jacobi sweeps when its block is
-    diagonally dominant enough (q_k <= JACOBI_Q_MAX), else by the factor
-    of the low modes: a band LU when L_X, with the periodic slice axes in
-    ring order, holds at most BAND_ROWS_CAP band entries per node, else
-    SuperLU of their sparse block matrix; `factor_stats` names the route
-    and counts its stored entries and the iterated modes.
+    them. Each mode's route follows the module docstring's factor-route
+    rule; `factor_stats` reports it.
     """
     domain: DiscreteDomain
     slice_operator: sp.csr_matrix
@@ -259,32 +258,10 @@ class OperatorAssembly:
 
     @cached_property
     def lu(self) -> _ModeSplit:
-        """The solve of the t-rotated block matrix, split by mode.
-
-        With a_ii the diagonal of L_X and r_i its off-diagonal row sums,
-        mode k's contraction bound is q_k = max_i r_i / |a_ii + lam_k|
-        (inf or nan, so factored, where a_ii + lam_k = 0). Modes with
-        q_k <= JACOBI_Q_MAX are solved by Jacobi sweeps (_JacobiModes),
-        the others factored: by band LU (_BandLU) when L_X, read in
-        `slice_order` (ring order on the periodic axes), has
-        2 kl + ku + 1 <= BAND_ROWS_CAP, else by one SuperLU of their block
-        matrix in natural order. An N x N torus slice needs 6N + 1 band
-        rows (6N + 7 with a cross term), a sphere slice 7, so the cap
-        keeps 2-D slices up to N = 26 on the band route; torus24 needs
-        145. The cap is read off a ladder of factor times over all modes,
-        SuperLU against band LU, for a non-symmetric variable-coefficient
-        periodic L_X with 24-48 even modes:
-
-            N = 12:  11-21 ms   vs   2.1 ms
-            N = 24:  43-81 ms   vs  15-17 ms  (16 MB band, 10-13 MB fill)
-            N = 32: 121-241 ms  vs  55-63 ms  (51 MB band, 28-37 MB fill)
-            N = 48: 579-892 ms  vs 485-495 ms (256 MB band, 124-142 MB)
-
-        The band stores more than SuperLU's fill at every rung and its
-        gain shrinks with N, so the cap keeps the route where the gain is
-        2.5-5x and the band at most ~20 MB. A 3-D slice of n^3 nodes needs
-        6 n^2 + 1 and passes the cap only below n = 6.
-        """
+        """The solve of the t-rotated block matrix, split by mode as the
+        module docstring's factor-route rule says: Jacobi sweeps
+        (_JacobiModes) on the modes with q_k <= JACOBI_Q_MAX, one band LU
+        (_BandLU) or SuperLU (_SparseLU) of the others."""
         lx, lam = self.slice_operator.tocsr(), self.t_eigvals
         diag = lx.diagonal()
         row_of = np.repeat(np.arange(lx.shape[0]), np.diff(lx.indptr))
@@ -296,14 +273,22 @@ class OperatorAssembly:
                        axis=0)
         iterated = q <= JACOBI_Q_MAX
         low, high = np.flatnonzero(~iterated), np.flatnonzero(iterated)
-        jacobi = (_JacobiModes((lx - sp.diags(diag)).tocsr(), diag,
-                               lam[high], q[high]) if high.size else None)
-        return _ModeSplit(low, self._factor(low), high, jacobi)
+        jacobi = _JacobiModes((lx - sp.diags(diag)).tocsr(), diag,
+                              lam[high], q[high])
+        route, factor, nnz = self._factor(low)
+        return _ModeSplit(low, factor, high, jacobi, {
+            "factor": route, "factor_nnz": int(nnz),
+            "jacobi_modes": int(high.size),
+            "jacobi_sweeps": int(jacobi.sweeps.max(initial=0))})
 
     def _factor(self, low: np.ndarray):
-        """The factor of the blocks of the modes `low`, None for none."""
+        """The route, factor and stored entries of the blocks of the modes
+        `low`: ("none", None, 0) for no mode; else the band LU and its
+        band storage, or SuperLU and its supernodal L and U storage (its
+        `nnz`: exporting L and U to count them costs a copy of the
+        factor)."""
         if low.size == 0:
-            return None
+            return "none", None, 0
         axes = [ax for ax in self.domain.stored_axes if ax.name != "t"]
         order = slice_order(axes)
         lx = self.slice_operator[order][:, order].tocoo()
@@ -311,35 +296,17 @@ class OperatorAssembly:
         ku = int(np.max(lx.col - lx.row, initial=0))
         lam = self.t_eigvals[low]
         if 2 * kl + ku + 1 <= BAND_ROWS_CAP:
-            return _BandLU(lx, kl, ku, lam, order, low)
-        eye_x = sp.identity(self.slice_operator.shape[0], format="csr")
-        mat = (sp.kron(sp.identity(lam.size, format="csr"),
-                       self.slice_operator)
-               + sp.kron(sp.diags(lam), eye_x))
-        try:
-            return spla.splu(mat.tocsc())
-        except RuntimeError as exc:
-            raise NumericalFailure(
-                f"sparse LU factorization failed: {exc}") from exc
+            band = _BandLU(lx, kl, ku, lam, order, low)
+            return "banded", band, band.lu.size
+        sparse = _SparseLU(self.slice_operator, lam)
+        return "sparse_lu", sparse, sparse.superlu.nnz
 
     @property
     def factor_stats(self) -> dict:
-        """The factor route of the low modes ("banded", "sparse_lu", or
-        "none" when every mode is iterated), the entries the factor
-        stores (the band storage, or SuperLU's supernodal L and U storage,
-        its `nnz`: exporting L and U to count them costs a copy of the
-        factor), the number of modes solved by Jacobi sweeps and the
-        largest sweep count."""
-        split = self.lu
-        jacobi = split.jacobi
-        return {"factor": ("none" if split.factor is None
-                           else "banded" if isinstance(split.factor, _BandLU)
-                           else "sparse_lu"),
-                "factor_nnz": (0 if split.factor is None
-                               else int(split.factor.nnz)),
-                "jacobi_modes": int(split.high.size),
-                "jacobi_sweeps": (0 if jacobi is None
-                                  else int(jacobi.sweeps.max()))}
+        """The factor route of the low modes ("banded", "sparse_lu" or
+        "none"), the entries the factor stores, the number of modes solved
+        by Jacobi sweeps and the largest sweep count."""
+        return dict(self.lu.stats)
 
     def _t_first(self, values: np.ndarray) -> np.ndarray:
         """A field on the domain as (t_nodes, |X|): one row per t slice."""
@@ -365,11 +332,9 @@ class OperatorAssembly:
         """
         f = self._t_first(rhs)
         inner = f[1:-1]
-        m = self.t_eigvals.size
-        w = self.lu.solve(
-            (self.t_eigvecs.T @ (0.5 * (inner + inner[::-1]))).ravel())
+        w = self.lu.solve(self.t_eigvecs.T @ (0.5 * (inner + inner[::-1])))
         u = np.zeros_like(f)
-        u[1:-1] = self.t_eigvecs @ w.reshape(m, -1)
+        u[1:-1] = self.t_eigvecs @ w
         return self._on_domain(u)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
@@ -509,13 +474,11 @@ def solve_dirichlet(assembly: OperatorAssembly, forcing,
     """Solve L u = F with u = 0 at t = +-1.
 
     One mode split per assembly of the t-rotated block-diagonal operator
-    on the even modes of T (see OperatorAssembly.lu): the diagonally
-    dominant modes by a fixed number of Jacobi sweeps, the low modes by
-    one factor, a LAPACK band LU when L_X, with its periodic axes in ring
-    order, holds at most BAND_ROWS_CAP band entries per node, else SuperLU
-    of their sparse block matrix. The first iterate is the solve of F, or
-    `start` when given (an even field zero at t = +-1: the auto-C
-    re-budget passes the first pass's u scaled to the new forcing). Then
+    on the even modes of T, each mode on the route the module docstring's
+    factor-route rule gives it (OperatorAssembly.lu). The first iterate is
+    the solve of F, or `start` when given (an even field zero at t = +-1:
+    the auto-C re-budget passes the first pass's u scaled to the new
+    forcing). Then
     iterative refinement against the full F: at least one step, at most
     four, each residual applied matrix-free (OperatorAssembly.apply), so
     an odd part of F, which the even modes cannot solve for, stays in the

@@ -370,6 +370,23 @@ def _block_matrix(asm):
             + sp.kron(sp.diags(asm.t_eigvals), sp.identity(n_x))).tocsc()
 
 
+def _ring_band(asm):
+    """The block matrix of the factored modes, each block read in the band
+    factor's node order (`slice_order`), in LAPACK band storage with room
+    for gbtrf's fill; with its kl and ku."""
+    axes = [ax for ax in asm.domain.stored_axes if ax.name != "t"]
+    order = solver.slice_order(axes)
+    n_x = asm.slice_operator.shape[0]
+    low = asm.lu.low
+    mat = (sp.kron(sp.identity(low.size), asm.slice_operator[order][:, order])
+           + sp.kron(sp.diags(asm.t_eigvals[low]), sp.identity(n_x))).tocoo()
+    kl = int(np.max(mat.row - mat.col))
+    ku = int(np.max(mat.col - mat.row))
+    band = np.zeros((2 * kl + ku + 1, mat.shape[0]))
+    band[kl + ku + mat.row - mat.col, mat.col] = mat.data
+    return band, kl, ku
+
+
 def _assembly(case):
     """A builtin metric's pipeline assembly; for ("cross", res, nt) that
     of helpers.mms_flat_cross, a flat torus slice whose constant drift
@@ -414,14 +431,17 @@ def test_band_factor_matches_superlu_of_the_block_matrix(case, rows,
     assert asm.factor_stats["factor"] == "banded"
     assert asm.factor_stats["factor_nnz"] == factored * n_x * rows
     assert asm.factor_stats["jacobi_modes"] == modes - factored
-    # no band array exceeds BAND_CHUNK_BYTES: torus24's 0.67 MB modes are
-    # factored six to an array
-    groups = asm.lu.factor._groups
-    assert all(lu.nbytes <= solver.BAND_CHUNK_BYTES for *_, lu, _ in groups)
-    assert sum(count for _, count, _, _ in groups) == factored
+    # the low modes share one band factor (torus24: 7 modes, 4.7 MB), and
+    # it is gbtrf of their block matrix in ring order, bitwise
+    assert asm.lu.low.size == factored
+    ring, kl, ku = _ring_band(asm)
+    lu, piv, info = dgbtrf(ring, kl, ku)
+    assert info == 0 and ring.shape[0] == rows
+    assert np.array_equal(asm.lu.factor.lu, lu)
+    assert np.array_equal(asm.lu.factor.piv, piv)
     mat = _block_matrix(asm)
     rhs = np.random.default_rng(8).standard_normal(mat.shape[0])
-    band = asm.lu.solve(rhs)
+    band = asm.lu.solve(rhs.reshape(modes, n_x)).ravel()
     sparse = solver.spla.splu(mat).solve(rhs)
     assert (np.max(np.abs(band - sparse))
             <= 1e-12 * np.max(np.abs(sparse)))
@@ -451,7 +471,7 @@ def test_split_solve_matches_superlu_of_the_all_mode_block_matrix(
     assert asm.lu.low.size + iterated == asm.t_eigvals.size
     mat = _block_matrix(asm)
     rhs = np.random.default_rng(9).standard_normal(mat.shape[0])
-    split = asm.lu.solve(rhs)
+    split = asm.lu.solve(rhs.reshape(asm.t_eigvals.size, -1)).ravel()
     sparse = solver.spla.splu(mat).solve(rhs)
     assert (np.max(np.abs(split - sparse))
             <= 1e-12 * np.max(np.abs(sparse)))
@@ -459,7 +479,7 @@ def test_split_solve_matches_superlu_of_the_all_mode_block_matrix(
         # no mode iterated: the factor is gbtrf of the all-mode block
         # matrix in band storage (the sphere slice keeps its node order),
         # bitwise, and the split solve is its solve
-        (first, count, lu, piv), = asm.lu.factor._groups
+        lu, piv = asm.lu.factor.lu, asm.lu.factor.piv
         kl = ku = 2
         dense = mat.toarray()
         band = np.zeros((2 * kl + ku + 1, dense.shape[0]))
@@ -467,9 +487,11 @@ def test_split_solve_matches_superlu_of_the_all_mode_block_matrix(
             band[kl + ku - d, max(d, 0):dense.shape[0] + min(d, 0)] = \
                 np.diagonal(dense, d)
         old_lu, old_piv, info = dgbtrf(band, kl, ku)
-        assert info == 0 and (first, count) == (0, asm.t_eigvals.size)
+        assert info == 0
+        assert np.array_equal(asm.lu.low, np.arange(asm.t_eigvals.size))
         assert np.array_equal(lu, old_lu) and np.array_equal(piv, old_piv)
-        assert np.array_equal(split, asm.lu.factor.solve(rhs))
+        assert np.array_equal(split, asm.lu.factor.solve(
+            rhs.reshape(asm.t_eigvals.size, -1)).ravel())
 
 
 def _exact_solve(a, f):
@@ -553,7 +575,7 @@ def test_factor_route_follows_the_slice_band(case, factor, rows):
     # above it: SuperLU
     asm = _assembly(case)
     assert asm.factor_stats["factor"] == factor
-    lu = asm.lu.factor
+    lu = getattr(asm.lu.factor, "superlu", None)
     assert isinstance(lu, solver.spla.SuperLU) == (factor == "sparse_lu")
     rep = solve_dirichlet(asm, build_bump(2.2, 0.5, asm.domain))
     assert rep.stats["factor"] == factor
@@ -649,3 +671,28 @@ def test_singular_sparse_block_raises_numerical_failure():
                        match="sparse LU factorization") as err:
         solve_dirichlet(singular, np.ones(dom.shape))
     assert err.value.exit_code == 3
+
+
+def test_sparse_route_factors_through_the_module_spla(monkeypatch):
+    # perfbench's tracer times and counts SuperLU by replacing
+    # `solver.spla`; the sparse route must call splu through that name,
+    # once per assembly however many solves reuse the factor
+    calls = []
+    spla = solver.spla
+
+    class CountingSpla:
+        def splu(self, *args, **kwargs):
+            calls.append(args[0].shape)
+            return spla.splu(*args, **kwargs)
+
+        def __getattr__(self, name):
+            return getattr(spla, name)
+
+    monkeypatch.setattr(solver, "spla", CountingSpla())
+    dom, g, v = product_fields(DomainSpec(TORUS, 3, (6, 6, 6), 9),
+                               "product_flat")
+    asm = assemble(v, 1.0, g, dom.axis("t"))
+    rep = solve_dirichlet(asm, build_bump(2.2, 0.5, dom))
+    solve_dirichlet(asm, build_bump(3.0, 0.5, dom))
+    assert rep.stats["factor"] == "sparse_lu"
+    assert len(calls) == 1
