@@ -1,0 +1,123 @@
+"""Compare the end-to-end metrics of another checkout and this tree in
+alternating pairs of benchmark runs.
+
+    python3 scripts/bench_pairs.py --checkout DIR --workload W
+                                   [--pairs 10] [--seed 0] [--dry-run]
+
+Each pair runs DIR's and this tree's benchmark driver,
+`perfbench/run.py --workload W --seed N --seconds <run_seconds> --trace 0`,
+each measuring the source tree it sits in, at BENCHMARK.json's run length.
+The side that runs first swaps from pair to pair (DIR first in the first
+pair), so that a drift of the host's load falls on both sides alike. For
+each end-to-end metric of BENCHMARK.json it then prints both sides'
+medians and quartiles over the pairs and in how many pairs this tree was
+better, in the metric's `better` direction.
+
+Stdlib only; it writes no file (each driver removes its own work
+directory). --dry-run prints the commands in run order and runs nothing.
+Exits 1 when a run printed no result (its pair is left out of the
+comparison) or failed its checks, and 2, running nothing, when DIR has no
+perfbench/run.py.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import shlex
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+BENCH = json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+def commands(checkout: Path, workload: str, seed: int, pairs: int) -> list:
+    """(side, argv) for every run in run order; side is "checkout" or
+    "tree"."""
+    def argv(tree: Path) -> list:
+        return [sys.executable, str(tree / "perfbench" / "run.py"),
+                "--workload", workload, "--seed", str(seed),
+                "--seconds", str(BENCH["run_seconds"]), "--trace", "0"]
+
+    sides = [("checkout", argv(checkout)), ("tree", argv(ROOT))]
+    return [run for k in range(pairs)
+            for run in (sides if k % 2 == 0 else sides[::-1])]
+
+
+def metrics_of(stdout: str):
+    """The metric values of the final JSON line of one run, or None."""
+    lines = stdout.strip().splitlines()
+    if not lines or not lines[-1].startswith("{"):
+        return None
+    result = json.loads(lines[-1])
+    return {name: m["value"] for name, m in result["metrics"].items()}
+
+
+def quartiles(values: list) -> tuple:
+    """(first quartile, median, third quartile)."""
+    if len(values) == 1:
+        return (values[0],) * 3
+    return tuple(statistics.quantiles(values, n=4, method="inclusive"))
+
+
+def summary(pairs: list) -> list:
+    """One line per end-to-end metric over pairs of (checkout, tree)
+    metric dicts."""
+    lines = []
+    for metric in BENCH["end_to_end"]:
+        name, lower = metric["name"], metric["better"] == "lower"
+        old = [p[0][name] for p in pairs]
+        new = [p[1][name] for p in pairs]
+        wins = sum((b < a) if lower else (b > a) for a, b in zip(old, new))
+        (q1, med, q3), (r1, red, r3) = quartiles(old), quartiles(new)
+        lines.append(
+            f"{name} ({metric['unit']}, {metric['better']} is better): "
+            f"checkout {med:.6g} [{q1:.6g}, {q3:.6g}] -> "
+            f"tree {red:.6g} [{r1:.6g}, {r3:.6g}], "
+            f"tree better in {wins}/{len(pairs)} pairs")
+    return lines
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    ap.add_argument("--checkout", type=Path, required=True,
+                    help="source tree compared with this one")
+    ap.add_argument("--workload", required=True,
+                    choices=[w["name"] for w in BENCH["workloads"]])
+    ap.add_argument("--pairs", type=int, default=10)
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--dry-run", action="store_true")
+    args = ap.parse_args(argv)
+
+    checkout = args.checkout.resolve()
+    if not (checkout / "perfbench" / "run.py").is_file():
+        print(f"bench_pairs: {checkout} has no perfbench/run.py",
+              file=sys.stderr)
+        return 2
+    runs = commands(checkout, args.workload, args.seed, args.pairs)
+    if args.dry_run:
+        for _, cmd in runs:
+            print(shlex.join(cmd))
+        return 0
+
+    pairs, ok = [], True
+    for k in range(args.pairs):
+        pair = {}
+        for side, cmd in runs[2 * k:2 * k + 2]:
+            print(f"bench_pairs: pair {k + 1}/{args.pairs} {side}",
+                  file=sys.stderr, flush=True)
+            proc = subprocess.run(cmd, capture_output=True, text=True)
+            pair[side] = metrics_of(proc.stdout)
+            ok &= proc.returncode == 0 and pair[side] is not None
+        if None not in pair.values():
+            pairs.append((pair["checkout"], pair["tree"]))
+    if pairs:
+        print("\n".join(summary(pairs)))
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

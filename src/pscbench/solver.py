@@ -19,11 +19,12 @@ virtual azimuth slot even though no difference matrix exists there.
 The metric is g = h_X + dt^2 and the drift V is tangent to X, so t enters
 only through the constant c2[t,t] = -4 and the operator is the Kronecker
 sum L_X (x) I + I (x) T on the interior rows: L_X is the operator on the
-slice X, built from h_X, V's X components and the potential (Kronecker
-products of 1-d difference matrices scaled by node-diagonal
-coefficients), and T = -4 D2_t. The t = +-1 rows are identity
-(homogeneous Dirichlet; the right-hand side is zeroed there). `assemble`
-takes the slice data and the t axis; no field of the operator carries t.
+slice X, built from h_X, V's X components and the potential (one list
+of stencil entries, node coefficients times 1-d difference stencils,
+summed into one canonical CSR matrix: `operator_matrix`), and
+T = -4 D2_t. The t = +-1 rows are identity (homogeneous Dirichlet; the
+right-hand side is zeroed there). `assemble` takes the slice data and the
+t axis; no field of the operator carries t.
 
 The solve is fast diagonalization in t (Lynch, Rice & Thomas, Numer. Math.
 6 (1964) 185-199): with T's Dirichlet block Q diag(lam) Q^T, rotating the
@@ -265,16 +266,19 @@ class OperatorAssembly:
         lx, lam = self.slice_operator.tocsr(), self.t_eigvals
         diag = lx.diagonal()
         row_of = np.repeat(np.arange(lx.shape[0]), np.diff(lx.indptr))
-        off_sums = np.bincount(row_of,
-                               np.abs(lx.data) * (lx.indices != row_of),
+        is_off = lx.indices != row_of
+        off_sums = np.bincount(row_of, np.abs(lx.data) * is_off,
                                minlength=lx.shape[0])
         with np.errstate(divide="ignore", invalid="ignore"):
             q = np.max(off_sums[:, None] / np.abs(diag[:, None] + lam),
                        axis=0)
         iterated = q <= JACOBI_Q_MAX
         low, high = np.flatnonzero(~iterated), np.flatnonzero(iterated)
-        jacobi = _JacobiModes((lx - sp.diags(diag)).tocsr(), diag,
-                              lam[high], q[high])
+        # L_X with its diagonal entries dropped
+        kept = np.concatenate(([0], np.cumsum(is_off)))
+        off = sp.csr_matrix((lx.data[is_off], lx.indices[is_off],
+                             kept[lx.indptr]), shape=lx.shape)
+        jacobi = _JacobiModes(off, diag, lam[high], q[high])
         route, factor, nnz = self._factor(low)
         return _ModeSplit(low, factor, high, jacobi, {
             "factor": route, "factor_nnz": int(nnz),
@@ -291,7 +295,11 @@ class OperatorAssembly:
             return "none", None, 0
         axes = [ax for ax in self.domain.stored_axes if ax.name != "t"]
         order = slice_order(axes)
-        lx = self.slice_operator[order][:, order].tocoo()
+        # L_X with node order[p] renumbered p
+        position = np.argsort(order)
+        lx = self.slice_operator.tocoo()
+        lx = sp.coo_matrix((lx.data, (position[lx.row], position[lx.col])),
+                           shape=lx.shape)
         kl = int(np.max(lx.row - lx.col, initial=0))
         ku = int(np.max(lx.col - lx.row, initial=0))
         lam = self.t_eigvals[low]
@@ -366,15 +374,6 @@ class SolveReport:
     stats: dict
 
 
-def _embed(shape, factors):
-    """Kronecker product over array axes; identity where no factor given."""
-    out = None
-    for k, n in enumerate(shape):
-        f = factors.get(k, sp.identity(n, format="csr"))
-        out = f if out is None else sp.kron(out, f, format="csr")
-    return out.tocsr()
-
-
 def assemble(v_x: np.ndarray, potential, metric_x: MetricField,
              t_axis: Axis) -> OperatorAssembly:
     """The operator on W = X x t_axis for g = h_X + dt^2 (metric_x = h_X)
@@ -433,32 +432,63 @@ def _coefficients(v: np.ndarray, potential, metric: MetricField):
 
 
 def operator_matrix(dom: DiscreteDomain, c2, c1, c0) -> sp.csr_matrix:
-    """sum C2[a,b] d_a d_b + sum C1[k] d_k + C0 as a sparse matrix over
-    the stored grid of `dom`, whose coordinate slots c2 and c1 index:
-    node-diagonal coefficients times Kronecker-embedded 1-d difference
-    matrices."""
-    shape = dom.shape
+    """sum C2[a,b] d_a d_b + sum C1[k] d_k + C0 as a canonical CSR matrix
+    (sorted column indices, no duplicate or stored zero) over the stored
+    grid of `dom`, whose coordinate slots c2 and c1 index.
 
-    def term(coef, factors):
-        return (sp.diags(np.broadcast_to(coef, shape).ravel())
-                @ _embed(shape, factors))
+    Every term is a node coefficient times one or two 1-d difference
+    stencils; its entries are written into one (row, col, value) list from
+    the node index grid, each stencil entry (r, c, v) moving its axis'
+    index from r to c, the value coef[row] * v (coef[row] * (v_a v_b) for
+    a mixed term). The terms come in the order c2 diagonal, c1, mixed,
+    c0; the entries of each matrix position are summed in that order and
+    zero sums dropped."""
+    shape, n = dom.shape, dom.node_count
+    nodes = np.arange(n).reshape(shape)
+    keys, values = [], []
+
+    def term(coef, *factors):
+        row = col = nodes
+        stencil = 1.0
+        for k, d in factors:
+            d = d.tocoo()
+            row = np.take(row, d.row, axis=k)
+            col = np.take(col, d.col, axis=k)
+            stencil = stencil * d.data.reshape(
+                [-1 if a == k else 1 for a in range(len(shape))])
+        keys.append((row * n + col).ravel())
+        values.append((np.broadcast_to(coef, shape).ravel()[row]
+                       * stencil).ravel())
 
     def diff(order, ax):
         return diff_matrix(order, ax.n, ax.spacing, ax.closure)
 
     stored = [(dom.index(ax.name), dom.array_axis(ax.name), ax)
               for ax in dom.stored_axes]
-    mat = sp.csr_matrix((dom.node_count, dom.node_count))
     for ca, ka, ax in stored:
-        mat = mat + term(c2[..., ca, ca], {ka: diff(2, ax)})
+        term(c2[..., ca, ca], (ka, diff(2, ax)))
         if np.any(c1[..., ca] != 0.0):
-            mat = mat + term(c1[..., ca], {ka: diff(1, ax)})
+            term(c1[..., ca], (ka, diff(1, ax)))
     for i, (ca, ka, axa) in enumerate(stored):
         for cb, kb, axb in stored[i + 1:]:
             coef = c2[..., ca, cb] + c2[..., cb, ca]
             if np.any(coef != 0.0):
-                mat = mat + term(coef, {ka: diff(1, axa), kb: diff(1, axb)})
-    return mat + sp.diags(np.broadcast_to(c0, shape).ravel())
+                term(coef, (ka, diff(1, axa)), (kb, diff(1, axb)))
+    term(c0)
+
+    # entries keyed row * n + col; a stable sort keeps each position's
+    # entries in term order, and bincount adds them in that order
+    key = np.concatenate(keys)
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    first = np.ones(key.size, dtype=bool)
+    first[1:] = key[1:] != key[:-1]
+    sums = np.bincount(np.cumsum(first) - 1,
+                       weights=np.concatenate(values)[order])
+    nonzero = sums != 0.0
+    key = key[first][nonzero]
+    indptr = np.searchsorted(key, np.arange(n + 1) * n)
+    return sp.csr_matrix((sums[nonzero], key % n, indptr), shape=(n, n))
 
 
 def _dirichlet_rhs(assembly: OperatorAssembly, forcing) -> np.ndarray:

@@ -18,6 +18,7 @@ from pscbench.curvature import (hypersurface_data, gauss_codazzi_scalar,
 from pscbench.normal import unit_normal, normal_frame
 from pscbench.conformal import conformal_scalar, conformal_ricci_normal
 from pscbench.report import _render
+from pscbench.fd import diff_matrix
 from pscbench.solver import (OperatorAssembly, assemble, solve_dirichlet,
                              operator_matrix, _coefficients)
 
@@ -272,6 +273,42 @@ def oracle_operator(v, potential, metric):
     mat = sp.diags(interior) @ mat + sp.diags(1.0 - interior)
     return mat.tocsr(), c2, c1
 
+
+
+def kron_operator_matrix(dom, c2, c1, c0) -> sp.csr_matrix:
+    """The oracle of solver.operator_matrix: the same terms in the same
+    order, each a node-diagonal coefficient times a Kronecker product of
+    1-d difference matrices (identity on the other axes), summed by sparse
+    additions. The sum has no stored zeros; its column indices need not be
+    sorted (`sorted_indices()` gives the canonical matrix)."""
+    shape = dom.shape
+
+    def embed(factors):
+        out = None
+        for k, n in enumerate(shape):
+            f = factors.get(k, sp.identity(n, format="csr"))
+            out = f if out is None else sp.kron(out, f, format="csr")
+        return out.tocsr()
+
+    def term(coef, factors):
+        return sp.diags(np.broadcast_to(coef, shape).ravel()) @ embed(factors)
+
+    def diff(order, ax):
+        return diff_matrix(order, ax.n, ax.spacing, ax.closure)
+
+    stored = [(dom.index(ax.name), dom.array_axis(ax.name), ax)
+              for ax in dom.stored_axes]
+    mat = sp.csr_matrix((dom.node_count, dom.node_count))
+    for ca, ka, ax in stored:
+        mat = mat + term(c2[..., ca, ca], {ka: diff(2, ax)})
+        if np.any(c1[..., ca] != 0.0):
+            mat = mat + term(c1[..., ca], {ka: diff(1, ax)})
+    for i, (ca, ka, axa) in enumerate(stored):
+        for cb, kb, axb in stored[i + 1:]:
+            coef = c2[..., ca, cb] + c2[..., cb, ca]
+            if np.any(coef != 0.0):
+                mat = mat + term(coef, {ka: diff(1, axa), kb: diff(1, axb)})
+    return mat + sp.diags(np.broadcast_to(c0, shape).ravel())
 
 # --- manufactured Dirichlet solutions -------------------------------------
 # u* = cos(pi t / 2) * (slice profile) vanishes at t = +-1; F* = L u* is

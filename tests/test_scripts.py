@@ -114,6 +114,37 @@ def test_bench_refuses_a_checkout_without_the_driver(tmp_path):
     assert not (SCRIPTS.parent / f"BENCH_{label}.json").exists()
 
 
+
+def test_bench_pairs_dry_run_alternates_the_sides(tmp_path):
+    # per pair one --trace 0 run of each side's driver at the benchmark's
+    # run length, the checkout first in the first pair, this tree first
+    # in the second; a dry run runs nothing
+    bench = json.loads((SCRIPTS.parent / "BENCHMARK.json").read_text())
+    other = tmp_path / "other"
+    (other / "perfbench").mkdir(parents=True)
+    (other / "perfbench" / "run.py").write_text("")
+    proc = run_script("bench_pairs.py", tmp_path, "--checkout", str(other),
+                      "--workload", "shipped-batch", "--pairs", "3",
+                      "--seed", "7", "--dry-run")
+    runs = [shlex.split(line) for line in proc.stdout.splitlines()]
+    ours = str(SCRIPTS.parent / "perfbench" / "run.py")
+    theirs = str(other / "perfbench" / "run.py")
+    assert [cmd[1] for cmd in runs] == [theirs, ours, ours, theirs,
+                                        theirs, ours]
+    for cmd in runs:
+        assert cmd[2:] == ["--workload", "shipped-batch", "--seed", "7",
+                           "--seconds", str(bench["run_seconds"]),
+                           "--trace", "0"]
+    assert list(tmp_path.iterdir()) == [other]
+
+
+def test_bench_pairs_refuses_a_checkout_without_the_driver(tmp_path):
+    proc = run_script("bench_pairs.py", tmp_path, "--checkout",
+                      str(tmp_path / "absent"), "--workload",
+                      "shipped-batch", code=2)
+    assert "perfbench/run.py" in proc.stderr
+    assert proc.stdout == ""
+
 def test_body_diff_of_this_tree_against_itself_is_empty(tmp_path):
     # the same source on both sides: every scenario identical, exit 0
     proc = run_script("body_diff.py", tmp_path, "--checkout",

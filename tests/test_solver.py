@@ -20,12 +20,13 @@ from pscbench.grids import (DomainSpec, build_domain, c1_norm, gradient,
 from pscbench.metrics import make_metric, restrict_metric
 from pscbench.normal import normal_frame
 from pscbench.solver import assemble, solve_dirichlet, dtt_monitor, SolveReport
+from pscbench.conformal import b1_operator
 from pscbench.forcing import build_bump, calibrate_epsilon
 from pscbench import fd, solver
 
-from helpers import (flat_cross_fields, mms_flat_cross, mms_twisted,
-                     mms_sphere, oracle_operator, product_fields,
-                     record_factorizations)
+from helpers import (flat_cross_fields, kron_operator_matrix,
+                     mms_flat_cross, mms_twisted, mms_sphere, oracle_operator,
+                     product_fields, record_factorizations)
 
 # (measured error at coarse, at fine); order = log2 ratio
 FROZEN = {
@@ -352,14 +353,19 @@ def test_singular_operator_raises_numerical_failure():
     assert err.value.exit_code == 3
 
 
-def _pipeline_assembly(name, spec, params):
-    """The assembly a run builds for the builtin metric `name` on `spec`."""
+def _pipeline_slice_data(name, spec, params):
+    """The slice data a run assembles from for the builtin metric `name`
+    on `spec`: V's X components, R_h, h_X and the t axis."""
     doms = w_domains(spec)
     x = doms["x"]
     h = make_metric(name, doms["y"], **params)
     v_x = normal_frame(h).v[..., [doms["y"].index(nm) for nm in x.names]]
-    return assemble(v_x, h.scalar, restrict_metric(h, x),
-                    doms["w"].axis("t"))
+    return v_x, h.scalar, restrict_metric(h, x), doms["w"].axis("t")
+
+
+def _pipeline_assembly(name, spec, params):
+    """The assembly a run builds for the builtin metric `name` on `spec`."""
+    return assemble(*_pipeline_slice_data(name, spec, params))
 
 
 def _block_matrix(asm):
@@ -439,6 +445,11 @@ def test_band_factor_matches_superlu_of_the_block_matrix(case, rows,
     assert info == 0 and ring.shape[0] == rows
     assert np.array_equal(asm.lu.factor.lu, lu)
     assert np.array_equal(asm.lu.factor.piv, piv)
+    # the sweeps' matrix is L_X less its diagonal, bitwise
+    lx = asm.slice_operator
+    off, expected = asm.lu.jacobi._off, (lx - sp.diags(lx.diagonal())).tocsr()
+    for name in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(off, name), getattr(expected, name))
     mat = _block_matrix(asm)
     rhs = np.random.default_rng(8).standard_normal(mat.shape[0])
     band = asm.lu.solve(rhs.reshape(modes, n_x)).ravel()
@@ -587,6 +598,63 @@ def test_factor_route_follows_the_slice_band(case, factor, rows):
         assert rep.stats["factor_nnz"] >= lu.L.nnz + lu.U.nnz - order
     else:
         assert rep.stats["factor_nnz"] == order * rows
+
+
+def _operator_inputs(case):
+    """(domain, c2, c1, c0) of an operator_matrix call: ("slice", ...) a
+    builtin metric's slice operator L_X; ("cross", res, nt) the 9-point
+    flat torus slice of helpers.mms_flat_cross; ("w", ...) the operator
+    over W, bounded t axis included, of the materialised fields;
+    ("zeros", ...) a slice operator with every coefficient zero on a
+    third of the nodes and c0 = 0.0."""
+    if case[0] == "cross":
+        _, h_x, drift = flat_cross_fields(*case[1:])
+        return (h_x.domain,) + solver._coefficients(drift, 1.0, h_x)
+    if case[0] == "w":
+        _, full_v, full_r, g_w = _slice_and_materialised(*case[1:])
+        return (g_w.domain,) + solver._coefficients(full_v, full_r, g_w)
+    v_x, r_h, h_x, _ = _pipeline_slice_data(*case[1:])
+    x = h_x.domain
+    c2, c1, c0 = solver._coefficients(v_x, r_h, h_x)
+    if case[0] == "zeros":
+        mask = (np.arange(x.node_count) % 3 != 0).reshape(x.shape)
+        return x, c2 * mask[..., None, None], c1 * mask[..., None], 0.0
+    return x, c2, c1, c0
+
+
+@pytest.mark.parametrize("case", [
+    ("cross", 10, 9),
+    ("slice", "twisted_flat", DomainSpec(TORUS, 3, (12, 12, 12), 9),
+     {"c": 0.5}),
+    ("slice", "sphere_twist", SPHERE_48, {"r": 1.0, "beta0": 0.5}),
+    ("w", "twisted_flat", DomainSpec(TORUS, 2, (6, 6), 9), {"c": 0.5}),
+    ("zeros", "twisted_flat", DomainSpec(TORUS, 2, (8, 8), 9), {"c": 0.5}),
+], ids=["flat_cross", "t3_12", "sphere_48", "w_bounded_t", "zero_nodes"])
+def test_operator_matrix_is_the_sorted_kronecker_assembly(case):
+    # one list of stencil entries, summed per position in term order, is
+    # the Kronecker-chain assembly with its column indices sorted, bitwise
+    dom, c2, c1, c0 = _operator_inputs(case)
+    mat = solver.operator_matrix(dom, c2, c1, c0)
+    oracle = kron_operator_matrix(dom, c2, c1, c0).sorted_indices()
+    assert np.array_equal(mat.indptr, oracle.indptr)
+    assert np.array_equal(mat.indices, oracle.indices)
+    assert mat.data.tobytes() == oracle.data.tobytes()
+
+
+@pytest.mark.parametrize("name, spec, params", [
+    ("twisted_flat", DomainSpec(TORUS, 2, (12, 12), 9), {"c": 0.5}),
+    ("twisted_flat", DomainSpec(TORUS, 3, (6, 6, 6), 9), {"c": 0.5}),
+    ("sphere_twist", SPHERE_48, {"r": 1.0, "beta0": 0.5}),
+], ids=["torus_2d", "t3", "sphere"])
+def test_slice_and_b1_operators_are_canonical(name, spec, params):
+    # sorted column indices, no duplicate entry and no stored zero
+    doms = w_domains(spec)
+    h = make_metric(name, doms["y"], **params)
+    b1 = b1_operator(h, restrict_metric(h, doms["x"]))
+    assert b1.nnz > 0
+    for mat in (_pipeline_assembly(name, spec, params).slice_operator, b1):
+        assert mat.has_canonical_format
+        assert np.all(mat.data != 0.0)
 
 
 @pytest.mark.parametrize("n", range(3, 42))
