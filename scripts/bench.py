@@ -29,27 +29,50 @@ ROOT = Path(__file__).resolve().parents[1]
 SEED = 0
 
 
+def benchmark() -> dict:
+    """This repository's BENCHMARK.json."""
+    return json.loads((ROOT / "BENCHMARK.json").read_text())
+
+
+def has_driver(checkout: Path, prog: str) -> bool:
+    """Whether `checkout` holds perfbench/run.py; prints `prog`'s one-line
+    refusal when it does not."""
+    if (checkout / "perfbench" / "run.py").is_file():
+        return True
+    print(f"{prog}: {checkout} has no perfbench/run.py", file=sys.stderr)
+    return False
+
+
+def driver_argv(tree: Path, workload: str, seed: int, trace: int) -> list:
+    """One run of `tree`'s benchmark driver at BENCHMARK.json's run
+    length."""
+    return [sys.executable, str(tree / "perfbench" / "run.py"),
+            "--workload", workload, "--seed", str(seed),
+            "--seconds", str(benchmark()["run_seconds"]),
+            "--trace", str(trace)]
+
+
+def last_json(stdout: str):
+    """The final JSON line of one run's output, or None."""
+    lines = stdout.strip().splitlines()
+    if not lines or not lines[-1].startswith("{"):
+        return None
+    return json.loads(lines[-1])
+
+
 def commands(checkout: Path) -> list:
     """(workload, trace, argv) for every run, in run order."""
-    bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    driver = checkout / "perfbench" / "run.py"
-    return [(w["name"], trace,
-             [sys.executable, str(driver), "--workload", w["name"],
-              "--seed", str(SEED), "--seconds", str(bench["run_seconds"]),
-              "--trace", str(trace)])
-            for w in bench["workloads"] for trace in (0, 1)]
+    return [(w["name"], trace, driver_argv(checkout, w["name"], SEED, trace))
+            for w in benchmark()["workloads"] for trace in (0, 1)]
 
 
 def parse_output(stdout: str) -> dict:
     """The `env` line and the final JSON line of one run."""
-    env, result = None, None
-    lines = stdout.strip().splitlines()
-    for line in lines:
+    env = None
+    for line in stdout.strip().splitlines():
         if line.startswith("env "):
             env = json.loads(line[4:])
-    if lines and lines[-1].startswith("{"):
-        result = json.loads(lines[-1])
-    return {"env": env, "result": result}
+    return {"env": env, "result": last_json(stdout)}
 
 
 def main(argv=None) -> int:
@@ -61,8 +84,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     checkout = args.checkout.resolve()
-    if not (checkout / "perfbench" / "run.py").is_file():
-        print(f"bench: {checkout} has no perfbench/run.py", file=sys.stderr)
+    if not has_driver(checkout, "bench"):
         return 2
     runs = commands(checkout)
     if args.dry_run:

@@ -13,46 +13,40 @@ each end-to-end metric of BENCHMARK.json it then prints both sides'
 medians and quartiles over the pairs and in how many pairs this tree was
 better, in the metric's `better` direction.
 
-Stdlib only; it writes no file (each driver removes its own work
-directory). --dry-run prints the commands in run order and runs nothing.
-Exits 1 when a run printed no result (its pair is left out of the
-comparison) or failed its checks, and 2, running nothing, when DIR has no
-perfbench/run.py.
+Stdlib only; the driver's argv, the refusal of a checkout without one
+and the read of a run's result line are bench.py's. It writes no file
+(each driver removes its own work directory). --dry-run prints the
+commands in run order and runs nothing. Exits 1 when a run printed no
+result (its pair is left out of the comparison) or failed its checks,
+and 2, running nothing, when DIR has no perfbench/run.py.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import shlex
 import statistics
 import subprocess
 import sys
 from pathlib import Path
 
-ROOT = Path(__file__).resolve().parents[1]
-BENCH = json.loads((ROOT / "BENCHMARK.json").read_text())
+from bench import ROOT, benchmark, driver_argv, has_driver, last_json
 
 
 def commands(checkout: Path, workload: str, seed: int, pairs: int) -> list:
     """(side, argv) for every run in run order; side is "checkout" or
     "tree"."""
-    def argv(tree: Path) -> list:
-        return [sys.executable, str(tree / "perfbench" / "run.py"),
-                "--workload", workload, "--seed", str(seed),
-                "--seconds", str(BENCH["run_seconds"]), "--trace", "0"]
-
-    sides = [("checkout", argv(checkout)), ("tree", argv(ROOT))]
+    sides = [("checkout", driver_argv(checkout, workload, seed, 0)),
+             ("tree", driver_argv(ROOT, workload, seed, 0))]
     return [run for k in range(pairs)
             for run in (sides if k % 2 == 0 else sides[::-1])]
 
 
 def metrics_of(stdout: str):
     """The metric values of the final JSON line of one run, or None."""
-    lines = stdout.strip().splitlines()
-    if not lines or not lines[-1].startswith("{"):
+    result = last_json(stdout)
+    if result is None:
         return None
-    result = json.loads(lines[-1])
     return {name: m["value"] for name, m in result["metrics"].items()}
 
 
@@ -67,7 +61,7 @@ def summary(pairs: list) -> list:
     """One line per end-to-end metric over pairs of (checkout, tree)
     metric dicts."""
     lines = []
-    for metric in BENCH["end_to_end"]:
+    for metric in benchmark()["end_to_end"]:
         name, lower = metric["name"], metric["better"] == "lower"
         old = [p[0][name] for p in pairs]
         new = [p[1][name] for p in pairs]
@@ -86,16 +80,14 @@ def main(argv=None) -> int:
     ap.add_argument("--checkout", type=Path, required=True,
                     help="source tree compared with this one")
     ap.add_argument("--workload", required=True,
-                    choices=[w["name"] for w in BENCH["workloads"]])
+                    choices=[w["name"] for w in benchmark()["workloads"]])
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--dry-run", action="store_true")
     args = ap.parse_args(argv)
 
     checkout = args.checkout.resolve()
-    if not (checkout / "perfbench" / "run.py").is_file():
-        print(f"bench_pairs: {checkout} has no perfbench/run.py",
-              file=sys.stderr)
+    if not has_driver(checkout, "bench_pairs"):
         return 2
     runs = commands(checkout, args.workload, args.seed, args.pairs)
     if args.dry_run:

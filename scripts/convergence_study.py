@@ -93,7 +93,7 @@ def certificate_gap(n, tmp_dir):
                  "[metric]\nname = sphere_twist\nr = 1.0\nbeta0 = 0.5\n\n"
                  "[forcing]\np = 1\ndelta = 40.0\n")
     rep = run_scenario(parse_config(path))
-    return rep.chain_gap_max
+    return rep.body["certificate"]["chain_gap_max"]
 
 
 STUDIES = {

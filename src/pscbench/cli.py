@@ -15,7 +15,7 @@ import sys
 
 from .config import parse_config
 from .errors import ConfigError, PscbenchError
-from .pipeline import run_scenario
+from .pipeline import PSC_FLAG, run_scenario
 from .report import emit_report, write_field_csvs
 
 OUTPUT_ENV = "PSCBENCH_OUTPUT_DIR"
@@ -48,14 +48,16 @@ def _run_one(config_path: str, stage: str, output_flag) -> int:
                     os.path.join(out_dir, f"{stem}.report.ini")),
     ]
     paths += write_field_csvs(report, out_dir, stem)
-    print(f"{stem}: stage={stage} max_angle={report.max_angle:.6g} "
-          f"margin={report.margin:.6g}")
-    if not report.psc_hypothesis:
-        print(f"{stem}: flag: PSC hypothesis fails: min R_h = "
-              f"{report.min_r_h:.6g} <= 0 (PSC hypothesis on h fails)")
-    if report.verdict is not None:
-        print(f"{stem}: verdict={'true' if report.verdict else 'false'} "
-              f"min_r_bound={report.min_r_bound:.6g}")
+    angle = report.body["angle"]
+    print(f"{stem}: stage={stage} max_angle={angle['max_angle']:.6g} "
+          f"margin={angle['margin']:.6g}")
+    if angle["flag"] != "none":
+        print(f"{stem}: flag: {PSC_FLAG}: min R_h = {angle['min_r_h']:.6g} "
+              f"<= 0 (PSC hypothesis on h fails)")
+    if "certificate" in report.body:
+        cert = report.body["certificate"]
+        print(f"{stem}: verdict={'true' if cert['verdict'] else 'false'} "
+              f"min_r_bound={cert['min_r_bound']:.6g}")
     for path in paths:
         print(f"{stem}: wrote {path}")
     return 0

@@ -41,7 +41,7 @@ import scipy.sparse as sp
 from .curvature import _FRAME_TOL, HypersurfaceData, laplacian_trace
 from .errors import ConfigError, NumericalFailure
 from .grids import DiscreteDomain, derivatives
-from .metrics import MetricField, conformal_metric, restrict_metric
+from .metrics import MetricField, conformal_metric
 from .solver import operator_matrix, slice_apply
 
 POSITIVITY_FLOOR = 1e-8
@@ -138,19 +138,18 @@ def chain_scalar(metric_y: MetricField, phi: np.ndarray, dphi: np.ndarray,
     return r_t - 2.0 * ric_t + h2t - a2t
 
 
-def exact_slice_scalar(metric_y: MetricField, phi_y: np.ndarray,
-                       dphi: np.ndarray, d2phi: np.ndarray) -> np.ndarray:
-    """Reference value: direct curvature of e^{2 phi} (induced slice metric)
-    as a metric on X.
+def exact_slice_scalar(metric_y: MetricField, metric_x: MetricField,
+                       phi_y: np.ndarray, dphi: np.ndarray,
+                       d2phi: np.ndarray) -> np.ndarray:
+    """Reference value: direct curvature of e^{2 phi} h_X as a metric on X,
+    with metric_x = h_X, the induced slice metric (restrict_metric of
+    metric_y to X).
 
-    The input metric and the partials of phi live on Y; theta is dropped,
-    and the deformed metric takes the X index block of the partials.
+    The partials of phi live on Y; the deformed metric takes their X
+    index block.
     """
-    dom_y = metric_y.domain
-    dom_x = dom_y.without("theta")
-    x = [dom_y.index(name) for name in dom_x.names]
-    gx = restrict_metric(metric_y, dom_x)
-    return conformal_metric(gx, phi_y, dphi[..., x],
+    x = [metric_y.domain.index(name) for name in metric_x.domain.names]
+    return conformal_metric(metric_x, phi_y, dphi[..., x],
                             d2phi[..., x, :][..., :, x]).scalar
 
 
@@ -244,14 +243,15 @@ def certificate(u_y: np.ndarray, phi_y: np.ndarray, n: int,
                 forcing_0: np.ndarray, b1_0: np.ndarray, k2: np.ndarray,
                 eta_prime: float, r_g0: np.ndarray,
                 metric_y: MetricField, mu: np.ndarray,
+                metric_x: MetricField,
                 residual_inf: float = None,
                 tolerance: float = None) -> CertificateReport:
     """Assemble the pointwise lower bound and its two cross-checks.
 
     u_y and phi_y come from lift_solution; n is the dimension of Y.
     forcing_0, r_g0, k2 and b1_0 (B1 from laplacian_comparison) are fields
-    on the t = 0 slice; eta_prime is the profile-curvature monitor. The
-    bound is
+    on the t = 0 slice; eta_prime is the profile-curvature monitor;
+    metric_x is h_X, metric_y restricted to X. The bound is
 
       u_Y^{-(n+2)/(n-2)} [ (-2 Ric(mu,mu) + h^2 - |A|^2) u_Y + F + R_g
                            - 4 B1 - K2 - 4 eta' ]
@@ -280,7 +280,7 @@ def certificate(u_y: np.ndarray, phi_y: np.ndarray, n: int,
 
     dphi, d2phi = derivatives(metric_y.domain, phi_y)
     r_chain = chain_scalar(metric_y, phi_y, dphi, d2phi, mu, slice_data, n)
-    r_exact = exact_slice_scalar(metric_y, phi_y, dphi, d2phi)
+    r_exact = exact_slice_scalar(metric_y, metric_x, phi_y, dphi, d2phi)
 
     return CertificateReport(
         r_bound=r_bound,

@@ -76,9 +76,8 @@ class Axis:
         return coords
 
     def weights(self) -> np.ndarray:
-        """Quadrature weights; trapezoid on bounded axes, midpoint otherwise."""
-        if not self.stored:
-            return np.array([self.length])
+        """Quadrature weights of a stored axis; trapezoid on bounded axes,
+        midpoint otherwise."""
         w = np.full(self.n, self.spacing)
         if self.closure == fd.BOUNDED:
             w[0] *= 0.5

@@ -34,6 +34,8 @@ STAGES = ("angle", "solve", "certify")
 # multiple of the forcing's sup C + 1: below it K1 is round-off (a flat
 # slice's B1 is zero up to ~1e-15) and a re-budget would move C by an ulp
 K1_ROUNDOFF = 1e-12
+# the angle section's flag when min R_h <= 0: flagged, not fatal
+PSC_FLAG = "PSC hypothesis fails"
 
 
 def build_slice_metric(config: RunConfig, dom_y):
@@ -68,18 +70,17 @@ def run_scenario(config: RunConfig, stage: str = "certify") -> RunReport:
     # -- angle and ellipticity (the hypotheses) --------------------------
     frame = normal_frame(h)
     min_r_h = float(np.min(h.scalar))
-    report = RunReport(
-        config_echo=dict(config.echo),
-        stage=stage,
-        n=n,
-        max_angle=frame.max_angle,
-        margin=frame.margin,
-        elliptic=frame.is_elliptic,
-        min_r_h=min_r_h,
-        psc_hypothesis=bool(min_r_h > 0.0),
-        fields={"y": doms["y"], "angle": frame.angle,
-                "margin_minor": frame.dets[..., -1]},
-    )
+    flag = "none" if min_r_h > 0.0 else (
+        f"{PSC_FLAG}: min R_h = {min_r_h:.12g} <= 0 "
+        f"(PSC hypothesis on h fails)")
+    report = RunReport(stage, {
+        "run": {"stage": stage, "n": n},
+        "config": dict(sorted(config.echo.items())),
+        "angle": {"max_angle": frame.max_angle, "margin": frame.margin,
+                  "elliptic": bool(frame.is_elliptic), "min_r_h": min_r_h,
+                  "flag": flag},
+    }, fields={"y": doms["y"], "angle": frame.angle,
+               "margin_minor": frame.dets[..., -1]})
     if frame.max_angle >= math.pi / 4.0:
         raise HypothesisViolation(
             f"angle condition fails: max angle {frame.max_angle:.6f} >= "
@@ -125,15 +126,14 @@ def run_scenario(config: RunConfig, stage: str = "certify") -> RunReport:
     c1 = c1_norm(u, gradient(w, u))
     eta_prime = dtt_monitor(w.diff(u, "t", 2), w, epsilon)
 
-    report.c_used = c_value
-    report.k1 = k1
-    report.epsilon = epsilon
-    report.forcing_norm = forcing_norm(c_value, epsilon, config.p, h_x,
-                                       t_axis)
-    report.solver_stats = dict(solve.stats)
-    report.c1_u = c1
-    report.dtt_max = eta_prime
-    report.headroom = headroom_value(c_value, slice_data, k1)
+    report.body["solve"] = {
+        "C": c_value, "K1": k1, "epsilon": epsilon,
+        "forcing_norm": forcing_norm(c_value, epsilon, config.p, h_x,
+                                     t_axis),
+        "c1_u": c1, "dtt_max": eta_prime,
+        "headroom": headroom_value(c_value, slice_data, k1),
+        **{f"solver_{key}": solve.stats[key] for key in sorted(solve.stats)},
+    }
     report.fields.update(w=w, u=u)
     if stage == "solve":
         report.wall_time = time.perf_counter() - t_start
@@ -143,7 +143,7 @@ def run_scenario(config: RunConfig, stage: str = "certify") -> RunReport:
     u_y, phi_y = lift_solution(w, u, c1, n)
     k2 = k2_field(u_y, gradient(doms["y"], w.at_t0(u)), h, frame.v, n)
     cert = certificate(u_y, phi_y, n, slice_data, w.at_t0(forcing),
-                       b1_0, k2, eta_prime, h.scalar, h, frame.mu,
+                       b1_0, k2, eta_prime, h.scalar, h, frame.mu, h_x,
                        residual_inf=solve.residual_inf,
                        tolerance=config.tolerance)
     if cert.k2_max >= 1.0:
@@ -151,13 +151,13 @@ def run_scenario(config: RunConfig, stage: str = "certify") -> RunReport:
             f"gradient correction max|K2| = {cert.k2_max:.3e} >= 1: the "
             f"perturbation is too large for the certificate's budget")
 
-    report.k2_max = cert.k2_max
-    report.min_r_exact = cert.min_exact
-    report.min_r_chain = cert.min_chain
-    report.min_r_bound = cert.min_bound
-    report.chain_gap_max = cert.chain_gap_max
-    report.bound_minus_chain_max = cert.bound_minus_chain_max
-    report.verdict = cert.verdict
+    report.body["certificate"] = {
+        "k2_max": cert.k2_max, "min_r_exact": cert.min_exact,
+        "min_r_chain": cert.min_chain, "min_r_bound": cert.min_bound,
+        "chain_gap_max": cert.chain_gap_max,
+        "bound_minus_chain_max": cert.bound_minus_chain_max,
+        "verdict": cert.verdict,
+    }
     report.fields.update(r_exact=cert.r_exact, r_chain=cert.r_chain,
                          r_bound=cert.r_bound)
     report.wall_time = time.perf_counter() - t_start

@@ -1,10 +1,10 @@
 """Run reports: deterministic body, parseable structured form, CSV dumps.
 
-The body is a fixed-order list of (section, key, value) lines with every
-number printed at 12 significant digits, so byte identity across repeat
-runs is a testable property. Wall time is real information but not
-deterministic; it lives below an explicit footer marker that consumers can
-split on.
+The body is ordered sections of (key, value) lines, each value printed
+by its type: bools as true/false, floats at 12 significant digits, so
+byte identity across repeat runs is a testable property. Wall time is
+real information but not deterministic; it lives below an explicit
+footer marker that consumers can split on.
 """
 
 from __future__ import annotations
@@ -19,42 +19,20 @@ from .errors import ConfigError, NumericalFailure
 from .grids import DiscreteDomain, fields_to_csv, upper_half
 
 FOOTER_MARK = "# --- non-deterministic footer ---"
-PSC_FLAG = "PSC hypothesis fails"
 
 
 @dataclass
 class RunReport:
     """Everything one scenario run measured, plus the field arrays.
 
-    Fields past the angle stage default to None and stay None when the run
-    stopped early; emit skips them, so a report's shape is a function of
-    its stage alone.
+    body is {section: {key: value}} in print order; the pipeline adds
+    each section when its stage finishes, so a run that stopped early has
+    no later sections and a report's shape is a function of its stage.
     """
-    config_echo: dict
     stage: str
-    n: int
-    max_angle: float
-    margin: float
-    elliptic: bool
-    min_r_h: float
-    psc_hypothesis: bool
-    c_used: float | None = None
-    k1: float | None = None
-    epsilon: float | None = None
-    forcing_norm: float | None = None
-    solver_stats: dict | None = None
-    c1_u: float | None = None
-    dtt_max: float | None = None
-    headroom: float | None = None
-    k2_max: float | None = None
-    min_r_exact: float | None = None
-    min_r_chain: float | None = None
-    min_r_bound: float | None = None
-    chain_gap_max: float | None = None
-    bound_minus_chain_max: float | None = None
-    verdict: bool | None = None
-    wall_time: float | None = None
+    body: dict
     fields: dict = field(default_factory=dict)
+    wall_time: float | None = None
 
 
 def _num(value) -> str:
@@ -65,55 +43,21 @@ def _num(value) -> str:
     return f"{value:.12g}"
 
 
-def _bool(value) -> str:
-    return "true" if value else "false"
+def _text(value) -> str:
+    # bool first: a bool is an int. np.float64 is a float
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return _num(value)
+    return str(value)
 
 
-def report_pairs(report: RunReport):
-    """The deterministic body as ordered (section, key, value) triples."""
-    pairs = [("run", "stage", report.stage),
-             ("run", "n", str(report.n))]
-    for key in sorted(report.config_echo):
-        pairs.append(("config", key, str(report.config_echo[key])))
-    pairs += [
-        ("angle", "max_angle", _num(report.max_angle)),
-        ("angle", "margin", _num(report.margin)),
-        ("angle", "elliptic", _bool(report.elliptic)),
-        ("angle", "min_r_h", _num(report.min_r_h)),
-    ]
-    if report.psc_hypothesis:
-        pairs.append(("angle", "flag", "none"))
-    else:
-        pairs.append(("angle", "flag",
-                      f"{PSC_FLAG}: min R_h = {_num(report.min_r_h)} <= 0 "
-                      f"(PSC hypothesis on h fails)"))
-    if report.c_used is not None:
-        pairs += [
-            ("solve", "C", _num(report.c_used)),
-            ("solve", "K1", _num(report.k1)),
-            ("solve", "epsilon", _num(report.epsilon)),
-            ("solve", "forcing_norm", _num(report.forcing_norm)),
-            ("solve", "c1_u", _num(report.c1_u)),
-            ("solve", "dtt_max", _num(report.dtt_max)),
-            ("solve", "headroom", _num(report.headroom)),
-        ]
-        stats = report.solver_stats or {}
-        for key in sorted(stats):
-            value = stats[key]
-            text = _num(value) if isinstance(value, float) else str(value)
-            pairs.append(("solve", f"solver_{key}", text))
-    if report.verdict is not None:
-        pairs += [
-            ("certificate", "k2_max", _num(report.k2_max)),
-            ("certificate", "min_r_exact", _num(report.min_r_exact)),
-            ("certificate", "min_r_chain", _num(report.min_r_chain)),
-            ("certificate", "min_r_bound", _num(report.min_r_bound)),
-            ("certificate", "chain_gap_max", _num(report.chain_gap_max)),
-            ("certificate", "bound_minus_chain_max",
-             _num(report.bound_minus_chain_max)),
-            ("certificate", "verdict", _bool(report.verdict)),
-        ]
-    return pairs
+def report_pairs(report) -> list:
+    """The deterministic body of a RunReport (or a parsed ReportDoc) as
+    ordered (section, key, text) triples."""
+    return [(section, key, _text(value))
+            for section, lines in report.body.items()
+            for key, value in lines.items()]
 
 
 def _render(pairs, footer_pairs, structured: bool) -> str:
@@ -157,15 +101,13 @@ def emit_report(report: RunReport, fmt: str, path: str) -> str:
 
 @dataclass
 class ReportDoc:
-    """Parsed structured report: ordered body triples plus footer pairs."""
-    pairs: list
+    """Parsed structured report: the body as {section: {key: text}} in
+    file order, plus the footer's (key, text) pairs."""
+    body: dict
     footer: list
 
     def get(self, section: str, key: str):
-        for sec, k, value in self.pairs:
-            if sec == section and k == key:
-                return value
-        return None
+        return self.body.get(section, {}).get(key)
 
 
 def parse_report(path: str) -> ReportDoc:
@@ -176,7 +118,7 @@ def parse_report(path: str) -> ReportDoc:
             raw = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read report {path}: {exc}") from exc
-    pairs, footer = [], []
+    body, footer = {}, []
     section = None
     in_footer = False
     for line in raw.splitlines():
@@ -196,8 +138,8 @@ def parse_report(path: str) -> ReportDoc:
         elif section is None:
             raise ConfigError(f"report line {line!r} precedes any section")
         else:
-            pairs.append((section, key, value))
-    return ReportDoc(pairs=pairs, footer=footer)
+            body.setdefault(section, {})[key] = value
+    return ReportDoc(body=body, footer=footer)
 
 
 def write_field_csvs(report: RunReport, out_dir: str, stem: str) -> list:

@@ -17,7 +17,7 @@ from pscbench.curvature import (hypersurface_data, gauss_codazzi_scalar,
                                 laplacian_trace)
 from pscbench.normal import unit_normal, normal_frame
 from pscbench.conformal import conformal_scalar, conformal_ricci_normal
-from pscbench.report import _render
+from pscbench.report import _render, report_pairs
 from pscbench.fd import diff_matrix
 from pscbench.solver import (OperatorAssembly, assemble, solve_dirichlet,
                              operator_matrix, _coefficients)
@@ -79,13 +79,9 @@ def minors_direct(b):
 
 
 def serialize_report_doc(doc):
-    """A parsed structured report written back in the structured format."""
-    return _render(doc.pairs, doc.footer, structured=True)
-
-
-def report_dict(doc):
-    """A parsed report's body as {"section.key": value}."""
-    return {f"{sec}.{key}": value for sec, key, value in doc.pairs}
+    """A parsed structured report written back in the structured format,
+    through the flattening the writer uses."""
+    return _render(report_pairs(doc), doc.footer, structured=True)
 
 
 def hessian_coords_reference(domain, values):

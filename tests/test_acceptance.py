@@ -304,7 +304,7 @@ def test_criterion_09_laplacian_identities_and_mismatch_trend(tmp_path):
             "t_nodes = 97\n\n[metric]\nname = sphere_twist\nr = 1.0\n"
             f"beta0 = 0.5\n\n[forcing]\np = 1\ndelta = {delta}\n")
         k1_values.append(run_scenario(parse_config(str(cfg_path)),
-                                      stage="solve").k1)
+                                      stage="solve").body["solve"]["K1"])
     trend_ok = k1_values[1] < k1_values[0]
 
     elapsed = time.perf_counter() - t0
@@ -327,28 +327,30 @@ def test_criterion_10_end_to_end_positivity_demo(tmp_path):
         "[metric]\nname = sphere_product\nr = 1.0\n\n"
         "[forcing]\np = 1\ndelta = 16\n")
     rep = run_scenario(parse_config(str(cfg_path)))
+    cert = rep.body.get("certificate", {})
     mms_err, _ = mms_sphere(48, 49)
 
-    completed = rep.stage == "certify" and rep.verdict is not None
+    completed = rep.stage == "certify" and "verdict" in cert
     pointwise = bool(np.all(rep.fields["r_bound"]
                             <= rep.fields["r_chain"] + 1e-10))
     chain_gap = float(np.max(np.abs(rep.fields["r_chain"]
                                     - rep.fields["r_exact"])))
     elapsed = time.perf_counter() - t0
-    ok = (completed and rep.k2_max < 1.0 and rep.min_r_exact > 0.0
-          and rep.min_r_bound > 0.0 and pointwise
+    ok = (completed and cert["k2_max"] < 1.0 and cert["min_r_exact"] > 0.0
+          and cert["min_r_bound"] > 0.0 and pointwise
           and chain_gap <= 10.0 * mms_err and elapsed < 600.0)
     verdict_line(10, ok, f"product-sphere run certifies positivity: bound "
-                         f"{rep.min_r_bound:.4f} > 0, gradient correction "
-                         f"{rep.k2_max:.2g} < 1, law-vs-direct gap "
-                         f"{chain_gap:.2g} within 10x solver error", elapsed)
+                         f"{cert['min_r_bound']:.4f} > 0, gradient "
+                         f"correction {cert['k2_max']:.2g} < 1, law-vs-direct "
+                         f"gap {chain_gap:.2g} within 10x solver error",
+                 elapsed)
     assert completed
-    assert rep.k2_max < 1.0
-    assert rep.min_r_exact > 0.0
-    assert rep.min_r_bound > 0.0
+    assert cert["k2_max"] < 1.0
+    assert cert["min_r_exact"] > 0.0
+    assert cert["min_r_bound"] > 0.0
     assert pointwise
     assert chain_gap <= 10.0 * mms_err
-    assert rep.verdict is True
+    assert cert["verdict"] is True
     assert elapsed < 600.0
 
 

@@ -8,7 +8,7 @@ from functools import cached_property
 import numpy as np
 import pytest
 
-from pscbench import cli, conformal, fd, pipeline, solver
+from pscbench import cli, conformal, fd, metrics, pipeline, solver
 from pscbench.config import parse_config
 from pscbench.errors import ConfigError, HypothesisViolation
 from pscbench.forcing import forcing_norm
@@ -99,11 +99,12 @@ def run_cli(args, env_extra=None, cwd=None):
 def test_stage_angle_stops_early(tmp_path):
     cfg = parse_config(write(tmp_path, "s.cfg", TWISTED_OK))
     rep = run_scenario(cfg, stage="angle")
+    angle = rep.body["angle"]
     assert rep.stage == "angle"
-    assert rep.elliptic
-    assert rep.max_angle == pytest.approx(0.4636476090008061, abs=1e-12)
-    assert rep.margin == pytest.approx(0.75, abs=1e-12)
-    assert rep.c_used is None and rep.verdict is None
+    assert angle["elliptic"]
+    assert angle["max_angle"] == pytest.approx(0.4636476090008061, abs=1e-12)
+    assert angle["margin"] == pytest.approx(0.75, abs=1e-12)
+    assert "solve" not in rep.body and "certificate" not in rep.body
     assert set(rep.fields) >= {"y", "angle", "margin_minor"}
     assert "u" not in rep.fields
 
@@ -111,24 +112,26 @@ def test_stage_angle_stops_early(tmp_path):
 def test_stage_solve_carries_solution(tmp_path):
     cfg = parse_config(write(tmp_path, "s.cfg", TWISTED_OK))
     rep = run_scenario(cfg, stage="solve")
+    solve = rep.body["solve"]
     assert rep.stage == "solve"
-    assert rep.c_used == pytest.approx(2.2)
-    assert rep.epsilon == 0.5
-    assert rep.verdict is None
+    assert solve["C"] == pytest.approx(2.2)
+    assert solve["epsilon"] == 0.5
+    assert "certificate" not in rep.body
     assert rep.fields["u"].shape == (8, 8, 33)
-    assert rep.dtt_max is not None and rep.headroom is not None
+    assert "dtt_max" in solve and "headroom" in solve
 
 
 def test_stage_certify_full_fields(tmp_path):
     cfg = parse_config(write(tmp_path, "s.cfg", TWISTED_OK))
     rep = run_scenario(cfg)
+    cert = rep.body["certificate"]
     assert rep.stage == "certify"
-    assert rep.verdict is False
-    assert rep.k2_max is not None and rep.k2_max < 1.0
+    assert cert["verdict"] is False
+    assert "k2_max" in cert and cert["k2_max"] < 1.0
     for key in ("r_exact", "r_chain", "r_bound"):
         assert rep.fields[key].shape == (8, 8)
     # flat twisted slice: certified bound cannot be positive
-    assert rep.min_r_bound < 1e-10
+    assert cert["min_r_bound"] < 1e-10
 
 
 @pytest.mark.parametrize("c", [0.35, 0.5, 0.65])
@@ -141,10 +144,11 @@ def test_twisted_flat_torus_never_certifies(tmp_path, c):
             "[forcing]\np = 1\ndelta = 160.0\nC = auto\n")
     rep = run_scenario(parse_config(write(tmp_path, "s.cfg", text)))
     # the solve factors the slice operator only: 5 points on the 12^2 slice
-    assert rep.solver_stats["slice_nnz"] == 5 * 12 * 12
-    assert rep.verdict is False
-    assert abs(rep.min_r_bound) <= 1e-9
-    assert abs(rep.min_r_exact) <= 1e-9
+    cert = rep.body["certificate"]
+    assert rep.body["solve"]["solver_slice_nnz"] == 5 * 12 * 12
+    assert cert["verdict"] is False
+    assert abs(cert["min_r_bound"]) <= 1e-9
+    assert abs(cert["min_r_exact"]) <= 1e-9
 
 
 def test_auto_c_resolve_reuses_the_one_factorization(tmp_path,
@@ -160,17 +164,17 @@ def test_auto_c_resolve_reuses_the_one_factorization(tmp_path,
         pipeline, "_solve_pass",
         lambda *a: args.append(a) or solve_pass(*a))
     first = run_scenario(parse_config(write(tmp_path, "s.cfg", text)),
-                         stage="solve")
+                         stage="solve").body["solve"]
     # the re-budget keeps eps = 1/4 here: the second pass starts from u
     (config, w, _, _, eps, c_first), (*_, eps_second, _, start) = args
-    assert eps == eps_second == 0.25 and first.epsilon == 0.25
+    assert eps == eps_second == 0.25 and first["epsilon"] == 0.25
     assert start is not None
     doms = w_domains(config.domain)
     h_x = restrict_metric(pipeline.build_slice_metric(config, doms["y"]),
                           doms["x"])
     t_axis = w.axis("t")
     norms = [forcing_norm(c, eps, config.p, h_x, t_axis)
-             for c in (c_first, first.c_used)]
+             for c in (c_first, first["C"])]
     assert norms[0] < EPS_CHANGE_DELTA < norms[1]
 
     # the sphere's slice is banded, so the factor is a band LU; count
@@ -190,9 +194,10 @@ def test_auto_c_resolve_reuses_the_one_factorization(tmp_path,
         parse_config(write(tmp_path, "s.cfg", SPHERE_EPS_CHANGE)),
         stage="solve")
     # a changed epsilon solves afresh: no start
-    assert passes == [(0.25, c_first), (0.125, first.c_used, None)]
-    assert (rep.c_used, rep.epsilon) == (first.c_used, 0.125)
-    assert rep.solver_stats["factor"] == "banded"
+    solve = rep.body["solve"]
+    assert passes == [(0.25, c_first), (0.125, first["C"], None)]
+    assert (solve["C"], solve["epsilon"]) == (first["C"], 0.125)
+    assert solve["solver_factor"] == "banded"
     assert len(factorizations) == 1
     assert len(matrices) == 2
 
@@ -213,22 +218,23 @@ def test_same_epsilon_rebudget_rescales_the_first_pass(tmp_path,
     monkeypatch.setattr(pipeline, "_solve_pass", recording)
     rep = run_scenario(parse_config(write(tmp_path, "s.cfg", SPHERE_TWIST)),
                        stage="solve")
+    solve = rep.body["solve"]
     (config, w, assembly, b1_op, eps, c_first), second = args
     assert second[:4] == (config, w, assembly, b1_op)
-    assert second[4] == eps and second[5] == rep.c_used > c_first
-    scale = (rep.c_used + 1.0) / (c_first + 1.0)
+    assert second[4] == eps and second[5] == solve["C"] > c_first
+    scale = (solve["C"] + 1.0) / (c_first + 1.0)
     assert np.array_equal(second[6], scale * passes[0][1].u)
     _, fresh, _, fresh_k1 = solve_pass(config, w, assembly, b1_op, eps,
-                                       rep.c_used)
+                                       solve["C"])
     u, fresh_u = rep.fields["u"], fresh.u
     assert np.max(np.abs(u - fresh_u)) <= 1e-12 * np.max(np.abs(fresh_u))
-    assert rep.k1 == pytest.approx(fresh_k1, rel=1e-12, abs=0.0)
+    assert solve["K1"] == pytest.approx(fresh_k1, rel=1e-12, abs=0.0)
     # the reported residual is the scaled u's against C2's forcing, within
     # round-off of the fresh solve's, relative to the forcing's sup C2 + 1
-    residual = rep.solver_stats["residual_inf"]
+    residual = solve["solver_residual_inf"]
     assert residual <= config.tolerance
     assert (abs(residual - fresh.residual_inf)
-            <= 1e-12 * (rep.c_used + 1.0))
+            <= 1e-12 * (solve["C"] + 1.0))
 
 
 @pytest.mark.parametrize("text, diffs", [(TWISTED_OK, 5), (SPHERE_TWIST, 2)],
@@ -330,10 +336,11 @@ def test_reported_reads_are_those_of_the_final_u(tmp_path, text):
     w, u = rep.fields["w"], rep.fields["u"]
     h = pipeline.build_slice_metric(cfg, w_domains(cfg.domain)["y"])
     b1_op = conformal.b1_operator(h, restrict_metric(h, w.without("t")))
-    assert rep.c1_u == c1_norm(u, gradient(w, u))
-    assert rep.dtt_max == solver.dtt_monitor(w.diff(u, "t", 2), w,
-                                             rep.epsilon)
-    assert rep.k1 == conformal.laplacian_comparison(w, u, b1_op)[1]
+    solve = rep.body["solve"]
+    assert solve["c1_u"] == c1_norm(u, gradient(w, u))
+    assert solve["dtt_max"] == solver.dtt_monitor(w.diff(u, "t", 2), w,
+                                                  solve["epsilon"])
+    assert solve["K1"] == conformal.laplacian_comparison(w, u, b1_op)[1]
 
 
 def test_flat_torus_round_off_k1_runs_no_rebudget(monkeypatch):
@@ -348,10 +355,10 @@ def test_flat_torus_round_off_k1_runs_no_rebudget(monkeypatch):
             pipeline, name,
             lambda *a, name=name, func=func: calls.__setitem__(
                 name, calls[name] + 1) or func(*a))
-    rep = run_scenario(parse_config(shipped), stage="solve")
+    solve = run_scenario(parse_config(shipped), stage="solve").body["solve"]
     assert calls == {"calibrate_epsilon": 1, "_solve_pass": 1}
-    assert 0.0 <= rep.k1 <= pipeline.K1_ROUNDOFF * (rep.c_used + 1.0)
-    assert rep.c_used == pytest.approx(2.2, rel=1e-15)
+    assert 0.0 <= solve["K1"] <= pipeline.K1_ROUNDOFF * (solve["C"] + 1.0)
+    assert solve["C"] == pytest.approx(2.2, rel=1e-15)
 
 
 @pytest.mark.parametrize("text", [TWISTED_OK, SPHERE_TWIST],
@@ -375,6 +382,20 @@ def test_curvature_evaluated_once_per_metric(tmp_path, monkeypatch, text):
     run_scenario(cfg)
     assert sorted(evals) == [("gamma", "X"), ("gamma", "X"), ("gamma", "Y"),
                              ("ricci", "X"), ("ricci", "Y")]
+
+
+def test_run_restricts_h_to_x_once(tmp_path, monkeypatch):
+    # the certificate's exact slice curvature reads the run's h_X: h is
+    # restricted to X, and h_X built and validated, once per run
+    calls = []
+    restrict = metrics.restrict_metric
+    for module in (metrics, pipeline, conformal):
+        monkeypatch.setattr(
+            module, "restrict_metric",
+            lambda *a, **kw: calls.append(1) or restrict(*a, **kw),
+            raising=False)
+    run_scenario(parse_config(write(tmp_path, "s.cfg", TWISTED_OK)))
+    assert len(calls) == 1
 
 
 def test_unresolvable_monitor_core_exits_4_before_any_solve(tmp_path,
@@ -431,6 +452,40 @@ def test_cli_certify_completes_and_writes(tmp_path):
     # flat slice scalar curvature is zero, so the PSC hypothesis flag fires
     assert any("PSC hypothesis fails" in ln
                and "(PSC hypothesis on h fails)" in ln for ln in lines)
+
+
+ANGLE_LINES = [
+    ("run", "stage"), ("run", "n"),
+    *(("config", key) for key in (
+        "domain.backend", "domain.dim_x", "domain.resolution",
+        "domain.t_nodes", "forcing.C", "forcing.delta", "forcing.p",
+        "metric.c", "metric.name", "solver.tolerance")),
+    *(("angle", key) for key in (
+        "max_angle", "margin", "elliptic", "min_r_h", "flag"))]
+SOLVE_LINES = [("solve", key) for key in (
+    "C", "K1", "epsilon", "forcing_norm", "c1_u", "dtt_max", "headroom",
+    "solver_factor", "solver_factor_nnz", "solver_jacobi_modes",
+    "solver_jacobi_sweeps", "solver_nodes", "solver_refinements",
+    "solver_residual_inf", "solver_slice_nnz")]
+CERTIFICATE_LINES = [("certificate", key) for key in (
+    "k2_max", "min_r_exact", "min_r_chain", "min_r_bound", "chain_gap_max",
+    "bound_minus_chain_max", "verdict")]
+
+
+@pytest.mark.parametrize("verb, lines", [
+    ("check-angle", ANGLE_LINES),
+    ("solve", ANGLE_LINES + SOLVE_LINES),
+    ("certify", ANGLE_LINES + SOLVE_LINES + CERTIFICATE_LINES)],
+    ids=["check-angle", "solve", "certify"])
+def test_report_body_lines_in_order(tmp_path, verb, lines):
+    # the report body's (section, key) sequence of each verb, pinned: a
+    # line added, dropped, renamed or moved shows here
+    cfg = write(tmp_path, "tw.cfg", TWISTED_OK)
+    out = str(tmp_path / "out")
+    assert cli.main([verb, cfg, "--output-dir", out]) == 0
+    doc = parse_report(os.path.join(out, "tw.report.ini"))
+    assert [(section, key) for section, body in doc.body.items()
+            for key in body] == lines
 
 
 def test_cli_check_angle_writes_report_only(tmp_path):

@@ -5,6 +5,7 @@ mark; everything timing-dependent lives below it.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,11 +13,12 @@ import pytest
 from pscbench.errors import ConfigError, NumericalFailure
 from pscbench.config import parse_config
 from pscbench.grids import fields_to_csv
-from pscbench.pipeline import run_scenario
-from pscbench.report import (FOOTER_MARK, PSC_FLAG, RunReport, emit_report,
-                             parse_report, render_report, write_field_csvs)
+from pscbench.pipeline import PSC_FLAG, run_scenario
+from pscbench.report import (FOOTER_MARK, RunReport, emit_report,
+                             parse_report, render_report, report_pairs,
+                             write_field_csvs)
 
-from helpers import report_dict, serialize_report_doc
+from helpers import serialize_report_doc
 
 SMALL = """\
 [domain]
@@ -43,11 +45,20 @@ def body(text):
     return text.split(FOOTER_MARK)[0]
 
 
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
 def angle_only_report():
-    return RunReport(config_echo={"metric.name": "product_flat"},
-                     stage="angle", n=3, max_angle=0.0,
-                     margin=1.0, elliptic=True, min_r_h=0.0,
-                     psc_hypothesis=False)
+    return RunReport("angle", {
+        "run": {"stage": "angle", "n": 3},
+        "config": {"metric.name": "product_flat"},
+        "angle": {"max_angle": 0.0, "margin": 1.0, "elliptic": True,
+                  "min_r_h": 2.0, "flag": "none"}})
+
+
+def shipped_angle_report(stem):
+    return run_scenario(parse_config(str(CONFIGS / f"{stem}.cfg")),
+                        stage="angle")
 
 
 def test_two_runs_render_identically(tmp_path):
@@ -73,7 +84,7 @@ def test_structured_report_parses_back_byte_exact(tmp_path):
     assert doc.get("certificate", "verdict") == "false"
     assert doc.get("run", "stage") == "certify"
     assert doc.get("config", "metric.c") == "0.5"
-    assert "angle.elliptic" in report_dict(doc)
+    assert "elliptic" in doc.body["angle"]
     assert doc.get("nope", "missing") is None
 
 
@@ -87,7 +98,8 @@ def test_footer_carries_wall_time(tmp_path):
 
 
 def test_psc_flag_line_has_both_texts():
-    rep = angle_only_report()
+    # the flat torus' slice scalar curvature is zero: flagged, not fatal
+    rep = shipped_angle_report("flat_torus")
     text = render_report(rep)
     flag_lines = [ln for ln in text.splitlines() if PSC_FLAG in ln]
     assert len(flag_lines) == 1
@@ -97,9 +109,7 @@ def test_psc_flag_line_has_both_texts():
 
 
 def test_healthy_angle_stage_reports_no_flag():
-    rep = angle_only_report()
-    rep.min_r_h = 2.0
-    rep.psc_hypothesis = True
+    rep = shipped_angle_report("sphere_product")
     text = render_report(rep)
     assert PSC_FLAG not in text
     assert "flag = none" in text
@@ -108,9 +118,21 @@ def test_healthy_angle_stage_reports_no_flag():
     assert "== certificate ==" not in text
 
 
+def test_body_values_print_by_type():
+    # a bool before its int reading, floats (np.float64 too) at 12 digits,
+    # everything else as str, in the body's order
+    rep = RunReport("solve", {"solve": {
+        "elliptic": True, "verdict": False, "C": np.float64(2.2),
+        "epsilon": 0.1 + 0.2, "solver_nodes": 7, "solver_factor": "banded"}})
+    assert report_pairs(rep) == [
+        ("solve", "elliptic", "true"), ("solve", "verdict", "false"),
+        ("solve", "C", "2.2"), ("solve", "epsilon", "0.3"),
+        ("solve", "solver_nodes", "7"), ("solve", "solver_factor", "banded")]
+
+
 def test_nonfinite_value_refuses_to_emit():
     rep = angle_only_report()
-    rep.max_angle = math.nan
+    rep.body["angle"]["max_angle"] = math.nan
     with pytest.raises(NumericalFailure, match="not finite"):
         render_report(rep)
 
