@@ -15,7 +15,7 @@ import sys
 
 from .config import parse_config
 from .errors import ConfigError, PscbenchError
-from .pipeline import PSC_FLAG, run_scenario
+from .pipeline import run_scenario
 from .report import emit_report, write_field_csvs
 
 OUTPUT_ENV = "PSCBENCH_OUTPUT_DIR"
@@ -52,8 +52,7 @@ def _run_one(config_path: str, stage: str, output_flag) -> int:
     print(f"{stem}: stage={stage} max_angle={angle['max_angle']:.6g} "
           f"margin={angle['margin']:.6g}")
     if angle["flag"] != "none":
-        print(f"{stem}: flag: {PSC_FLAG}: min R_h = {angle['min_r_h']:.6g} "
-              f"<= 0 (PSC hypothesis on h fails)")
+        print(f"{stem}: flag: {angle['flag']}")
     if "certificate" in report.body:
         cert = report.body["certificate"]
         print(f"{stem}: verdict={'true' if cert['verdict'] else 'false'} "

@@ -36,10 +36,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .curvature import _FRAME_TOL, HypersurfaceData, laplacian_trace
 from .errors import ConfigError, NumericalFailure
+from .fd import Stencil
 from .grids import DiscreteDomain, derivatives
 from .metrics import MetricField, conformal_metric
 from .solver import operator_matrix, slice_apply
@@ -154,7 +154,7 @@ def exact_slice_scalar(metric_y: MetricField, metric_x: MetricField,
 
 
 def b1_operator(metric_y: MetricField,
-                metric_x: MetricField) -> sp.csr_matrix:
+                metric_x: MetricField) -> Stencil:
     """The operator on the slice X whose value on u is the Laplacian
     mismatch B1 = Lap_{g_M} u - Lap_{sigma* g} u.
 
@@ -176,7 +176,7 @@ def b1_operator(metric_y: MetricField,
 
 
 def laplacian_comparison(w: DiscreteDomain, u: np.ndarray,
-                         b1: sp.spmatrix):
+                         b1: Stencil):
     """B1 over the W nodes, the operator b1 (b1_operator) applied to every
     t slice of u, and K1 = 4 sup|B1|."""
     b1_u = slice_apply(b1, w, u)

@@ -1,7 +1,8 @@
-"""Finite-difference stencils for structured axes.
+"""Finite-difference stencils for structured axes, and the sparse matrix
+layout every stencil product in the package uses.
 
-One sparse derivative matrix per (order, length, spacing, closure) tuple,
-cached, so field-level derivatives and operator assembly share bit-identical
+One derivative matrix per (order, length, spacing, closure) tuple, cached,
+so field-level derivatives and operator assembly share bit-identical
 coefficients.
 
 Closures:
@@ -22,7 +23,6 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-import scipy.sparse as sp
 
 PERIODIC = "periodic"
 MIRROR = "mirror"
@@ -45,6 +45,81 @@ _FORWARD = {
 }
 
 
+class Stencil:
+    """A sparse matrix of shape (n_rows, n_cols) as padded per-row entries
+    (ELLPACK layout): row i holds vals[j, i] at column cols[j, i],
+    j = 0..k-1, in ascending column order, with no duplicate column and no
+    stored zero; a row with fewer than k entries is padded at its end
+    with value 0 at column 0.
+
+    `stencil @ x` accumulates each row's entries in that order from 0, as
+    a CSR product with sorted column indices does, so the two agree bit
+    for bit: padded zeros add +-0 to the row's sum, which never changes
+    it. Treat instances as immutable; diff_matrix shares them."""
+
+    def __init__(self, cols: np.ndarray, vals: np.ndarray, n_cols: int):
+        self.cols, self.vals, self.n_cols = cols, vals, n_cols
+
+    @classmethod
+    def from_entries(cls, rows, cols, vals, shape) -> "Stencil":
+        """The matrix whose (rows[i], cols[i]) entry gets vals[i] added:
+        entries of one position are summed in the order given, and zero
+        sums are dropped."""
+        n_rows, n_cols = shape
+        key = np.asarray(rows) * n_cols + np.asarray(cols)
+        # a stable sort keeps each position's entries in the given order,
+        # and bincount adds them in that order
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        first = np.ones(key.size, dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        sums = np.bincount(np.cumsum(first) - 1,
+                           weights=np.asarray(vals, dtype=float)[order])
+        nonzero = sums != 0.0
+        key, sums = key[first][nonzero], sums[nonzero]
+        row = key // n_cols
+        start = np.searchsorted(row, np.arange(n_rows))
+        slot = np.arange(key.size) - start[row]
+        k = int(slot.max(initial=-1)) + 1
+        padded_cols = np.zeros((k, n_rows), dtype=np.intp)
+        padded_vals = np.zeros((k, n_rows))
+        padded_cols[slot, row] = key % n_cols
+        padded_vals[slot, row] = sums
+        return cls(padded_cols, padded_vals, n_cols)
+
+    @property
+    def shape(self) -> tuple:
+        return (self.cols.shape[1], self.n_cols)
+
+    @property
+    def nnz(self) -> int:
+        """The stored entries, padding excluded."""
+        return int(np.count_nonzero(self.vals))
+
+    def entries(self):
+        """(rows, cols, vals) of the stored entries, row by row in
+        ascending column order."""
+        slot, row = np.nonzero(self.vals.T != 0.0)[::-1]
+        return row, self.cols[slot, row], self.vals[slot, row]
+
+    def toarray(self) -> np.ndarray:
+        out = np.zeros(self.shape)
+        np.add.at(out, (np.broadcast_to(np.arange(self.shape[0]),
+                                        self.cols.shape), self.cols),
+                  self.vals)
+        return out
+
+    def __matmul__(self, x: np.ndarray) -> np.ndarray:
+        """The product with x, shaped (n_cols, ...)."""
+        x = np.asarray(x)
+        flat = x.reshape(x.shape[0], -1)
+        # einsum adds the k gathered terms of every output entry in slot
+        # order, from 0 (the bitwise tests against CSR products check it)
+        out = np.einsum("kn,knm->nm", self.vals,
+                        np.take(flat, self.cols, axis=0))
+        return out.reshape(self.shape[:1] + x.shape[1:])
+
+
 def _mirror_fold(idx: int, n: int) -> int:
     # ghost -1 -> 0, -2 -> 1; ghost n -> n-1, n+1 -> n-2
     if idx < 0:
@@ -55,8 +130,9 @@ def _mirror_fold(idx: int, n: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def diff_matrix(order: int, n: int, spacing: float, closure: str) -> sp.csr_matrix:
-    """n x n sparse derivative matrix along one axis.
+def diff_matrix(order: int, n: int, spacing: float, closure: str) -> Stencil:
+    """n x n sparse derivative matrix along one axis; entries that fold
+    onto one column (the mirror closure's ghosts) are summed.
 
     order is 1 or 2. The returned matrix is cached and shared; treat it as
     immutable.
@@ -106,8 +182,7 @@ def diff_matrix(order: int, n: int, spacing: float, closure: str) -> sp.csr_matr
     else:
         raise ValueError(f"no stencils for axis closure {closure!r}")
 
-    m = sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
-    return m.tocsr()
+    return Stencil.from_entries(rows, cols, vals, (n, n))
 
 
 def apply_diff(values: np.ndarray, array_axis: int, order: int, n: int,

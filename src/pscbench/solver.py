@@ -21,7 +21,7 @@ only through the constant c2[t,t] = -4 and the operator is the Kronecker
 sum L_X (x) I + I (x) T on the interior rows: L_X is the operator on the
 slice X, built from h_X, V's X components and the potential (one list
 of stencil entries, node coefficients times 1-d difference stencils,
-summed into one canonical CSR matrix: `operator_matrix`), and
+summed into one fd.Stencil: `operator_matrix`), and
 T = -4 D2_t. The t = +-1 rows are identity (homogeneous Dirichlet; the
 right-hand side is zeroed there). `assemble` takes the slice data and the
 t axis; no field of the operator carries t.
@@ -49,23 +49,27 @@ have a small q_k. The factor-route rule:
 - A mode with q_k <= JACOBI_Q_MAX is solved by Jacobi sweeps, counted
   before any solve: s_k, the fewest with q_k^(s_k+1) <= 2^-52, is worked
   out for each such mode, and all of them take the largest s_k at once,
-  one CSR product per sweep. A strictly dominant block is regular, so
+  one stencil product per sweep. A strictly dominant block is regular, so
   this route cannot fail.
-- The remaining low modes are factored together. Every block
-  L_X + lam_k I has L_X's kl sub- and ku super-diagonals, read with the
-  nodes of every periodic slice axis in ring order 0, n-1, 1, n-2, ...
-  (mirror and bounded axes keep their natural order), so that periodic
-  neighbours sit at most 2 positions apart: an N x N torus slice has
-  kl = ku = 2N, against N (N - 1) in natural order. When that band holds
-  at most BAND_ROWS_CAP entries per node (2 kl + ku + 1 <= 160: every
-  sphere slice, 2-D torus slices up to N = 26), the low blocks are
-  written in that node order into one LAPACK band array and factored by
-  one band LU (gbtrf; solves by gbtrs): route "banded". The solve
-  permutes each mode's right-hand side into the node order and the
-  solution back. Otherwise (2-D torus slices above N = 26, 3-D ones from
-  6^3 nodes on) the block matrix of the low modes is assembled as a
-  sparse matrix in natural order and factored by SuperLU (spla.splu):
-  route "sparse_lu".
+- The remaining low modes are factored together, by one block LU
+  batched over modes (route "block_lu"). With the nodes of every periodic
+  slice axis read in ring order 0, n-1, 1, n-2, ... (mirror and bounded
+  axes keep their natural order), periodic neighbours sit at most 2
+  positions apart, and L_X has kl sub- and ku super-diagonals: kl = ku =
+  2N on an N x N torus slice, against N (N - 1) in natural order. So every
+  block L_X + lam_k I is block tridiagonal with b x b blocks,
+  b = max(kl, ku), the last one padded with identity rows. No block is
+  pivoted against another. Blocks of order b <= CYCLIC_MAX_ORDER (every
+  1-D slice: b = 2 on the sphere) are eliminated by block cyclic
+  reduction (Heller, SIAM J. Numer. Anal. 13 (1976) 484-496), log2 levels
+  that each eliminate every other block of what the level before left;
+  larger ones in order, block by block. What is stored: the inverse of
+  each eliminated block's Schur complement, and what the solve applies
+  besides: in order, each lower block times the inverse before it and
+  the upper blocks; by cyclic reduction, each inverse times its block's
+  couplings and the kept blocks' couplings. `factor_nnz` counts these
+  entries. An exactly singular Schur complement raises NumericalFailure
+  naming the mode and slice node.
 - When every mode is iterated, nothing is factored (route "none").
 
 Every route's solve takes and returns one row per mode.
@@ -83,26 +87,14 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
-from scipy.linalg.lapack import dgbtrf, dgbtrs
 
 from .errors import HypothesisViolation, NumericalFailure
-from .fd import PERIODIC, diff_matrix
+from .fd import PERIODIC, Stencil, diff_matrix
 from .forcing import monitor_core
 from .grids import Axis, DiscreteDomain, gradient
 from .metrics import MetricField
 
 ANISOTROPY_WARN_RATIO = 1e6
-# Band route: the most band entries per node, 2 kl + ku + 1, that the band
-# LU takes. Above the cap the band LU of the low modes is faster than
-# SuperLU but holds more memory. run_scenario of the twisted tori and the
-# T^3 in fresh processes (2 vCPUs, one BLAS thread), SuperLU against band
-# LU with the cap lifted, time / peak RSS: 32^2 x 65 0.048-0.069 /
-# 0.036-0.054 s, 78 / 85 MB; 48^2 x 97 0.159-0.181 / 0.127-0.152 s,
-# 114 / 150 MB; 12^3 x 49 0.216-0.226 / 0.111-0.116 s, 111 / 128 MB. The
-# cap keeps the 2-D slices up to N = 26 (torus24 needs 145) on the band.
-BAND_ROWS_CAP = 160
 # Jacobi route: the largest contraction bound q_k of a mode solved by sweeps
 # instead of a factor; at 0.1 a mode takes at most 15 sweeps. The factor
 # and two solves take, on torus24 / the 12^3 x 49 T^3: 15-53 / 609-630 ms
@@ -110,6 +102,25 @@ BAND_ROWS_CAP = 160
 # 48-node sphere slices' smallest q_k is 0.243, so below that no sphere
 # slice iterates a mode and its factor stays that of all modes.
 JACOBI_Q_MAX = 0.1
+# Block LU: blocks of at most this order are eliminated by cyclic
+# reduction, larger ones in order. Cyclic reduction makes about three
+# times the block products, but one vectorized step per level instead of
+# one per block, and it runs on (b, b, modes, blocks) arrays, fast for
+# small b only. Factor / one solve, ms (in process, one BLAS thread), by
+# cyclic reduction against in order: sphere256 (128 blocks of 2 x 2,
+# 64 modes) 1.14 / 0.36 against 2.19 / 1.88; torus24 (12 blocks of
+# 48 x 48, 7 modes) 25.9 / 0.42 against 2.88 / 0.19.
+CYCLIC_MAX_ORDER = 4
+
+
+def __getattr__(name):
+    # `solver.spla` is scipy.sparse.linalg, imported on first access: no
+    # route calls it, but perfbench's tracer wraps `spla.splu` here when it
+    # installs. ROADMAP item 9, which re-points that hook, retires this.
+    if name == "spla":
+        import scipy.sparse.linalg
+        return scipy.sparse.linalg
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def ring_order(n: int) -> np.ndarray:
@@ -122,7 +133,7 @@ def ring_order(n: int) -> np.ndarray:
 
 
 def slice_order(axes) -> np.ndarray:
-    """The band factor's node order on a slice grid with these stored axes
+    """The block factor's node order on a slice grid with these stored axes
     (C order over their shape): position p holds node order[p]. Periodic
     axes are read in ring order, the others in natural order, so a slice
     without a periodic axis keeps its natural order."""
@@ -140,10 +151,10 @@ class _JacobiModes:
     From the start D^-1 f_k, s sweeps bound mode k's error by
     q_k^(s+1) times its solution; `sweeps[k]` is the fewest that bring
     that bound to 2^-52 or below. Every mode takes the largest of them,
-    so that each sweep is one CSR product on an (|X|, modes) array; more
+    so that each sweep is one stencil product on an (|X|, modes) array; more
     sweeps only lower a mode's bound. Over no modes it does nothing."""
 
-    def __init__(self, off: sp.csr_matrix, diag: np.ndarray,
+    def __init__(self, off: Stencil, diag: np.ndarray,
                  lam: np.ndarray, q: np.ndarray):
         self.sweeps = np.zeros(q.shape, dtype=int)
         while np.any(short := q ** (self.sweeps + 1) > 2.0 ** -52):
@@ -161,58 +172,270 @@ class _JacobiModes:
         return w.T
 
 
-class _BandLU:
-    """LAPACK band LU (gbtrf) of the block-diagonal
-    kron(I, L_X) + kron(diag(lam), I) in one band array, L_X (COO, in the
-    node order `order`) having kl sub- and ku super-diagonals; lam[i] is
-    the eigenvalue of mode modes[i]. The blocks do not couple, so the
-    factor is that of each block. `solve` permutes each mode's row into
-    the node order, solves (gbtrs) and permutes the solution back."""
+def _weakest_pivot(a: np.ndarray) -> int:
+    """The column of the pivot of least magnitude when a is eliminated with
+    partial pivoting: a zero pivot of an exactly singular a."""
+    a = np.array(a)
+    pivots = np.zeros(a.shape[0])
+    for k in range(a.shape[0]):
+        p = k + int(np.argmax(np.abs(a[k:, k])))
+        a[[k, p]] = a[[p, k]]
+        pivots[k] = a[k, k]
+        if pivots[k] != 0.0:
+            a[k + 1:, k:] -= np.outer(a[k + 1:, k] / pivots[k], a[k, k:])
+    return int(np.argmin(np.abs(pivots)))
 
-    def __init__(self, lx: sp.coo_matrix, kl: int, ku: int,
-                 lam: np.ndarray, order: np.ndarray, modes: np.ndarray):
-        n_x, width = lx.shape[0], 2 * kl + ku + 1
-        # column j of the band array is node j, row kl + ku + i - j holds
-        # entry (i, j); built transposed, so that the array gbtrf takes is
-        # Fortran-ordered and factored in place
-        block = np.zeros((n_x, width))
-        np.add.at(block, (lx.col, kl + ku + lx.row - lx.col), lx.data)
-        band = np.repeat(block[None], lam.size, axis=0)
-        band[:, :, kl + ku] += lam[:, None]
-        self.lu, self.piv, info = dgbtrf(band.reshape(-1, width).T, kl, ku,
-                                         overwrite_ab=1)
-        if info > 0:
-            local, pos = divmod(info - 1, n_x)
-            mode, node = int(modes[local]), int(order[pos])
-            raise NumericalFailure(
-                f"band LU factorization failed: exactly singular pivot "
-                f"at row {mode * n_x + node} of the block matrix (mode "
-                f"{mode}, slice node {node}; 0-based, natural order)")
-        self._kl, self._ku, self._order = kl, ku, order
+
+def _cyclic_product(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The products of matching blocks of a and c, both shaped
+    (b, b, modes, blocks)."""
+    return np.einsum("ikme,kjme->ijme", np.ascontiguousarray(a),
+                     np.ascontiguousarray(c))
+
+
+def _cyclic_apply(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Each block of a, shaped (b, b, modes, blocks), times the matching
+    length-b column of v, shaped (b, modes, blocks)."""
+    return np.einsum("ijme,jme->ime", a, np.ascontiguousarray(v))
+
+
+def _apply(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Each b x b block of a, shaped (modes, b, b) or (b, b) for a block
+    every mode shares, times the matching length-b row of v, shaped
+    (modes, b)."""
+    return (a @ v[..., None])[..., 0]
+
+
+def _inverse(d: np.ndarray) -> np.ndarray:
+    """The inverses of the b x b blocks d; an exactly singular block raises
+    LinAlgError.
+
+    LAPACK's call per block costs more than a 2 x 2 block's arithmetic
+    (0.63 ms against 0.04 ms for the 4096 blocks of sphere256's first
+    level), so those take their adjugate over the determinant. From
+    b = 32 on, a block [[P, Q], [R, S]] is inverted through the inverses
+    of P and of its Schur complement S - R P^-1 Q, which costs less
+    (torus24's 48 x 48 blocks, 7 at a time: 0.17 against 0.24 ms); where
+    P is singular, LAPACK inverts the whole block. Like the block LU
+    itself, the halves are not pivoted against each other; the solve's
+    refinement against the matrix-free residual, and its tolerance check,
+    catch a poorly conditioned half."""
+    b = d.shape[-1]
+    if b == 2:
+        det = d[..., 0, 0] * d[..., 1, 1] - d[..., 0, 1] * d[..., 1, 0]
+        if not np.all(det):
+            raise np.linalg.LinAlgError("Singular matrix")
+        inv = np.empty_like(d)
+        inv[..., 0, 0], inv[..., 1, 1] = d[..., 1, 1], d[..., 0, 0]
+        inv[..., 0, 1], inv[..., 1, 0] = -d[..., 0, 1], -d[..., 1, 0]
+        inv /= det[..., None, None]
+        return inv
+    if b < 32:
+        return np.linalg.inv(d)
+    h = b // 2
+    try:
+        p_inv = _inverse(d[..., :h, :h])
+    except np.linalg.LinAlgError:
+        return np.linalg.inv(d)
+    x = p_inv @ d[..., :h, h:]
+    y = d[..., h:, :h] @ p_inv
+    inv = np.empty_like(d)
+    inv[..., h:, h:] = s_inv = _inverse(d[..., h:, h:] - d[..., h:, :h] @ x)
+    inv[..., :h, h:] = -(x @ s_inv)
+    inv[..., h:, :h] = -(s_inv @ y)
+    inv[..., :h, :h] = p_inv - inv[..., :h, h:] @ y
+    return inv
+
+
+class _BlockLU:
+    """Block LU of the blocks L_X + lam_k I, batched over modes; lam[i] is
+    the eigenvalue of mode modes[i]. Read in the node order `order`, L_X
+    is block tridiagonal with b x b blocks (see the module docstring).
+
+    Blocks of order b <= CYCLIC_MAX_ORDER (1-D slices) are factored by
+    cyclic reduction, in arrays shaped (b, b, modes, blocks) so that
+    every step runs over all modes and blocks at once. Level l eliminates
+    the even-numbered blocks of the system the level before left;
+    `levels[l]` holds the inverses of the eliminated blocks, those
+    inverses times their couplings to the kept blocks before (eliminated
+    blocks 1, 2, ...) and after them (0, 1, ... below the kept count), and
+    the kept blocks' couplings to the eliminated blocks before and after
+    them; `top` holds the inverse of the one block left. Larger blocks are
+    factored in order, in arrays shaped (modes, blocks, b, b): `inverses`
+    holds the inverses of the Schur complements, `multipliers` each lower
+    block of L_X times the inverse before it (block 0's is unused), and
+    `upper` L_X's upper blocks.
+
+    All of them are views of one array, `store`, allocated once per
+    factor. One array of that size also sets glibc's dynamic mmap and trim
+    thresholds high enough that the heap keeps the pages of a run's other
+    arrays: a torus24 certify call took 1,200-1,300 minor page faults with
+    the multipliers recomputed (a 2 MB store) and 4 with them stored
+    (3.3 MB)."""
+
+    def __init__(self, lx: Stencil, lam: np.ndarray, order: np.ndarray,
+                 modes: np.ndarray):
+        n_x = lx.shape[0]
+        self._order, self._modes, self._n_x = order, modes, n_x
+        position = np.argsort(order)
+        rows, cols, vals = lx.entries()
+        p, q = position[rows], position[cols]
+        b = max(int(np.max(np.abs(p - q), initial=0)), 1)
+        nb = -(-n_x // b)
+        self._b, self._nb = b, nb
+        # block row p // b couples to block column q // b = p // b - 1, p // b
+        # or p // b + 1: its lower, diagonal or upper block
+        kind, block, r, c = q // b - p // b + 1, p // b, p % b, q % b
+
+        def part(k, out):
+            """L_X's lower (k = 0), diagonal (1) or upper (2) blocks, each
+            b x b, written into `out` (shaped (..., blocks, b, b)); with
+            k = 1 plus lam_k I for mode k, and identity rows in place of
+            the padded rows."""
+            out[...] = 0.0
+            sel = kind == k
+            out[..., block[sel], r[sel], c[sel]] = vals[sel]
+            if k == 1:
+                out[..., np.arange(b), np.arange(b)] += lam[:, None, None]
+                pad = np.arange(n_x - (nb - 1) * b, b)
+                out[:, -1, pad, pad] = 1.0
+            return out
+
+        self.cyclic = b <= CYCLIC_MAX_ORDER
+        if self.cyclic:
+            self._factor_cyclic(part(1, np.empty((lam.size, nb, b, b))),
+                                part(0, np.empty((nb, b, b))),
+                                part(2, np.empty((nb, b, b))))
+        else:
+            self.inverses, self.multipliers, self.upper = self._views(
+                [(lam.size, nb, b, b), (lam.size, nb, b, b), (nb, b, b)])
+            part(2, self.upper)
+            self._factor_in_order(part(1, self.inverses),
+                                  part(0, np.empty((nb, b, b))))
+
+    def _views(self, shapes) -> list:
+        """Views of one new array `store`, one per shape, in order."""
+        sizes = [int(np.prod(shape)) for shape in shapes]
+        self.store = np.empty(sum(sizes))
+        ends = np.cumsum(sizes)
+        return [self.store[end - size:end].reshape(shape)
+                for shape, size, end in zip(shapes, sizes, ends)]
+
+    def _factor_in_order(self, inv: np.ndarray, lower: np.ndarray):
+        """Replaces each diagonal block in inv, shaped (modes, blocks, b,
+        b), by the inverse of its Schur complement, and fills the
+        multipliers: lower block i times the inverse before it."""
+        self.multipliers[:, 0] = 0.0
+        for i in range(self._nb):
+            if i:
+                np.matmul(lower[i], inv[:, i - 1],
+                          out=self.multipliers[:, i])
+                inv[:, i] -= self.multipliers[:, i] @ self.upper[i - 1]
+            inv[:, i:i + 1] = self._inverse(inv[:, i:i + 1], [i])
+
+    def _factor_cyclic(self, d, lower, upper):
+        """The levels of cyclic reduction from the diagonal blocks d,
+        shaped (modes, blocks, b, b), and L_X's lower and upper blocks."""
+        modes, nb, b = d.shape[:3]
+        counts = [nb]
+        while counts[-1] > 1:
+            counts.append(counts[-1] // 2)
+        shapes = [(b, b, modes, w) for c in counts[:-1]
+                  for w in ((c + 1) // 2, (c - 1) // 2, c // 2, c // 2,
+                            (c - 1) // 2)]
+        *views, self.top = self._views(shapes + [(b, b, modes, 1)])
+        self.levels = [views[i:i + 5] for i in range(0, len(views), 5)]
+        d = np.ascontiguousarray(d.transpose(2, 3, 0, 1))
+        lower = np.broadcast_to(lower.transpose(1, 2, 0)[:, :, None], d.shape)
+        upper = np.broadcast_to(upper.transpose(1, 2, 0)[:, :, None], d.shape)
+        blocks = np.arange(nb)
+        for inv, g_lo, g_up, k_lo, k_up in self.levels:
+            kept, first_after = k_lo.shape[-1], k_up.shape[-1]
+            inv[...] = self._inverse_cyclic(d[..., 0::2], blocks[0::2])
+            g_lo[...] = _cyclic_product(inv[..., 1:], lower[..., 2::2])
+            g_up[...] = _cyclic_product(inv[..., :kept],
+                                        upper[..., 0:2 * kept:2])
+            k_lo[...] = lower[..., 1::2]
+            k_up[...] = upper[..., 1:2 * first_after:2]
+            d = d[..., 1::2] - _cyclic_product(k_lo, g_up)
+            d[..., :first_after] -= _cyclic_product(k_up, g_lo)
+            lower = np.zeros_like(d)
+            lower[..., 1:] = -_cyclic_product(k_lo[..., 1:],
+                                              g_lo[..., :kept - 1])
+            upper = np.zeros_like(d)
+            upper[..., :kept - 1] = -_cyclic_product(k_up[..., :kept - 1],
+                                                     g_up[..., 1:])
+            blocks = blocks[1::2]
+        self.top[...] = self._inverse_cyclic(d, blocks)
+
+    def _inverse_cyclic(self, d: np.ndarray, blocks) -> np.ndarray:
+        """_inverse of blocks shaped (b, b, modes, blocks)."""
+        return np.moveaxis(self._inverse(np.moveaxis(d, (0, 1), (2, 3)),
+                                         blocks), (2, 3), (0, 1))
+
+    def _inverse(self, d: np.ndarray, blocks) -> np.ndarray:
+        """The inverses of the blocks d, shaped (modes, blocks, b, b);
+        `blocks` numbers them among the level-0 blocks."""
+        try:
+            return _inverse(d)
+        except np.linalg.LinAlgError:
+            for i, e in np.ndindex(d.shape[:2]):
+                try:
+                    _inverse(d[i, e])
+                except np.linalg.LinAlgError:
+                    pos = blocks[e] * self._b + _weakest_pivot(d[i, e])
+                    mode, node = int(self._modes[i]), int(self._order[pos])
+                    raise NumericalFailure(
+                        f"block LU factorization failed: exactly singular "
+                        f"pivot at row {mode * self._n_x + node} of the block "
+                        f"matrix (mode {mode}, slice node {node}; 0-based, "
+                        f"natural order)") from None
+            raise
 
     def solve(self, f: np.ndarray) -> np.ndarray:
-        w = dgbtrs(self.lu, self._kl, self._ku, f[:, self._order].ravel(),
-                   self.piv)[0].reshape(f.shape)
-        w[:, self._order] = w.copy()
+        modes = f.shape[0]
+        x = np.zeros((modes, self._nb * self._b))
+        x[:, :self._n_x] = f[:, self._order]
+        x = x.reshape(modes, self._nb, self._b)
+        if self.cyclic:
+            x = self._solve_cyclic(x.transpose(2, 0, 1)).transpose(1, 2, 0)
+        else:
+            self._solve_in_order(x)
+        w = np.empty_like(f)
+        w[:, self._order] = x.reshape(modes, -1)[:, :self._n_x]
         return w
 
+    def _solve_in_order(self, x: np.ndarray):
+        """Overwrites x, shaped (modes, blocks, b), with the solution."""
+        inv = self.inverses
+        for i in range(1, self._nb):
+            x[:, i] -= _apply(self.multipliers[:, i], x[:, i - 1])
+        x[:, -1] = _apply(inv[:, -1], x[:, -1])
+        for i in range(self._nb - 2, -1, -1):
+            x[:, i] = _apply(inv[:, i],
+                             x[:, i] - _apply(self.upper[i], x[:, i + 1]))
 
-class _SparseLU:
-    """SuperLU (spla.splu) of the block-diagonal
-    kron(I, L_X) + kron(diag(lam), I) in natural order."""
-
-    def __init__(self, lx: sp.csr_matrix, lam: np.ndarray):
-        mat = (sp.kron(sp.identity(lam.size, format="csr"), lx)
-               + sp.kron(sp.diags(lam),
-                         sp.identity(lx.shape[0], format="csr")))
-        try:
-            self.superlu = spla.splu(mat.tocsc())
-        except RuntimeError as exc:
-            raise NumericalFailure(
-                f"sparse LU factorization failed: {exc}") from exc
-
-    def solve(self, f: np.ndarray) -> np.ndarray:
-        return self.superlu.solve(f.ravel()).reshape(f.shape)
+    def _solve_cyclic(self, x: np.ndarray) -> np.ndarray:
+        """The solution for x, both shaped (b, modes, blocks)."""
+        # reduce: each level's eliminated blocks solved for their own
+        # right-hand side, which then moves onto the kept blocks
+        partial = []
+        for inv, _, _, k_lo, k_up in self.levels:
+            z = _cyclic_apply(inv, x[..., 0::2])
+            partial.append(z)
+            x = x[..., 1::2] - _cyclic_apply(k_lo, z[..., :k_lo.shape[-1]])
+            x[..., :k_up.shape[-1]] -= _cyclic_apply(k_up, z[..., 1:])
+        x = _cyclic_apply(self.top, x)
+        # substitute back: the kept blocks' solution gives the eliminated
+        for (_, g_lo, g_up, _, _), z in zip(self.levels[::-1],
+                                             partial[::-1]):
+            full = np.empty(z.shape[:2] + (z.shape[2] + x.shape[2],))
+            full[..., 0::2] = z
+            full[..., 2::2] -= _cyclic_apply(g_lo, x[..., :g_lo.shape[-1]])
+            full[..., 0:2 * g_up.shape[-1]:2] -= _cyclic_apply(g_up, x)
+            full[..., 1::2] = x
+            x = full
+        return x
 
 
 class _ModeSplit:
@@ -252,8 +475,8 @@ class OperatorAssembly:
     rule; `factor_stats` reports it.
     """
     domain: DiscreteDomain
-    slice_operator: sp.csr_matrix
-    t_operator: sp.csr_matrix
+    slice_operator: Stencil
+    t_operator: Stencil
     t_eigvals: np.ndarray
     t_eigvecs: np.ndarray
 
@@ -261,13 +484,13 @@ class OperatorAssembly:
     def lu(self) -> _ModeSplit:
         """The solve of the t-rotated block matrix, split by mode as the
         module docstring's factor-route rule says: Jacobi sweeps
-        (_JacobiModes) on the modes with q_k <= JACOBI_Q_MAX, one band LU
-        (_BandLU) or SuperLU (_SparseLU) of the others."""
-        lx, lam = self.slice_operator.tocsr(), self.t_eigvals
-        diag = lx.diagonal()
-        row_of = np.repeat(np.arange(lx.shape[0]), np.diff(lx.indptr))
-        is_off = lx.indices != row_of
-        off_sums = np.bincount(row_of, np.abs(lx.data) * is_off,
+        (_JacobiModes) on the modes with q_k <= JACOBI_Q_MAX, one block LU
+        (_BlockLU) of the others."""
+        lx, lam = self.slice_operator, self.t_eigvals
+        rows, cols, vals = lx.entries()
+        is_off = rows != cols
+        diag = np.bincount(rows[~is_off], vals[~is_off], minlength=lx.shape[0])
+        off_sums = np.bincount(rows, np.abs(vals) * is_off,
                                minlength=lx.shape[0])
         with np.errstate(divide="ignore", invalid="ignore"):
             q = np.max(off_sums[:, None] / np.abs(diag[:, None] + lam),
@@ -275,9 +498,8 @@ class OperatorAssembly:
         iterated = q <= JACOBI_Q_MAX
         low, high = np.flatnonzero(~iterated), np.flatnonzero(iterated)
         # L_X with its diagonal entries dropped
-        kept = np.concatenate(([0], np.cumsum(is_off)))
-        off = sp.csr_matrix((lx.data[is_off], lx.indices[is_off],
-                             kept[lx.indptr]), shape=lx.shape)
+        off = Stencil.from_entries(rows[is_off], cols[is_off], vals[is_off],
+                                   lx.shape)
         jacobi = _JacobiModes(off, diag, lam[high], q[high])
         route, factor, nnz = self._factor(low)
         return _ModeSplit(low, factor, high, jacobi, {
@@ -287,33 +509,19 @@ class OperatorAssembly:
 
     def _factor(self, low: np.ndarray):
         """The route, factor and stored entries of the blocks of the modes
-        `low`: ("none", None, 0) for no mode; else the band LU and its
-        band storage, or SuperLU and its supernodal L and U storage (its
-        `nnz`: exporting L and U to count them costs a copy of the
-        factor)."""
+        `low`: ("none", None, 0) for no mode, else the block LU."""
         if low.size == 0:
             return "none", None, 0
         axes = [ax for ax in self.domain.stored_axes if ax.name != "t"]
-        order = slice_order(axes)
-        # L_X with node order[p] renumbered p
-        position = np.argsort(order)
-        lx = self.slice_operator.tocoo()
-        lx = sp.coo_matrix((lx.data, (position[lx.row], position[lx.col])),
-                           shape=lx.shape)
-        kl = int(np.max(lx.row - lx.col, initial=0))
-        ku = int(np.max(lx.col - lx.row, initial=0))
-        lam = self.t_eigvals[low]
-        if 2 * kl + ku + 1 <= BAND_ROWS_CAP:
-            band = _BandLU(lx, kl, ku, lam, order, low)
-            return "banded", band, band.lu.size
-        sparse = _SparseLU(self.slice_operator, lam)
-        return "sparse_lu", sparse, sparse.superlu.nnz
+        factor = _BlockLU(self.slice_operator, self.t_eigvals[low],
+                          slice_order(axes), low)
+        return "block_lu", factor, factor.store.size
 
     @property
     def factor_stats(self) -> dict:
-        """The factor route of the low modes ("banded", "sparse_lu" or
-        "none"), the entries the factor stores, the number of modes solved
-        by Jacobi sweeps and the largest sweep count."""
+        """The factor route of the low modes ("block_lu" or "none"), the
+        entries the factor stores, the number of modes solved by Jacobi
+        sweeps and the largest sweep count."""
         return dict(self.lu.stats)
 
     def _t_first(self, values: np.ndarray) -> np.ndarray:
@@ -356,7 +564,7 @@ class OperatorAssembly:
         return self._on_domain(out)
 
 
-def slice_apply(mat: sp.spmatrix, domain: DiscreteDomain,
+def slice_apply(mat: Stencil, domain: DiscreteDomain,
                 values: np.ndarray) -> np.ndarray:
     """A matrix on the slice grid (the domain without t) applied to every
     t slice of a field that broadcasts to the domain's shape."""
@@ -393,9 +601,9 @@ def assemble(v_x: np.ndarray, potential, metric_x: MetricField,
             f"second-order coefficient anisotropy ratio {ratio:.2e} exceeds "
             "the stability heuristic; expect accuracy loss", RuntimeWarning)
 
-    t_operator = -4.0 * diff_matrix(2, t_axis.n, t_axis.spacing,
-                                    t_axis.closure)[1:-1]
-    lam, q = np.linalg.eigh(t_operator[:, 1:-1].toarray())
+    d2 = diff_matrix(2, t_axis.n, t_axis.spacing, t_axis.closure)
+    t_operator = Stencil(d2.cols[:, 1:-1], -4.0 * d2.vals[:, 1:-1], d2.n_cols)
+    lam, q = np.linalg.eigh(t_operator.toarray()[:, 1:-1])
     # the block is reflection-symmetric, so each eigenvector is even
     # (q . Jq = +1) or odd (-1); keep the even ones, made exactly even
     even = np.einsum("ik,ik->k", q, q[::-1]) > 0.0
@@ -431,10 +639,10 @@ def _coefficients(v: np.ndarray, potential, metric: MetricField):
     return c2, c1, c0
 
 
-def operator_matrix(dom: DiscreteDomain, c2, c1, c0) -> sp.csr_matrix:
-    """sum C2[a,b] d_a d_b + sum C1[k] d_k + C0 as a canonical CSR matrix
-    (sorted column indices, no duplicate or stored zero) over the stored
-    grid of `dom`, whose coordinate slots c2 and c1 index.
+def operator_matrix(dom: DiscreteDomain, c2, c1, c0) -> Stencil:
+    """sum C2[a,b] d_a d_b + sum C1[k] d_k + C0 as a Stencil (sorted
+    column indices, no duplicate or stored zero) over the stored grid of
+    `dom`, whose coordinate slots c2 and c1 index.
 
     Every term is a node coefficient times one or two 1-d difference
     stencils; its entries are written into one (row, col, value) list from
@@ -445,18 +653,19 @@ def operator_matrix(dom: DiscreteDomain, c2, c1, c0) -> sp.csr_matrix:
     zero sums dropped."""
     shape, n = dom.shape, dom.node_count
     nodes = np.arange(n).reshape(shape)
-    keys, values = [], []
+    rows, cols, values = [], [], []
 
     def term(coef, *factors):
         row = col = nodes
         stencil = 1.0
         for k, d in factors:
-            d = d.tocoo()
-            row = np.take(row, d.row, axis=k)
-            col = np.take(col, d.col, axis=k)
-            stencil = stencil * d.data.reshape(
+            d_row, d_col, d_val = d.entries()
+            row = np.take(row, d_row, axis=k)
+            col = np.take(col, d_col, axis=k)
+            stencil = stencil * d_val.reshape(
                 [-1 if a == k else 1 for a in range(len(shape))])
-        keys.append((row * n + col).ravel())
+        rows.append(row.ravel())
+        cols.append(col.ravel())
         values.append((np.broadcast_to(coef, shape).ravel()[row]
                        * stencil).ravel())
 
@@ -475,20 +684,8 @@ def operator_matrix(dom: DiscreteDomain, c2, c1, c0) -> sp.csr_matrix:
             if np.any(coef != 0.0):
                 term(coef, (ka, diff(1, axa)), (kb, diff(1, axb)))
     term(c0)
-
-    # entries keyed row * n + col; a stable sort keeps each position's
-    # entries in term order, and bincount adds them in that order
-    key = np.concatenate(keys)
-    order = np.argsort(key, kind="stable")
-    key = key[order]
-    first = np.ones(key.size, dtype=bool)
-    first[1:] = key[1:] != key[:-1]
-    sums = np.bincount(np.cumsum(first) - 1,
-                       weights=np.concatenate(values)[order])
-    nonzero = sums != 0.0
-    key = key[first][nonzero]
-    indptr = np.searchsorted(key, np.arange(n + 1) * n)
-    return sp.csr_matrix((sums[nonzero], key % n, indptr), shape=(n, n))
+    return Stencil.from_entries(np.concatenate(rows), np.concatenate(cols),
+                                np.concatenate(values), (n, n))
 
 
 def _dirichlet_rhs(assembly: OperatorAssembly, forcing) -> np.ndarray:
@@ -517,7 +714,7 @@ def solve_dirichlet(assembly: OperatorAssembly, forcing,
 
     The returned report carries u shaped like the domain (exactly zero on
     the boundary rows) and the final residual; its stats name the factor
-    route (`factor`: banded, sparse_lu or none), its stored entries
+    route (`factor`: block_lu or none), its stored entries
     (`factor_nnz`), the modes solved by Jacobi sweeps (`jacobi_modes`) and
     the largest sweep count (`jacobi_sweeps`).
     """

@@ -18,7 +18,7 @@ from pscbench.curvature import (hypersurface_data, gauss_codazzi_scalar,
 from pscbench.normal import unit_normal, normal_frame
 from pscbench.conformal import conformal_scalar, conformal_ricci_normal
 from pscbench.report import _render, report_pairs
-from pscbench.fd import diff_matrix
+from pscbench.fd import Stencil, diff_matrix
 from pscbench.solver import (OperatorAssembly, assemble, solve_dirichlet,
                              operator_matrix, _coefficients)
 
@@ -252,6 +252,15 @@ def record_factorizations(monkeypatch) -> list:
     return built
 
 
+def as_csr(stencil: Stencil) -> sp.csr_matrix:
+    """The stencil's stored entries as a scipy CSR matrix, row by row in
+    ascending column order: the product oracle of `Stencil @`."""
+    rows, cols, vals = stencil.entries()
+    counts = np.bincount(rows, minlength=stencil.shape[0])
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    return sp.csr_matrix((vals, cols, indptr), shape=stencil.shape)
+
+
 def oracle_operator(v, potential, metric):
     """The operator as one 3-D sparse matrix, with its c2 and c1.
 
@@ -262,7 +271,7 @@ def oracle_operator(v, potential, metric):
     """
     dom = metric.domain
     c2, c1, c0 = _coefficients(v, potential, metric)
-    mat = operator_matrix(dom, c2, c1, c0)
+    mat = as_csr(operator_matrix(dom, c2, c1, c0))
     interior = np.ones(dom.shape)
     np.moveaxis(interior, dom.array_axis("t"), 0)[[0, -1]] = 0.0
     interior = interior.ravel()
@@ -290,7 +299,7 @@ def kron_operator_matrix(dom, c2, c1, c0) -> sp.csr_matrix:
         return sp.diags(np.broadcast_to(coef, shape).ravel()) @ embed(factors)
 
     def diff(order, ax):
-        return diff_matrix(order, ax.n, ax.spacing, ax.closure)
+        return as_csr(diff_matrix(order, ax.n, ax.spacing, ax.closure))
 
     stored = [(dom.index(ax.name), dom.array_axis(ax.name), ax)
               for ax in dom.stored_axes]

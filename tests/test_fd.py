@@ -94,3 +94,31 @@ def test_apply_diff_matches_matrix_product():
     manual = np.einsum("ij,ajk->aik", d.toarray(), vals)
     out = fd.apply_diff(vals, 1, 2, 11, 0.2, fd.BOUNDED)
     assert np.max(np.abs(out - manual)) < 1e-14
+
+
+def _diff_cases():
+    for closure, sizes in ((fd.PERIODIC, (3, 4, 13)), (fd.MIRROR, (4, 5, 13)),
+                           (fd.BOUNDED, (4, 5, 13))):
+        for order in (1, 2):
+            for n in sizes:
+                yield closure, order, n
+
+
+@pytest.mark.parametrize("closure, order, n", list(_diff_cases()))
+def test_stencil_product_is_the_csr_product_bitwise(closure, order, n):
+    # the product accumulates each row's entries in ascending column order
+    # from 0, as scipy's CSR product does: equal bit for bit on vectors,
+    # matrices and stacks of columns, zeros and negative zeros included
+    import scipy.sparse as sp
+    from helpers import as_csr
+
+    d = fd.diff_matrix(order, n, 0.37, closure)
+    csr = as_csr(d)
+    assert isinstance(csr, sp.csr_matrix) and csr.has_canonical_format
+    rng = np.random.default_rng(n + 10 * order)
+    for shape in ((n,), (n, 1), (n, 7), (n, 3, 5)):
+        x = rng.standard_normal(shape)
+        x[rng.random(shape) < 0.2] = 0.0
+        x[rng.random(shape) < 0.1] = -0.0
+        expected = (csr @ x.reshape(n, -1)).reshape(shape)
+        assert (d @ x).tobytes() == expected.tobytes()

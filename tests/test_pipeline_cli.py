@@ -177,9 +177,8 @@ def test_auto_c_resolve_reuses_the_one_factorization(tmp_path,
              for c in (c_first, first["C"])]
     assert norms[0] < EPS_CHANGE_DELTA < norms[1]
 
-    # the sphere's slice is banded, so the factor is a band LU; count
-    # builds of the factor, which both routes pass through. The slice
-    # matrices are built once per run too: L_X and B1's operator
+    # the sphere's slice takes the block LU; count builds of the factor.
+    # The slice matrices are built once per run too: L_X and B1's operator
     factorizations = record_factorizations(monkeypatch)
     matrices, passes = [], []
     operator_matrix = solver.operator_matrix
@@ -197,7 +196,7 @@ def test_auto_c_resolve_reuses_the_one_factorization(tmp_path,
     solve = rep.body["solve"]
     assert passes == [(0.25, c_first), (0.125, first["C"], None)]
     assert (solve["C"], solve["epsilon"]) == (first["C"], 0.125)
-    assert solve["solver_factor"] == "banded"
+    assert solve["solver_factor"] == "block_lu"
     assert len(factorizations) == 1
     assert len(matrices) == 2
 
@@ -449,9 +448,30 @@ def test_cli_certify_completes_and_writes(tmp_path):
                      "flat_certificate.csv", "flat_u.csv"]
     for name in names:
         assert os.path.exists(os.path.join(out, name))
-    # flat slice scalar curvature is zero, so the PSC hypothesis flag fires
-    assert any("PSC hypothesis fails" in ln
-               and "(PSC hypothesis on h fails)" in ln for ln in lines)
+    # flat slice scalar curvature is zero, so the PSC hypothesis flag fires;
+    # the printed line is the report body's flag, word for word
+    body = open(os.path.join(out, "flat.report.txt"), encoding="utf-8").read()
+    flag = next(ln.split(" = ", 1)[1] for ln in body.splitlines()
+                if ln.startswith("flag = "))
+    assert flag.startswith("PSC hypothesis fails: min R_h = ")
+    assert f"flat: flag: {flag}" in lines
+
+
+@pytest.mark.parametrize("stem", ["sphere_twist", "twisted_flat_c05",
+                                  "twisted_t3_c05"])
+def test_certify_leaves_no_scipy_module_loaded(tmp_path, stem):
+    # scipy is a test dependency only: a whole certify run, the n = 4
+    # control's blocks of order 288 included, loads no scipy module, not
+    # even late. Checked after the run in a fresh process
+    cfg = os.path.join(CONFIGS, f"{stem}.cfg")
+    code = ("import sys; from pscbench import cli; "
+            f"code = cli.main(['certify', {cfg!r}, '--output-dir', "
+            f"{str(tmp_path)!r}]); "
+            "print(code, sorted(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=cli_env(), check=True)
+    assert res.stdout.splitlines()[-1] == "0 []"
 
 
 ANGLE_LINES = [
@@ -613,18 +633,21 @@ SHIPPED_SOLVE = {
 }
 # (solver_factor, solver_factor_nnz, solver_jacobi_modes) over 24 even
 # t-modes: the diagonally dominant modes are iterated, the low ones
-# factored. The sphere slices (48 colatitude nodes, two sub- and
-# super-diagonals) iterate none and store 7 band rows per node; the 12^2
-# torus slices, with both periodic axes in ring order (kl = ku = 24),
-# band-factor 4 (product) or 3 (twisted) modes at 73 rows per node. The
-# 12^3 slice of the n = 4 control is above the band cap: SuperLU of its 4
-# low modes, whose stored entries are not pinned
+# factored by the block LU. The sphere slices (48 colatitude nodes, two
+# sub- and super-diagonals: 24 blocks of 2 x 2) iterate none and are
+# reduced cyclically, storing 106 blocks per mode (58, 28, 13 and 6 over
+# the levels of 24, 12, 6 and 3 blocks, and the last inverse). The 12^2
+# torus slices, with both periodic axes in ring order (kl = ku = 24: 6
+# blocks of 24 x 24), factor 4 (product) or 3 (twisted) modes in order,
+# storing 6 Schur complement inverses and 6 multipliers per mode and L_X's
+# 6 upper blocks. The 12^3 slice of the n = 4 control (kl = ku = 288: 6
+# blocks) does the same for its 4 low modes
 SHIPPED_FACTOR = {
-    "flat_torus": ("banded", 4 * 144 * 73, 20),
-    "sphere_product": ("banded", 24 * 48 * 7, 0),
-    "sphere_twist": ("banded", 24 * 48 * 7, 0),
-    "twisted_flat_c05": ("banded", 3 * 144 * 73, 21),
-    "twisted_t3_c05": ("sparse_lu", None, 20),
+    "flat_torus": ("block_lu", (2 * 4 + 1) * 6 * 24 ** 2, 20),
+    "sphere_product": ("block_lu", 24 * 106 * 2 ** 2, 0),
+    "sphere_twist": ("block_lu", 24 * 106 * 2 ** 2, 0),
+    "twisted_flat_c05": ("block_lu", (2 * 3 + 1) * 6 * 24 ** 2, 21),
+    "twisted_t3_c05": ("block_lu", (2 * 4 + 1) * 6 * 288 ** 2, 20),
 }
 # (min_r_bound, min_r_exact) of the positive cases; perfbench's seed-0
 # references for the same configs
@@ -656,7 +679,7 @@ def test_shipped_config_outcomes(tmp_path, stem):
     factor, factor_nnz, jacobi_modes = SHIPPED_FACTOR[stem]
     assert doc.get("solve", "solver_factor") == factor
     nnz = int(doc.get("solve", "solver_factor_nnz"))
-    assert (nnz > 0) if factor_nnz is None else (nnz == factor_nnz)
+    assert nnz == factor_nnz
     assert int(doc.get("solve", "solver_jacobi_modes")) == jacobi_modes
     minima = [float(doc.get("certificate", key))
               for key in ("min_r_bound", "min_r_exact", "min_r_chain")]

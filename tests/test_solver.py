@@ -8,10 +8,13 @@ assembly regressions, with a 5% allowance for BLAS reduction-order drift.
 
 import dataclasses
 
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.linalg.lapack import dgbtrf
+import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings, strategies as st
 
 from pscbench.errors import ConfigError, HypothesisViolation, NumericalFailure
@@ -24,7 +27,7 @@ from pscbench.conformal import b1_operator
 from pscbench.forcing import build_bump, calibrate_epsilon
 from pscbench import fd, solver
 
-from helpers import (flat_cross_fields, kron_operator_matrix,
+from helpers import (as_csr, cli_env, flat_cross_fields, kron_operator_matrix,
                      mms_flat_cross, mms_twisted, mms_sphere, oracle_operator,
                      product_fields, record_factorizations)
 
@@ -50,10 +53,9 @@ def test_mms_flat_cross_drift():
     # the drift's (x, y) cross term gives a 9-point stencil on the slice
     assert rep.stats["slice_nnz"] == 9 * 32 * 32
     assert rep.residual_inf < 1e-10
-    # 6N + 7 band rows per node: 103 at N = 16 takes the band route, 199
-    # at N = 32 is above the cap, so the same problem runs both factors
-    assert rep16.stats["factor"] == "banded"
-    assert rep.stats["factor"] == "sparse_lu"
+    # one route at every resolution: block LU of the low modes, blocks of
+    # order 2N + 2 (ring order, cross terms)
+    assert rep16.stats["factor"] == rep.stats["factor"] == "block_lu"
 
 
 def test_mms_twisted_drift():
@@ -122,7 +124,7 @@ def test_assemble_flat_drift_free_matrix_is_kron_laplacian():
     eyes = [sp.identity(n) for n in dom.shape]
     for k, ax in enumerate(dom.stored_axes):
         ops = list(eyes)
-        ops[k] = fd.diff_matrix(2, ax.n, ax.spacing, ax.closure)
+        ops[k] = as_csr(fd.diff_matrix(2, ax.n, ax.spacing, ax.closure))
         term = ops[0]
         for o in ops[1:]:
             term = sp.kron(term, o)
@@ -165,11 +167,11 @@ def _dirichlet_rhs(forcing, w):
 
 
 @pytest.mark.parametrize("name, spec, params, factor", [
-    ("twisted_flat", DomainSpec(TORUS, 2, (6, 6), 9), {"c": 0.5}, "banded"),
+    ("twisted_flat", DomainSpec(TORUS, 2, (6, 6), 9), {"c": 0.5}, "block_lu"),
     ("sphere_twist", DomainSpec(SPHERE, 2, (12,), 9),
-     {"r": 1.0, "beta0": 0.5}, "banded"),
+     {"r": 1.0, "beta0": 0.5}, "block_lu"),
     ("twisted_flat", DomainSpec(TORUS, 3, (6, 6, 6), 9), {"c": 0.5},
-     "sparse_lu"),
+     "block_lu"),
 ], ids=["twisted_flat", "sphere_twist", "twisted_flat_3d"])
 def test_slice_assembly_matches_materialised_oracle(name, spec, params,
                                                     factor):
@@ -196,7 +198,7 @@ def test_slice_assembly_matches_materialised_oracle(name, spec, params,
     forcing = build_bump(2.2, 0.5, w)
     fast = solve_dirichlet(asm, forcing)
     rhs = _dirichlet_rhs(forcing, w)
-    u_oracle = solver.spla.splu(oracle.tocsc()).solve(rhs)
+    u_oracle = spla.splu(oracle.tocsc()).solve(rhs)
     assert np.max(np.abs(fast.u.ravel() - u_oracle)) <= 1e-12
     assert fast.residual_inf <= 1e-10
     assert np.max(np.abs(rhs - oracle @ u_oracle)) <= 1e-10
@@ -223,37 +225,38 @@ def test_even_mode_solve_matches_the_oracle_on_a_non_dyadic_t_grid():
     kt = w.array_axis("t")
     assert not np.array_equal(forcing, np.flip(forcing, kt))
     m = w.axis("t").n - 2
-    # one block per even mode. The two lowest are factored on the band
-    # route, each storing 2 kl + ku + 1 = 37 band rows per node (kl = ku =
-    # 12 in ring order); the other 22 are diagonally dominant enough to be
+    # one block per even mode. The two lowest are factored by the block LU
+    # in order: 3 blocks of 12 x 12 (kl = ku = 12 in ring order), storing
+    # each mode's 3 Schur complement inverses and 3 multipliers, and L_X's
+    # 3 upper blocks; the other 22 are diagonally dominant enough to be
     # solved by at most 11 Jacobi sweeps
     assert asm.t_eigvals.size == (m + 1) // 2
-    assert asm.factor_stats == {"factor": "banded",
-                                "factor_nnz": 2 * 36 * 37,
+    assert asm.factor_stats == {"factor": "block_lu",
+                                "factor_nnz": (2 * 2 + 1) * 3 * 12 ** 2,
                                 "jacobi_modes": 22, "jacobi_sweeps": 11}
     assert np.array_equal(asm.t_eigvecs, asm.t_eigvecs[::-1])
     fast = solve_dirichlet(asm, forcing)
     assert np.array_equal(fast.u, np.flip(fast.u, kt))
     oracle, _, _ = oracle_operator(full_v, full_r, g_w)
-    u_oracle = solver.spla.splu(oracle.tocsc()).solve(
-        _dirichlet_rhs(forcing, w))
+    u_oracle = spla.splu(oracle.tocsc()).solve(_dirichlet_rhs(forcing, w))
     assert np.max(np.abs(fast.u.ravel() - u_oracle)) <= 1e-12
     assert fast.residual_inf <= 1e-10
 
 
 @pytest.mark.parametrize("name, spec, params, factor, iterated", [
     ("twisted_flat", DomainSpec(TORUS, 2, (6, 6), 49), {"c": 0.5},
-     "banded", 22),
+     "block_lu", 22),
     ("sphere_twist", DomainSpec(SPHERE, 2, (48,), 49),
-     {"r": 1.0, "beta0": 0.5}, "banded", 0),
+     {"r": 1.0, "beta0": 0.5}, "block_lu", 0),
     ("twisted_flat", DomainSpec(TORUS, 3, (8, 8, 8), 49), {"c": 0.5},
-     "sparse_lu", 21),
+     "block_lu", 21),
     ("dominant", DomainSpec(TORUS, 2, (6, 6), 49), {}, "none", 24),
 ], ids=["torus_2d", "sphere_axisym", "torus_3d", "all_iterated"])
 def test_solve_and_rescale_return_a_bitwise_even_u(name, spec, params,
                                                    factor, iterated):
-    # the u dump keeps t >= 0 only, so u must be exactly even on both
-    # factor routes, with and without modes solved by Jacobi sweeps, and
+    # the u dump keeps t >= 0 only, so u must be exactly even whichever
+    # way the blocks are eliminated, with and without modes solved by
+    # Jacobi sweeps, and
     # after the same-epsilon auto-C re-budget, which starts from the first
     # u scaled and refines it against the second C's forcing
     asm = _assembly((name, spec, params))
@@ -337,17 +340,31 @@ def test_assembly_factors_once_and_matches_a_fresh_factorization(
     assert second.residual_inf == fresh.residual_inf
 
 
+def _with_slice_operator(asm, edit):
+    """The assembly with L_X replaced by its dense matrix after edit(a),
+    which changes a in place."""
+    a = asm.slice_operator.toarray()
+    edit(a)
+    rows, cols = np.nonzero(a)
+    return dataclasses.replace(asm, slice_operator=fd.Stencil.from_entries(
+        rows, cols, a[rows, cols], a.shape))
+
+
+def _zero_row(asm, node):
+    """edit for _with_slice_operator: row `node` of L_X + lam_0 I zero, so
+    that block k = 0 (lam_0's eigenvector is even, so its block is
+    factored) gets a zero row while every other block stays regular."""
+    def edit(a):
+        a[node, :] = 0.0
+        a[node, node] = -asm.t_eigvals[0]
+    return edit
+
+
 def test_singular_operator_raises_numerical_failure():
-    # Zeroing a row of L_X alone leaves every block L_X + lam_k I regular,
-    # so the row becomes -lam_0 on its diagonal: block k = 0 gets a zero row
-    # (lam_0's eigenvector is even, so its block is factored)
     dom, g, v = product_fields(DomainSpec(TORUS, 2, (6, 6), 7),
                                "product_flat")
     asm = assemble(v, 1.0, g, dom.axis("t"))
-    lx = asm.slice_operator.tolil()
-    lx[0, :] = 0.0
-    lx[0, 0] = -asm.t_eigvals[0]
-    singular = dataclasses.replace(asm, slice_operator=lx.tocsr())
+    singular = _with_slice_operator(asm, _zero_row(asm, 0))
     with pytest.raises(NumericalFailure, match="factorization") as err:
         solve_dirichlet(singular, np.ones(dom.shape))
     assert err.value.exit_code == 3
@@ -369,28 +386,39 @@ def _pipeline_assembly(name, spec, params):
 
 
 def _block_matrix(asm):
-    """kron(I, L_X) + kron(diag(lam_even), I): the matrix both factor
-    routes factor."""
+    """kron(I, L_X) + kron(diag(lam_even), I): the all-mode block matrix
+    the mode split solves, in scipy CSC."""
     n_x = asm.slice_operator.shape[0]
-    return (sp.kron(sp.identity(asm.t_eigvals.size), asm.slice_operator)
+    lx = as_csr(asm.slice_operator)
+    return (sp.kron(sp.identity(asm.t_eigvals.size), lx)
             + sp.kron(sp.diags(asm.t_eigvals), sp.identity(n_x))).tocsc()
 
 
 def _ring_band(asm):
-    """The block matrix of the factored modes, each block read in the band
-    factor's node order (`slice_order`), in LAPACK band storage with room
-    for gbtrf's fill; with its kl and ku."""
+    """(kl, ku) of L_X read in the block factor's node order
+    (`slice_order`)."""
     axes = [ax for ax in asm.domain.stored_axes if ax.name != "t"]
-    order = solver.slice_order(axes)
-    n_x = asm.slice_operator.shape[0]
-    low = asm.lu.low
-    mat = (sp.kron(sp.identity(low.size), asm.slice_operator[order][:, order])
-           + sp.kron(sp.diags(asm.t_eigvals[low]), sp.identity(n_x))).tocoo()
-    kl = int(np.max(mat.row - mat.col))
-    ku = int(np.max(mat.col - mat.row))
-    band = np.zeros((2 * kl + ku + 1, mat.shape[0]))
-    band[kl + ku + mat.row - mat.col, mat.col] = mat.data
-    return band, kl, ku
+    position = np.argsort(solver.slice_order(axes))
+    rows, cols, _ = asm.slice_operator.entries()
+    offsets = position[cols] - position[rows]
+    return int(np.max(-offsets)), int(np.max(offsets))
+
+
+def _block_lu_entries(n_x, b, modes):
+    """The entries the block LU of `modes` blocks stores, by the module
+    docstring's rule: in order, each mode's Schur complement inverses and
+    multipliers and L_X's upper blocks; by cyclic reduction, per level of
+    count blocks and per mode, (count + 1) // 2 inverses and as many
+    inverses times couplings and kept couplings as the level has
+    neighbours, and the last inverse."""
+    nb = -(-n_x // b)
+    if b > solver.CYCLIC_MAX_ORDER:
+        return (2 * modes + 1) * nb * b * b
+    blocks, count = 1, nb
+    while count > 1:
+        blocks += (count + 1) // 2 + 2 * ((count - 1) // 2) + 2 * (count // 2)
+        count //= 2
+    return modes * blocks * b * b
 
 
 def _assembly(case):
@@ -411,70 +439,66 @@ def _assembly(case):
 SPHERE_48 = DomainSpec(SPHERE, 2, (48,), 49)
 
 
-@pytest.mark.parametrize("case, rows, factored", [
-    (("sphere_twist", SPHERE_48, {"r": 1.0, "beta0": 0.5}), 2 * 2 + 2 + 1,
-     24),
-    (("sphere_product", SPHERE_48, {"r": 1.0}), 2 * 2 + 2 + 1, 24),
-    (("twisted_flat", DomainSpec(TORUS, 2, (6, 6), 9), {"c": 0.5}),
-     6 * 6 + 1, 2),
-    (("twisted_flat", DomainSpec(TORUS, 2, (7, 7), 9), {"c": 0.5}),
-     6 * 7 + 1, 2),
-    (("cross", 10, 9), 6 * 10 + 7, 4),
+@pytest.mark.parametrize("case, order, factored", [
+    (("sphere_twist", SPHERE_48, {"r": 1.0, "beta0": 0.5}), 2, 24),
+    (("sphere_product", SPHERE_48, {"r": 1.0}), 2, 24),
+    (("twisted_flat", DomainSpec(TORUS, 2, (6, 6), 9), {"c": 0.5}), 12, 2),
+    (("twisted_flat", DomainSpec(TORUS, 2, (7, 7), 9), {"c": 0.5}), 14, 2),
+    (("cross", 10, 9), 22, 4),
     (("twisted_flat", DomainSpec(TORUS, 2, (24, 24), 49), {"c": 0.5}),
-     6 * 24 + 1, 7),
+     48, 7),
 ], ids=["sphere_twist", "sphere_product", "torus_6x6", "torus_7x7",
         "cross_10x10", "torus_24x24"])
-def test_band_factor_matches_superlu_of_the_block_matrix(case, rows,
+def test_band_factor_matches_superlu_of_the_block_matrix(case, order,
                                                          factored):
     # the shipped sphere grid has two sub- and two super-diagonals; an
     # N x N torus slice in ring order 2N of each, and 2N + 2 with the
-    # cross drift's 9-point stencil: the low modes of all of them are
-    # factored by band LU, in the permuted node order on the torus, the
-    # others iterated. SuperLU of the all-mode block matrix in natural
-    # order is the general route's answer
+    # cross drift's 9-point stencil: that band is the block order of the
+    # block LU of the low modes, reduced cyclically on the sphere's 2 x 2
+    # blocks and factored in order on the tori's, the other modes
+    # iterated. SuperLU of the all-mode block matrix in natural order is
+    # the general route's answer
     asm = _assembly(case)
     modes, n_x = asm.t_eigvals.size, asm.slice_operator.shape[0]
-    assert asm.factor_stats["factor"] == "banded"
-    assert asm.factor_stats["factor_nnz"] == factored * n_x * rows
+    assert max(_ring_band(asm)) == order
+    assert asm.factor_stats["factor"] == "block_lu"
+    assert asm.factor_stats["factor_nnz"] == _block_lu_entries(
+        n_x, order, factored)
     assert asm.factor_stats["jacobi_modes"] == modes - factored
-    # the low modes share one band factor (torus24: 7 modes, 4.7 MB), and
-    # it is gbtrf of their block matrix in ring order, bitwise
     assert asm.lu.low.size == factored
-    ring, kl, ku = _ring_band(asm)
-    lu, piv, info = dgbtrf(ring, kl, ku)
-    assert info == 0 and ring.shape[0] == rows
-    assert np.array_equal(asm.lu.factor.lu, lu)
-    assert np.array_equal(asm.lu.factor.piv, piv)
+    assert asm.lu.factor.cyclic == (order <= solver.CYCLIC_MAX_ORDER)
     # the sweeps' matrix is L_X less its diagonal, bitwise
-    lx = asm.slice_operator
-    off, expected = asm.lu.jacobi._off, (lx - sp.diags(lx.diagonal())).tocsr()
+    off = as_csr(asm.lu.jacobi._off)
+    lx = as_csr(asm.slice_operator)
+    expected = (lx - sp.diags(lx.diagonal())).tocsr()
+    expected.eliminate_zeros()
     for name in ("indptr", "indices", "data"):
         assert np.array_equal(getattr(off, name), getattr(expected, name))
     mat = _block_matrix(asm)
     rhs = np.random.default_rng(8).standard_normal(mat.shape[0])
-    band = asm.lu.solve(rhs.reshape(modes, n_x)).ravel()
-    sparse = solver.spla.splu(mat).solve(rhs)
-    assert (np.max(np.abs(band - sparse))
+    block = asm.lu.solve(rhs.reshape(modes, n_x)).ravel()
+    sparse = spla.splu(mat).solve(rhs)
+    assert (np.max(np.abs(block - sparse))
             <= 1e-12 * np.max(np.abs(sparse)))
-    for u in (band, sparse):
+    for u in (block, sparse):
         assert np.max(np.abs(rhs - mat @ u)) <= 1e-10
 
 
 @pytest.mark.parametrize("case, factor, iterated", [
     (("twisted_flat", DomainSpec(TORUS, 2, (24, 24), 49), {"c": 0.5}),
-     "banded", 17),
+     "block_lu", 17),
     (("twisted_flat", DomainSpec(TORUS, 3, (8, 8, 8), 49), {"c": 0.5}),
-     "sparse_lu", 21),
-    (("cross", 32, 33), "sparse_lu", 4),
-    (("sphere_twist", SPHERE_48, {"r": 1.0, "beta0": 0.5}), "banded", 0),
+     "block_lu", 21),
+    (("cross", 32, 33), "block_lu", 4),
+    (("sphere_twist", SPHERE_48, {"r": 1.0, "beta0": 0.5}), "block_lu", 0),
     (("dominant", DomainSpec(TORUS, 2, (6, 6), 49), {}), "none", 24),
 ], ids=["torus_2d", "torus_3d", "cross_32x32", "sphere_axisym",
         "all_iterated"])
 def test_split_solve_matches_superlu_of_the_all_mode_block_matrix(
         case, factor, iterated):
     # the modes with q_k <= JACOBI_Q_MAX are solved by Jacobi sweeps, the
-    # others by one factor of their block matrix, band LU or SuperLU;
-    # together they solve the all-mode block matrix as its SuperLU does
+    # others by one block LU of their block matrix; together they solve
+    # the all-mode block matrix as its SuperLU does
     asm = _assembly(case)
     stats = asm.factor_stats
     assert (stats["factor"], stats["jacobi_modes"]) == (factor, iterated)
@@ -483,24 +507,12 @@ def test_split_solve_matches_superlu_of_the_all_mode_block_matrix(
     mat = _block_matrix(asm)
     rhs = np.random.default_rng(9).standard_normal(mat.shape[0])
     split = asm.lu.solve(rhs.reshape(asm.t_eigvals.size, -1)).ravel()
-    sparse = solver.spla.splu(mat).solve(rhs)
+    sparse = spla.splu(mat).solve(rhs)
     assert (np.max(np.abs(split - sparse))
             <= 1e-12 * np.max(np.abs(sparse)))
     if iterated == 0:
-        # no mode iterated: the factor is gbtrf of the all-mode block
-        # matrix in band storage (the sphere slice keeps its node order),
-        # bitwise, and the split solve is its solve
-        lu, piv = asm.lu.factor.lu, asm.lu.factor.piv
-        kl = ku = 2
-        dense = mat.toarray()
-        band = np.zeros((2 * kl + ku + 1, dense.shape[0]))
-        for d in range(-kl, ku + 1):
-            band[kl + ku - d, max(d, 0):dense.shape[0] + min(d, 0)] = \
-                np.diagonal(dense, d)
-        old_lu, old_piv, info = dgbtrf(band, kl, ku)
-        assert info == 0
+        # no mode iterated: the split solve is the factor's solve
         assert np.array_equal(asm.lu.low, np.arange(asm.t_eigvals.size))
-        assert np.array_equal(lu, old_lu) and np.array_equal(piv, old_piv)
         assert np.array_equal(split, asm.lu.factor.solve(
             rhs.reshape(asm.t_eigvals.size, -1)).ravel())
 
@@ -544,7 +556,8 @@ def test_jacobi_sweeps_meet_the_a_priori_bound(side, modes, density, seed):
     lam = np.sort(rng.uniform(0.0, 60.0, modes)) * scale
     a = off + np.diag(diag)
     asm = dataclasses.replace(_JACOBI_BASES[side],
-                              slice_operator=sp.csr_matrix(a),
+                              slice_operator=fd.Stencil.from_entries(
+                                  *np.nonzero(a), a[np.nonzero(a)], a.shape),
                               t_eigvals=lam)
     with np.errstate(divide="ignore"):
         q = np.max(rows[:, None] / np.abs(diag[:, None] + lam), axis=0)
@@ -569,35 +582,30 @@ def test_jacobi_sweeps_meet_the_a_priori_bound(side, modes, density, seed):
         assert err <= q[k] ** (s + 1) * size + allowance
 
 
-@pytest.mark.parametrize("case, factor, rows", [
-    (("twisted_flat", DomainSpec(TORUS, 2, (8, 8), 9), {"c": 0.5}),
-     "banded", 6 * 8 + 1),
+@pytest.mark.parametrize("case, order, cyclic", [
+    (("twisted_flat", DomainSpec(TORUS, 2, (8, 8), 9), {"c": 0.5}), 16,
+     False),
     (("sphere_twist", DomainSpec(SPHERE, 2, (16,), 9),
-      {"r": 1.0, "beta0": 0.5}), "banded", 7),
+      {"r": 1.0, "beta0": 0.5}), 2, True),
     (("twisted_flat", DomainSpec(TORUS, 3, (8, 8, 8), 9), {"c": 0.5}),
-     "sparse_lu", None),
-    (("cross", 32, 9), "sparse_lu", None),
+     128, False),
+    (("cross", 32, 9), 66, False),
 ], ids=["torus_2d", "sphere_axisym", "torus_3d", "cross_32x32"])
-def test_factor_route_follows_the_slice_band(case, factor, rows):
-    # band entries per node, 2 kl + ku + 1, with the periodic axes in
-    # ring order: 6N + 1 on an N x N torus slice, 7 on the sphere's
-    # one-axis slice, both under the cap: band LU. 6 n^2 + 1 = 385 on an
-    # 8^3 torus slice and 6N + 7 = 199 on the 32^2 cross-drift slice are
-    # above it: SuperLU
+def test_factor_route_follows_the_slice_band(case, order, cyclic):
+    # the block order is the band of L_X with the periodic axes in ring
+    # order, max(kl, ku): 2N on an N x N torus slice, 2 n^2 on an n^3
+    # one, 2N + 2 with cross terms, 2 on the sphere's one-axis slice. The
+    # sphere's 2 x 2 blocks are reduced cyclically, the others factored in
+    # order; a block order from 32 on (torus_3d, cross_32x32) inverts its
+    # Schur complements through their halves
     asm = _assembly(case)
-    assert asm.factor_stats["factor"] == factor
-    lu = getattr(asm.lu.factor, "superlu", None)
-    assert isinstance(lu, solver.spla.SuperLU) == (factor == "sparse_lu")
+    assert max(_ring_band(asm)) == order
+    assert asm.factor_stats["factor"] == "block_lu"
+    assert asm.lu.factor.cyclic == cyclic
     rep = solve_dirichlet(asm, build_bump(2.2, 0.5, asm.domain))
-    assert rep.stats["factor"] == factor
-    # the entries the factor stores: SuperLU's supernodal storage, which
-    # holds at least the exported L and U less L's unit diagonal; or the
-    # band storage, 2 kl + ku + 1 rows per node of every factored block
-    order = asm.lu.low.size * asm.slice_operator.shape[0]
-    if factor == "sparse_lu":
-        assert rep.stats["factor_nnz"] >= lu.L.nnz + lu.U.nnz - order
-    else:
-        assert rep.stats["factor_nnz"] == order * rows
+    assert rep.stats["factor"] == "block_lu"
+    assert rep.stats["factor_nnz"] == _block_lu_entries(
+        asm.slice_operator.shape[0], order, asm.lu.low.size)
 
 
 def _operator_inputs(case):
@@ -634,7 +642,7 @@ def test_operator_matrix_is_the_sorted_kronecker_assembly(case):
     # one list of stencil entries, summed per position in term order, is
     # the Kronecker-chain assembly with its column indices sorted, bitwise
     dom, c2, c1, c0 = _operator_inputs(case)
-    mat = solver.operator_matrix(dom, c2, c1, c0)
+    mat = as_csr(solver.operator_matrix(dom, c2, c1, c0))
     oracle = kron_operator_matrix(dom, c2, c1, c0).sorted_indices()
     assert np.array_equal(mat.indptr, oracle.indptr)
     assert np.array_equal(mat.indices, oracle.indices)
@@ -647,14 +655,51 @@ def test_operator_matrix_is_the_sorted_kronecker_assembly(case):
     ("sphere_twist", SPHERE_48, {"r": 1.0, "beta0": 0.5}),
 ], ids=["torus_2d", "t3", "sphere"])
 def test_slice_and_b1_operators_are_canonical(name, spec, params):
-    # sorted column indices, no duplicate entry and no stored zero
+    # each row's entries in strictly ascending column order (no
+    # duplicate), no stored zero, and the padding after them
     doms = w_domains(spec)
     h = make_metric(name, doms["y"], **params)
     b1 = b1_operator(h, restrict_metric(h, doms["x"]))
     assert b1.nnz > 0
     for mat in (_pipeline_assembly(name, spec, params).slice_operator, b1):
-        assert mat.has_canonical_format
-        assert np.all(mat.data != 0.0)
+        rows, cols, vals = mat.entries()
+        assert np.all(np.diff(rows * mat.shape[1] + cols) > 0)
+        assert np.all(vals != 0.0)
+        counts = np.bincount(rows, minlength=mat.shape[0])
+        slots = np.arange(mat.vals.shape[0])[:, None]
+        assert np.array_equal(mat.vals != 0.0, slots < counts)
+
+
+@pytest.mark.parametrize("name, spec, params", [
+    ("twisted_flat", DomainSpec(TORUS, 2, (24, 24), 49), {"c": 0.5}),
+    ("sphere_twist", DomainSpec(SPHERE, 2, (256,), 129),
+     {"r": 1.0, "beta0": 0.5}),
+    ("twisted_flat", DomainSpec(TORUS, 3, (12, 12, 12), 49), {"c": 0.5}),
+], ids=["torus24", "sphere256", "t3_12"])
+def test_slice_and_b1_products_are_the_csr_products_bitwise(name, spec,
+                                                             params):
+    # L_X, L_X less its diagonal (the Jacobi sweeps), T's interior rows and
+    # B1 applied as stencils equal scipy's CSR products of the same
+    # entries bit for bit, on the shapes the solver applies them to
+    doms = w_domains(spec)
+    h = make_metric(name, doms["y"], **params)
+    asm = _pipeline_assembly(name, spec, params)
+    n_x, n_t = asm.slice_operator.shape[0], asm.t_eigvals.size * 2 + 1
+    rng = np.random.default_rng(7)
+    for mat in (asm.slice_operator, asm.lu.jacobi._off, asm.t_operator,
+                b1_operator(h, restrict_metric(h, doms["x"]))):
+        csr = as_csr(mat)
+        for cols in (1, 17, n_t):
+            x = rng.standard_normal((mat.shape[1], cols))
+            assert (mat @ x).tobytes() == (csr @ x).tobytes()
+    assert asm.t_operator.shape == (n_t - 2, n_t)
+    u = rng.standard_normal(asm.domain.shape)
+    assert np.array_equal(
+        solver.slice_apply(asm.slice_operator, asm.domain, u),
+        np.moveaxis((as_csr(asm.slice_operator) @ np.moveaxis(
+            u, asm.domain.array_axis("t"), -1).reshape(n_x, -1)).reshape(
+                np.moveaxis(u, asm.domain.array_axis("t"), -1).shape),
+            -1, asm.domain.array_axis("t")))
 
 
 @pytest.mark.parametrize("n", range(3, 42))
@@ -670,17 +715,11 @@ def test_ring_order_keeps_periodic_neighbours_two_apart(n):
 def test_ring_ordered_torus_slice_has_bandwidth_2n(res):
     # natural order puts the periodic closure of the outer axis N (N - 1)
     # rows away; ring order brings it to 2N, or 2N + 2 with cross terms
-    def bandwidths(asm):
-        axes = [ax for ax in asm.domain.stored_axes if ax.name != "t"]
-        order = solver.slice_order(axes)
-        lx = asm.slice_operator[order][:, order].tocoo()
-        return (int(np.max(lx.row - lx.col)), int(np.max(lx.col - lx.row)))
-
     dom, g, v = product_fields(DomainSpec(TORUS, 2, (res, res), 5),
                                "product_flat")
-    assert bandwidths(assemble(v, 1.0, g, dom.axis("t"))) == (2 * res,
-                                                              2 * res)
-    kl, ku = bandwidths(_assembly(("cross", res, 5)))
+    assert _ring_band(assemble(v, 1.0, g, dom.axis("t"))) == (2 * res,
+                                                             2 * res)
+    kl, ku = _ring_band(_assembly(("cross", res, 5)))
     assert 2 * res <= max(kl, ku) <= 2 * res + 2
 
 
@@ -691,76 +730,81 @@ def test_slice_order_keeps_a_slice_without_periodic_axes():
 
 
 def test_singular_band_block_raises_numerical_failure():
-    # test_singular_operator_raises_numerical_failure on the band route:
-    # block k = 0 of the sphere slice gets a zero row
+    # test_singular_operator_raises_numerical_failure on the sphere slice,
+    # reduced cyclically: block k = 0 gets a zero row at node 0
     asm = _pipeline_assembly("sphere_product", DomainSpec(SPHERE, 2, (16,), 7),
                              {"r": 1.0})
-    lx = asm.slice_operator.tolil()
-    lx[0, :] = 0.0
-    lx[0, 0] = -asm.t_eigvals[0]
-    singular = dataclasses.replace(asm, slice_operator=lx.tocsr())
+    singular = _with_slice_operator(asm, _zero_row(asm, 0))
+    assert asm.lu.factor.cyclic
     with pytest.raises(NumericalFailure,
-                       match="band LU factorization") as err:
+                       match="block LU factorization .*mode 0,") as err:
         solve_dirichlet(singular, np.ones(asm.domain.shape))
     assert err.value.exit_code == 3
 
 
 def test_singular_periodic_band_block_names_the_natural_node():
-    # a zero column of block k = 0 is its first zero pivot. Node 7 of the
-    # 6 x 6 slice, (1, 1), sits at position 14 in ring order; the message
-    # names the node in the natural numbering the caller knows
+    # a zero column of block k = 0 is an exactly singular Schur
+    # complement. Node 7 of the 6 x 6 slice, (1, 1), sits at position 14
+    # in ring order, in the second of 3 blocks of 12; the message names
+    # the node in the natural numbering the caller knows
     dom, g, v = product_fields(DomainSpec(TORUS, 2, (6, 6), 7),
                                "product_flat")
     asm = assemble(v, 1.0, g, dom.axis("t"))
     assert solver.slice_order(dom.stored_axes[:2])[14] == 7
-    lx = asm.slice_operator.tolil()
-    lx[:, 7] = 0.0
-    lx[7, 7] = -asm.t_eigvals[0]
-    singular = dataclasses.replace(asm, slice_operator=lx.tocsr())
+
+    def zero_column(a):
+        a[:, 7] = 0.0
+        a[7, 7] = -asm.t_eigvals[0]
+
+    singular = _with_slice_operator(asm, zero_column)
     with pytest.raises(NumericalFailure,
-                       match=r"band LU factorization .* row 7 .*mode 0, "
+                       match=r"block LU factorization .* row 7 .*mode 0, "
                              r"slice node 7;") as err:
         solve_dirichlet(singular, np.ones(dom.shape))
     assert err.value.exit_code == 3
 
 
-def test_singular_sparse_block_raises_numerical_failure():
+def test_singular_3d_block_raises_numerical_failure():
     # the zero row of test_singular_operator_raises_numerical_failure on a
-    # 6^3 torus slice, whose 217 band rows per node take SuperLU
+    # 6^3 torus slice, whose blocks of order 72 are inverted through their
+    # halves; the zero row makes the first half singular, so LAPACK
+    # inverts the whole block and finds it singular
     dom, g, v = product_fields(DomainSpec(TORUS, 3, (6, 6, 6), 7),
                                "product_flat")
     asm = assemble(v, 1.0, g, dom.axis("t"))
-    assert asm.factor_stats["factor"] == "sparse_lu"
-    lx = asm.slice_operator.tolil()
-    lx[0, :] = 0.0
-    lx[0, 0] = -asm.t_eigvals[0]
-    singular = dataclasses.replace(asm, slice_operator=lx.tocsr())
+    assert max(_ring_band(asm)) == 72
+    singular = _with_slice_operator(asm, _zero_row(asm, 0))
     with pytest.raises(NumericalFailure,
-                       match="sparse LU factorization") as err:
+                       match="block LU factorization .*mode 0,") as err:
         solve_dirichlet(singular, np.ones(dom.shape))
     assert err.value.exit_code == 3
 
 
-def test_sparse_route_factors_through_the_module_spla(monkeypatch):
-    # perfbench's tracer times and counts SuperLU by replacing
-    # `solver.spla`; the sparse route must call splu through that name,
-    # once per assembly however many solves reuse the factor
-    calls = []
-    spla = solver.spla
+@pytest.mark.parametrize("order", [2, 5, 40, 72])
+def test_block_inverse_is_lapacks(order):
+    # 2 x 2 blocks by their adjugate, orders from 32 on through their
+    # halves, the others by LAPACK: every way agrees with LAPACK to
+    # round-off, also where the leading half of a block is singular (the
+    # last block: a permutation), and an exactly singular block raises
+    rng = np.random.default_rng(order)
+    d = rng.standard_normal((3, 4, order, order)) + 2 * np.sqrt(order) * \
+        np.eye(order)
+    d[2, 3] = np.roll(np.eye(order), order // 2, axis=0)
+    inv = solver._inverse(d)
+    expected = np.linalg.inv(d)
+    assert np.max(np.abs(inv - expected)) <= 1e-12 * np.max(np.abs(expected))
+    d[1, 2, :, 0] = 0.0
+    with pytest.raises(np.linalg.LinAlgError):
+        solver._inverse(d)
 
-    class CountingSpla:
-        def splu(self, *args, **kwargs):
-            calls.append(args[0].shape)
-            return spla.splu(*args, **kwargs)
 
-        def __getattr__(self, name):
-            return getattr(spla, name)
-
-    monkeypatch.setattr(solver, "spla", CountingSpla())
-    dom, g, v = product_fields(DomainSpec(TORUS, 3, (6, 6, 6), 9),
-                               "product_flat")
-    asm = assemble(v, 1.0, g, dom.axis("t"))
-    rep = solve_dirichlet(asm, build_bump(2.2, 0.5, dom))
-    solve_dirichlet(asm, build_bump(3.0, 0.5, dom))
-    assert rep.stats["factor"] == "sparse_lu"
-    assert len(calls) == 1
+def test_certify_path_imports_no_scipy():
+    # scipy is a test dependency only: `import pscbench.solver` loads no
+    # scipy module, and `solver.spla`, which perfbench's tracer wraps,
+    # resolves to scipy.sparse.linalg only when it is asked for
+    code = ("import sys; from pscbench import solver; "
+            "print(any(m.split('.')[0] == 'scipy' for m in sys.modules)); "
+            "print(solver.spla.__name__)")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=cli_env(), check=True)
+    assert res.stdout.split() == ["False", "scipy.sparse.linalg"]
