@@ -450,9 +450,9 @@ def test_cli_certify_completes_and_writes(tmp_path):
         assert os.path.exists(os.path.join(out, name))
     # flat slice scalar curvature is zero, so the PSC hypothesis flag fires;
     # the printed line is the report body's flag, word for word
-    body = open(os.path.join(out, "flat.report.txt"), encoding="utf-8").read()
-    flag = next(ln.split(" = ", 1)[1] for ln in body.splitlines()
-                if ln.startswith("flag = "))
+    with open(os.path.join(out, "flat.report.txt"), encoding="utf-8") as fh:
+        flag = next(ln.split(" = ", 1)[1].rstrip("\n") for ln in fh
+                    if ln.startswith("flag = "))
     assert flag.startswith("PSC hypothesis fails: min R_h = ")
     assert f"flat: flag: {flag}" in lines
 
