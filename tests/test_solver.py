@@ -780,6 +780,29 @@ def test_singular_3d_block_raises_numerical_failure():
     assert err.value.exit_code == 3
 
 
+@pytest.mark.parametrize("n, band", [(3, 1), (5, 2), (6, 2), (7, 2), (37, 2),
+                                     (64, 3), (13, 6), (50, 9)])
+def test_block_lu_solves_banded_blocks_of_any_count(n, band):
+    # natural node order, so the block order is the band: cyclic
+    # reduction up to CYCLIC_MAX_ORDER over odd and even block counts
+    # (the last block padded), in order above it; every mode's solve is
+    # LAPACK's dense solve of its block to round-off
+    rng = np.random.default_rng(n * band)
+    a = sum(np.diag(rng.standard_normal(n - abs(d)), d)
+            for d in range(-band, band + 1)) + (2 * band + 2) * np.eye(n)
+    rows, cols = np.nonzero(a)
+    lam = np.sort(rng.uniform(0.0, 5.0, 3))
+    factor = solver._BlockLU(fd.Stencil.from_entries(rows, cols, a[rows, cols],
+                                                     a.shape),
+                             lam, np.arange(n), np.arange(3))
+    assert factor.cyclic == (band <= solver.CYCLIC_MAX_ORDER)
+    f = rng.standard_normal((3, n))
+    w = factor.solve(f)
+    for k in range(3):
+        exact = np.linalg.solve(a + lam[k] * np.eye(n), f[k])
+        assert np.max(np.abs(w[k] - exact)) <= 1e-13 * np.max(np.abs(exact))
+
+
 @pytest.mark.parametrize("order", [2, 5, 40, 72])
 def test_block_inverse_is_lapacks(order):
     # 2 x 2 blocks by their adjugate, orders from 32 on through their
