@@ -238,20 +238,20 @@ class CertificateReport:
     verdict: bool
 
 
-def certificate(u_y: np.ndarray, phi_y: np.ndarray, n: int,
+def certificate(u_y: np.ndarray, phi_y: np.ndarray,
                 slice_data: HypersurfaceData,
                 forcing_0: np.ndarray, b1_0: np.ndarray, k2: np.ndarray,
-                eta_prime: float, r_g0: np.ndarray,
-                metric_y: MetricField, mu: np.ndarray,
+                eta_prime: float, metric_y: MetricField, mu: np.ndarray,
                 metric_x: MetricField,
                 residual_inf: float = None,
                 tolerance: float = None) -> CertificateReport:
     """Assemble the pointwise lower bound and its two cross-checks.
 
-    u_y and phi_y come from lift_solution; n is the dimension of Y.
-    forcing_0, r_g0, k2 and b1_0 (B1 from laplacian_comparison) are fields
-    on the t = 0 slice; eta_prime is the profile-curvature monitor;
-    metric_x is h_X, metric_y restricted to X. The bound is
+    u_y and phi_y come from lift_solution. forcing_0, k2 and b1_0 (B1
+    from laplacian_comparison) are fields on the t = 0 slice; eta_prime is
+    the profile-curvature monitor; metric_x is h_X, metric_y restricted to
+    X. n is the dimension of Y, metric_y.dim, and R_g = R_h on the slice
+    (g = h + dt^2), metric_y.scalar. The bound is
 
       u_Y^{-(n+2)/(n-2)} [ (-2 Ric(mu,mu) + h^2 - |A|^2) u_Y + F + R_g
                            - 4 B1 - K2 - 4 eta' ]
@@ -273,9 +273,11 @@ def certificate(u_y: np.ndarray, phi_y: np.ndarray, n: int,
         raise NumericalFailure(
             f"certificate refused: PDE residual {residual_inf:.3e} above "
             f"tolerance {tolerance:.1e}")
+    n = metric_y.dim
     bracket = ((-2.0 * slice_data.ric_nn + slice_data.h_mean ** 2
                 - slice_data.a_norm2) * u_y
-               + forcing_0 + r_g0 - 4.0 * b1_0 - k2 - 4.0 * eta_prime)
+               + forcing_0 + metric_y.scalar - 4.0 * b1_0 - k2
+               - 4.0 * eta_prime)
     r_bound = u_y ** (-(n + 2.0) / (n - 2.0)) * bracket
 
     dphi, d2phi = derivatives(metric_y.domain, phi_y)

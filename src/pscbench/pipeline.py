@@ -142,9 +142,9 @@ def run_scenario(config: RunConfig, stage: str = "certify") -> RunReport:
     # -- conformal lift and certificate ----------------------------------
     u_y, phi_y = lift_solution(w, u, c1, n)
     k2 = k2_field(u_y, gradient(doms["y"], w.at_t0(u)), h, frame.v, n)
-    cert = certificate(u_y, phi_y, n, slice_data, w.at_t0(forcing),
-                       b1_0, k2, eta_prime, h.scalar, h, frame.mu, h_x,
-                       residual_inf=solve.residual_inf,
+    cert = certificate(u_y, phi_y, slice_data, w.at_t0(forcing),
+                       b1_0, k2, eta_prime, h, frame.mu, h_x,
+                       residual_inf=solve.stats["residual_inf"],
                        tolerance=config.tolerance)
     if cert.k2_max >= 1.0:
         raise NumericalFailure(

@@ -72,7 +72,7 @@ have a small q_k. The factor-route rule:
   naming the mode and slice node.
 - When every mode is iterated, nothing is factored (route "none").
 
-Every route's solve takes and returns one row per mode.
+Every route's solve takes and returns one column per mode.
 
 The odd part of a right-hand side is not solved for: the matrix-free
 residual against the full right-hand side carries it, and a residual
@@ -96,11 +96,12 @@ from .metrics import MetricField
 
 ANISOTROPY_WARN_RATIO = 1e6
 # Jacobi route: the largest contraction bound q_k of a mode solved by sweeps
-# instead of a factor; at 0.1 a mode takes at most 15 sweeps. The factor
-# and two solves take, on torus24 / the 12^3 x 49 T^3: 15-53 / 609-630 ms
-# at 0.02, 9.2-11 / 231-239 ms at 0.1, 8.8-11 / 115-123 ms at 0.3. The
-# 48-node sphere slices' smallest q_k is 0.243, so below that no sphere
-# slice iterates a mode and its factor stays that of all modes.
+# instead of a factor; at 0.1 a mode takes at most 15 sweeps. The block LU
+# and two solves take, on torus24 / the 12^3 x 49 T^3 (median, in process,
+# one BLAS thread, 2-vCPU Xeon): 10.6 / 152 ms at 0.02, 5.4 / 60 ms at
+# 0.1, 5.6 / 40 ms at 0.3. The 48-node sphere slices' smallest q_k is
+# 0.243, so below that no sphere slice iterates a mode and its factor
+# stays that of all modes.
 JACOBI_Q_MAX = 0.1
 # Block LU: blocks of at most this order are eliminated by cyclic
 # reduction, larger ones in order. Cyclic reduction makes about three
@@ -163,13 +164,12 @@ class _JacobiModes:
         self._diag = diag[:, None] + lam
 
     def solve(self, f: np.ndarray) -> np.ndarray:
-        """The blocks' solutions for right-hand sides f, one row per
+        """The blocks' solutions for right-hand sides f, one column per
         mode."""
-        b = f.T
-        w = b / self._diag
+        w = f / self._diag
         for _ in range(int(self.sweeps.max(initial=0))):
-            w = (b - self._off @ w) / self._diag
-        return w.T
+            w = (f - self._off @ w) / self._diag
+        return w
 
 
 def _weakest_pivot(a: np.ndarray) -> int:
@@ -393,16 +393,17 @@ class _BlockLU:
             raise
 
     def solve(self, f: np.ndarray) -> np.ndarray:
-        modes = f.shape[0]
+        """The solution for right-hand sides f, one column per mode."""
+        modes = f.shape[1]
         x = np.zeros((modes, self._nb * self._b))
-        x[:, :self._n_x] = f[:, self._order]
+        x[:, :self._n_x] = f[self._order].T
         x = x.reshape(modes, self._nb, self._b)
         if self.cyclic:
             x = self._solve_cyclic(x.transpose(2, 0, 1)).transpose(1, 2, 0)
         else:
             self._solve_in_order(x)
         w = np.empty_like(f)
-        w[:, self._order] = x.reshape(modes, -1)[:, :self._n_x]
+        w[self._order] = x.reshape(modes, -1)[:, :self._n_x].T
         return w
 
     def _solve_in_order(self, x: np.ndarray):
@@ -438,55 +439,17 @@ class _BlockLU:
         return x
 
 
-class _ModeSplit:
-    """The solve of the block-diagonal kron(I, L_X) + kron(diag(lam), I)
-    over all even modes, split by mode: `factor` holds the blocks of the
-    modes `low` (None when no mode is factored), `jacobi` those of the
-    modes `high`; `stats` names the route (see the module docstring)."""
+class _SliceSolve:
+    """The solve of the block-diagonal kron(L_X, I) + kron(I, diag(lam))
+    over all even modes, one column per mode, split by mode as the module
+    docstring's factor-route rule says: Jacobi sweeps (`jacobi`,
+    _JacobiModes) on the modes `high`, those with q_k <= JACOBI_Q_MAX, and
+    one block LU (`factor`, _BlockLU, None when no mode is factored) of
+    the modes `low`, with the slice nodes read in `order`. `stats` names
+    the route, the entries the factor stores, the iterated modes and the
+    largest sweep count."""
 
-    def __init__(self, low: np.ndarray, factor, high: np.ndarray,
-                 jacobi: _JacobiModes, stats: dict):
-        self.low, self.factor = low, factor
-        self.high, self.jacobi = high, jacobi
-        self.stats = stats
-
-    def solve(self, f: np.ndarray) -> np.ndarray:
-        """The solution for right-hand sides f, one row per mode, in mode
-        order."""
-        w = np.empty_like(f)
-        if self.factor is not None:
-            w[self.low] = self.factor.solve(f[self.low])
-        w[self.high] = self.jacobi.solve(f[self.high])
-        return w
-
-
-@dataclass(frozen=True)
-class OperatorAssembly:
-    """The operator as its slice part L_X and its t part T on the domain W.
-
-    `t_operator` holds the interior rows of T over every t node, and
-    `t_eigvals`, `t_eigvecs` the even eigenpairs of its Dirichlet block,
-    in ascending order, each vector symmetrized so that it is exactly even
-    in t: the forcing is even, T commutes with t -> -t, so the solution
-    lies in their span and is exactly even. Frozen, so the mode split and
-    factor of the t-rotated interior block (`lu`), cached on first use,
-    stay those of this operator; every solve with this assembly reuses
-    them. Each mode's route follows the module docstring's factor-route
-    rule; `factor_stats` reports it.
-    """
-    domain: DiscreteDomain
-    slice_operator: Stencil
-    t_operator: Stencil
-    t_eigvals: np.ndarray
-    t_eigvecs: np.ndarray
-
-    @cached_property
-    def lu(self) -> _ModeSplit:
-        """The solve of the t-rotated block matrix, split by mode as the
-        module docstring's factor-route rule says: Jacobi sweeps
-        (_JacobiModes) on the modes with q_k <= JACOBI_Q_MAX, one block LU
-        (_BlockLU) of the others."""
-        lx, lam = self.slice_operator, self.t_eigvals
+    def __init__(self, lx: Stencil, lam: np.ndarray, order: np.ndarray):
         rows, cols, vals = lx.entries()
         is_off = rows != cols
         diag = np.bincount(rows[~is_off], vals[~is_off], minlength=lx.shape[0])
@@ -496,89 +459,94 @@ class OperatorAssembly:
             q = np.max(off_sums[:, None] / np.abs(diag[:, None] + lam),
                        axis=0)
         iterated = q <= JACOBI_Q_MAX
-        low, high = np.flatnonzero(~iterated), np.flatnonzero(iterated)
+        self.low = np.flatnonzero(~iterated)
+        self.high = np.flatnonzero(iterated)
         # L_X with its diagonal entries dropped
         off = Stencil.from_entries(rows[is_off], cols[is_off], vals[is_off],
                                    lx.shape)
-        jacobi = _JacobiModes(off, diag, lam[high], q[high])
-        route, factor, nnz = self._factor(low)
-        return _ModeSplit(low, factor, high, jacobi, {
-            "factor": route, "factor_nnz": int(nnz),
-            "jacobi_modes": int(high.size),
-            "jacobi_sweeps": int(jacobi.sweeps.max(initial=0))})
+        self.jacobi = _JacobiModes(off, diag, lam[self.high], q[self.high])
+        self.factor = (_BlockLU(lx, lam[self.low], order, self.low)
+                       if self.low.size else None)
+        self.stats = {
+            "factor": "none" if self.factor is None else "block_lu",
+            "factor_nnz": 0 if self.factor is None else self.factor.store.size,
+            "jacobi_modes": int(self.high.size),
+            "jacobi_sweeps": int(self.jacobi.sweeps.max(initial=0))}
 
-    def _factor(self, low: np.ndarray):
-        """The route, factor and stored entries of the blocks of the modes
-        `low`: ("none", None, 0) for no mode, else the block LU."""
-        if low.size == 0:
-            return "none", None, 0
-        axes = [ax for ax in self.domain.stored_axes if ax.name != "t"]
-        factor = _BlockLU(self.slice_operator, self.t_eigvals[low],
-                          slice_order(axes), low)
-        return "block_lu", factor, factor.store.size
+    def solve(self, f: np.ndarray) -> np.ndarray:
+        """The solution for right-hand sides f, shaped (|X|, modes)."""
+        w = np.empty_like(f)
+        if self.factor is not None:
+            w[:, self.low] = self.factor.solve(f[:, self.low])
+        w[:, self.high] = self.jacobi.solve(f[:, self.high])
+        return w
 
-    @property
-    def factor_stats(self) -> dict:
-        """The factor route of the low modes ("block_lu" or "none"), the
-        entries the factor stores, the number of modes solved by Jacobi
-        sweeps and the largest sweep count."""
-        return dict(self.lu.stats)
 
-    def _t_first(self, values: np.ndarray) -> np.ndarray:
-        """A field on the domain as (t_nodes, |X|): one row per t slice."""
-        kt = self.domain.array_axis("t")
-        f = np.moveaxis(np.reshape(values, self.domain.shape), kt, 0)
-        return f.reshape(f.shape[0], -1)
+@dataclass(frozen=True)
+class OperatorAssembly:
+    """The operator as its slice part L_X and its t part T on the domain W,
+    whose last stored axis is t (see `assemble`).
 
-    def _on_domain(self, rows: np.ndarray) -> np.ndarray:
-        """Inverse of `_t_first`."""
-        shape = self.domain.shape
-        kt = self.domain.array_axis("t")
-        f = rows.reshape((shape[kt],) + shape[:kt] + shape[kt + 1:])
-        return np.moveaxis(f, 0, kt)
+    `t_operator` holds the interior rows of T over every t node, and
+    `t_eigvals`, `t_eigvecs` the even eigenpairs of its Dirichlet block,
+    in ascending order, each vector symmetrized so that it is exactly even
+    in t: the forcing is even, T commutes with t -> -t, so the solution
+    lies in their span and is exactly even. Frozen, so the mode split and
+    factor of the t-rotated interior block (`lu`), cached on first use,
+    stay those of this operator; every solve with this assembly reuses
+    them. `lu.stats` reports each mode's route.
+    """
+    domain: DiscreteDomain
+    slice_operator: Stencil
+    t_operator: Stencil
+    t_eigvals: np.ndarray
+    t_eigvecs: np.ndarray
+
+    @cached_property
+    def lu(self) -> _SliceSolve:
+        """The solve of the t-rotated block matrix, split by mode."""
+        return _SliceSolve(self.slice_operator, self.t_eigvals,
+                           slice_order(self.domain.stored_axes[:-1]))
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """The operator's inverse on the even part in t of a field that is
         zero at t = +-1; its odd part is dropped.
 
-        The even part (f + Jf)/2 of the interior rows is rotated into the
-        even eigenbasis of T, solved mode by mode (`lu`: Jacobi sweeps or
-        the low modes' factor) and rotated back; the t = +-1 rows of the
-        result are exactly 0.
+        The even part (f + Jf)/2 of the interior columns is rotated into
+        the even eigenbasis of T, solved mode by mode (`lu`: Jacobi sweeps
+        or the low modes' factor) and rotated back; the t = +-1 columns of
+        the result are exactly 0.
         """
-        f = self._t_first(rhs)
-        inner = f[1:-1]
-        w = self.lu.solve(self.t_eigvecs.T @ (0.5 * (inner + inner[::-1])))
+        f = np.reshape(rhs, (-1, self.domain.shape[-1]))
+        inner = f[:, 1:-1]
+        w = self.lu.solve((0.5 * (inner + inner[:, ::-1])) @ self.t_eigvecs)
         u = np.zeros_like(f)
-        u[1:-1] = self.t_eigvecs @ w
-        return self._on_domain(u)
+        u[:, 1:-1] = w @ self.t_eigvecs.T
+        return u.reshape(self.domain.shape)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
         """The operator times a field: L_X on each t slice plus T along t
-        on the interior rows, identity on the t = +-1 rows."""
-        u = np.reshape(u, self.domain.shape)
-        f = self._t_first(u)
-        out = self._t_first(slice_apply(self.slice_operator, self.domain, u))
-        out[1:-1] += self.t_operator @ f
-        out[[0, -1]] = f[[0, -1]]
-        return self._on_domain(out)
+        on the interior columns, identity on the t = +-1 columns."""
+        f = np.reshape(u, (-1, self.domain.shape[-1]))
+        out = self.slice_operator @ f
+        out[:, 1:-1] += (self.t_operator @ f.T).T
+        out[:, [0, -1]] = f[:, [0, -1]]
+        return out.reshape(self.domain.shape)
 
 
 def slice_apply(mat: Stencil, domain: DiscreteDomain,
                 values: np.ndarray) -> np.ndarray:
     """A matrix on the slice grid (the domain without t) applied to every
-    t slice of a field that broadcasts to the domain's shape."""
-    kt = domain.array_axis("t")
-    f = np.moveaxis(np.broadcast_to(values, domain.shape), kt, -1)
-    out = mat @ f.reshape(mat.shape[1], -1)
-    return np.moveaxis(out.reshape(f.shape), -1, kt)
+    t slice of a field that broadcasts to the domain's shape, whose last
+    stored axis is t (see `assemble`)."""
+    f = np.broadcast_to(values, domain.shape)
+    return (mat @ f.reshape(mat.shape[1], -1)).reshape(domain.shape)
 
 
 @dataclass(frozen=True)
 class SolveReport:
     """Solution of one Dirichlet solve plus the numbers the pipeline audits."""
     u: np.ndarray
-    residual_inf: float
     stats: dict
 
 
@@ -608,6 +576,9 @@ def assemble(v_x: np.ndarray, potential, metric_x: MetricField,
     # (q . Jq = +1) or odd (-1); keep the even ones, made exactly even
     even = np.einsum("ik,ik->k", q, q[::-1]) > 0.0
     lam, q = lam[even], 0.5 * (q[:, even] + q[::-1, even])
+    # t is W's last stored axis, here as in grids.build_domain: a field on
+    # W reshaped to (|X|, t nodes) holds each slice node's t column, so
+    # the solve, the residual and slice_apply read fields as they are
     return OperatorAssembly(
         domain=x.with_axis(t_axis),
         slice_operator=operator_matrix(x, c2, c1, c0),
@@ -690,9 +661,9 @@ def operator_matrix(dom: DiscreteDomain, c2, c1, c0) -> Stencil:
 
 def _dirichlet_rhs(assembly: OperatorAssembly, forcing) -> np.ndarray:
     """The forcing on the assembly's domain, zeroed at t = +-1."""
-    dom = assembly.domain
-    rhs = np.array(np.broadcast_to(forcing, dom.shape), dtype=float)
-    np.moveaxis(rhs, dom.array_axis("t"), 0)[[0, -1]] = 0.0
+    rhs = np.array(np.broadcast_to(forcing, assembly.domain.shape),
+                   dtype=float)
+    rhs[..., [0, -1]] = 0.0
     return rhs
 
 
@@ -712,9 +683,9 @@ def solve_dirichlet(assembly: OperatorAssembly, forcing,
     residual. A failed factorization, or an infinity-norm residual that
     ends above tolerance, raises NumericalFailure.
 
-    The returned report carries u shaped like the domain (exactly zero on
-    the boundary rows) and the final residual; its stats name the factor
-    route (`factor`: block_lu or none), its stored entries
+    The returned report carries u shaped like the domain (exactly zero at
+    t = +-1); its stats hold the final residual (`residual_inf`) and name
+    the factor route (`factor`: block_lu or none), its stored entries
     (`factor_nnz`), the modes solved by Jacobi sweeps (`jacobi_modes`) and
     the largest sweep count (`jacobi_sweeps`).
     """
@@ -732,13 +703,12 @@ def solve_dirichlet(assembly: OperatorAssembly, forcing,
     stats = {"nodes": rhs.size,
              "slice_nnz": int(assembly.slice_operator.nnz),
              "refinements": refinements, "residual_inf": residual_inf,
-             **assembly.factor_stats}
+             **assembly.lu.stats}
     if residual_inf > tolerance:
         raise NumericalFailure(
             f"solver residual {residual_inf:.3e} exceeds "
             f"tolerance {tolerance:.1e}")
-    return SolveReport(u=np.ascontiguousarray(u), residual_inf=residual_inf,
-                       stats=stats)
+    return SolveReport(u=np.ascontiguousarray(u), stats=stats)
 
 
 def dtt_monitor(d2u_dt2: np.ndarray, domain: DiscreteDomain,

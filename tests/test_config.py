@@ -1,5 +1,6 @@
 """Scenario-file parsing: schema, defaults, and located diagnostics."""
 
+import os
 import re
 
 import pytest
@@ -14,6 +15,20 @@ def write_cfg(tmp_path, text, name="scenario.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def test_readme_minimal_example_parses(tmp_path):
+    # the README's ini block is a config as written: a comment after a
+    # value would be read as part of the value
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        (block,) = re.findall(r"```ini\n(.*?)```", fh.read(), re.S)
+    cfg = parse_config(write_cfg(tmp_path, block))
+    assert cfg.domain == DomainSpec(SPHERE, 2, (48,), 49)
+    assert (cfg.metric_name, cfg.metric_params) == (
+        "sphere_twist", {"r": 1.0, "beta0": 0.5})
+    assert (cfg.p, cfg.delta, cfg.c_mode) == (1, 40.0, "auto")
+    assert (cfg.tolerance, cfg.output_dir) == (1e-10, "runs")
 
 
 FULL = """\

@@ -285,8 +285,8 @@ def test_certificate_of_undeformed_flat_slice():
     y, w = doms["y"], doms["w"]
     u_y, phi_y = lift_solution(w, np.zeros(w.shape), 0.0, 3)
     zeros = np.zeros(y.shape)
-    cert = certificate(u_y, phi_y, 3, sd, zeros, zeros, zeros,
-                       0.0, zeros, h, fr.mu, restrict_metric(h, doms["x"]))
+    cert = certificate(u_y, phi_y, sd, zeros, zeros, zeros,
+                       0.0, h, fr.mu, restrict_metric(h, doms["x"]))
     assert cert.min_bound == 0.0 and cert.verdict is False
     assert cert.chain_gap_max < 1e-13
     assert np.max(np.abs(cert.r_bound)) < 1e-13
@@ -298,10 +298,9 @@ def test_certificate_of_undeformed_sphere_slice():
     y, w = doms["y"], doms["w"]
     u_y, phi_y = lift_solution(w, np.zeros(w.shape), 0.0, 3)
     zeros = np.zeros(y.shape)
-    # R_g of the product g = h + dt^2 is R_h
-    cert = certificate(u_y, phi_y, 3, sd, zeros, zeros, zeros,
-                       0.0, h.scalar, h, fr.mu,
-                       restrict_metric(h, doms["x"]))
+    # R_g of the product g = h + dt^2 is R_h, which certificate reads
+    cert = certificate(u_y, phi_y, sd, zeros, zeros, zeros,
+                       0.0, h, fr.mu, restrict_metric(h, doms["x"]))
     # undeformed: every evaluation is the round slice curvature 2
     assert cert.min_bound == pytest.approx(2.0, abs=1e-10)
     assert cert.min_chain == pytest.approx(2.0, abs=1e-10)
@@ -316,6 +315,6 @@ def test_certificate_refuses_unconverged_solve():
     u_y, phi_y = lift_solution(w, np.zeros(w.shape), 0.0, 3)
     zeros = np.zeros(y.shape)
     with pytest.raises(NumericalFailure, match="certificate refused"):
-        certificate(u_y, phi_y, 3, sd, zeros, zeros, zeros,
-                    0.0, zeros, h, fr.mu, restrict_metric(h, doms["x"]),
+        certificate(u_y, phi_y, sd, zeros, zeros, zeros,
+                    0.0, h, fr.mu, restrict_metric(h, doms["x"]),
                     residual_inf=1e-6, tolerance=1e-10)

@@ -232,7 +232,7 @@ def test_same_epsilon_rebudget_rescales_the_first_pass(tmp_path,
     # round-off of the fresh solve's, relative to the forcing's sup C2 + 1
     residual = solve["solver_residual_inf"]
     assert residual <= config.tolerance
-    assert (abs(residual - fresh.residual_inf)
+    assert (abs(residual - fresh.stats["residual_inf"])
             <= 1e-12 * (solve["C"] + 1.0))
 
 
@@ -657,7 +657,19 @@ SPHERE_REFERENCES = {
 }
 
 
-@pytest.mark.parametrize("stem", sorted(SHIPPED_SOLVE) + ["twisted_flat_c10"])
+# every config in configs/: the solved ones and the critical twist, which
+# aborts at the angle check
+SHIPPED_STEMS = sorted(SHIPPED_SOLVE) + ["twisted_flat_c10"]
+
+
+def test_every_shipped_config_has_pinned_outcomes():
+    # a config added to configs/ without pins would ship untested
+    stems = {os.path.splitext(name)[0] for name in os.listdir(CONFIGS)
+             if name.endswith(".cfg")}
+    assert stems == set(SHIPPED_STEMS)
+
+
+@pytest.mark.parametrize("stem", SHIPPED_STEMS)
 def test_shipped_config_outcomes(tmp_path, stem):
     # the invariants every change must keep on the shipped scenarios:
     # exit codes, the forcing budget, the verdicts and the certified
