@@ -2,6 +2,7 @@
 alternating pairs of benchmark runs.
 
     python3 scripts/bench_pairs.py --checkout DIR --workload W
+                                   [--workload W2 ...]
                                    [--pairs 10] [--seed 0] [--dry-run]
 
 Each pair runs DIR's and this tree's benchmark driver,
@@ -11,7 +12,9 @@ The side that runs first swaps from pair to pair (DIR first in the first
 pair), so that a drift of the host's load falls on both sides alike. For
 each end-to-end metric of BENCHMARK.json it then prints both sides'
 medians and quartiles over the pairs and in how many pairs this tree was
-better, in the metric's `better` direction.
+better, in the metric's `better` direction. Given several times,
+--workload runs the workloads one after another, all pairs of one before
+the next, and prints each one's summary under a `== W ==` line.
 
 Stdlib only; the driver's argv, the refusal of a checkout without one
 and the read of a run's result line are bench.py's. It writes no file
@@ -75,12 +78,31 @@ def summary(pairs: list) -> list:
     return lines
 
 
+def run_pairs(runs: list):
+    """Run `runs` (as `commands` orders them); return the (checkout,
+    tree) metric dicts of every pair whose two runs printed a result, and
+    whether every run printed one and passed its checks."""
+    done, ok, pairs = [], True, len(runs) // 2
+    for k in range(pairs):
+        pair = {}
+        for side, cmd in runs[2 * k:2 * k + 2]:
+            print(f"bench_pairs: pair {k + 1}/{pairs} {side}",
+                  file=sys.stderr, flush=True)
+            proc = subprocess.run(cmd, capture_output=True, text=True)
+            pair[side] = metrics_of(proc.stdout)
+            ok &= proc.returncode == 0 and pair[side] is not None
+        if None not in pair.values():
+            done.append((pair["checkout"], pair["tree"]))
+    return done, ok
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--checkout", type=Path, required=True,
                     help="source tree compared with this one")
-    ap.add_argument("--workload", required=True,
-                    choices=[w["name"] for w in benchmark()["workloads"]])
+    ap.add_argument("--workload", required=True, action="append",
+                    choices=[w["name"] for w in benchmark()["workloads"]],
+                    help="repeat to compare several workloads in turn")
     ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--dry-run", action="store_true")
@@ -89,26 +111,23 @@ def main(argv=None) -> int:
     checkout = args.checkout.resolve()
     if not has_driver(checkout, "bench_pairs"):
         return 2
-    runs = commands(checkout, args.workload, args.seed, args.pairs)
+    plan = [(w, commands(checkout, w, args.seed, args.pairs))
+            for w in args.workload]
     if args.dry_run:
-        for _, cmd in runs:
-            print(shlex.join(cmd))
+        for _, runs in plan:
+            for _, cmd in runs:
+                print(shlex.join(cmd))
         return 0
 
-    pairs, ok = [], True
-    for k in range(args.pairs):
-        pair = {}
-        for side, cmd in runs[2 * k:2 * k + 2]:
-            print(f"bench_pairs: pair {k + 1}/{args.pairs} {side}",
-                  file=sys.stderr, flush=True)
-            proc = subprocess.run(cmd, capture_output=True, text=True)
-            pair[side] = metrics_of(proc.stdout)
-            ok &= proc.returncode == 0 and pair[side] is not None
-        if None not in pair.values():
-            pairs.append((pair["checkout"], pair["tree"]))
-    if pairs:
-        print("\n".join(summary(pairs)))
-    return 0 if ok else 1
+    all_ok = True
+    for workload, runs in plan:
+        pairs, ok = run_pairs(runs)
+        all_ok &= ok
+        if len(plan) > 1:
+            print(f"== {workload} ==", flush=True)
+        if pairs:
+            print("\n".join(summary(pairs)), flush=True)
+    return 0 if all_ok else 1
 
 
 if __name__ == "__main__":

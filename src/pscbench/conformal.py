@@ -41,7 +41,7 @@ from .curvature import _FRAME_TOL, HypersurfaceData, laplacian_trace
 from .errors import ConfigError, NumericalFailure
 from .fd import Stencil
 from .grids import DiscreteDomain, derivatives
-from .metrics import MetricField, conformal_metric
+from .metrics import MetricField, _front, conformal_metric
 from .solver import operator_matrix, slice_apply
 
 POSITIVITY_FLOOR = 1e-8
@@ -75,7 +75,9 @@ def conformal_scalar(metric: MetricField, phi: np.ndarray, dphi: np.ndarray,
     """Scalar curvature of e^{2 phi} g from undeformed data; dphi and d2phi
     are the coordinate partials of phi (grids.derivatives)."""
     lap = laplacian_trace(metric, dphi, d2phi)
-    g2 = np.einsum("...ij,...i,...j->...", metric.inverse, dphi, dphi)
+    dphi = _front(dphi, 1)
+    g2 = np.einsum("ij...,i...,j...->...", _front(metric.inverse, 2),
+                   dphi, dphi)
     return np.exp(-2.0 * phi) * (metric.scalar - 2.0 * (n - 1.0) * lap
                                  - (n - 1.0) * (n - 2.0) * g2)
 
@@ -92,12 +94,19 @@ def conformal_ricci_normal(metric: MetricField, phi: np.ndarray,
         raise NumericalFailure(
             f"normal not unit: max |g(mu,mu)-1| = "
             f"{np.max(np.abs(nn - 1.0)):.3e}")
-    hess = d2phi - np.einsum("...kij,...k->...ij", metric.gamma, dphi)
-    hess_mm = np.einsum("...i,...j,...ij->...", mu, mu, hess)
+    # s and lap sum over trailing axes and stay node-first (metrics.py,
+    # working layout); the other contractions run component-first
     s = np.einsum("...i,...i->...", mu, dphi)
-    lap = np.einsum("...ij,...ij->...", metric.inverse, hess)
-    g2 = np.einsum("...ij,...i,...j->...", metric.inverse, dphi, dphi)
-    ric_mm = np.einsum("...ij,...i,...j->...", metric.ricci, mu, mu)
+    mu, dphi = _front(mu, 1), _front(dphi, 1)
+    hess = _front(d2phi, 2) - np.einsum(
+        "kij...,k...->ij...", _front(metric.gamma, 3), dphi)
+    hess_mm = np.einsum("i...,j...,ij...->...", mu, mu, hess)
+    lap = np.einsum("...ij,...ij->...", metric.inverse,
+                    _front(hess, hess.ndim - 2))
+    g2 = np.einsum("ij...,i...,j...->...", _front(metric.inverse, 2),
+                   dphi, dphi)
+    ric_mm = np.einsum("ij...,i...,j...->...", _front(metric.ricci, 2),
+                       mu, mu)
     return np.exp(-2.0 * phi) * (ric_mm - (n - 2.0) * (hess_mm - s * s)
                                  - lap - (n - 2.0) * g2)
 
@@ -194,8 +203,10 @@ def k2_field(u_w: np.ndarray, du: np.ndarray, metric: MetricField,
         raise NumericalFailure(
             f"K2 needs a positive conformal factor; min u_W = "
             f"{float(np.min(u_w)):.3e}")
-    g2 = np.einsum("...ij,...i,...j->...", metric.inverse, du, du)
     vu = np.einsum("...i,...i->...", v, du)
+    du = _front(du, 1)
+    g2 = np.einsum("ij...,i...,j...->...", _front(metric.inverse, 2),
+                   du, du)
     return (4.0 / (n - 2.0)) * (g2 + n * vu * vu) / u_w
 
 

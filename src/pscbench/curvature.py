@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import NumericalFailure
 from .grids import gradient
-from .metrics import MetricField
+from .metrics import MetricField, _front
 
 _FRAME_TOL = 1e-8
 
@@ -23,8 +23,9 @@ def laplacian_trace(metric: MetricField, grad: np.ndarray,
     """The Laplacian's contraction g^ij (hess_ij - Gamma^k_ij grad_k) of
     coordinate partials taken elsewhere, over this metric's coordinates."""
     return (np.einsum("...ij,...ij->...", metric.inverse, hess)
-            - np.einsum("...ij,...kij,...k->...", metric.inverse, metric.gamma,
-                        grad))
+            - np.einsum("ij...,kij...,k...->...",
+                        _front(metric.inverse, 2),
+                        _front(metric.gamma, 3), _front(grad, 1)))
 
 
 @dataclass
@@ -61,15 +62,21 @@ def hypersurface_data(metric: MetricField, tangent_names,
 
     cd = gradient(dom, nu) + np.einsum("...kam,...m->...ka", metric.gamma, nu)
 
-    a_full = np.einsum("...jk,...ki->...ij", metric.comp, cd)
-    a_form = a_full[..., tang, :][..., :, tang]
+    a_full = np.einsum("jk...,ki...->ij...", _front(metric.comp, 2),
+                       _front(cd, 2))
+    a_form = _front(a_full, a_full.ndim - 2)[..., tang, :][..., :, tang]
 
     induced = metric.comp[..., tang, :][..., :, tang]
     inv_ind = np.linalg.inv(induced)
+    # h_mean sums over trailing axes and stays node-first (metrics.py,
+    # working layout)
     h_mean = np.einsum("...ij,...ij->...", inv_ind, a_form)
-    a_norm2 = np.einsum("...ik,...jl,...ij,...kl->...",
-                        inv_ind, inv_ind, a_form, a_form)
-    ric_nn = np.einsum("...ij,...i,...j->...", metric.ricci, nu, nu)
+    inv_first, a_first = _front(inv_ind, 2), a_full[tang][:, tang]
+    a_norm2 = np.einsum("ik...,jl...,ij...,kl...->...",
+                        inv_first, inv_first, a_first, a_first)
+    nu = _front(nu, 1)
+    ric_nn = np.einsum("ij...,i...,j...->...", _front(metric.ricci, 2),
+                       nu, nu)
     return HypersurfaceData(a_form, h_mean, a_norm2, ric_nn)
 
 

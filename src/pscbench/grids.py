@@ -180,12 +180,10 @@ class DiscreteDomain:
         return fd.apply_diff(values, k, order, a.n, a.spacing, a.closure)
 
     def at_t0(self, values: np.ndarray) -> np.ndarray:
-        """The t = 0 slice of a field: node n_t // 2 on t's array axis.
-
-        Trailing component dimensions pass through.
-        """
-        return np.take(values, self.axis("t").n // 2,
-                       axis=self.array_axis("t"))
+        """The t = 0 slice of a scalar field: node n_t // 2 of t, the last
+        stored axis of every domain that has one (a copy, so a slice does
+        not keep its whole field alive)."""
+        return values[..., self.axis("t").n // 2].copy()
 
     def integrate(self, values: np.ndarray) -> np.ndarray:
         """Quadrature over the stored grid times virtual circumferences.

@@ -21,6 +21,28 @@ consumer of one metric reads one evaluation. With closed-form derivative
 arrays they are pointwise exact; FD-mode metrics give second order
 accuracy instead.
 
+Working layout. The arrays above are node-first, and that is how they are
+handed out (contiguous). The per-node tensor algebra runs on
+component-first copies instead, a[i, j, ..., nodes] made by _front, with
+the same einsum subscripts reordered ("...kl,...lij->...kij" becomes
+"kl...,lij...->kij..."): einsum's inner loop then runs over the nodes
+instead of over a component axis of length 2-4, which makes ricci 2-3x
+faster. numpy adds the terms of each output in the same order in both
+layouts, so the bits do not change, for
+  - every contraction of three or more operands, and
+  - every two-operand contraction whose summed index is not the trailing
+    axis of both operands ("...kl,...lij->...kij", "...jk,...ki->...ij").
+A two-operand contraction summed over the trailing axes of both operands
+("...ij,...ij->...", "...ij,...kij->...k", and at d = 3 also
+"...ij,...j->...i", "...kam,...m->...ka", "...i,...i->...") takes numpy's
+contiguous dot loop in the node-first layout, which sums in another
+order; those stay node-first (scalar here; h_mean, the B1 and operator
+coefficients elsewhere), since converting one moves report values in the
+last bit. tests/test_layout.py holds every converted site to its
+node-first expression bit for bit. No component-first copy is cached: a
+conversion costs microseconds, and a kept copy would add to the peak
+memory of every run.
+
 The grid dimensions of each array need only broadcast to the domain's
 shape. A run builds its metrics on the t-free domains only: h on Y and its
 restriction h_X on X. The product metrics h + dt^2 on M = Y x [-1, 1] and
@@ -131,26 +153,30 @@ class MetricField:
 
     @cached_property
     def gamma(self) -> np.ndarray:
-        return 0.5 * np.einsum("...kl,...lij->...kij", self.inverse,
-                               _lowered(self.d1))
+        gamma = 0.5 * np.einsum("kl...,lij...->kij...",
+                                _front(self.inverse, 2),
+                                _lowered(_front(self.d1, 3)))
+        return _front(gamma, gamma.ndim - 3)
 
     @cached_property
     def ricci(self) -> np.ndarray:
         """Ric_ij from gamma and d_a Gamma^k_ij, the latter by the product
         rule (exact for closed-form metrics)."""
-        inv, d1, d2, gamma = self.inverse, self.d1, self.d2, self.gamma
+        inv, gamma = _front(self.inverse, 2), _front(self.gamma, 3)
+        d1, d2 = _front(self.d1, 3), _front(self.d2, 4)
         t = _lowered(d1)
-        dt = (np.einsum("...jlia->...lija", d2)
-              + np.einsum("...ilja->...lija", d2)
-              - np.einsum("...ijla->...lija", d2))
-        dinv = -np.einsum("...km,...mna,...nl->...kla", inv, d1, inv)
-        dgamma = 0.5 * (np.einsum("...kla,...lij->...kija", dinv, t)
-                        + np.einsum("...kl,...lija->...kija", inv, dt))
-        t1 = np.einsum("...kijk->...ij", dgamma)
-        t2 = np.einsum("...kkji->...ij", dgamma)
-        q1 = np.einsum("...kkl,...lij->...ij", gamma, gamma)
-        q2 = np.einsum("...kil,...lkj->...ij", gamma, gamma)
-        return t1 - t2 + q1 - q2
+        dt = (np.einsum("jlia...->lija...", d2)
+              + np.einsum("ilja...->lija...", d2)
+              - np.einsum("ijla...->lija...", d2))
+        dinv = -np.einsum("km...,mna...,nl...->kla...", inv, d1, inv)
+        dgamma = 0.5 * (np.einsum("kla...,lij...->kija...", dinv, t)
+                        + np.einsum("kl...,lija...->kija...", inv, dt))
+        t1 = np.einsum("kijk...->ij...", dgamma)
+        t2 = np.einsum("kkji...->ij...", dgamma)
+        q1 = np.einsum("kkl...,lij...->ij...", gamma, gamma)
+        q2 = np.einsum("kil...,lkj...->ij...", gamma, gamma)
+        ricci = t1 - t2 + q1 - q2
+        return _front(ricci, ricci.ndim - 2)
 
     @cached_property
     def scalar(self) -> np.ndarray:
@@ -158,16 +184,23 @@ class MetricField:
 
     def norm2(self, v: np.ndarray) -> np.ndarray:
         """Pointwise squared length of a vector field."""
-        return np.einsum("...ij,...i,...j->...", self.comp, v, v)
+        v = _front(v, 1)
+        return np.einsum("ij...,i...,j...->...", _front(self.comp, 2), v, v)
 
-    def inner(self, v: np.ndarray, w: np.ndarray) -> np.ndarray:
-        return np.einsum("...ij,...i,...j->...", self.comp, v, w)
+
+def _front(a: np.ndarray, k: int) -> np.ndarray:
+    """a with its last k axes moved to the front, C-contiguous: with k the
+    component count, a node-first array in the working layout; with k
+    a.ndim minus the component count, the reverse."""
+    n = a.ndim
+    return a.transpose((*range(n - k, n), *range(n - k))).copy()
 
 
 def _lowered(d1: np.ndarray) -> np.ndarray:
-    """2 Gamma_lij = d_i g_jl + d_j g_il - d_l g_ij, indexed [..., l, i, j]."""
-    return (np.einsum("...jli->...lij", d1) + np.einsum("...ilj->...lij", d1)
-            - np.einsum("...ijl->...lij", d1))
+    """2 Gamma_lij = d_i g_jl + d_j g_il - d_l g_ij from d_k g_ij, both in
+    the working layout: [i, j, k, ...] in, [l, i, j, ...] out."""
+    return (np.einsum("jli...->lij...", d1) + np.einsum("ilj...->lij...", d1)
+            - np.einsum("ijl...->lij...", d1))
 
 
 def _empty(domain: DiscreteDomain):

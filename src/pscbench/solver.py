@@ -92,7 +92,7 @@ from .errors import HypothesisViolation, NumericalFailure
 from .fd import PERIODIC, Stencil, diff_matrix
 from .forcing import monitor_core
 from .grids import Axis, DiscreteDomain, gradient
-from .metrics import MetricField
+from .metrics import MetricField, _front
 
 ANISOTROPY_WARN_RATIO = 1e6
 # Jacobi route: the largest contraction bound q_k of a mode solved by sweeps
@@ -601,9 +601,14 @@ def _coefficients(v: np.ndarray, potential, metric: MetricField):
         raise HypothesisViolation(
             f"operator symbol loses ellipticity: min eigenvalue {eigmin:.3e}")
 
+    # term1 and term3 sum over trailing axes and stay node-first
+    # (metrics.py, working layout)
     gamma = metric.gamma
     term1 = np.einsum("...a,...ka->...k", v, gradient(dom, v))
-    term2 = np.einsum("...i,...j,...kij->...k", v, v, gamma)
+    v_first = _front(v, 1)
+    term2 = np.einsum("i...,j...,kij...->k...", v_first, v_first,
+                      _front(gamma, 3))
+    term2 = _front(term2, term2.ndim - 1)
     term3 = np.einsum("...ij,...kij->...k", inv, gamma)
     c1 = 4.0 * (term1 - term2 + term3)
     c2 = 4.0 * (v[..., :, None] * v[..., None, :] - inv)
@@ -724,6 +729,5 @@ def dtt_monitor(d2u_dt2: np.ndarray, domain: DiscreteDomain,
     Refuses (ConfigError) when the region holds fewer than 3 t-nodes
     (forcing.monitor_core); calibrate_epsilon refuses such a width first.
     """
-    sub = np.take(d2u_dt2, monitor_core(domain.axis("t"), epsilon),
-                  axis=domain.array_axis("t"))
-    return float(np.max(np.abs(sub)))
+    core = d2u_dt2[..., monitor_core(domain.axis("t"), epsilon)]
+    return float(np.max(np.abs(core)))

@@ -9,7 +9,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from pscbench.errors import ConfigError
-from pscbench.grids import (DomainSpec, build_domain, derivatives,
+from pscbench.grids import (DomainSpec, build_domain, derivatives, gradient,
                             periodic_axis, w_domains, SPHERE, TORUS)
 from pscbench.metrics import (MetricField, make_metric, as_fd,
                               conformal_metric, restrict_metric)
@@ -126,6 +126,104 @@ def as_fd_reference(metric):
             d2[..., k, l] = mixed
             d2[..., l, k] = mixed
     return MetricField(dom, metric.comp, d1, d2)
+
+
+# --- node-first oracles of the working-layout kernels ----------------------
+# metrics.py runs its tensor algebra component-first (its working layout);
+# these are the same contractions over the node-first arrays, which
+# tests/test_layout.py holds the package to bit for bit.
+
+def inner(metric, v, w):
+    """g(v, w) at every node; inner(metric, v, v) is norm2's oracle."""
+    return np.einsum("...ij,...i,...j->...", metric.comp, v, w)
+
+
+def _lowered_reference(d1):
+    return (np.einsum("...jli->...lij", d1) + np.einsum("...ilj->...lij", d1)
+            - np.einsum("...ijl->...lij", d1))
+
+
+def gamma_reference(metric):
+    return 0.5 * np.einsum("...kl,...lij->...kij", metric.inverse,
+                           _lowered_reference(metric.d1))
+
+
+def ricci_reference(metric):
+    inv, d1, d2 = metric.inverse, metric.d1, metric.d2
+    gamma = gamma_reference(metric)
+    t = _lowered_reference(d1)
+    dt = (np.einsum("...jlia->...lija", d2)
+          + np.einsum("...ilja->...lija", d2)
+          - np.einsum("...ijla->...lija", d2))
+    dinv = -np.einsum("...km,...mna,...nl->...kla", inv, d1, inv)
+    dgamma = 0.5 * (np.einsum("...kla,...lij->...kija", dinv, t)
+                    + np.einsum("...kl,...lija->...kija", inv, dt))
+    t1 = np.einsum("...kijk->...ij", dgamma)
+    t2 = np.einsum("...kkji->...ij", dgamma)
+    q1 = np.einsum("...kkl,...lij->...ij", gamma, gamma)
+    q2 = np.einsum("...kil,...lkj->...ij", gamma, gamma)
+    return t1 - t2 + q1 - q2
+
+
+def laplacian_trace_reference(metric, grad, hess):
+    return (np.einsum("...ij,...ij->...", metric.inverse, hess)
+            - np.einsum("...ij,...kij,...k->...", metric.inverse,
+                        gamma_reference(metric), grad))
+
+
+def hypersurface_reference(metric, tangent_names, nu):
+    """(a_form, h_mean, a_norm2, ric_nn) of curvature.hypersurface_data."""
+    dom = metric.domain
+    tang = [dom.index(n) for n in tangent_names]
+    cd = gradient(dom, nu) + np.einsum("...kam,...m->...ka",
+                                       gamma_reference(metric), nu)
+    a_full = np.einsum("...jk,...ki->...ij", metric.comp, cd)
+    a_form = a_full[..., tang, :][..., :, tang]
+    induced = metric.comp[..., tang, :][..., :, tang]
+    inv_ind = np.linalg.inv(induced)
+    h_mean = np.einsum("...ij,...ij->...", inv_ind, a_form)
+    a_norm2 = np.einsum("...ik,...jl,...ij,...kl->...",
+                        inv_ind, inv_ind, a_form, a_form)
+    ric_nn = np.einsum("...ij,...i,...j->...", ricci_reference(metric),
+                       nu, nu)
+    return a_form, h_mean, a_norm2, ric_nn
+
+
+def conformal_scalar_reference(metric, phi, dphi, d2phi, n):
+    lap = laplacian_trace_reference(metric, dphi, d2phi)
+    g2 = np.einsum("...ij,...i,...j->...", metric.inverse, dphi, dphi)
+    scalar = np.einsum("...ij,...ij->...", metric.inverse,
+                       ricci_reference(metric))
+    return np.exp(-2.0 * phi) * (scalar - 2.0 * (n - 1.0) * lap
+                                 - (n - 1.0) * (n - 2.0) * g2)
+
+
+def conformal_ricci_normal_reference(metric, phi, dphi, d2phi, mu, n):
+    hess = d2phi - np.einsum("...kij,...k->...ij", gamma_reference(metric),
+                             dphi)
+    hess_mm = np.einsum("...i,...j,...ij->...", mu, mu, hess)
+    s = np.einsum("...i,...i->...", mu, dphi)
+    lap = np.einsum("...ij,...ij->...", metric.inverse, hess)
+    g2 = np.einsum("...ij,...i,...j->...", metric.inverse, dphi, dphi)
+    ric_mm = np.einsum("...ij,...i,...j->...", ricci_reference(metric),
+                       mu, mu)
+    return np.exp(-2.0 * phi) * (ric_mm - (n - 2.0) * (hess_mm - s * s)
+                                 - lap - (n - 2.0) * g2)
+
+
+def k2_field_reference(u_w, du, metric, v, n):
+    g2 = np.einsum("...ij,...i,...j->...", metric.inverse, du, du)
+    vu = np.einsum("...i,...i->...", v, du)
+    return (4.0 / (n - 2.0)) * (g2 + n * vu * vu) / u_w
+
+
+def c1_reference(v, metric):
+    """c1 of solver._coefficients."""
+    dom, inv, gamma = metric.domain, metric.inverse, gamma_reference(metric)
+    term1 = np.einsum("...a,...ka->...k", v, gradient(dom, v))
+    term2 = np.einsum("...i,...j,...kij->...k", v, v, gamma)
+    term3 = np.einsum("...ij,...kij->...k", inv, gamma)
+    return 4.0 * (term1 - term2 + term3)
 
 
 def rng_phi(dom, seed, a1=0.08, a2=0.04):

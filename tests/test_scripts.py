@@ -138,6 +138,57 @@ def test_bench_pairs_dry_run_alternates_the_sides(tmp_path):
     assert list(tmp_path.iterdir()) == [other]
 
 
+def test_bench_pairs_dry_run_takes_the_workloads_in_turn(tmp_path):
+    # a repeated --workload runs every pair of the first workload, in the
+    # alternating order one workload gets, before the next one's
+    other = tmp_path / "other"
+    (other / "perfbench").mkdir(parents=True)
+    (other / "perfbench" / "run.py").write_text("")
+    proc = run_script("bench_pairs.py", tmp_path, "--checkout", str(other),
+                      "--workload", "torus24-certify", "--workload",
+                      "sphere256-certify", "--pairs", "2", "--dry-run")
+    runs = [shlex.split(line) for line in proc.stdout.splitlines()]
+    ours = str(SCRIPTS.parent / "perfbench" / "run.py")
+    theirs = str(other / "perfbench" / "run.py")
+    assert [(cmd[1], cmd[3]) for cmd in runs] == [
+        (theirs, "torus24-certify"), (ours, "torus24-certify"),
+        (ours, "torus24-certify"), (theirs, "torus24-certify"),
+        (theirs, "sphere256-certify"), (ours, "sphere256-certify"),
+        (ours, "sphere256-certify"), (theirs, "sphere256-certify")]
+
+
+def test_bench_pairs_prints_one_summary_per_workload(tmp_path, monkeypatch,
+                                                     capsys):
+    # runs stubbed: every run's metrics are 1.0, the checkout's 2.0; one
+    # workload prints its summary lines alone, several each under a header
+    sys.path.insert(0, str(SCRIPTS))
+    try:
+        import bench_pairs
+    finally:
+        sys.path.remove(str(SCRIPTS))
+    names = [m["name"] for m in bench_pairs.benchmark()["end_to_end"]]
+    other = tmp_path / "other"
+    (other / "perfbench").mkdir(parents=True)
+    (other / "perfbench" / "run.py").write_text("")
+
+    def fake_run(cmd, **kwargs):
+        value = 2.0 if cmd[1].startswith(str(other)) else 1.0
+        result = {"metrics": {n: {"value": value} for n in names}}
+        return subprocess.CompletedProcess(cmd, 0, json.dumps(result), "")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    assert bench_pairs.main(["--checkout", str(other), "--workload",
+                             "shipped-batch", "--pairs", "2"]) == 0
+    single = capsys.readouterr().out.splitlines()
+    assert [ln.split(" (")[0] for ln in single] == names
+    assert "checkout 2 [2, 2] -> tree 1 [1, 1]" in single[0]
+    assert bench_pairs.main(["--checkout", str(other), "--workload",
+                             "torus24-certify", "--workload", "shipped-batch",
+                             "--pairs", "2"]) == 0
+    assert capsys.readouterr().out.splitlines() == (
+        ["== torus24-certify =="] + single + ["== shipped-batch =="] + single)
+
+
 def test_bench_pairs_refuses_a_checkout_without_the_driver(tmp_path):
     proc = run_script("bench_pairs.py", tmp_path, "--checkout",
                       str(tmp_path / "absent"), "--workload",
