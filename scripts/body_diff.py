@@ -50,7 +50,6 @@ def scenario_configs(directory: Path) -> list:
 def certify(tree: Path, config: Path, out_dir: Path) -> int:
     """Run certify with `tree`'s package; its exit code."""
     env = dict(os.environ)
-    env.pop("PSCBENCH_OUTPUT_DIR", None)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(tree / "src"), env.get("PYTHONPATH")) if p)
     return subprocess.run(

@@ -18,23 +18,12 @@ from .errors import ConfigError, PscbenchError
 from .pipeline import run_scenario
 from .report import emit_report, write_field_csvs
 
-OUTPUT_ENV = "PSCBENCH_OUTPUT_DIR"
-
 _VERB_STAGE = {"check-angle": "angle", "solve": "solve", "certify": "certify"}
-
-
-def _resolve_output_dir(flag_value, config) -> str:
-    if flag_value:
-        return flag_value
-    env = os.environ.get(OUTPUT_ENV)
-    if env:
-        return env
-    return config.output_dir
 
 
 def _run_one(config_path: str, stage: str, output_flag) -> int:
     config = parse_config(config_path)
-    out_dir = _resolve_output_dir(output_flag, config)
+    out_dir = output_flag or config.output_dir
     try:
         os.makedirs(out_dir, exist_ok=True)
     except OSError as exc:

@@ -2,13 +2,12 @@
 
 Diagnostics carry file and line: a batch of scenario files is edited by
 hand, and "[forcing] delta expects a number" without a location is useless
-at that moment. configparser does the token work; a raw-line scan pins each
-section header and key to its line before values are interpreted.
+at that moment. One scan reads each key's value and pins it, and each
+section header, to its line before values are interpreted.
 """
 
 from __future__ import annotations
 
-import configparser
 import math
 import os
 import re
@@ -31,8 +30,10 @@ _SCHEMA = {
     "output": ("directory",),
 }
 
-_SECTION_RE = re.compile(r"^\s*\[([^\]]+)\]\s*$")
-_KEY_RE = re.compile(r"^\s*([^=:\s][^=:]*?)\s*[=:]")
+# the whole grammar, matched against a stripped line; anything else but a
+# blank line or a full-line "#"/";" comment is refused at its line
+_SECTION_RE = re.compile(r"\[([^\]]+)\]")
+_KEY_RE = re.compile(r"([^=:\s][^=:]*?)\s*[=:]\s*(.*)")
 
 
 @dataclass
@@ -47,53 +48,55 @@ class RunConfig:
     c_mode: object          # the literal string "auto" or a float
     tolerance: float
     output_dir: str
-    source_path: str
     echo: dict = field(default_factory=dict)
 
 
-def _line_map(path: str):
-    """(section, key) -> line number, plus section -> header line number."""
-    keys, sections = {}, {}
-    section = None
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    for no, line in enumerate(lines, start=1):
-        stripped = line.strip()
-        if not stripped or stripped[0] in "#;":
-            continue
-        m = _SECTION_RE.match(line)
-        if m:
-            section = m.group(1).strip()
-            sections.setdefault(section, no)
-            continue
-        m = _KEY_RE.match(line)
-        if m and section is not None:
-            keys.setdefault((section, m.group(1).strip()), no)
-    return keys, sections
-
-
-def _where(path, keys, sections, section, key=None):
-    no = keys.get((section, key)) if key else sections.get(section)
-    return f"{path}:{no}" if no else path
-
-
 class _Reader:
-    def __init__(self, parser, path, keys, sections):
-        self.parser = parser
+    """One pass over a scenario file: each key's value, and the line of
+    each section header and key."""
+
+    def __init__(self, path):
         self.path = path
-        self.keys = keys
-        self.sections = sections
+        self.values = {}    # (section, key) -> value
+        self.lines = {}     # (section, key), or (section, None) -> line
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                file_lines = fh.readlines()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        section = None
+        for no, line in enumerate(file_lines, start=1):
+            line = line.strip()
+            if not line or line[0] in "#;":
+                continue
+            header = _SECTION_RE.fullmatch(line)
+            item = None if header else _KEY_RE.fullmatch(line)
+            if header:
+                section, key = header.group(1), None
+            elif item and section is not None:
+                key = item.group(1)
+            elif item:
+                raise ConfigError(
+                    f"{path}:{no}: key {item.group(1)!r} before any "
+                    f"[section]")
+            else:
+                raise ConfigError(
+                    f"{path}:{no}: expected [section], key = value or a "
+                    f"comment line, got {line!r}")
+            if (section, key) in self.lines:
+                raise ConfigError(
+                    f"{path}:{no}: repeated " + (
+                        f"key {key!r} in [{section}]" if item
+                        else f"section [{section}]"))
+            self.lines[section, key] = no
+            if item:
+                self.values[section, key] = item.group(2)
 
     def loc(self, section, key=None):
-        return _where(self.path, self.keys, self.sections, section, key)
+        return f"{self.path}:{self.lines[section, key]}"
 
     def raw(self, section, key, default=None):
-        if self.parser.has_option(section, key):
-            return self.parser.get(section, key).strip()
-        return default
+        return self.values.get((section, key), default)
 
     def number(self, section, key, default, check=None, describe=""):
         raw = self.raw(section, key)
@@ -131,33 +134,18 @@ class _Reader:
 
 
 def parse_config(path: str) -> RunConfig:
-    keys, sections = _line_map(path)
-
-    parser = configparser.ConfigParser(interpolation=None)
-    parser.optionxform = str
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            parser.read_file(fh, source=path)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    except configparser.Error as exc:
-        raise ConfigError(f"malformed config: {exc}") from exc
-
-    for section in parser.sections():
+    r = _Reader(path)
+    for section, key in r.lines:
         if section not in _SCHEMA:
             raise ConfigError(
-                f"{_where(path, keys, sections, section)}: unknown section "
+                f"{r.loc(section)}: unknown section [{section}]")
+        if key is not None and key not in _SCHEMA[section]:
+            raise ConfigError(
+                f"{r.loc(section, key)}: unknown key {key!r} in "
                 f"[{section}]")
-        for key in parser.options(section):
-            if key not in _SCHEMA[section]:
-                raise ConfigError(
-                    f"{_where(path, keys, sections, section, key)}: unknown "
-                    f"key {key!r} in [{section}]")
 
-    if not parser.has_section("metric"):
+    if ("metric", None) not in r.lines:
         raise ConfigError(f"{path}: missing [metric] section")
-
-    r = _Reader(parser, path, keys, sections)
 
     backend = r.raw("domain", "backend", TORUS)
     if backend not in (TORUS, SPHERE):
@@ -216,8 +204,8 @@ def parse_config(path: str) -> RunConfig:
     elif name in (None, "csv"):
         # "csv" names a components_file table, so it needs one
         raise ConfigError(
-            f"{_where(path, keys, sections, 'metric')}: [metric] needs a "
-            f"builtin name or a components_file")
+            f"{r.loc('metric')}: [metric] needs a builtin name or a "
+            f"components_file")
     elif name not in BUILTINS:
         raise ConfigError(
             f"{r.loc('metric', 'name')}: unknown metric {name!r}; builtins: "
@@ -225,8 +213,8 @@ def parse_config(path: str) -> RunConfig:
     builtin = BUILTINS.get(name)  # None for a components_file table
     takes = builtin.params if builtin else ()
     allowed = ("name", "components_file", *(p.name for p in takes))
-    for key in parser.options("metric"):
-        if key not in allowed:
+    for section, key in r.values:
+        if section == "metric" and key not in allowed:
             raise ConfigError(
                 f"{r.loc('metric', key)}: metric {name!r} does not take "
                 f"parameter {key!r}")
@@ -269,4 +257,4 @@ def parse_config(path: str) -> RunConfig:
     return RunConfig(domain=spec, metric_name=name, metric_params=params,
                      components_file=components_file, p=p, delta=delta,
                      c_mode=c_mode, tolerance=tolerance,
-                     output_dir=output_dir, source_path=path, echo=echo)
+                     output_dir=output_dir, echo=echo)

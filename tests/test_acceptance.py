@@ -363,14 +363,14 @@ def test_criterion_11_negative_controls(tmp_path):
         "[domain]\nresolution = 12\nt_nodes = 49\n\n"
         "[metric]\nname = product_flat\n\n[forcing]\np = 1\ndelta = 160\n")
     env = cli_env()
-    env["PSCBENCH_OUTPUT_DIR"] = str(tmp_path / "out")
+    out = str(tmp_path / "out")
 
     res_crit = subprocess.run(
-        [sys.executable, "-m", "pscbench", "certify", str(crit)],
-        capture_output=True, text=True, env=env)
+        [sys.executable, "-m", "pscbench", "certify", str(crit),
+         "--output-dir", out], capture_output=True, text=True, env=env)
     res_flat = subprocess.run(
-        [sys.executable, "-m", "pscbench", "certify", str(flat)],
-        capture_output=True, text=True, env=env)
+        [sys.executable, "-m", "pscbench", "certify", str(flat),
+         "--output-dir", out], capture_output=True, text=True, env=env)
 
     crit_ok = res_crit.returncode == 2 and "error[exit 2]" in res_crit.stderr
     flat_ok = (res_flat.returncode == 0

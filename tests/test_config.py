@@ -172,6 +172,18 @@ def test_missing_metric_section(tmp_path):
      r":2: torus backend supports dim_x <= 3, got 4"),
     ("[domain]\nbackend = sphere-axisym\ndim_x = 3\n\n[metric]\n"
      "name = sphere_product\n", r":3: sphere backend is 2-dimensional"),
+    # the scan refuses at its line what is not a section, key or comment:
+    # an indented value continuation, a key before any section, a repeated
+    # key or section
+    ("[metric]\nname = twisted_flat\nc = 0.5\n    0.25\n",
+     r"scenario\.cfg:4: expected \[section\], key = value or a comment "
+     r"line, got '0\.25'"),
+    ("name = product_flat\n\n[metric]\n",
+     r"scenario\.cfg:1: key 'name' before any \[section\]"),
+    ("[metric]\nname = twisted_flat\nc = 0.5\nc = 0.25\n",
+     r"scenario\.cfg:4: repeated key 'c' in \[metric\]"),
+    ("[metric]\nname = product_flat\n\n[forcing]\np = 1\n\n[forcing]\n"
+     "delta = 40\n", r"scenario\.cfg:7: repeated section \[forcing\]"),
 ])
 def test_validation_errors(tmp_path, body, pattern):
     with pytest.raises(ConfigError, match=pattern):
@@ -279,6 +291,14 @@ def test_components_file_resolved_relative_to_config(tmp_path):
 def test_missing_file_raises(tmp_path):
     with pytest.raises(ConfigError, match=r"cannot read config"):
         parse_config(str(tmp_path / "absent.cfg"))
+
+
+def test_non_utf8_file_raises(tmp_path):
+    # a config error (exit 4), not a traceback that ends a whole batch
+    path = tmp_path / "latin1.cfg"
+    path.write_bytes(b"[metric]\nname = product_flat\n# caf\xe9\n")
+    with pytest.raises(ConfigError, match=r"cannot read config .*utf-8"):
+        parse_config(str(path))
 
 
 def test_echo_is_fully_stringly_typed(tmp_path):

@@ -84,14 +84,10 @@ def write(tmp_path, name, text):
     return str(path)
 
 
-def run_cli(args, env_extra=None, cwd=None):
-    env = cli_env()
-    env.pop("PSCBENCH_OUTPUT_DIR", None)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(args, cwd=None):
     return subprocess.run(
         [sys.executable, "-m", "pscbench", *args],
-        capture_output=True, text=True, env=env, cwd=cwd)
+        capture_output=True, text=True, env=cli_env(), cwd=cwd)
 
 
 # -- in-process pipeline ----------------------------------------------------
@@ -462,13 +458,14 @@ def test_cli_certify_completes_and_writes(tmp_path):
 def test_certify_leaves_no_scipy_module_loaded(tmp_path, stem):
     # scipy is a test dependency only: a whole certify run, the n = 4
     # control's blocks of order 288 included, loads no scipy module, not
-    # even late. Checked after the run in a fresh process
+    # even late, and the config scan needs no configparser. Checked after
+    # the run in a fresh process
     cfg = os.path.join(CONFIGS, f"{stem}.cfg")
     code = ("import sys; from pscbench import cli; "
             f"code = cli.main(['certify', {cfg!r}, '--output-dir', "
             f"{str(tmp_path)!r}]); "
             "print(code, sorted(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))")
+            "if m in ('scipy', 'configparser') or m.startswith('scipy.')))")
     res = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, env=cli_env(), check=True)
     assert res.stdout.splitlines()[-1] == "0 []"
@@ -534,20 +531,18 @@ def test_cli_invalid_config_exits_4(tmp_path):
     assert "unknown metric" in res.stderr
 
 
-def test_cli_output_dir_env_and_flag_precedence(tmp_path):
-    cfg = write(tmp_path, "tw.cfg", TWISTED_OK)
-    env_dir = str(tmp_path / "from_env")
-    res = run_cli(["check-angle", cfg],
-                  env_extra={"PSCBENCH_OUTPUT_DIR": env_dir})
-    assert res.returncode == 0, res.stderr
-    assert os.path.exists(os.path.join(env_dir, "tw.report.txt"))
+def test_cli_output_dir_flag_wins_over_config(tmp_path):
+    config_dir = str(tmp_path / "from_config")
+    cfg = write(tmp_path, "tw.cfg",
+                f"{TWISTED_OK}\n[output]\ndirectory = {config_dir}\n")
     flag_dir = str(tmp_path / "from_flag")
-    res = run_cli(["check-angle", cfg, "--output-dir", flag_dir],
-                  env_extra={"PSCBENCH_OUTPUT_DIR": env_dir})
+    res = run_cli(["check-angle", cfg, "--output-dir", flag_dir])
     assert res.returncode == 0, res.stderr
     assert os.path.exists(os.path.join(flag_dir, "tw.report.txt"))
-    assert not os.path.exists(os.path.join(env_dir, "tw_angle.csv")) or \
-        os.path.exists(os.path.join(flag_dir, "tw_angle.csv"))
+    assert not os.path.exists(config_dir)
+    res = run_cli(["check-angle", cfg])
+    assert res.returncode == 0, res.stderr
+    assert os.path.exists(os.path.join(config_dir, "tw.report.txt"))
 
 
 def test_cli_batch_worst_code_wins(tmp_path):
