@@ -334,14 +334,19 @@ def fields_to_csv(path, domain: DiscreteDomain, columns: dict) -> None:
                 f"column {name!r} has shape {arr.shape}, grid is {domain.shape}")
         fields.append(arr.ravel())
     # each axis' coordinates are formatted once, as literal text in the row
-    # formats; the text is byte for byte what np.savetxt(fmt="%.12g") writes
-    rows = [""]
-    for a in domain.stored_axes:
+    # formats; the text is byte for byte what np.savetxt(fmt="%.12g") writes.
+    # The rows of one node of the outer axes share its prefix text, so they
+    # are one join over the last axis' texts, each joined by the field
+    # formats and that prefix
+    *outer, last = domain.stored_axes
+    prefixes = [""]
+    for a in outer:
         texts = ["%.12g," % c for c in a.coords()]
-        rows = [r + c for r in rows for c in texts]
+        prefixes = [p + c for p in prefixes for c in texts]
+    texts = ["%.12g," % c for c in last.coords()]
     tail = ",".join(["%.12g"] * len(fields)) + "\n"
     names = [a.name for a in domain.stored_axes] + list(columns)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(",".join(names) + "\n")
-        fh.write((tail.join(rows) + tail)
+        fh.write("".join(p + (tail + p).join(texts) + tail for p in prefixes)
                  % tuple(np.column_stack(fields).ravel().tolist()))

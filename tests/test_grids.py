@@ -9,8 +9,10 @@ from pscbench.errors import ConfigError
 from pscbench.grids import (DiscreteDomain, DomainSpec, build_domain,
                             bounded_axis, mirror_axis, periodic_axis,
                             upper_half, w_domains, c1_norm,
-                            gradient, derivatives, coordinate_columns, fields_to_csv, TORUS, SPHERE)
+                            gradient, derivatives, coordinate_columns, fields_to_csv, TORUS, SPHERE,
+                            with_circle)
 from pscbench.metrics import make_metric
+from pscbench.report import RunReport, write_field_csvs
 
 from helpers import (hessian_coords_reference, lp_norm, rng_phi,
                      stored_theta_y)
@@ -210,6 +212,16 @@ def test_fields_to_csv_roundtrip(tmp_path):
         fields_to_csv(path, dom, {"bad": np.zeros((2, 2))})
 
 
+def _savetxt_bytes(path, domain, columns):
+    """What np.savetxt(fmt="%.12g") writes for the dump of `columns`."""
+    table = dict(coordinate_columns(domain))
+    table.update({k: np.asarray(v, dtype=float).ravel()
+                  for k, v in columns.items()})
+    np.savetxt(path, np.column_stack(list(table.values())), fmt="%.12g",
+               delimiter=",", header=",".join(table), comments="")
+    return path.read_bytes()
+
+
 def test_fields_to_csv_matches_savetxt(tmp_path):
     # the one-call formatter writes the bytes np.savetxt wrote row by row:
     # negative zero, 1e-300 and a length-1 axis included
@@ -222,10 +234,37 @@ def test_fields_to_csv_matches_savetxt(tmp_path):
     cols = {"f": f, "g": 1e6 * f}
     path = tmp_path / "fields.csv"
     fields_to_csv(path, dom, cols)
-    table = dict(coordinate_columns(dom))
-    table.update({k: v.ravel() for k, v in cols.items()})
-    oracle = tmp_path / "oracle.csv"
-    np.savetxt(oracle, np.column_stack(list(table.values())), fmt="%.12g",
-               delimiter=",", header=",".join(table), comments="")
-    assert b"-0," in oracle.read_bytes() and b"1e-300" in oracle.read_bytes()
-    assert path.read_bytes() == oracle.read_bytes()
+    oracle = _savetxt_bytes(tmp_path / "oracle.csv", dom, cols)
+    assert b"-0," in oracle and b"1e-300" in oracle
+    assert path.read_bytes() == oracle
+
+    # the rows of one node of the outer axes are joined over the last
+    # axis, whichever it is: a 2-D torus slice with the certificate dump's
+    # three columns, a 1-D mirror axis, and a last axis of length 1
+    torus = with_circle(build_domain(DomainSpec(TORUS, 2, (6, 5), 5))
+                        .without("t"))
+    rng = np.random.default_rng(3)
+    cases = [
+        (torus, {c: rng.standard_normal(torus.shape) * 10.0 ** rng.integers(
+            -8, 8, torus.shape) for c in ("r_exact", "r_chain", "r_bound")}),
+        (DiscreteDomain((mirror_axis("rho", 7),)),
+         {"f": np.sin(np.arange(7.0)) / 3.0}),
+        (DiscreteDomain((mirror_axis("rho", 4), periodic_axis("x", 1))),
+         {"f": -np.arange(4.0).reshape(4, 1) / 7.0, "g": np.zeros((4, 1))}),
+    ]
+    for k, (dom, cols) in enumerate(cases):
+        path = tmp_path / f"case{k}.csv"
+        fields_to_csv(path, dom, cols)
+        assert path.read_bytes() == _savetxt_bytes(
+            tmp_path / f"oracle{k}.csv", dom, cols)
+
+    # the t >= 0 half of an even u, through the report's dump
+    w = build_domain(DomainSpec(TORUS, 2, (4, 5), 9))
+    u = np.cos(w.mesh("x")) * (1.0 - w.mesh("t") ** 2) / 3.0 * np.ones(w.shape)
+    u = 0.5 * (u + u[..., ::-1])
+    write_field_csvs(RunReport("solve", {}, {"w": w, "u": u}),
+                     str(tmp_path), "even")
+    half = DiscreteDomain(tuple(upper_half(a) if a.name == "t" else a
+                                for a in w.axes))
+    assert (tmp_path / "even_u.csv").read_bytes() == _savetxt_bytes(
+        tmp_path / "oracle_u.csv", half, {"u": u[..., 4:]})
