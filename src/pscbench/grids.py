@@ -335,9 +335,9 @@ def fields_to_csv(path, domain: DiscreteDomain, columns: dict) -> None:
         fields.append(arr.ravel())
     # each axis' coordinates are formatted once, as literal text in the row
     # formats; the text is byte for byte what np.savetxt(fmt="%.12g") writes.
-    # The rows of one node of the outer axes share its prefix text, so they
-    # are one join over the last axis' texts, each joined by the field
-    # formats and that prefix
+    # The rows of one node of the outer axes all start with that node's
+    # prefix text, so they are one join of the last axis' texts, with the
+    # field formats and the prefix between each two
     *outer, last = domain.stored_axes
     prefixes = [""]
     for a in outer:

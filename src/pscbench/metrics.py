@@ -169,10 +169,14 @@ class MetricField:
               + np.einsum("ilja...->lija...", d2)
               - np.einsum("ijla...->lija...", d2))
         dinv = -np.einsum("km...,mna...,nl...->kla...", inv, d1, inv)
-        dgamma = 0.5 * (np.einsum("kla...,lij...->kija...", dinv, t)
-                        + np.einsum("kl...,lija...->kija...", inv, dt))
-        t1 = np.einsum("kijk...->ij...", dgamma)
-        t2 = np.einsum("kkji...->ij...", dgamma)
+        # only the traces d_k Gamma^k_ij and d_j Gamma^k_ki of
+        # d_a Gamma^k_ij enter: each is built from its own entries alone
+        t1 = np.einsum("kij...->ij...", 0.5 * (
+            np.einsum("klk...,lij...->kij...", dinv, t)
+            + np.einsum("kl...,lijk...->kij...", inv, dt)))
+        t2 = np.einsum("kji...->ij...", 0.5 * (
+            np.einsum("kli...,lkj...->kji...", dinv, t)
+            + np.einsum("kl...,lkji...->kji...", inv, dt)))
         q1 = np.einsum("kkl...,lij...->ij...", gamma, gamma)
         q2 = np.einsum("kil...,lkj...->ij...", gamma, gamma)
         ricci = t1 - t2 + q1 - q2

@@ -29,12 +29,17 @@ t axis; no field of the operator carries t.
 The solve is fast diagonalization in t (Lynch, Rice & Thomas, Numer. Math.
 6 (1964) 185-199): with T's Dirichlet block Q diag(lam) Q^T, rotating the
 interior right-hand side by Q^T decouples it into slice problems
-(L_X + lam_k I) w_k = f_k. T's Dirichlet block commutes with the
-reflection t -> -t, so each eigenvector is even or odd in t, and the
-operator maps even fields to even fields. The forcing (C+1) bump(t) (x) 1_X
-is even, so only the ceil((t_nodes - 2)/2) even modes are kept. The even
-eigenvectors are symmetrized exactly, so the solution is exactly even in
-t, whatever solves the slice problems.
+(L_X + lam_k I) w_k = f_k. On the uniform t grid that block is
+(4/h^2) tridiag(-1, 2, -1) of order m = t_nodes - 2, whose eigenpairs are
+discrete sines (Strang, SIAM Rev. 41 (1999) 135-147):
+lam_k = (16/h^2) sin^2(k pi / (2(m+1))) and
+Q_ik = sqrt(2/(m+1)) sin(i k pi / (m+1)), i, k = 1..m, so no eigensolver
+runs. The block commutes with the reflection t -> -t, and mode k is even
+in t for odd k, odd for even k; the operator maps even fields to even
+fields. The forcing (C+1) bump(t) (x) 1_X is even, so only the
+ceil((t_nodes - 2)/2) even modes are kept. The even eigenvectors are
+symmetrized exactly, so the solution is exactly even in t, whatever
+solves the slice problems.
 
 The modes are split once per assembly, from L_X alone, and the route of
 each is decided there. With a_ii the diagonal of L_X and
@@ -488,7 +493,8 @@ class OperatorAssembly:
     whose last stored axis is t (see `assemble`).
 
     `t_operator` holds the interior rows of T over every t node, and
-    `t_eigvals`, `t_eigvecs` the even eigenpairs of its Dirichlet block,
+    `t_eigvals`, `t_eigvecs` the even eigenpairs of its Dirichlet block in
+    closed form (the discrete sines of odd k, see the module docstring),
     in ascending order, each vector symmetrized so that it is exactly even
     in t: the forcing is even, T commutes with t -> -t, so the solution
     lies in their span and is exactly even. Frozen, so the mode split and
@@ -554,7 +560,8 @@ def assemble(v_x: np.ndarray, potential, metric_x: MetricField,
              t_axis: Axis) -> OperatorAssembly:
     """The operator on W = X x t_axis for g = h_X + dt^2 (metric_x = h_X)
     and a drift tangent to X with components v_x: L_X on the slice grid,
-    T = -4 D2_t and the even eigenpairs of T's Dirichlet block."""
+    T = -4 D2_t and the even eigenpairs of T's Dirichlet block, the
+    closed-form sines of odd k."""
     x = metric_x.domain
     c2, c1, c0 = _coefficients(v_x, potential, metric_x)
 
@@ -571,11 +578,15 @@ def assemble(v_x: np.ndarray, potential, metric_x: MetricField,
 
     d2 = diff_matrix(2, t_axis.n, t_axis.spacing, t_axis.closure)
     t_operator = Stencil(d2.cols[:, 1:-1], -4.0 * d2.vals[:, 1:-1], d2.n_cols)
-    lam, q = np.linalg.eigh(t_operator.toarray()[:, 1:-1])
-    # the block is reflection-symmetric, so each eigenvector is even
-    # (q . Jq = +1) or odd (-1); keep the even ones, made exactly even
-    even = np.einsum("ik,ik->k", q, q[::-1]) > 0.0
-    lam, q = lam[even], 0.5 * (q[:, even] + q[::-1, even])
+    # the discrete sines of the module docstring for odd k, the even modes,
+    # ascending and made exactly even; i k is reduced mod 2 (m + 1) so that
+    # each sine's argument lies in [0, 2 pi)
+    m = t_axis.n - 2
+    k = np.arange(1, m + 1, 2)
+    lam = 16.0 / t_axis.spacing ** 2 * np.sin(k * (np.pi / (2 * (m + 1)))) ** 2
+    ik = np.outer(np.arange(1, m + 1), k) % (2 * (m + 1))
+    q = np.sqrt(2.0 / (m + 1)) * np.sin(ik * (np.pi / (m + 1)))
+    q = 0.5 * (q + q[::-1])
     # t is W's last stored axis, here as in grids.build_domain: a field on
     # W reshaped to (|X|, t nodes) holds each slice node's t column, so
     # the solve, the residual and slice_apply read fields as they are

@@ -9,8 +9,8 @@ from pscbench.errors import ConfigError
 from pscbench.grids import (DiscreteDomain, DomainSpec, build_domain,
                             bounded_axis, mirror_axis, periodic_axis,
                             upper_half, w_domains, c1_norm,
-                            gradient, derivatives, coordinate_columns, fields_to_csv, TORUS, SPHERE,
-                            with_circle)
+                            gradient, derivatives, coordinate_columns,
+                            fields_to_csv, with_circle, TORUS, SPHERE)
 from pscbench.metrics import make_metric
 from pscbench.report import RunReport, write_field_csvs
 

@@ -471,6 +471,24 @@ def test_certify_leaves_no_scipy_module_loaded(tmp_path, stem):
     assert res.stdout.splitlines()[-1] == "0 []"
 
 
+def test_cli_import_adds_only_the_pinned_modules():
+    # a run's setup cost is its imports: after numpy, the CLI loads its own
+    # modules and these five stdlib ones, nothing else. Checked in a fresh
+    # process
+    code = ("import sys, numpy; before = set(sys.modules); "
+            "import pscbench.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=cli_env(), check=True)
+    package = os.path.dirname(cli.__file__)
+    own = {"pscbench"} | {f"pscbench.{name[:-3]}"
+                          for name in os.listdir(package)
+                          if name.endswith(".py")
+                          and name not in ("__init__.py", "__main__.py")}
+    assert set(res.stdout.split()) == own | {
+        "__future__", "argparse", "copy", "dataclasses", "gettext"}
+
+
 ANGLE_LINES = [
     ("run", "stage"), ("run", "n"),
     *(("config", key) for key in (

@@ -18,8 +18,8 @@ import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings, strategies as st
 
 from pscbench.errors import ConfigError, HypothesisViolation, NumericalFailure
-from pscbench.grids import (DomainSpec, build_domain, c1_norm, gradient,
-                            w_domains, TORUS, SPHERE)
+from pscbench.grids import (DomainSpec, bounded_axis, build_domain, c1_norm,
+                            gradient, w_domains, TORUS, SPHERE)
 from pscbench.metrics import make_metric, restrict_metric
 from pscbench.normal import normal_frame
 from pscbench.solver import assemble, solve_dirichlet, dtt_monitor, SolveReport
@@ -113,6 +113,33 @@ def test_maximum_principle_for_bump():
     window = rep.u[..., np.abs(t) < 0.25 * eps]
     assert dtt == pytest.approx((10.0 - window.min()) / 4.0, rel=1e-6)
     assert dtt == pytest.approx(2.4031114586624653, rel=1e-8)
+
+
+@pytest.mark.parametrize("t_nodes", [5, 6, 7, 48, 49, 129, 257])
+def test_t_eigenpairs_are_the_closed_form_sines(t_nodes):
+    # the even eigenpairs of T's Dirichlet block, against LAPACK's eigh of
+    # the block and its even eigenvectors; an even t_nodes has no t = 0
+    # node, which W never has, but the closed form holds there too
+    dom, g, v = product_fields(DomainSpec(TORUS, 2, (4, 4), 5),
+                               "product_flat")
+    asm = assemble(v, 1.0, g, bounded_axis("t", t_nodes))
+    lam, q = asm.t_eigvals, asm.t_eigvecs
+    block = asm.t_operator.toarray()[:, 1:-1]
+    lam0, q0 = np.linalg.eigh(block)
+    even = np.einsum("ik,ik->k", q0, q0[::-1]) > 0.0
+    lam0, q0 = lam0[even], q0[:, even]
+    count = -(-(t_nodes - 2) // 2)
+    assert lam.shape == lam0.shape == (count,)
+    assert q.shape == (t_nodes - 2, count)
+    assert np.all(np.diff(lam) > 0.0)
+    # eigh is backward stable, exact to about eps times the largest
+    # eigenvalue: at 257 nodes that is 1.3e-12 of the smallest one
+    assert np.max(np.abs(lam - lam0)) <= 1e-12 * lam0[-1]
+    assert np.max(np.abs(block @ q - q * lam)) <= 1e-13 * lam[-1]
+    sign = np.sign(np.einsum("ik,ik->k", q, q0))
+    assert np.max(np.abs(q - q0 * sign)) <= 1e-12
+    assert np.array_equal(q, q[::-1])
+    assert np.max(np.abs(q.T @ q - np.eye(count))) <= 1e-13
 
 
 def test_assemble_flat_drift_free_matrix_is_kron_laplacian():
