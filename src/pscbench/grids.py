@@ -29,6 +29,7 @@ along it, is X.with_axis(periodic_axis("theta", n)).
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -324,8 +325,39 @@ def coordinate_columns(domain: DiscreteDomain) -> dict:
     return {a.name: g.ravel() for a, g in zip(axes, grids)}
 
 
+def rewrite(path, *chunks) -> None:
+    """Write the byte chunks to `path` as its whole contents, in place.
+
+    The file is opened without O_TRUNC, written from its start and cut at
+    the end of the chunks only when it was longer, so it ends up holding
+    exactly the chunks, like open(path, "wb"), and an existing file keeps
+    its inode and permissions. Overwriting a written file in place skips
+    the freeing and reallocation of its blocks that truncating it on open
+    costs. A path that is (or links to) a character device such as
+    /dev/null is written without a cut, which it would refuse. A write
+    that fails part way raises and may leave old bytes after the new ones.
+    """
+    out = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        end = 0
+        for chunk in chunks:
+            view = memoryview(chunk)
+            end += len(view)
+            while view:
+                view = view[os.write(out, view):]
+        if os.fstat(out).st_size > end:
+            os.ftruncate(out, end)
+    finally:
+        os.close(out)
+
+
 def fields_to_csv(path, domain: DiscreteDomain, columns: dict) -> None:
-    """One row per node: stored coordinates, then the named field columns."""
+    """One row per node: stored coordinates, then the named field columns.
+
+    The dump is UTF-8 text with "\\n" line ends, byte for byte what
+    np.savetxt(fmt="%.12g", delimiter=",") writes, and goes to `path`
+    through `rewrite` as two chunks, the header and the rows.
+    """
     fields = []
     for name, values in columns.items():
         arr = np.asarray(values, dtype=float)
@@ -334,19 +366,21 @@ def fields_to_csv(path, domain: DiscreteDomain, columns: dict) -> None:
                 f"column {name!r} has shape {arr.shape}, grid is {domain.shape}")
         fields.append(arr.ravel())
     # each axis' coordinates are formatted once, as literal text in the row
-    # formats; the text is byte for byte what np.savetxt(fmt="%.12g") writes.
+    # formats, which are bytes from the start: bytes % formats the values
+    # faster than str % does, and the rows need no encoding pass.
     # The rows of one node of the outer axes all start with that node's
     # prefix text, so they are one join of the last axis' texts, with the
     # field formats and the prefix between each two
     *outer, last = domain.stored_axes
-    prefixes = [""]
+    prefixes = [b""]
     for a in outer:
-        texts = ["%.12g," % c for c in a.coords()]
+        texts = [b"%.12g," % c for c in a.coords()]
         prefixes = [p + c for p in prefixes for c in texts]
-    texts = ["%.12g," % c for c in last.coords()]
-    tail = ",".join(["%.12g"] * len(fields)) + "\n"
+    texts = [b"%.12g," % c for c in last.coords()]
+    tail = b",".join([b"%.12g"] * len(fields)) + b"\n"
     names = [a.name for a in domain.stored_axes] + list(columns)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(names) + "\n")
-        fh.write("".join(p + (tail + p).join(texts) + tail for p in prefixes)
-                 % tuple(np.column_stack(fields).ravel().tolist()))
+    # two chunks, not one concatenation: joining the header to the rows
+    # would copy the whole dump once more at its peak
+    rewrite(path, (",".join(names) + "\n").encode("utf-8"),
+            b"".join(p + (tail + p).join(texts) + tail for p in prefixes)
+            % tuple(np.column_stack(fields).ravel().tolist()))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, NumericalFailure
-from .grids import DiscreteDomain, fields_to_csv, upper_half
+from .grids import DiscreteDomain, fields_to_csv, rewrite, upper_half
 
 FOOTER_MARK = "# --- non-deterministic footer ---"
 
@@ -90,10 +90,14 @@ def render_report(report: RunReport, fmt: str = "text") -> str:
 
 
 def emit_report(report: RunReport, fmt: str, path: str) -> str:
-    text = render_report(report, fmt)
+    """Write the report in `fmt` to `path` and return the path.
+
+    The file holds exactly render_report(report, fmt) encoded as UTF-8,
+    with "\\n" line ends on every platform; an existing file is rewritten
+    in place by grids.rewrite. An OSError is a ConfigError (exit 4).
+    """
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        rewrite(path, render_report(report, fmt).encode("utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot write report {path}: {exc}") from exc
     return path
@@ -145,6 +149,11 @@ def parse_report(path: str) -> ReportDoc:
 def write_field_csvs(report: RunReport, out_dir: str, stem: str) -> list:
     """Dump the per-node fields: slice diagnostics, u, and the three
     certificate curvatures. Only what the reached stage produced.
+
+    Each dump is `<out_dir>/<stem>_<name>.csv`, written by
+    grids.fields_to_csv (UTF-8, "\\n" line ends, rewritten in place when it
+    exists); an OSError is a ConfigError (exit 4). Returns the paths
+    written.
 
     u is even in t, so its dump holds the t >= 0 half of W: rows t = 0
     through t = 1 for every X node, each byte for byte the row a dump over

@@ -1,6 +1,10 @@
 """Every contraction that runs in metrics.py's working layout
 (component-first) gives bit for bit its node-first result, signs of zero
-included, on every kind of metric a run or a test builds."""
+included, on every kind of metric a run or a test builds. The package's
+files are written by one writer, grids.rewrite."""
+
+import ast
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -89,3 +93,29 @@ def test_component_first_kernels_are_bitwise_node_first(case):
                 k2_field_reference(u_w, du, g, v, n))
     drift = 0.05 * v
     assert_same(_coefficients(drift, 1.0, g)[1], c1_reference(drift, g))
+
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "pscbench"
+
+
+def test_no_open_call_in_the_package_writes():
+    # grids.rewrite is the only writer: an open() whose mode writes would
+    # truncate the file it rewrites. A mode that is not a literal counts
+    # as writing
+    reads, writes = 0, []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id == "open"):
+                continue
+            mode = node.args[1] if len(node.args) > 1 else next(
+                (k.value for k in node.keywords if k.arg == "mode"),
+                ast.Constant("r"))
+            if (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                    and not set(mode.value) & set("wax+")):
+                reads += 1
+            else:
+                writes.append(f"{path.name}:{node.lineno}")
+    assert reads >= 2  # config's scan and parse_report
+    assert writes == []

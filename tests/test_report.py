@@ -5,6 +5,7 @@ mark; everything timing-dependent lives below it.
 """
 
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 
 from pscbench.errors import ConfigError, NumericalFailure
 from pscbench.config import parse_config
-from pscbench.grids import fields_to_csv
+from pscbench.grids import DomainSpec, TORUS, build_domain, fields_to_csv
 from pscbench.pipeline import PSC_FLAG, run_scenario
 from pscbench.report import (FOOTER_MARK, RunReport, emit_report,
                              parse_report, render_report, report_pairs,
@@ -140,6 +141,75 @@ def test_nonfinite_value_refuses_to_emit():
 def test_unknown_format_rejected():
     with pytest.raises(ConfigError, match="unknown report format"):
         render_report(angle_only_report(), fmt="yaml")
+
+
+def write_report(path):
+    """emit_report a structured report to `path`; the bytes it must hold."""
+    rep = angle_only_report()
+    emit_report(rep, "structured", str(path))
+    return render_report(rep, "structured").encode("utf-8")
+
+
+def write_dump(path):
+    """fields_to_csv a small slice field to `path`; the bytes it must hold
+    (those of a dump into a new file)."""
+    x = build_domain(DomainSpec(TORUS, 2, (4, 5), 5)).without("t")
+    cols = {"f": np.cos(x.mesh("x")) / 3.0 * np.ones(x.shape)}
+    fields_to_csv(path, x, cols)
+    fresh = path.with_name("fresh_" + path.name)
+    fields_to_csv(fresh, x, cols)
+    return fresh.read_bytes()
+
+
+WRITERS = {"report": write_report, "dump": write_dump}
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_writer_leaves_exactly_the_new_bytes(tmp_path, writer):
+    # a longer file is cut to the new length, a shorter one grows to it
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"\xff\n" * (1 << 19))
+    want = WRITERS[writer](path)
+    assert path.read_bytes() == want
+    path.write_bytes(b"x")
+    assert WRITERS[writer](path) == want
+    assert path.read_bytes() == want
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_writer_keeps_inode_permissions_and_hard_links(tmp_path, writer):
+    path = tmp_path / "out.txt"
+    path.write_bytes(b"old contents\n" * 1000)
+    path.chmod(0o640)
+    link = tmp_path / "link.txt"
+    os.link(path, link)
+    before = path.stat()
+    want = WRITERS[writer](path)
+    after = path.stat()
+    assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+    assert link.read_bytes() == path.read_bytes() == want
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_writer_writes_through_a_symlink_to_dev_null(tmp_path, writer):
+    path = tmp_path / "out.txt"
+    path.symlink_to(os.devnull)
+    WRITERS[writer](path)
+    assert path.is_symlink()
+
+
+def test_reports_are_utf8_of_the_rendered_text(tmp_path):
+    rep = angle_only_report()
+    table = "/data/métrique/é.csv"
+    rep.body["config"]["metric.components_file"] = table
+    for fmt, name in (("text", "r.report.txt"), ("structured", "r.report.ini")):
+        path = tmp_path / name
+        emit_report(rep, fmt, str(path))
+        assert path.read_bytes() == render_report(rep, fmt).encode("utf-8")
+    path = tmp_path / "r.report.ini"
+    doc = parse_report(str(path))
+    assert doc.get("config", "metric.components_file") == table
+    assert serialize_report_doc(doc).encode("utf-8") == path.read_bytes()
 
 
 def test_write_field_csvs_emits_three_tables(tmp_path):
