@@ -23,8 +23,7 @@ from .grids import (SPHERE, TORUS, DiscreteDomain, DomainSpec, build_domain,
                     c1_norm, w_domains, with_circle)
 from .metrics import (MetricField, conformal_metric, load_metric_csv,
                       make_metric, restrict_metric)
-from .normal import (NormalFrame, angle_field, decompose_normal,
-                     ellipticity_minors, normal_frame, unit_normal)
+from .normal import NormalFrame, normal_frame, unit_normal
 from .pipeline import run_scenario
 from .report import RunReport, emit_report, parse_report, render_report
 from .solver import (OperatorAssembly, SolveReport, assemble, dtt_monitor,

@@ -14,8 +14,11 @@ class PscbenchError(Exception):
 class HypothesisViolation(PscbenchError):
     """A geometric hypothesis of the construction fails on the given data.
 
-    Raised when the maximum angle reaches pi/4 or the ellipticity margin
-    drops below threshold.
+    Raised by the pipeline's angle stage only: when the maximum section
+    angle reaches pi/4, or when the ellipticity margin 1 - |V|^2 =
+    1 - tan^2(angle) is at most normal.MARGIN_FLOOR. The two are one
+    condition (see the normal module); the margin also refuses angles
+    within round-off of pi/4.
     """
 
     exit_code = 2
@@ -25,7 +28,8 @@ class NumericalFailure(PscbenchError):
     """Numerics broke down.
 
     Singular factorization, residual above tolerance, non-SPD metric data,
-    or a frame that fails its unit/orthogonality validation.
+    a frame that fails its orientation or unit/orthogonality validation,
+    or a conformal factor outside the perturbative regime.
     """
 
     exit_code = 3

@@ -241,41 +241,26 @@ def make_metric(name: str, domain: DiscreteDomain, **params) -> MetricField:
             raise ConfigError(f"{name} requires {p.describe}, got {value}")
         values[p.name] = value
 
-    if name == "product_flat":
-        comp, d1, d2 = _identity(domain)
-
-    elif name == "twisted_flat":
-        c = values["c"]
-        comp, d1, d2 = _identity(domain)
+    # the products are the twists at zero twist: product_flat is
+    # twisted_flat at c = 0, sphere_product sphere_twist at beta0 = 0
+    comp, d1, d2 = _identity(domain)
+    if BUILTINS[name].backend == TORUS:
+        c = values.get("c", 0.0)
         ix = _opt_index(domain, "x")
         if ix is None:
-            raise ConfigError("twisted_flat needs an x axis")
+            raise ConfigError(f"{name} needs an x axis")
         comp[..., ix, ix] = 1.0 + c * c
         ith = _opt_index(domain, "theta")
         if ith is not None:
             comp[..., ix, ith] = c
             comp[..., ith, ix] = c
 
-    elif name == "sphere_product":
-        r = values["r"]
-        comp, d1, d2 = _identity(domain)
+    else:
+        r, b0 = values["r"], values.get("beta0", 0.0)
         irho = _opt_index(domain, "rho")
         ia = _opt_index(domain, "alpha")
         if irho is None or ia is None:
-            raise ConfigError("sphere_product needs rho and alpha axes")
-        rho = domain.mesh("rho")
-        comp[..., irho, irho] = r * r
-        comp[..., ia, ia] = (r * np.sin(rho)) ** 2
-        d1[..., ia, ia, irho] = r * r * np.sin(2.0 * rho)
-        d2[..., ia, ia, irho, irho] = 2.0 * r * r * np.cos(2.0 * rho)
-
-    else:  # sphere_twist
-        r, b0 = values["r"], values["beta0"]
-        comp, d1, d2 = _identity(domain)
-        irho = _opt_index(domain, "rho")
-        ia = _opt_index(domain, "alpha")
-        if irho is None or ia is None:
-            raise ConfigError("sphere_twist needs rho and alpha axes")
+            raise ConfigError(f"{name} needs rho and alpha axes")
         rho = domain.mesh("rho")
         s, s2, c2 = np.sin(rho), np.sin(2.0 * rho), np.cos(2.0 * rho)
         beta = b0 * s * s

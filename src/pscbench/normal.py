@@ -1,13 +1,23 @@
-"""Normal decomposition mu = a d_theta + V on slices X x {P}, the angle
-condition, and the ellipticity criterion.
+"""The slice normal mu on X x {P}, its drift V, the section angle and the
+ellipticity margin, all from one pairing.
 
 The slice unit normal inside X x S^1 is computed pointwise: orthogonality to
 the X directions forces H mu to be proportional to e_theta, so mu is the
-normalized theta-column of H^-1. Everything downstream is algebra on that
-vector: a = h(d_theta, mu)^-1, V = mu - a d_theta (exactly theta-free), the
-h-angle arccos(h(mu, d_theta)/|d_theta|_h), and the Sylvester minors
-1 - sum_{i<=k} b_i^2 of I - b b^T for b the orthonormal-frame components
-of V.
+normalized theta-column of H^-1. Everything downstream is algebra on the
+pairing p = h(mu, d_theta) > 0. Write mu = a d_theta + V with V tangent to
+X (mu with its theta slot zeroed). Since mu is unit and normal to X,
+1 = h(mu, mu) = a p, so a = 1/p, and
+
+  |V|^2 = |mu - a d_theta|^2 = 1 - 2 a p + a^2 |d_theta|^2
+        = |d_theta|^2 / p^2 - 1 = 1/cos^2(angle) - 1 = tan^2(angle)
+
+for the h-angle between mu and d_theta, cos(angle) = p / |d_theta|. So
+|V| = tan(angle) at every node, and the angle condition angle < pi/4 is the
+condition |V| < 1 under which the symbol h_X^-1 - V V^T of
+4 grad_V grad_V - 4 Lap + R is positive definite (matrix determinant lemma:
+det(h_X^-1 - v v^T) = det(h_X^-1) (1 - h_X(v, v)), and a rank-one
+subtraction moves at most one eigenvalue). The margin field is
+1 - h(V, V) = 1 - tan^2(angle).
 
 The ellipticity verdict uses a strict margin floor instead of > 0: discrete
 solves degenerate before the exact boundary |V|^2 = 1.
@@ -41,64 +51,15 @@ def unit_normal(h: MetricField) -> np.ndarray:
     return w / s[..., None]
 
 
-def decompose_normal(h: MetricField, mu: np.ndarray):
-    """a = h(d_theta, mu)^-1 and V = mu - a d_theta (theta component zeroed)."""
-    dom = h.domain
-    ith = dom.index("theta")
-    pair = np.einsum("...ij,...j->...i", h.comp, mu)[..., ith]
-    if float(np.min(pair)) <= 0.0:
-        raise NumericalFailure(
-            "h(d_theta, mu) <= 0 at some node: normal orientation broken")
-    a = 1.0 / pair
-    v = mu.copy()
-    v[..., ith] = 0.0
-    return a, v
-
-
-def angle_field(h: MetricField, mu: np.ndarray) -> np.ndarray:
-    """h-angle between mu and d_theta, in [0, pi/2)."""
-    dom = h.domain
-    ith = dom.index("theta")
-    pair = np.einsum("...ij,...j->...i", h.comp, mu)[..., ith]
-    cosang = pair / np.sqrt(h.comp[..., ith, ith])
-    return np.arccos(np.clip(cosang, -1.0, 1.0))
-
-
-def slice_tangent_indices(h: MetricField):
-    return [i for i, n in enumerate(h.domain.names) if n != "theta"]
-
-
-def frame_components(v: np.ndarray, h: MetricField) -> np.ndarray:
-    """Components b of V in an h-orthonormal frame of the slice.
-
-    Cholesky of the X block: h_X = L L^T, b = L^T V. Only orthonormality
-    matters; sum b_i^2 = |V|^2_h because V is tangent to X.
-    """
-    xidx = slice_tangent_indices(h)
-    hxx = h.comp[..., xidx, :][..., :, xidx]
-    chol = np.linalg.cholesky(hxx)
-    return np.einsum("...ji,...j->...i", chol, v[..., xidx])
-
-
-def ellipticity_minors(v: np.ndarray, h: MetricField):
-    """Leading principal minors of I - b b^T via 1 - sum_{i<=k} b_i^2.
-
-    Returns (dets, is_elliptic, margin); margin is the worst-node value of
-    the last minor, 1 - |V|^2.
-    """
-    b = frame_components(v, h)
-    dets = 1.0 - np.cumsum(b * b, axis=-1)
-    margin = float(np.min(dets[..., -1]))
-    return dets, margin > MARGIN_FLOOR, margin
-
-
 @dataclass
 class NormalFrame:
-    """Per-node normal data on a slice X x {P}."""
+    """Per-node normal data on a slice X x {P}: the unit normal mu, its
+    drift V, the angle to d_theta, the margin field 1 - |V|^2, and the
+    margin's worst-node value."""
     mu: np.ndarray
     v: np.ndarray
     angle: np.ndarray
-    dets: np.ndarray
+    margin_field: np.ndarray
     margin: float
     is_elliptic: bool
 
@@ -109,8 +70,16 @@ class NormalFrame:
 
 def normal_frame(h: MetricField) -> NormalFrame:
     mu = unit_normal(h)
-    _, v = decompose_normal(h, mu)
-    angle = angle_field(h, mu)
-    dets, ok, margin = ellipticity_minors(v, h)
-    return NormalFrame(mu=mu, v=v, angle=angle, dets=dets, margin=margin,
-                       is_elliptic=ok)
+    ith = h.domain.index("theta")
+    pair = np.einsum("...ij,...j->...i", h.comp, mu)[..., ith]
+    if float(np.min(pair)) <= 0.0:
+        raise NumericalFailure(
+            "h(d_theta, mu) <= 0 at some node: normal orientation broken")
+    v = mu.copy()
+    v[..., ith] = 0.0
+    angle = np.arccos(np.clip(pair / np.sqrt(h.comp[..., ith, ith]),
+                              -1.0, 1.0))
+    margin_field = 1.0 - h.norm2(v)
+    margin = float(np.min(margin_field))
+    return NormalFrame(mu=mu, v=v, angle=angle, margin_field=margin_field,
+                       margin=margin, is_elliptic=margin > MARGIN_FLOOR)

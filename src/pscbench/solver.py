@@ -93,7 +93,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import HypothesisViolation, NumericalFailure
+from .errors import NumericalFailure
 from .fd import PERIODIC, Stencil, diff_matrix
 from .forcing import monitor_core
 from .grids import Axis, DiscreteDomain, gradient
@@ -561,7 +561,12 @@ def assemble(v_x: np.ndarray, potential, metric_x: MetricField,
     """The operator on W = X x t_axis for g = h_X + dt^2 (metric_x = h_X)
     and a drift tangent to X with components v_x: L_X on the slice grid,
     T = -4 D2_t and the even eigenpairs of T's Dirichlet block, the
-    closed-form sines of odd k."""
+    closed-form sines of odd k.
+
+    The caller guarantees ellipticity, which is not checked here: the
+    symbol h_X^-1 - v v^T is positive definite iff 1 - h_X(v, v) > 0
+    (matrix determinant lemma), the margin that normal.normal_frame
+    computes and the pipeline refuses before it assembles."""
     x = metric_x.domain
     c2, c1, c0 = _coefficients(v_x, potential, metric_x)
 
@@ -598,19 +603,12 @@ def assemble(v_x: np.ndarray, potential, metric_x: MetricField,
 
 def _coefficients(v: np.ndarray, potential, metric: MetricField):
     """(c2, c1, c0) on the metric's domain, each in the grid shape its
-    inputs come with. The principal symbol must be positive definite at
-    every node, virtual directions included."""
+    inputs come with."""
     dom = metric.domain
     inv = metric.inverse
     v = np.asarray(v, dtype=float)
     c0 = np.asarray(potential, dtype=float)
     np.broadcast_to(v, dom.shape + (dom.dim,))  # raises on a shape mismatch
-
-    symbol = inv - v[..., :, None] * v[..., None, :]
-    eigmin = float(np.min(np.linalg.eigvalsh(symbol)))
-    if eigmin <= 0.0:
-        raise HypothesisViolation(
-            f"operator symbol loses ellipticity: min eigenvalue {eigmin:.3e}")
 
     # term1 and term3 sum over trailing axes and stay node-first
     # (metrics.py, working layout)

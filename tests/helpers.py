@@ -56,15 +56,25 @@ def laplacian(metric, f):
     return laplacian_trace(metric, *derivatives(metric.domain, f))
 
 
+def theta_pairing(h, mu):
+    """h(mu, d_theta) at every node."""
+    ith = h.domain.index("theta")
+    return np.einsum("...ij,...j->...i", h.comp, mu)[..., ith]
+
+
+def vertical_coefficient(h, mu):
+    """a = 1/h(d_theta, mu), the d_theta coefficient of mu = a d_theta + V
+    (h(mu, mu) = 1 and mu is normal to V)."""
+    return 1.0 / theta_pairing(h, mu)
+
+
 def v_norm2_ratio(h, mu):
     """|V|^2 via the identity -1 + h(d_theta,d_theta)/h(mu,d_theta)^2.
 
     Independent of the direct h(V, V) evaluation; the two must agree.
     """
-    dom = h.domain
-    ith = dom.index("theta")
-    pair = np.einsum("...ij,...j->...i", h.comp, mu)[..., ith]
-    return -1.0 + h.comp[..., ith, ith] / pair ** 2
+    ith = h.domain.index("theta")
+    return -1.0 + h.comp[..., ith, ith] / theta_pairing(h, mu) ** 2
 
 
 def minors_direct(b):

@@ -27,7 +27,7 @@ from pscbench.forcing import (build_bump, bump_profile, calibrate_epsilon,
 from pscbench.grids import (SPHERE, TORUS, DomainSpec, build_domain, c1_norm,
                             gradient, w_domains, with_circle)
 from pscbench.metrics import as_fd, make_metric, restrict_metric
-from pscbench.normal import angle_field, normal_frame, unit_normal
+from pscbench.normal import normal_frame
 from pscbench.conformal import b1_operator, laplacian_comparison
 from pscbench.pipeline import run_scenario
 from pscbench.solver import assemble, dtt_monitor, solve_dirichlet
@@ -74,8 +74,8 @@ def test_criterion_02_angle_value_and_halfspace_equivalence():
     for c in (0.0, 0.5, 0.99, 1.0, 1.5):
         y = torus_y()
         h = make_metric("twisted_flat", y, c=c)
-        mu = unit_normal(h)
-        angle = angle_field(h, mu)
+        fr = normal_frame(h)
+        mu, angle = fr.mu, fr.angle
         angle_ok &= float(np.max(np.abs(angle - math.atan(c)))) < 1e-10
         itheta = y.index("theta")
         h_tt = h.comp[..., itheta, itheta]

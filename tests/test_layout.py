@@ -1,7 +1,8 @@
 """Every contraction that runs in metrics.py's working layout
 (component-first) gives bit for bit its node-first result, signs of zero
 included, on every kind of metric a run or a test builds. The package's
-files are written by one writer, grids.rewrite."""
+files are written by one writer, grids.rewrite, and each condition it
+refuses is raised at one site."""
 
 import ast
 from pathlib import Path
@@ -119,3 +120,39 @@ def test_no_open_call_in_the_package_writes():
                 writes.append(f"{path.name}:{node.lineno}")
     assert reads >= 2  # config's scan and parse_report
     assert writes == []
+
+
+def _message_head(call):
+    """The literal text a raise's message starts with, up to its first
+    colon: the condition it names, before any formatted value."""
+    text = ""
+    if call.args:
+        arg = call.args[0]
+        parts = arg.values if isinstance(arg, ast.JoinedStr) else [arg]
+        for part in parts:
+            if not (isinstance(part, ast.Constant)
+                    and isinstance(part.value, str)):
+                break
+            text += part.value
+    return text.split(":")[0].strip()
+
+
+def test_each_refused_condition_is_raised_at_one_site():
+    # every HypothesisViolation and NumericalFailure names its condition in
+    # literal text, and no two raise sites name the same one: a condition
+    # is decided once, where the run first has what it needs
+    sites = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            call = node.exc if isinstance(node, ast.Raise) else None
+            if not (isinstance(call, ast.Call)
+                    and isinstance(call.func, ast.Name)
+                    and call.func.id in ("HypothesisViolation",
+                                         "NumericalFailure")):
+                continue
+            head = _message_head(call)
+            assert head, f"{path.name}:{node.lineno} has no literal message"
+            sites.setdefault(head, []).append(f"{path.name}:{node.lineno}")
+    assert len(sites) >= 10
+    shared = {head: where for head, where in sites.items() if len(where) > 1}
+    assert shared == {}

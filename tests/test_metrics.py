@@ -71,6 +71,22 @@ def test_sphere_twist_cross_term(sphere_y):
                        np.sin(rho) ** 2 + (b0 * np.sin(rho) ** 2) ** 2)
 
 
+def test_products_are_the_twists_at_zero_twist():
+    torus = w_domains(DomainSpec(TORUS, 2, (8, 6), 5))
+    sphere = w_domains(DomainSpec(SPHERE, 2, (16,), 5))
+    cases = ([(dom, ("product_flat", {}), ("twisted_flat", {"c": 0.0}))
+              for dom in (torus["x"], torus["y"], stored_theta_y(6))]
+             + [(dom, ("sphere_product", {"r": 1.3}),
+                 ("sphere_twist", {"r": 1.3, "beta0": 0.0}))
+                for dom in (sphere["x"], sphere["y"])])
+    for dom, (product, p_params), (twist, t_params) in cases:
+        g = make_metric(product, dom, **p_params)
+        t = make_metric(twist, dom, **t_params)
+        for name in ("comp", "d1", "d2"):
+            assert np.array_equal(getattr(g, name), getattr(t, name)), \
+                f"{product} {name} on {dom.names}"
+
+
 def test_make_metric_validation(torus_y, sphere_y):
     with pytest.raises(ConfigError):
         make_metric("twisted_flat", torus_y, c=-0.1)

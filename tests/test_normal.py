@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pscbench.grids import DomainSpec, w_domains, TORUS, SPHERE
-from pscbench.metrics import MetricField, make_metric, conformal_metric
-from pscbench.normal import (MARGIN_FLOOR, unit_normal, decompose_normal,
-                             angle_field, frame_components,
-                             ellipticity_minors, normal_frame)
+from pscbench.metrics import (MetricField, as_fd, make_metric,
+                              conformal_metric, restrict_metric)
+from pscbench.normal import MARGIN_FLOOR, normal_frame
 
-from helpers import inner, minors_direct, v_norm2_ratio
+from helpers import inner, minors_direct, v_norm2_ratio, vertical_coefficient
 
 
 def torus_y(res=8):
@@ -33,7 +32,7 @@ def frame_invariants(h):
     e_th[..., ith] = 1.0
     inner_th = inner(h, fr.mu, e_th)
     assert np.min(inner_th) > 0.0
-    assert np.max(np.abs(decompose_normal(h, fr.mu)[0] * inner_th - 1.0)) \
+    assert np.max(np.abs(vertical_coefficient(h, fr.mu) * inner_th - 1.0)) \
         < 1e-10
     for nm in dom.names:
         if nm == "theta":
@@ -59,11 +58,11 @@ def test_twisted_frame_closed_form():
     ix, ith = y.index("x"), y.index("theta")
     assert np.allclose(fr.mu[..., ix], -c / s, atol=1e-12)
     assert np.allclose(fr.mu[..., ith], s, atol=1e-12)
-    assert np.allclose(decompose_normal(h, fr.mu)[0], s, atol=1e-12)
+    assert np.allclose(vertical_coefficient(h, fr.mu), s, atol=1e-12)
     assert np.allclose(fr.v[..., ix], -c / s, atol=1e-12)
     assert np.allclose(h.norm2(fr.v), c * c, atol=1e-12)
     assert np.allclose(fr.angle, math.atan(c), atol=1e-10)
-    assert np.allclose(fr.dets, 1 - c * c, atol=1e-12)
+    assert np.allclose(fr.margin_field, 1 - c * c, atol=1e-12)
     assert fr.margin == pytest.approx(1 - c * c, abs=1e-12)
     assert fr.is_elliptic
 
@@ -130,14 +129,17 @@ def test_ellipticity_minors_from_metric():
     c = 0.5
     y = torus_y()
     h = make_metric("twisted_flat", y, c=c)
-    mu = unit_normal(h)
-    _, v = decompose_normal(h, mu)
-    b = frame_components(v, h)
-    # L^T V has length |V|_h by construction
+    fr = normal_frame(h)
+    # components b = L^T V of V in an orthonormal frame of the slice, from
+    # the Cholesky factor h_X = L L^T; L^T V has length |V|_h
+    xidx = [y.index(nm) for nm in ("x", "y")]
+    chol = np.linalg.cholesky(h.comp[..., xidx, :][..., :, xidx])
+    b = np.einsum("...ji,...j->...i", chol, fr.v[..., xidx])
     assert np.allclose(np.sum(b * b, axis=-1), c * c, atol=1e-12)
-    dets, elliptic, margin = ellipticity_minors(v, h)
-    assert np.max(np.abs(dets - minors_direct(b))) < 1e-12
-    assert elliptic and margin == pytest.approx(1 - c * c, abs=1e-12)
+    # the margin field is the last leading minor of I - b b^T
+    assert np.max(np.abs(fr.margin_field - minors_direct(b)[..., -1])) < 1e-12
+    assert fr.is_elliptic
+    assert fr.margin == pytest.approx(1 - c * c, abs=1e-12)
 
 
 @settings(max_examples=30, deadline=None)
@@ -149,8 +151,8 @@ def test_angle_is_conformally_invariant(c, amp, seed):
     phi = amp * np.cos(y.mesh("x") + rng.uniform(0, 2 * np.pi)) \
         * np.sin(y.mesh("y") + rng.uniform(0, 2 * np.pi)) * np.ones(y.shape)
     h2 = conformal_metric(h, phi)
-    a1 = angle_field(h, unit_normal(h))
-    a2 = angle_field(h2, unit_normal(h2))
+    a1 = normal_frame(h).angle
+    a2 = normal_frame(h2).angle
     # arccos near 1 turns eps-level roundoff into sqrt(eps) angle noise
     assert np.max(np.abs(a1 - a2)) < 1e-7
 
@@ -160,10 +162,71 @@ def test_angle_halfspace_equivalence():
     for c in (0.5, 1.0, 1.5):
         y = torus_y()
         h = make_metric("twisted_flat", y, c=c)
-        mu = unit_normal(h)
-        ang = angle_field(h, mu)
+        fr = normal_frame(h)
         ith = y.index("theta")
         e_th = np.zeros(y.shape + (3,))
         e_th[..., ith] = 1.0
-        ratio = h.comp[..., ith, ith] / inner(h, mu, e_th) ** 2
-        assert np.array_equal(ang < np.pi / 4, ratio < 2.0)
+        ratio = h.comp[..., ith, ith] / inner(h, fr.mu, e_th) ** 2
+        assert np.array_equal(fr.angle < np.pi / 4, ratio < 2.0)
+
+
+def random_torus_metric(data):
+    """An SPD metric on the torus Y in the form h = A + f^2 (dtheta + beta)^2,
+    A the X block of a random smooth SPD field and f, beta random smooth
+    fields, so that g_theta_theta = f^2 and g_X_theta = f^2 beta both vary;
+    its jets are finite differences. Every SPD metric has this form."""
+    doms = w_domains(DomainSpec(TORUS, 2, (6, 5), 5))
+    y = doms["y"]
+    xs, ys = y.mesh("x"), y.mesh("y")
+    draw = lambda lo, hi: data.draw(st.floats(lo, hi))
+    wave = lambda: np.sin(draw(0.0, 2.0) * xs + draw(-2.0, 2.0) * ys
+                          + draw(0.0, 2.0 * math.pi)) * np.ones(y.shape)
+    comp = np.zeros(y.shape + (3, 3))
+    # A >= 0.5, f^2 <= 2 and |beta|^2 <= 3, so tan^2(angle) =
+    # f^2 |beta|^2_{A^-1} <= 12: past the pi/4 cutoff at 1 on some draws,
+    # and small enough for a 1e-12 comparison
+    comp[..., 0, 0] = draw(1.0, 2.0) + draw(0.0, 0.3) * wave()
+    comp[..., 1, 1] = draw(1.0, 2.0) + draw(0.0, 0.3) * wave()
+    comp[..., 0, 1] = comp[..., 1, 0] = draw(-0.2, 0.2) * wave()
+    f2 = (draw(0.5, 1.2) + draw(0.0, 0.2) * wave()) ** 2
+    beta = [draw(0.0, 1.2) * wave(), draw(0.0, 1.2) * wave()]
+    ith = y.index("theta")
+    comp[..., ith, ith] = f2
+    for i in (0, 1):
+        comp[..., i, ith] = comp[..., ith, i] = f2 * beta[i]
+        for j in (0, 1):
+            comp[..., i, j] += f2 * beta[i] * beta[j]
+    zeros = np.zeros(y.shape + (3, 3, 3))
+    h = as_fd(MetricField(y, comp, zeros, np.zeros(zeros.shape + (3,))))
+    return h, doms["x"]
+
+
+def random_sphere_twist(data):
+    doms = w_domains(DomainSpec(SPHERE, 2, (24,), 5))
+    # the worst |V| is beta0 / r at the equator: up to 2, past the pi/4
+    # cutoff at 1, with tan^2(angle) small enough for a 1e-12 comparison
+    r = data.draw(st.floats(0.5, 2.0))
+    h = make_metric("sphere_twist", doms["y"], r=r,
+                    beta0=data.draw(st.floats(0.0, 2.0 * r)))
+    return h, doms["x"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data(), sphere=st.booleans())
+def test_margin_is_one_minus_tan2_and_decides_the_symbol(data, sphere):
+    h, x = (random_sphere_twist if sphere else random_torus_metric)(data)
+    fr = normal_frame(h)
+    # |V| = tan(angle): the margin field is 1 - h(V, V) = 1 - tan^2(angle)
+    assert np.max(np.abs(fr.margin_field - (1.0 - inner(h, fr.v, fr.v)))) \
+        < 1e-12
+    assert np.max(np.abs(fr.margin_field - (1.0 - np.tan(fr.angle) ** 2))) \
+        < 1e-12
+    # the operator symbol h_X^-1 - v v^T is positive definite exactly where
+    # the margin is positive (matrix determinant lemma)
+    v_x = fr.v[..., [h.domain.index(nm) for nm in x.names]]
+    symbol = (restrict_metric(h, x).inverse
+              - v_x[..., :, None] * v_x[..., None, :])
+    eigmin = np.linalg.eigvalsh(symbol)[..., 0]
+    decided = np.abs(fr.margin_field) >= 1e-12
+    assert np.array_equal((eigmin > 0.0)[decided],
+                          (fr.margin_field > 0.0)[decided])

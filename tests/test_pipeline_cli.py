@@ -10,7 +10,7 @@ import pytest
 
 from pscbench import cli, conformal, fd, metrics, pipeline, solver
 from pscbench.config import parse_config
-from pscbench.errors import ConfigError, HypothesisViolation
+from pscbench.errors import ConfigError, HypothesisViolation, NumericalFailure
 from pscbench.forcing import forcing_norm
 from pscbench.grids import c1_norm, gradient, w_domains
 from pscbench.metrics import MetricField, restrict_metric
@@ -264,6 +264,24 @@ def test_certificate_differentiates_phi_y_once(tmp_path, monkeypatch, text,
                             tagged(name, getattr(pipeline, name)))
     run_scenario(parse_config(write(tmp_path, "s.cfg", text)))
     assert calls == {"certificate": diffs, "lift_solution": 0}
+
+
+def test_k2_refusal_comes_before_the_certificate(tmp_path, monkeypatch):
+    # max|K2| >= 1 is refused right after K2, before the bound, the chain
+    # and the exact evaluation run
+    def large_k2(*args):
+        return np.full(args[0].shape, 1.5)
+
+    def certificate(*args, **kwargs):
+        raise AssertionError("certificate ran after max|K2| >= 1")
+
+    monkeypatch.setattr(pipeline, "k2_field", large_k2)
+    monkeypatch.setattr(pipeline, "certificate", certificate)
+    with pytest.raises(NumericalFailure,
+                       match=r"gradient correction max\|K2\| = 1\.500e\+00 "
+                             r">= 1") as err:
+        run_scenario(parse_config(write(tmp_path, "s.cfg", SPHERE_TWIST)))
+    assert err.value.exit_code == 3
 
 
 @pytest.mark.parametrize("text, w_diffs, passes",

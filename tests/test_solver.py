@@ -17,7 +17,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from hypothesis import assume, given, settings, strategies as st
 
-from pscbench.errors import ConfigError, HypothesisViolation, NumericalFailure
+from pscbench.errors import ConfigError, NumericalFailure
 from pscbench.grids import (DomainSpec, bounded_axis, build_domain, c1_norm,
                             gradient, w_domains, TORUS, SPHERE)
 from pscbench.metrics import make_metric, restrict_metric
@@ -308,18 +308,6 @@ def test_odd_forcing_fails_the_residual_check():
     with pytest.raises(NumericalFailure, match="residual") as err:
         solve_dirichlet(asm, odd)
     assert err.value.exit_code == 3
-
-
-def test_symbol_loses_ellipticity_with_unit_drift():
-    dom, g, v = product_fields(DomainSpec(TORUS, 2, (6, 6), 7),
-                               "product_flat")
-    v = np.array(v)
-    v[..., 0] = 1.2
-    with pytest.raises(HypothesisViolation):
-        assemble(v, 1.0, g, dom.axis("t"))
-    v[..., 0] = 1.0  # borderline: symbol is singular, not positive
-    with pytest.raises(HypothesisViolation):
-        assemble(v, 1.0, g, dom.axis("t"))
 
 
 def test_anisotropy_warning():
