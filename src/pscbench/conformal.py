@@ -42,7 +42,7 @@ from .errors import ConfigError, NumericalFailure
 from .fd import Stencil
 from .grids import DiscreteDomain, derivatives
 from .metrics import MetricField, _front, conformal_metric
-from .solver import operator_matrix, slice_apply
+from .solver import operator_matrix
 
 POSITIVITY_FLOOR = 1e-8
 
@@ -183,8 +183,10 @@ def b1_operator(metric_y: MetricField,
 def laplacian_comparison(w: DiscreteDomain, u: np.ndarray,
                          b1: Stencil):
     """B1 over the W nodes, the operator b1 (b1_operator) applied to every
-    t slice of u, and K1 = 4 sup|B1|."""
-    b1_u = slice_apply(b1, w, u)
+    t slice of u, a field that broadcasts to W's shape (t its last stored
+    axis, see solver.assemble), and K1 = 4 sup|B1|."""
+    f = np.broadcast_to(u, w.shape)
+    b1_u = (b1 @ f.reshape(b1.shape[1], -1)).reshape(w.shape)
     return b1_u, 4.0 * float(np.max(np.abs(b1_u)))
 
 

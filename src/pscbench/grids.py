@@ -8,11 +8,8 @@ grid. Vector and tensor fields carry trailing component dimensions indexed
 by the full coordinate order, virtual axes included, so tensor algebra never
 needs to know which axes happen to be stored.
 
-A field that is constant along a stored axis may hold it at length 1
-instead of the axis' node count; such an axis differentiates to zero,
-exactly as a virtual one does. Only the solution u and the forcing bump
-carry t: every other field of a run (metric, curvature, drift) lives on
-the t-free slice domains X and Y.
+Only the solution u and the forcing bump carry t: every other field of a
+run (metric, curvature, drift) lives on the t-free slice domains X and Y.
 
 Domain construction for a run:
 
@@ -169,14 +166,13 @@ class DiscreteDomain:
         return a.coords().reshape(shp)
 
     def diff(self, values: np.ndarray, name: str, order: int) -> np.ndarray:
-        """Partial derivative along a coordinate axis; zero for virtual axes
-        and for stored axes along which `values` has length 1.
+        """Partial derivative along a coordinate axis; zero for virtual axes.
 
         Trailing component dimensions pass through untouched.
         """
         a = self.axis(name)
         k = self.array_axis(name)
-        if k is None or values.shape[k] == 1:
+        if k is None:
             return np.zeros_like(values)
         return fd.apply_diff(values, k, order, a.n, a.spacing, a.closure)
 

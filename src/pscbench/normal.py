@@ -1,10 +1,10 @@
 """The slice normal mu on X x {P}, its drift V, the section angle and the
-ellipticity margin, all from one pairing.
+ellipticity margin, the last two from one norm h(V, V).
 
 The slice unit normal inside X x S^1 is computed pointwise: orthogonality to
 the X directions forces H mu to be proportional to e_theta, so mu is the
-normalized theta-column of H^-1. Everything downstream is algebra on the
-pairing p = h(mu, d_theta) > 0. Write mu = a d_theta + V with V tangent to
+normalized theta-column of H^-1, oriented by the pairing
+p = h(mu, d_theta) > 0. Write mu = a d_theta + V with V tangent to
 X (mu with its theta slot zeroed). Since mu is unit and normal to X,
 1 = h(mu, mu) = a p, so a = 1/p, and
 
@@ -12,12 +12,14 @@ X (mu with its theta slot zeroed). Since mu is unit and normal to X,
         = |d_theta|^2 / p^2 - 1 = 1/cos^2(angle) - 1 = tan^2(angle)
 
 for the h-angle between mu and d_theta, cos(angle) = p / |d_theta|. So
-|V| = tan(angle) at every node, and the angle condition angle < pi/4 is the
-condition |V| < 1 under which the symbol h_X^-1 - V V^T of
-4 grad_V grad_V - 4 Lap + R is positive definite (matrix determinant lemma:
-det(h_X^-1 - v v^T) = det(h_X^-1) (1 - h_X(v, v)), and a rank-one
-subtraction moves at most one eigenvalue). The margin field is
-1 - h(V, V) = 1 - tan^2(angle).
+|V| = tan(angle) at every node, and the angle is taken as
+arctan(sqrt(h(V, V))), which keeps its relative precision as the angle
+goes to 0, where arccos(p / |d_theta|) loses it. The angle condition
+angle < pi/4 is the condition |V| < 1 under which the symbol
+h_X^-1 - V V^T of 4 grad_V grad_V - 4 Lap + R is positive definite
+(matrix determinant lemma: det(h_X^-1 - v v^T) = det(h_X^-1)
+(1 - h_X(v, v)), and a rank-one subtraction moves at most one
+eigenvalue). The margin field is 1 - h(V, V) = 1 - tan^2(angle).
 
 The ellipticity verdict uses a strict margin floor instead of > 0: discrete
 solves degenerate before the exact boundary |V|^2 = 1.
@@ -77,9 +79,9 @@ def normal_frame(h: MetricField) -> NormalFrame:
             "h(d_theta, mu) <= 0 at some node: normal orientation broken")
     v = mu.copy()
     v[..., ith] = 0.0
-    angle = np.arccos(np.clip(pair / np.sqrt(h.comp[..., ith, ith]),
-                              -1.0, 1.0))
-    margin_field = 1.0 - h.norm2(v)
+    v2 = h.norm2(v)
+    angle = np.arctan(np.sqrt(v2))
+    margin_field = 1.0 - v2
     margin = float(np.min(margin_field))
     return NormalFrame(mu=mu, v=v, angle=angle, margin_field=margin_field,
                        margin=margin, is_elliptic=margin > MARGIN_FLOOR)

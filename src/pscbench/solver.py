@@ -52,10 +52,10 @@ eigenvalues reach about 16/dt^2, far above L_X's diagonal, so most modes
 have a small q_k. The factor-route rule:
 
 - A mode with q_k <= JACOBI_Q_MAX is solved by Jacobi sweeps, counted
-  before any solve: s_k, the fewest with q_k^(s_k+1) <= 2^-52, is worked
-  out for each such mode, and all of them take the largest s_k at once,
-  one stencil product per sweep. A strictly dominant block is regular, so
-  this route cannot fail.
+  before any solve: one count s, the fewest with q_k^(s+1) <= 2^-52 for
+  every such mode (q^(s+1) grows with q, so the largest q_k sets it), and
+  all of them take s sweeps at once, one stencil product per sweep. A
+  strictly dominant block is regular, so this route cannot fail.
 - The remaining low modes are factored together, by one block LU
   batched over modes (route "block_lu"). With the nodes of every periodic
   slice axis read in ring order 0, n-1, 1, n-2, ... (mirror and bounded
@@ -122,7 +122,7 @@ CYCLIC_MAX_ORDER = 4
 def __getattr__(name):
     # `solver.spla` is scipy.sparse.linalg, imported on first access: no
     # route calls it, but perfbench's tracer wraps `spla.splu` here when it
-    # installs. ROADMAP item 9, which re-points that hook, retires this.
+    # installs. ROADMAP item 8, which re-points that hook, retires this.
     if name == "spla":
         import scipy.sparse.linalg
         return scipy.sparse.linalg
@@ -147,34 +147,6 @@ def slice_order(axes) -> np.ndarray:
     index = np.arange(int(np.prod(shape))).reshape(shape)
     return index[np.ix_(*[ring_order(ax.n) if ax.closure == PERIODIC
                           else np.arange(ax.n) for ax in axes])].ravel()
-
-
-class _JacobiModes:
-    """Plain Jacobi sweeps on the strictly diagonally dominant blocks
-    L_X + lam_k I, one per mode, with `off` L_X less its diagonal `diag`
-    and q the modes' contraction bounds.
-
-    From the start D^-1 f_k, s sweeps bound mode k's error by
-    q_k^(s+1) times its solution; `sweeps[k]` is the fewest that bring
-    that bound to 2^-52 or below. Every mode takes the largest of them,
-    so that each sweep is one stencil product on an (|X|, modes) array; more
-    sweeps only lower a mode's bound. Over no modes it does nothing."""
-
-    def __init__(self, off: Stencil, diag: np.ndarray,
-                 lam: np.ndarray, q: np.ndarray):
-        self.sweeps = np.zeros(q.shape, dtype=int)
-        while np.any(short := q ** (self.sweeps + 1) > 2.0 ** -52):
-            self.sweeps += short
-        self._off = off
-        self._diag = diag[:, None] + lam
-
-    def solve(self, f: np.ndarray) -> np.ndarray:
-        """The blocks' solutions for right-hand sides f, one column per
-        mode."""
-        w = f / self._diag
-        for _ in range(int(self.sweeps.max(initial=0))):
-            w = (f - self._off @ w) / self._diag
-        return w
 
 
 def _weakest_pivot(a: np.ndarray) -> int:
@@ -447,12 +419,16 @@ class _BlockLU:
 class _SliceSolve:
     """The solve of the block-diagonal kron(L_X, I) + kron(I, diag(lam))
     over all even modes, one column per mode, split by mode as the module
-    docstring's factor-route rule says: Jacobi sweeps (`jacobi`,
-    _JacobiModes) on the modes `high`, those with q_k <= JACOBI_Q_MAX, and
-    one block LU (`factor`, _BlockLU, None when no mode is factored) of
-    the modes `low`, with the slice nodes read in `order`. `stats` names
+    docstring's factor-route rule says. The modes `high`, those with
+    q_k <= JACOBI_Q_MAX, take plain Jacobi sweeps from D^-1 f on their
+    strictly diagonally dominant blocks, all at once: `off` is L_X less
+    its diagonal, `diag` the iterated blocks' diagonals, one column per
+    mode, and `sweeps` the one sweep count, the fewest s with
+    q_k^(s+1) <= 2^-52 for every iterated mode (0 when none is). The
+    modes `low` are factored by one block LU (`factor`, _BlockLU, None
+    when no mode is), with the slice nodes read in `order`. `stats` names
     the route, the entries the factor stores, the iterated modes and the
-    largest sweep count."""
+    sweep count."""
 
     def __init__(self, lx: Stencil, lam: np.ndarray, order: np.ndarray):
         rows, cols, vals = lx.entries()
@@ -466,24 +442,30 @@ class _SliceSolve:
         iterated = q <= JACOBI_Q_MAX
         self.low = np.flatnonzero(~iterated)
         self.high = np.flatnonzero(iterated)
-        # L_X with its diagonal entries dropped
-        off = Stencil.from_entries(rows[is_off], cols[is_off], vals[is_off],
-                                   lx.shape)
-        self.jacobi = _JacobiModes(off, diag, lam[self.high], q[self.high])
+        self.off = Stencil.from_entries(rows[is_off], cols[is_off],
+                                        vals[is_off], lx.shape)
+        self.diag = diag[:, None] + lam[self.high]
+        self.sweeps = 0
+        while np.any(q[self.high] ** (self.sweeps + 1) > 2.0 ** -52):
+            self.sweeps += 1
         self.factor = (_BlockLU(lx, lam[self.low], order, self.low)
                        if self.low.size else None)
         self.stats = {
             "factor": "none" if self.factor is None else "block_lu",
             "factor_nnz": 0 if self.factor is None else self.factor.store.size,
             "jacobi_modes": int(self.high.size),
-            "jacobi_sweeps": int(self.jacobi.sweeps.max(initial=0))}
+            "jacobi_sweeps": self.sweeps}
 
     def solve(self, f: np.ndarray) -> np.ndarray:
         """The solution for right-hand sides f, shaped (|X|, modes)."""
         w = np.empty_like(f)
         if self.factor is not None:
             w[:, self.low] = self.factor.solve(f[:, self.low])
-        w[:, self.high] = self.jacobi.solve(f[:, self.high])
+        f = f[:, self.high]
+        w_high = f / self.diag
+        for _ in range(self.sweeps):
+            w_high = (f - self.off @ w_high) / self.diag
+        w[:, self.high] = w_high
         return w
 
 
@@ -540,15 +522,6 @@ class OperatorAssembly:
         return out.reshape(self.domain.shape)
 
 
-def slice_apply(mat: Stencil, domain: DiscreteDomain,
-                values: np.ndarray) -> np.ndarray:
-    """A matrix on the slice grid (the domain without t) applied to every
-    t slice of a field that broadcasts to the domain's shape, whose last
-    stored axis is t (see `assemble`)."""
-    f = np.broadcast_to(values, domain.shape)
-    return (mat @ f.reshape(mat.shape[1], -1)).reshape(domain.shape)
-
-
 @dataclass(frozen=True)
 class SolveReport:
     """Solution of one Dirichlet solve plus the numbers the pipeline audits."""
@@ -594,7 +567,7 @@ def assemble(v_x: np.ndarray, potential, metric_x: MetricField,
     q = 0.5 * (q + q[::-1])
     # t is W's last stored axis, here as in grids.build_domain: a field on
     # W reshaped to (|X|, t nodes) holds each slice node's t column, so
-    # the solve, the residual and slice_apply read fields as they are
+    # the solve, the residual and B1's product read fields as they are
     return OperatorAssembly(
         domain=x.with_axis(t_axis),
         slice_operator=operator_matrix(x, c2, c1, c0),
@@ -673,14 +646,6 @@ def operator_matrix(dom: DiscreteDomain, c2, c1, c0) -> Stencil:
                                 np.concatenate(values), (n, n))
 
 
-def _dirichlet_rhs(assembly: OperatorAssembly, forcing) -> np.ndarray:
-    """The forcing on the assembly's domain, zeroed at t = +-1."""
-    rhs = np.array(np.broadcast_to(forcing, assembly.domain.shape),
-                   dtype=float)
-    rhs[..., [0, -1]] = 0.0
-    return rhs
-
-
 def solve_dirichlet(assembly: OperatorAssembly, forcing,
                     tolerance: float = 1e-10, start=None) -> SolveReport:
     """Solve L u = F with u = 0 at t = +-1.
@@ -701,9 +666,11 @@ def solve_dirichlet(assembly: OperatorAssembly, forcing,
     t = +-1); its stats hold the final residual (`residual_inf`) and name
     the factor route (`factor`: block_lu or none), its stored entries
     (`factor_nnz`), the modes solved by Jacobi sweeps (`jacobi_modes`) and
-    the largest sweep count (`jacobi_sweeps`).
+    their one sweep count (`jacobi_sweeps`).
     """
-    rhs = _dirichlet_rhs(assembly, forcing)
+    rhs = np.array(np.broadcast_to(forcing, assembly.domain.shape),
+                   dtype=float)
+    rhs[..., [0, -1]] = 0.0
     u = assembly.solve(rhs) if start is None else start
     resid = rhs - assembly.apply(u)
     refinements = 0

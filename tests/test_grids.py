@@ -116,10 +116,6 @@ def test_diff_along_virtual_axis_is_zero():
     y = doms["y"]
     f = np.cos(y.mesh("x"))
     assert np.max(np.abs(y.diff(f, "theta", 1))) == 0.0
-    # f holds the stored y axis at length 1 (constant along y): zero too
-    for order in (1, 2):
-        dy = y.diff(f, "y", order)
-        assert dy.shape == f.shape and np.max(np.abs(dy)) == 0.0
 
 
 def test_lp_norm_of_unit_field():

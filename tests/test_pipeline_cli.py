@@ -662,10 +662,11 @@ SHIPPED_SOLVE = {
     "twisted_flat_c05": (2.2, 0.5, 105.931710489),
     "twisted_t3_c05": (2.2, 0.5, 665.588566909),
 }
-# (solver_factor, solver_factor_nnz, solver_jacobi_modes) over 24 even
-# t-modes: the diagonally dominant modes are iterated, the low ones
-# factored by the block LU. The sphere slices (48 colatitude nodes, two
-# sub- and super-diagonals: 24 blocks of 2 x 2) iterate none and are
+# (solver_factor, solver_factor_nnz, solver_jacobi_modes,
+# solver_jacobi_sweeps) over 24 even t-modes: the diagonally dominant modes
+# are iterated, all by one sweep count, the low ones factored by the block
+# LU. The sphere slices (48 colatitude nodes, two sub- and
+# super-diagonals: 24 blocks of 2 x 2) iterate none and are
 # reduced cyclically, storing 106 blocks per mode (58, 28, 13 and 6 over
 # the levels of 24, 12, 6 and 3 blocks, and the last inverse). The 12^2
 # torus slices, with both periodic axes in ring order (kl = ku = 24: 6
@@ -674,11 +675,11 @@ SHIPPED_SOLVE = {
 # 6 upper blocks. The 12^3 slice of the n = 4 control (kl = ku = 288: 6
 # blocks) does the same for its 4 low modes
 SHIPPED_FACTOR = {
-    "flat_torus": ("block_lu", (2 * 4 + 1) * 6 * 24 ** 2, 20),
-    "sphere_product": ("block_lu", 24 * 106 * 2 ** 2, 0),
-    "sphere_twist": ("block_lu", 24 * 106 * 2 ** 2, 0),
-    "twisted_flat_c05": ("block_lu", (2 * 3 + 1) * 6 * 24 ** 2, 21),
-    "twisted_t3_c05": ("block_lu", (2 * 4 + 1) * 6 * 288 ** 2, 20),
+    "flat_torus": ("block_lu", (2 * 4 + 1) * 6 * 24 ** 2, 20, 13),
+    "sphere_product": ("block_lu", 24 * 106 * 2 ** 2, 0, 0),
+    "sphere_twist": ("block_lu", 24 * 106 * 2 ** 2, 0, 0),
+    "twisted_flat_c05": ("block_lu", (2 * 3 + 1) * 6 * 24 ** 2, 21, 14),
+    "twisted_t3_c05": ("block_lu", (2 * 4 + 1) * 6 * 288 ** 2, 20, 14),
 }
 # (min_r_bound, min_r_exact) of the positive cases; perfbench's seed-0
 # references for the same configs
@@ -719,11 +720,12 @@ def test_shipped_config_outcomes(tmp_path, stem):
     solve = tuple(float(doc.get("solve", key))
                   for key in ("C", "epsilon", "forcing_norm"))
     assert solve == SHIPPED_SOLVE[stem]
-    factor, factor_nnz, jacobi_modes = SHIPPED_FACTOR[stem]
+    factor, factor_nnz, jacobi_modes, sweeps = SHIPPED_FACTOR[stem]
     assert doc.get("solve", "solver_factor") == factor
     nnz = int(doc.get("solve", "solver_factor_nnz"))
     assert nnz == factor_nnz
     assert int(doc.get("solve", "solver_jacobi_modes")) == jacobi_modes
+    assert int(doc.get("solve", "solver_jacobi_sweeps")) == sweeps
     minima = [float(doc.get("certificate", key))
               for key in ("min_r_bound", "min_r_exact", "min_r_chain")]
     if stem in SPHERE_REFERENCES:

@@ -23,7 +23,7 @@ from pscbench.grids import (DomainSpec, bounded_axis, build_domain, c1_norm,
 from pscbench.metrics import make_metric, restrict_metric
 from pscbench.normal import normal_frame
 from pscbench.solver import assemble, solve_dirichlet, dtt_monitor, SolveReport
-from pscbench.conformal import b1_operator
+from pscbench.conformal import b1_operator, laplacian_comparison
 from pscbench.forcing import build_bump, calibrate_epsilon
 from pscbench import fd, solver
 
@@ -483,7 +483,7 @@ def test_band_factor_matches_superlu_of_the_block_matrix(case, order,
     assert asm.lu.low.size == factored
     assert asm.lu.factor.cyclic == (order <= solver.CYCLIC_MAX_ORDER)
     # the sweeps' matrix is L_X less its diagonal, bitwise
-    off = as_csr(asm.lu.jacobi._off)
+    off = as_csr(asm.lu.off)
     lx = as_csr(asm.slice_operator)
     expected = (lx - sp.diags(lx.diagonal())).tocsr()
     expected.eliminate_zeros()
@@ -551,12 +551,14 @@ _JACOBI_BASES = {}
 def test_jacobi_sweeps_meet_the_a_priori_bound(side, modes, density, seed):
     # a random non-symmetric slice operator with diagonal entries of either
     # sign, put in an assembly with random mode eigenvalues: each mode with
-    # q_k <= JACOBI_Q_MAX is iterated, and after at least its s_k sweeps
-    # from D^-1 f its error is within the a-priori bound q^(s+1) ||w||
-    # plus a round-off allowance. Each sweep adds at most (p + 2) 2^-53
-    # (|D^-1 f| + q ||w_s||) <= 2.25 (p + 2) 2^-53 ||w|| at q <= 1/2, p
-    # the most nonzeros in a row, and the sweeps damp what earlier ones
-    # added by q each, so the allowance is 4 (p + 2) 2^-53 ||w|| / (1 - q)
+    # q_k <= JACOBI_Q_MAX is iterated, all of them take one sweep count s,
+    # the largest s_k (the fewest with q_k^(s_k+1) <= 2^-52), and after s
+    # sweeps from D^-1 f each mode's error is within the a-priori bound
+    # q_k^(s+1) ||w|| plus a round-off allowance. Each sweep adds at most
+    # (p + 2) 2^-53 (|D^-1 f| + q ||w_s||) <= 2.25 (p + 2) 2^-53 ||w|| at
+    # q <= 1/2, p the most nonzeros in a row, and the sweeps damp what
+    # earlier ones added by q each, so the allowance is
+    # 4 (p + 2) 2^-53 ||w|| / (1 - q)
     if side not in _JACOBI_BASES:
         dom, g, v = product_fields(DomainSpec(TORUS, 2, (side, side), 5),
                                    "product_flat")
@@ -583,13 +585,24 @@ def test_jacobi_sweeps_meet_the_a_priori_bound(side, modes, density, seed):
     assert not any(k in high for k in np.flatnonzero(
         q > solver.JACOBI_Q_MAX * (1 + 1e-12)))
     assume(split.high.size > 0)
+    sweeps = []
+    for k in split.high:
+        s_k = 0
+        while q[k] ** (s_k + 1) > 2.0 ** -52:
+            s_k += 1
+        sweeps.append(s_k)
+    s = split.sweeps
+    assert s == max(sweeps) == split.stats["jacobi_sweeps"]
+    q_max = float(np.max(q[split.high]))
+    assert q_max ** (s + 1) <= 2.0 ** -52
+    assert s == 0 or q_max ** s > 2.0 ** -52
+    # the iterated modes alone: nothing is factored, the solve is the sweeps
+    only = dataclasses.replace(asm, t_eigvals=lam[split.high]).lu
+    assert only.factor is None and only.sweeps == s
     f = rng.standard_normal((split.high.size, n))
-    w = split.jacobi.solve(f.T).T
+    w = only.solve(f.T).T
     p = int(np.max(np.count_nonzero(a, axis=1)))
     for i, k in enumerate(split.high):
-        s = int(split.jacobi.sweeps[i])
-        assert q[k] ** (s + 1) <= 2.0 ** -52
-        assert s == 0 or q[k] ** s > 2.0 ** -52
         exact = _exact_solve(a + lam[k] * np.eye(n), f[i])
         size = float(np.max(np.abs(exact)))
         allowance = 4 * (p + 2) * 2.0 ** -53 * size / (1 - q[k])
@@ -695,26 +708,27 @@ def test_slice_and_b1_products_are_the_csr_products_bitwise(name, spec,
                                                              params):
     # L_X, L_X less its diagonal (the Jacobi sweeps), T's interior rows and
     # B1 applied as stencils equal scipy's CSR products of the same
-    # entries bit for bit, on the shapes the solver applies them to
+    # entries bit for bit, on the shapes the solver applies them to, and
+    # so does B1 on every t slice of u (laplacian_comparison)
     doms = w_domains(spec)
     h = make_metric(name, doms["y"], **params)
     asm = _pipeline_assembly(name, spec, params)
     n_x, n_t = asm.slice_operator.shape[0], asm.t_eigvals.size * 2 + 1
     rng = np.random.default_rng(7)
-    for mat in (asm.slice_operator, asm.lu.jacobi._off, asm.t_operator,
-                b1_operator(h, restrict_metric(h, doms["x"]))):
+    b1 = b1_operator(h, restrict_metric(h, doms["x"]))
+    for mat in (asm.slice_operator, asm.lu.off, asm.t_operator, b1):
         csr = as_csr(mat)
         for cols in (1, 17, n_t):
             x = rng.standard_normal((mat.shape[1], cols))
             assert (mat @ x).tobytes() == (csr @ x).tobytes()
     assert asm.t_operator.shape == (n_t - 2, n_t)
+    # t is W's last stored axis: u's (|X|, t nodes) columns are its slices
+    assert asm.domain.array_axis("t") == len(asm.domain.shape) - 1
     u = rng.standard_normal(asm.domain.shape)
-    assert np.array_equal(
-        solver.slice_apply(asm.slice_operator, asm.domain, u),
-        np.moveaxis((as_csr(asm.slice_operator) @ np.moveaxis(
-            u, asm.domain.array_axis("t"), -1).reshape(n_x, -1)).reshape(
-                np.moveaxis(u, asm.domain.array_axis("t"), -1).shape),
-            -1, asm.domain.array_axis("t")))
+    b1_u, k1 = laplacian_comparison(asm.domain, u, b1)
+    expected = (as_csr(b1) @ u.reshape(n_x, -1)).reshape(u.shape)
+    assert b1_u.tobytes() == expected.tobytes()
+    assert k1 == 4.0 * float(np.max(np.abs(expected)))
 
 
 @pytest.mark.parametrize("n", range(3, 42))
