@@ -21,7 +21,8 @@ in brackets):
   slice data    mu unit and normal to X (curvature.hypersurface_data) [3]
   forcing       a width with enough plateau and monitor nodes
                 (forcing.calibrate_epsilon) [4]
-  solve         nonsingular block LU, residual <= tolerance
+  solve         nonsingular block LU (solver.assemble, right before the
+                first solve pass), residual <= tolerance
                 (solver.solve_dirichlet) [3]
   lift          min(1 + u) > POSITIVITY_FLOOR and C^1 < 1 on all of W
                 (conformal.lift_solution) [3]
@@ -118,13 +119,15 @@ def run_scenario(config: RunConfig, stage: str = "certify") -> RunReport:
     t_axis = w.axis("t")
     h_x = restrict_metric(h, x)
     v_x = frame.v[..., [doms["y"].index(nm) for nm in x.names]]
-    assembly = assemble(v_x, h.scalar, h_x, t_axis)
     b1_op = b1_operator(h, h_x)
     slice_data = hypersurface_data(h, x.names, frame.mu)
 
     auto_c = config.c_mode == "auto"
     c_value = select_C(slice_data, k1=0.0) if auto_c else float(config.c_mode)
     epsilon = calibrate_epsilon(c_value, config.p, config.delta, h_x, t_axis)
+    # the operator, its mode split and factor: once per run, C scales
+    # only the forcing
+    assembly = assemble(v_x, h.scalar, h_x, t_axis)
     forcing, solve, b1_0, k1 = _solve_pass(config, w, assembly, b1_op,
                                            epsilon, c_value)
     if auto_c and k1 > K1_ROUNDOFF * (c_value + 1.0):

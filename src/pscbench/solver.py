@@ -22,9 +22,10 @@ sum L_X (x) I + I (x) T on the interior rows: L_X is the operator on the
 slice X, built from h_X, V's X components and the potential (one list
 of stencil entries, node coefficients times 1-d difference stencils,
 summed into one fd.Stencil: `operator_matrix`), and
-T = -4 D2_t. The t = +-1 rows are identity (homogeneous Dirichlet; the
-right-hand side is zeroed there). `assemble` takes the slice data and the
-t axis; no field of the operator carries t.
+T = -4 D2_t, applied with the cached fd.diff_matrix of the t axis. The
+t = +-1 rows are identity (homogeneous Dirichlet; the right-hand side is
+zeroed there). `assemble` takes the slice data and the t axis; no field
+of the operator carries t.
 
 The solve is fast diagonalization in t (Lynch, Rice & Thomas, Numer. Math.
 6 (1964) 185-199): with T's Dirichlet block Q diag(lam) Q^T, rotating the
@@ -37,9 +38,12 @@ Q_ik = sqrt(2/(m+1)) sin(i k pi / (m+1)), i, k = 1..m, so no eigensolver
 runs. The block commutes with the reflection t -> -t, and mode k is even
 in t for odd k, odd for even k; the operator maps even fields to even
 fields. The forcing (C+1) bump(t) (x) 1_X is even, so only the
-ceil((t_nodes - 2)/2) even modes are kept. The even eigenvectors are
-symmetrized exactly, so the solution is exactly even in t, whatever
-solves the slice problems.
+ceil((t_nodes - 2)/2) even modes are kept. The solution is rotated back
+onto the t <= 0 columns only and mirrored onto t > 0, so it is exactly
+even in t by construction. Symmetrized eigenvectors alone do not make it
+so: BLAS need not compute the mirrored columns of a full back rotation
+alike (OpenBLAS 0.3.31 on x86-64 did for every odd t_nodes up to 193 and
+for none from 195 to 401).
 
 The modes are split once per assembly, from L_X alone, and the route of
 each is decided there. With a_ii the diagonal of L_X and
@@ -89,7 +93,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -416,21 +419,29 @@ class _BlockLU:
         return x
 
 
-class _SliceSolve:
-    """The solve of the block-diagonal kron(L_X, I) + kron(I, diag(lam))
-    over all even modes, one column per mode, split by mode as the module
-    docstring's factor-route rule says. The modes `high`, those with
+class OperatorAssembly:
+    """The operator on the domain W, whose last stored axis is t, as its
+    slice part L_X and T = -4 D2_t, and its solve, built once (see
+    `assemble`); every solve reuses the mode split and factor.
+
+    `t_eigvals`, `t_eigvecs` are the even eigenpairs of T's Dirichlet
+    block (the discrete sines of odd k, see the module docstring),
+    ascending, each vector symmetrized. The modes `high`, those with
     q_k <= JACOBI_Q_MAX, take plain Jacobi sweeps from D^-1 f on their
     strictly diagonally dominant blocks, all at once: `off` is L_X less
     its diagonal, `diag` the iterated blocks' diagonals, one column per
     mode, and `sweeps` the one sweep count, the fewest s with
     q_k^(s+1) <= 2^-52 for every iterated mode (0 when none is). The
     modes `low` are factored by one block LU (`factor`, _BlockLU, None
-    when no mode is), with the slice nodes read in `order`. `stats` names
-    the route, the entries the factor stores, the iterated modes and the
-    sweep count."""
+    when no mode is), with the slice nodes in `slice_order`; an exactly
+    singular block raises NumericalFailure here. `stats` names the route,
+    the entries the factor stores, the iterated modes and the sweep
+    count."""
 
-    def __init__(self, lx: Stencil, lam: np.ndarray, order: np.ndarray):
+    def __init__(self, domain: DiscreteDomain, lx: Stencil, lam: np.ndarray,
+                 vecs: np.ndarray):
+        self.domain, self.slice_operator = domain, lx
+        self.t_eigvals, self.t_eigvecs = lam, vecs
         rows, cols, vals = lx.entries()
         is_off = rows != cols
         diag = np.bincount(rows[~is_off], vals[~is_off], minlength=lx.shape[0])
@@ -448,7 +459,8 @@ class _SliceSolve:
         self.sweeps = 0
         while np.any(q[self.high] ** (self.sweeps + 1) > 2.0 ** -52):
             self.sweeps += 1
-        self.factor = (_BlockLU(lx, lam[self.low], order, self.low)
+        self.factor = (_BlockLU(lx, lam[self.low],
+                                slice_order(domain.stored_axes[:-1]), self.low)
                        if self.low.size else None)
         self.stats = {
             "factor": "none" if self.factor is None else "block_lu",
@@ -456,8 +468,9 @@ class _SliceSolve:
             "jacobi_modes": int(self.high.size),
             "jacobi_sweeps": self.sweeps}
 
-    def solve(self, f: np.ndarray) -> np.ndarray:
-        """The solution for right-hand sides f, shaped (|X|, modes)."""
+    def solve_modes(self, f: np.ndarray) -> np.ndarray:
+        """The solve of kron(L_X, I) + kron(I, diag(lam)) for right-hand
+        sides f, shaped (|X|, modes)."""
         w = np.empty_like(f)
         if self.factor is not None:
             w[:, self.low] = self.factor.solve(f[:, self.low])
@@ -468,48 +481,24 @@ class _SliceSolve:
         w[:, self.high] = w_high
         return w
 
-
-@dataclass(frozen=True)
-class OperatorAssembly:
-    """The operator as its slice part L_X and its t part T on the domain W,
-    whose last stored axis is t (see `assemble`).
-
-    `t_operator` holds the interior rows of T over every t node, and
-    `t_eigvals`, `t_eigvecs` the even eigenpairs of its Dirichlet block in
-    closed form (the discrete sines of odd k, see the module docstring),
-    in ascending order, each vector symmetrized so that it is exactly even
-    in t: the forcing is even, T commutes with t -> -t, so the solution
-    lies in their span and is exactly even. Frozen, so the mode split and
-    factor of the t-rotated interior block (`lu`), cached on first use,
-    stay those of this operator; every solve with this assembly reuses
-    them. `lu.stats` reports each mode's route.
-    """
-    domain: DiscreteDomain
-    slice_operator: Stencil
-    t_operator: Stencil
-    t_eigvals: np.ndarray
-    t_eigvecs: np.ndarray
-
-    @cached_property
-    def lu(self) -> _SliceSolve:
-        """The solve of the t-rotated block matrix, split by mode."""
-        return _SliceSolve(self.slice_operator, self.t_eigvals,
-                           slice_order(self.domain.stored_axes[:-1]))
-
     def solve(self, rhs: np.ndarray) -> np.ndarray:
         """The operator's inverse on the even part in t of a field that is
         zero at t = +-1; its odd part is dropped.
 
         The even part (f + Jf)/2 of the interior columns is rotated into
-        the even eigenbasis of T, solved mode by mode (`lu`: Jacobi sweeps
-        or the low modes' factor) and rotated back; the t = +-1 columns of
-        the result are exactly 0.
+        the even eigenbasis of T, solved mode by mode (`solve_modes`) and
+        rotated back onto the t <= 0 interior columns by the first
+        t_nodes // 2 rows of `t_eigvecs`; the t > 0 columns are their
+        mirror, so the result is exactly even in t and exactly 0 at
+        t = +-1.
         """
         f = np.reshape(rhs, (-1, self.domain.shape[-1]))
+        half = f.shape[1] // 2
         inner = f[:, 1:-1]
-        w = self.lu.solve((0.5 * (inner + inner[:, ::-1])) @ self.t_eigvecs)
+        w = self.solve_modes((0.5 * (inner + inner[:, ::-1])) @ self.t_eigvecs)
         u = np.zeros_like(f)
-        u[:, 1:-1] = w @ self.t_eigvecs.T
+        u[:, 1:half + 1] = w @ self.t_eigvecs[:half].T
+        u[:, half + 1:-1] = u[:, half - 1:0:-1]
         return u.reshape(self.domain.shape)
 
     def apply(self, u: np.ndarray) -> np.ndarray:
@@ -517,7 +506,9 @@ class OperatorAssembly:
         on the interior columns, identity on the t = +-1 columns."""
         f = np.reshape(u, (-1, self.domain.shape[-1]))
         out = self.slice_operator @ f
-        out[:, 1:-1] += (self.t_operator @ f.T).T
+        t = self.domain.stored_axes[-1]
+        d2 = diff_matrix(2, t.n, t.spacing, t.closure)
+        out[:, 1:-1] -= 4.0 * (d2 @ f.T)[1:-1].T
         out[:, [0, -1]] = f[:, [0, -1]]
         return out.reshape(self.domain.shape)
 
@@ -532,9 +523,11 @@ class SolveReport:
 def assemble(v_x: np.ndarray, potential, metric_x: MetricField,
              t_axis: Axis) -> OperatorAssembly:
     """The operator on W = X x t_axis for g = h_X + dt^2 (metric_x = h_X)
-    and a drift tangent to X with components v_x: L_X on the slice grid,
-    T = -4 D2_t and the even eigenpairs of T's Dirichlet block, the
-    closed-form sines of odd k.
+    and a drift tangent to X with components v_x: L_X on the slice grid
+    and the even eigenpairs of T's Dirichlet block, the closed-form sines
+    of odd k, with the mode split and factor built from them. A run calls
+    it once, right before its first solve pass; an exactly singular factor
+    raises NumericalFailure.
 
     The caller guarantees ellipticity, which is not checked here: the
     symbol h_X^-1 - v v^T is positive definite iff 1 - h_X(v, v) > 0
@@ -554,8 +547,6 @@ def assemble(v_x: np.ndarray, potential, metric_x: MetricField,
             f"second-order coefficient anisotropy ratio {ratio:.2e} exceeds "
             "the stability heuristic; expect accuracy loss", RuntimeWarning)
 
-    d2 = diff_matrix(2, t_axis.n, t_axis.spacing, t_axis.closure)
-    t_operator = Stencil(d2.cols[:, 1:-1], -4.0 * d2.vals[:, 1:-1], d2.n_cols)
     # the discrete sines of the module docstring for odd k, the even modes,
     # ascending and made exactly even; i k is reduced mod 2 (m + 1) so that
     # each sine's argument lies in [0, 2 pi)
@@ -568,10 +559,8 @@ def assemble(v_x: np.ndarray, potential, metric_x: MetricField,
     # t is W's last stored axis, here as in grids.build_domain: a field on
     # W reshaped to (|X|, t nodes) holds each slice node's t column, so
     # the solve, the residual and B1's product read fields as they are
-    return OperatorAssembly(
-        domain=x.with_axis(t_axis),
-        slice_operator=operator_matrix(x, c2, c1, c0),
-        t_operator=t_operator, t_eigvals=lam, t_eigvecs=q)
+    return OperatorAssembly(x.with_axis(t_axis),
+                            operator_matrix(x, c2, c1, c0), lam, q)
 
 
 def _coefficients(v: np.ndarray, potential, metric: MetricField):
@@ -650,23 +639,23 @@ def solve_dirichlet(assembly: OperatorAssembly, forcing,
                     tolerance: float = 1e-10, start=None) -> SolveReport:
     """Solve L u = F with u = 0 at t = +-1.
 
-    One mode split per assembly of the t-rotated block-diagonal operator
-    on the even modes of T, each mode on the route the module docstring's
-    factor-route rule gives it (OperatorAssembly.lu). The first iterate is
-    the solve of F, or `start` when given (an even field zero at t = +-1:
-    the auto-C re-budget passes the first pass's u scaled to the new
-    forcing). Then
+    Every solve runs on the assembly's one mode split and factor, each
+    even mode of T on the route the module docstring's factor-route rule
+    gives it (OperatorAssembly.solve). The first iterate is the solve of
+    F, or `start` when given (an even field zero at t = +-1: the auto-C
+    re-budget passes the first pass's u scaled to the new forcing). Then
     iterative refinement against the full F: at least one step, at most
     four, each residual applied matrix-free (OperatorAssembly.apply), so
     an odd part of F, which the even modes cannot solve for, stays in the
-    residual. A failed factorization, or an infinity-norm residual that
-    ends above tolerance, raises NumericalFailure.
+    residual. An infinity-norm residual that ends above tolerance raises
+    NumericalFailure.
 
     The returned report carries u shaped like the domain (exactly zero at
-    t = +-1); its stats hold the final residual (`residual_inf`) and name
-    the factor route (`factor`: block_lu or none), its stored entries
-    (`factor_nnz`), the modes solved by Jacobi sweeps (`jacobi_modes`) and
-    their one sweep count (`jacobi_sweeps`).
+    t = +-1, exactly even in t when `start` is); its stats hold the final
+    residual (`residual_inf`) and name the factor route (`factor`:
+    block_lu or none), its stored entries (`factor_nnz`), the modes solved
+    by Jacobi sweeps (`jacobi_modes`) and their one sweep count
+    (`jacobi_sweeps`).
     """
     rhs = np.array(np.broadcast_to(forcing, assembly.domain.shape),
                    dtype=float)
@@ -684,7 +673,7 @@ def solve_dirichlet(assembly: OperatorAssembly, forcing,
     stats = {"nodes": rhs.size,
              "slice_nnz": int(assembly.slice_operator.nnz),
              "refinements": refinements, "residual_inf": residual_inf,
-             **assembly.lu.stats}
+             **assembly.stats}
     if residual_inf > tolerance:
         raise NumericalFailure(
             f"solver residual {residual_inf:.3e} exceeds "

@@ -2,7 +2,6 @@
 the package's production path is checked against."""
 
 import os
-from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -345,18 +344,17 @@ def product_fields(spec, name, drift=None, **params):
 
 
 def record_factorizations(monkeypatch) -> list:
-    """Record every assembly whose factor is built (OperatorAssembly.lu),
-    whichever route factors it; returns the record."""
+    """Record every assembly whose mode split and factor are built (the
+    OperatorAssembly constructor), whichever route factors it; returns
+    the record."""
     built = []
-    func = vars(OperatorAssembly)["lu"].func
+    init = OperatorAssembly.__init__
 
-    def counted(assembly):
+    def counted(assembly, *args):
         built.append(assembly)
-        return func(assembly)
+        init(assembly, *args)
 
-    wrapped = cached_property(counted)
-    wrapped.__set_name__(OperatorAssembly, "lu")
-    monkeypatch.setattr(OperatorAssembly, "lu", wrapped)
+    monkeypatch.setattr(OperatorAssembly, "__init__", counted)
     return built
 
 

@@ -140,12 +140,16 @@ def test_lift_solution_guards():
     u = np.zeros(dom.shape)
     with pytest.raises(ConfigError):
         lift(dom, u, 2)
-    with pytest.raises(NumericalFailure):
+    with pytest.raises(NumericalFailure, match="conformal factor collapses"):
         # conformal factor hits zero
         lift(dom, u - 1.0, 3)
-    steep = 2.0 * np.asarray(np.broadcast_to(dom.mesh("t"), dom.shape))
-    with pytest.raises(NumericalFailure):
-        lift(dom, steep, 3)  # C1 norm >= 1
+    # min(1 + u) = 0.4 passes the positivity guard, and the C1 norm is
+    # sup|u| + sup|du/dt| = 0.6 + 0.6 = 1.2 >= 1
+    steep = 0.6 * np.asarray(np.broadcast_to(dom.mesh("t"), dom.shape))
+    assert float(np.min(1.0 + steep)) == pytest.approx(0.4)
+    with pytest.raises(NumericalFailure,
+                       match=r"small-perturbation regime: C1 norm 1\.200 "):
+        lift(dom, steep, 3)
     u_y, phi_y = lift(dom, u, 3)
     assert np.max(np.abs(u_y - 1.0)) == 0.0
     assert np.max(np.abs(phi_y)) == 0.0

@@ -11,9 +11,10 @@ import pytest
 from pscbench import cli, conformal, fd, metrics, pipeline, solver
 from pscbench.config import parse_config
 from pscbench.errors import ConfigError, HypothesisViolation, NumericalFailure
-from pscbench.forcing import forcing_norm
+from pscbench.forcing import build_bump, forcing_norm
 from pscbench.grids import c1_norm, gradient, w_domains
 from pscbench.metrics import MetricField, restrict_metric
+from pscbench.normal import normal_frame
 from pscbench.pipeline import run_scenario
 from pscbench.report import parse_report, write_field_csvs
 
@@ -63,6 +64,14 @@ C = auto
 EPS_CHANGE_DELTA = 24.662
 SPHERE_EPS_CHANGE = SPHERE_TWIST.replace("t_nodes = 49", "t_nodes = 97") \
     .replace("delta = 40.0", f"delta = {EPS_CHANGE_DELTA}")
+
+# c = 0.9999999975: the angle arctan(c) stays below pi/4, and the margin
+# 1 - c^2 = 5e-9 is below the ellipticity floor 1e-8
+TWISTED_THIN_MARGIN = """\
+[metric]
+name = twisted_flat
+c = 0.9999999975
+"""
 
 FLAT = """\
 [domain]
@@ -445,6 +454,17 @@ def test_critical_angle_aborts_with_hypothesis_violation(tmp_path):
     assert HypothesisViolation.exit_code == 2
 
 
+def test_thin_margin_aborts_with_hypothesis_violation(tmp_path):
+    # an angle below pi/4 with a margin at most MARGIN_FLOOR: the run
+    # refuses the operator as not elliptic
+    cfg = parse_config(write(tmp_path, "s.cfg", TWISTED_THIN_MARGIN))
+    with pytest.raises(HypothesisViolation,
+                       match=r"^ellipticity margin 5\.000e-09 <= 1e-08: "
+                             r"operator is not elliptic$") as err:
+        run_scenario(cfg, stage="angle")
+    assert err.value.exit_code == 2
+
+
 # -- subprocess CLI ---------------------------------------------------------
 
 def test_cli_certify_completes_and_writes(tmp_path):
@@ -557,6 +577,14 @@ def test_cli_critical_twist_exits_2(tmp_path):
     assert res.returncode == 2
     assert "error[exit 2]:" in res.stderr
     assert "angle condition fails" in res.stderr
+
+
+def test_cli_thin_margin_exits_2(tmp_path):
+    cfg = write(tmp_path, "thin.cfg", TWISTED_THIN_MARGIN)
+    res = run_cli(["check-angle", cfg, "--output-dir", str(tmp_path)])
+    assert res.returncode == 2
+    assert ("error[exit 2]: ellipticity margin 5.000e-09 <= 1e-08: "
+            "operator is not elliptic") in res.stderr
 
 
 def test_cli_invalid_config_exits_4(tmp_path):
@@ -735,3 +763,90 @@ def test_shipped_config_outcomes(tmp_path, stem):
     else:
         assert doc.get("certificate", "verdict") == "false"
         assert max(abs(v) for v in minima) <= 1e-9
+
+
+def _as_table(tmp_path, stem, name, params):
+    """The shipped config `stem` with its builtin metric `name` (params as
+    the config gives them) replaced by a components_file table of the
+    same metric on the config's Y; the new config's path."""
+    shipped = os.path.join(CONFIGS, f"{stem}.cfg")
+    y = w_domains(parse_config(shipped).domain)["y"]
+    metrics.metric_to_csv(
+        metrics.make_metric(name, y, **{k: float(v)
+                                        for k, v in params.items()}),
+        tmp_path / "table.csv")
+    with open(shipped, encoding="utf-8") as fh:
+        text = fh.read()
+    builtin = "".join(f"{k} = {v}\n" for k, v in
+                      [("name", name), *params.items()])
+    assert builtin in text
+    return write(tmp_path, "table.cfg",
+                 text.replace(builtin, "components_file = table.csv\n"))
+
+
+def test_components_file_certifies_as_its_builtin(tmp_path):
+    # the CSV branch of build_slice_metric end to end: twisted_flat's
+    # constant components as a table, with FD jets, give the shipped
+    # config's report body bit for bit, less the metric's echo, and
+    # byte-identical dumps
+    table = _as_table(tmp_path, "twisted_flat_c05", "twisted_flat",
+                      {"c": "0.5"})
+    out = tmp_path / "out"
+    assert cli.main(["certify", os.path.join(CONFIGS, "twisted_flat_c05.cfg"),
+                     "--output-dir", str(out)]) == 0
+    assert cli.main(["certify", table, "--output-dir", str(out)]) == 0
+    builtin = parse_report(str(out / "twisted_flat_c05.report.ini")).body
+    csv = parse_report(str(out / "table.report.ini")).body
+    del builtin["config"]["metric.c"]
+    builtin["config"].update({"metric.name": "csv",
+                              "metric.components_file": "table.csv"})
+    assert csv == builtin
+    for dump in ("angle", "u", "certificate"):
+        assert ((out / f"table_{dump}.csv").read_bytes()
+                == (out / f"twisted_flat_c05_{dump}.csv").read_bytes())
+
+
+def test_components_file_sphere_twist_certifies(tmp_path):
+    # sphere_twist at 48 x 49 as a table: FD jets in place of the exact
+    # ones move min R_bound (0.2906 against the builtin's 0.2757), and the
+    # certificate still closes
+    table = _as_table(tmp_path, "sphere_twist", "sphere_twist",
+                      {"r": "1.0", "beta0": "0.5"})
+    out = tmp_path / "out"
+    assert cli.main(["certify", table, "--output-dir", str(out)]) == 0
+    cert = parse_report(str(out / "table.report.ini")).body["certificate"]
+    assert cert["verdict"] == "true"
+    assert float(cert["min_r_bound"]) == pytest.approx(0.2906, abs=1e-4)
+
+
+LONG_T = {
+    "twisted_flat": ("twisted_flat_c05", "resolution = 12", "resolution = 6"),
+    "sphere_twist": ("sphere_twist", "resolution = 48", "resolution = 16"),
+}
+
+
+@pytest.mark.parametrize("t_nodes", [197, 257])
+@pytest.mark.parametrize("name", sorted(LONG_T))
+def test_long_t_axis_solution_is_even_and_dumped(tmp_path, name, t_nodes):
+    # u is even in t by construction on t axes where a full back rotation
+    # by BLAS gives mirrored columns that differ in their last bits
+    # (OpenBLAS 0.3.31 from t_nodes = 195 on): the solve and a certify
+    # run keep it bitwise even, and write_field_csvs dumps its t >= 0 half
+    stem, coarse, small = LONG_T[name]
+    with open(os.path.join(CONFIGS, f"{stem}.cfg"), encoding="utf-8") as fh:
+        text = fh.read()
+    assert coarse in text and "t_nodes = 49" in text
+    cfg = write(tmp_path, "long.cfg",
+                text.replace(coarse, small)
+                .replace("t_nodes = 49", f"t_nodes = {t_nodes}"))
+    config = parse_config(cfg)
+    doms = w_domains(config.domain)
+    x, w = doms["x"], doms["w"]
+    h = pipeline.build_slice_metric(config, doms["y"])
+    v_x = normal_frame(h).v[..., [doms["y"].index(nm) for nm in x.names]]
+    asm = solver.assemble(v_x, h.scalar, restrict_metric(h, x), w.axis("t"))
+    u = solver.solve_dirichlet(asm, build_bump(2.2, 0.25, w)).u
+    assert np.array_equal(u, u[..., ::-1])
+    out = tmp_path / "out"
+    assert cli.main(["certify", cfg, "--output-dir", str(out)]) == 0
+    assert (out / "long_u.csv").is_file()

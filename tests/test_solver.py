@@ -22,7 +22,8 @@ from pscbench.grids import (DomainSpec, bounded_axis, build_domain, c1_norm,
                             gradient, w_domains, TORUS, SPHERE)
 from pscbench.metrics import make_metric, restrict_metric
 from pscbench.normal import normal_frame
-from pscbench.solver import assemble, solve_dirichlet, dtt_monitor, SolveReport
+from pscbench.solver import (OperatorAssembly, assemble, solve_dirichlet,
+                             dtt_monitor, SolveReport)
 from pscbench.conformal import b1_operator, laplacian_comparison
 from pscbench.forcing import build_bump, calibrate_epsilon
 from pscbench import fd, solver
@@ -122,9 +123,11 @@ def test_t_eigenpairs_are_the_closed_form_sines(t_nodes):
     # node, which W never has, but the closed form holds there too
     dom, g, v = product_fields(DomainSpec(TORUS, 2, (4, 4), 5),
                                "product_flat")
-    asm = assemble(v, 1.0, g, bounded_axis("t", t_nodes))
+    t = bounded_axis("t", t_nodes)
+    asm = assemble(v, 1.0, g, t)
     lam, q = asm.t_eigvals, asm.t_eigvecs
-    block = asm.t_operator.toarray()[:, 1:-1]
+    block = -4.0 * fd.diff_matrix(2, t.n, t.spacing,
+                                  t.closure).toarray()[1:-1, 1:-1]
     lam0, q0 = np.linalg.eigh(block)
     even = np.einsum("ik,ik->k", q0, q0[::-1]) > 0.0
     lam0, q0 = lam0[even], q0[:, even]
@@ -206,7 +209,7 @@ def test_slice_assembly_matches_materialised_oracle(name, spec, params,
     # the general 3-D assembly of the same fields materialised over every
     # t node
     asm, full_v, full_r, g_w = _slice_and_materialised(name, spec, params)
-    assert asm.lu.stats["factor"] == factor
+    assert asm.stats["factor"] == factor
     w = asm.domain
     kt, it = w.array_axis("t"), w.index("t")
     oracle, c2, c1 = oracle_operator(full_v, full_r, g_w)
@@ -258,9 +261,9 @@ def test_even_mode_solve_matches_the_oracle_on_a_non_dyadic_t_grid():
     # 3 upper blocks; the other 22 are diagonally dominant enough to be
     # solved by at most 11 Jacobi sweeps
     assert asm.t_eigvals.size == (m + 1) // 2
-    assert asm.lu.stats == {"factor": "block_lu",
-                            "factor_nnz": (2 * 2 + 1) * 3 * 12 ** 2,
-                            "jacobi_modes": 22, "jacobi_sweeps": 11}
+    assert asm.stats == {"factor": "block_lu",
+                         "factor_nnz": (2 * 2 + 1) * 3 * 12 ** 2,
+                         "jacobi_modes": 22, "jacobi_sweeps": 11}
     assert np.array_equal(asm.t_eigvecs, asm.t_eigvecs[::-1])
     fast = solve_dirichlet(asm, forcing)
     assert np.array_equal(fast.u, np.flip(fast.u, kt))
@@ -287,8 +290,8 @@ def test_solve_and_rescale_return_a_bitwise_even_u(name, spec, params,
     # after the same-epsilon auto-C re-budget, which starts from the first
     # u scaled and refines it against the second C's forcing
     asm = _assembly((name, spec, params))
-    assert asm.lu.stats["factor"] == factor
-    assert asm.lu.stats["jacobi_modes"] == iterated
+    assert asm.stats["factor"] == factor
+    assert asm.stats["jacobi_modes"] == iterated
     kt = asm.domain.array_axis("t")
     first = solve_dirichlet(asm, build_bump(2.2, 0.25, asm.domain))
     scaled = solve_dirichlet(asm, build_bump(3.0, 0.25, asm.domain),
@@ -361,8 +364,8 @@ def _with_slice_operator(asm, edit):
     a = asm.slice_operator.toarray()
     edit(a)
     rows, cols = np.nonzero(a)
-    return dataclasses.replace(asm, slice_operator=fd.Stencil.from_entries(
-        rows, cols, a[rows, cols], a.shape))
+    return OperatorAssembly(asm.domain, fd.Stencil.from_entries(
+        rows, cols, a[rows, cols], a.shape), asm.t_eigvals, asm.t_eigvecs)
 
 
 def _zero_row(asm, node):
@@ -379,9 +382,9 @@ def test_singular_operator_raises_numerical_failure():
     dom, g, v = product_fields(DomainSpec(TORUS, 2, (6, 6), 7),
                                "product_flat")
     asm = assemble(v, 1.0, g, dom.axis("t"))
-    singular = _with_slice_operator(asm, _zero_row(asm, 0))
     with pytest.raises(NumericalFailure, match="factorization") as err:
-        solve_dirichlet(singular, np.ones(dom.shape))
+        solve_dirichlet(_with_slice_operator(asm, _zero_row(asm, 0)),
+                        np.ones(dom.shape))
     assert err.value.exit_code == 3
 
 
@@ -476,14 +479,14 @@ def test_band_factor_matches_superlu_of_the_block_matrix(case, order,
     asm = _assembly(case)
     modes, n_x = asm.t_eigvals.size, asm.slice_operator.shape[0]
     assert max(_ring_band(asm)) == order
-    assert asm.lu.stats["factor"] == "block_lu"
-    assert asm.lu.stats["factor_nnz"] == _block_lu_entries(
+    assert asm.stats["factor"] == "block_lu"
+    assert asm.stats["factor_nnz"] == _block_lu_entries(
         n_x, order, factored)
-    assert asm.lu.stats["jacobi_modes"] == modes - factored
-    assert asm.lu.low.size == factored
-    assert asm.lu.factor.cyclic == (order <= solver.CYCLIC_MAX_ORDER)
+    assert asm.stats["jacobi_modes"] == modes - factored
+    assert asm.low.size == factored
+    assert asm.factor.cyclic == (order <= solver.CYCLIC_MAX_ORDER)
     # the sweeps' matrix is L_X less its diagonal, bitwise
-    off = as_csr(asm.lu.off)
+    off = as_csr(asm.off)
     lx = as_csr(asm.slice_operator)
     expected = (lx - sp.diags(lx.diagonal())).tocsr()
     expected.eliminate_zeros()
@@ -491,7 +494,7 @@ def test_band_factor_matches_superlu_of_the_block_matrix(case, order,
         assert np.array_equal(getattr(off, name), getattr(expected, name))
     mat = _block_matrix(asm)
     rhs = np.random.default_rng(8).standard_normal(mat.shape[0])
-    block = asm.lu.solve(rhs.reshape(modes, n_x).T).T.ravel()
+    block = asm.solve_modes(rhs.reshape(modes, n_x).T).T.ravel()
     sparse = spla.splu(mat).solve(rhs)
     assert (np.max(np.abs(block - sparse))
             <= 1e-12 * np.max(np.abs(sparse)))
@@ -515,20 +518,20 @@ def test_split_solve_matches_superlu_of_the_all_mode_block_matrix(
     # others by one block LU of their block matrix; together they solve
     # the all-mode block matrix as its SuperLU does
     asm = _assembly(case)
-    stats = asm.lu.stats
+    stats = asm.stats
     assert (stats["factor"], stats["jacobi_modes"]) == (factor, iterated)
     assert (0 < stats["jacobi_sweeps"] <= 15) == (iterated > 0)
-    assert asm.lu.low.size + iterated == asm.t_eigvals.size
+    assert asm.low.size + iterated == asm.t_eigvals.size
     mat = _block_matrix(asm)
     rhs = np.random.default_rng(9).standard_normal(mat.shape[0])
-    split = asm.lu.solve(rhs.reshape(asm.t_eigvals.size, -1).T).T.ravel()
+    split = asm.solve_modes(rhs.reshape(asm.t_eigvals.size, -1).T).T.ravel()
     sparse = spla.splu(mat).solve(rhs)
     assert (np.max(np.abs(split - sparse))
             <= 1e-12 * np.max(np.abs(sparse)))
     if iterated == 0:
         # no mode iterated: the split solve is the factor's solve
-        assert np.array_equal(asm.lu.low, np.arange(asm.t_eigvals.size))
-        assert np.array_equal(split, asm.lu.factor.solve(
+        assert np.array_equal(asm.low, np.arange(asm.t_eigvals.size))
+        assert np.array_equal(split, asm.factor.solve(
             rhs.reshape(asm.t_eigvals.size, -1).T).T.ravel())
 
 
@@ -572,37 +575,36 @@ def test_jacobi_sweeps_meet_the_a_priori_bound(side, modes, density, seed):
     diag = rng.uniform(-3.0, 3.0, n) * scale
     lam = np.sort(rng.uniform(0.0, 60.0, modes)) * scale
     a = off + np.diag(diag)
-    asm = dataclasses.replace(_JACOBI_BASES[side],
-                              slice_operator=fd.Stencil.from_entries(
-                                  *np.nonzero(a), a[np.nonzero(a)], a.shape),
-                              t_eigvals=lam)
+    base = _JACOBI_BASES[side]
+    asm = OperatorAssembly(base.domain, fd.Stencil.from_entries(
+        *np.nonzero(a), a[np.nonzero(a)], a.shape), lam, base.t_eigvecs)
     with np.errstate(divide="ignore"):
         q = np.max(rows[:, None] / np.abs(diag[:, None] + lam), axis=0)
-    split = asm.lu
-    high = set(split.high.tolist())
+    high = set(asm.high.tolist())
     assert all(k in high for k in np.flatnonzero(
         q <= solver.JACOBI_Q_MAX * (1 - 1e-12)))
     assert not any(k in high for k in np.flatnonzero(
         q > solver.JACOBI_Q_MAX * (1 + 1e-12)))
-    assume(split.high.size > 0)
+    assume(asm.high.size > 0)
     sweeps = []
-    for k in split.high:
+    for k in asm.high:
         s_k = 0
         while q[k] ** (s_k + 1) > 2.0 ** -52:
             s_k += 1
         sweeps.append(s_k)
-    s = split.sweeps
-    assert s == max(sweeps) == split.stats["jacobi_sweeps"]
-    q_max = float(np.max(q[split.high]))
+    s = asm.sweeps
+    assert s == max(sweeps) == asm.stats["jacobi_sweeps"]
+    q_max = float(np.max(q[asm.high]))
     assert q_max ** (s + 1) <= 2.0 ** -52
     assert s == 0 or q_max ** s > 2.0 ** -52
     # the iterated modes alone: nothing is factored, the solve is the sweeps
-    only = dataclasses.replace(asm, t_eigvals=lam[split.high]).lu
+    only = OperatorAssembly(asm.domain, asm.slice_operator, lam[asm.high],
+                            asm.t_eigvecs)
     assert only.factor is None and only.sweeps == s
-    f = rng.standard_normal((split.high.size, n))
-    w = only.solve(f.T).T
+    f = rng.standard_normal((asm.high.size, n))
+    w = only.solve_modes(f.T).T
     p = int(np.max(np.count_nonzero(a, axis=1)))
-    for i, k in enumerate(split.high):
+    for i, k in enumerate(asm.high):
         exact = _exact_solve(a + lam[k] * np.eye(n), f[i])
         size = float(np.max(np.abs(exact)))
         allowance = 4 * (p + 2) * 2.0 ** -53 * size / (1 - q[k])
@@ -628,12 +630,12 @@ def test_factor_route_follows_the_slice_band(case, order, cyclic):
     # Schur complements through their halves
     asm = _assembly(case)
     assert max(_ring_band(asm)) == order
-    assert asm.lu.stats["factor"] == "block_lu"
-    assert asm.lu.factor.cyclic == cyclic
+    assert asm.stats["factor"] == "block_lu"
+    assert asm.factor.cyclic == cyclic
     rep = solve_dirichlet(asm, build_bump(2.2, 0.5, asm.domain))
     assert rep.stats["factor"] == "block_lu"
     assert rep.stats["factor_nnz"] == _block_lu_entries(
-        asm.slice_operator.shape[0], order, asm.lu.low.size)
+        asm.slice_operator.shape[0], order, asm.low.size)
 
 
 def _operator_inputs(case):
@@ -706,25 +708,36 @@ def test_slice_and_b1_operators_are_canonical(name, spec, params):
 ], ids=["torus24", "sphere256", "t3_12"])
 def test_slice_and_b1_products_are_the_csr_products_bitwise(name, spec,
                                                              params):
-    # L_X, L_X less its diagonal (the Jacobi sweeps), T's interior rows and
-    # B1 applied as stencils equal scipy's CSR products of the same
-    # entries bit for bit, on the shapes the solver applies them to, and
-    # so does B1 on every t slice of u (laplacian_comparison)
+    # L_X, L_X less its diagonal (the Jacobi sweeps), the second
+    # difference along t and B1 applied as stencils equal scipy's CSR
+    # products of the same entries bit for bit, on the shapes the solver
+    # applies them to, and so does B1 on every t slice of u
+    # (laplacian_comparison)
     doms = w_domains(spec)
     h = make_metric(name, doms["y"], **params)
     asm = _pipeline_assembly(name, spec, params)
     n_x, n_t = asm.slice_operator.shape[0], asm.t_eigvals.size * 2 + 1
     rng = np.random.default_rng(7)
     b1 = b1_operator(h, restrict_metric(h, doms["x"]))
-    for mat in (asm.slice_operator, asm.lu.off, asm.t_operator, b1):
+    t = asm.domain.axis("t")
+    d2_t = fd.diff_matrix(2, t.n, t.spacing, t.closure)
+    for mat in (asm.slice_operator, asm.off, d2_t, b1):
         csr = as_csr(mat)
         for cols in (1, 17, n_t):
             x = rng.standard_normal((mat.shape[1], cols))
             assert (mat @ x).tobytes() == (csr @ x).tobytes()
-    assert asm.t_operator.shape == (n_t - 2, n_t)
+    assert d2_t.shape == (n_t, n_t)
     # t is W's last stored axis: u's (|X|, t nodes) columns are its slices
     assert asm.domain.array_axis("t") == len(asm.domain.shape) - 1
     u = rng.standard_normal(asm.domain.shape)
+    # the operator takes T as -4 times u's second difference along t, bit
+    # for bit the product with T's interior rows as one stencil
+    t_rows = fd.Stencil(d2_t.cols[:, 1:-1], -4.0 * d2_t.vals[:, 1:-1], n_t)
+    f = u.reshape(n_x, n_t)
+    applied = asm.slice_operator @ f
+    applied[:, 1:-1] += (t_rows @ f.T).T
+    applied[:, [0, -1]] = f[:, [0, -1]]
+    assert asm.apply(u).tobytes() == applied.tobytes()
     b1_u, k1 = laplacian_comparison(asm.domain, u, b1)
     expected = (as_csr(b1) @ u.reshape(n_x, -1)).reshape(u.shape)
     assert b1_u.tobytes() == expected.tobytes()
@@ -763,11 +776,11 @@ def test_singular_band_block_raises_numerical_failure():
     # reduced cyclically: block k = 0 gets a zero row at node 0
     asm = _pipeline_assembly("sphere_product", DomainSpec(SPHERE, 2, (16,), 7),
                              {"r": 1.0})
-    singular = _with_slice_operator(asm, _zero_row(asm, 0))
-    assert asm.lu.factor.cyclic
+    assert asm.factor.cyclic
     with pytest.raises(NumericalFailure,
                        match="block LU factorization .*mode 0,") as err:
-        solve_dirichlet(singular, np.ones(asm.domain.shape))
+        solve_dirichlet(_with_slice_operator(asm, _zero_row(asm, 0)),
+                        np.ones(asm.domain.shape))
     assert err.value.exit_code == 3
 
 
@@ -785,11 +798,11 @@ def test_singular_periodic_band_block_names_the_natural_node():
         a[:, 7] = 0.0
         a[7, 7] = -asm.t_eigvals[0]
 
-    singular = _with_slice_operator(asm, zero_column)
     with pytest.raises(NumericalFailure,
                        match=r"block LU factorization .* row 7 .*mode 0, "
                              r"slice node 7;") as err:
-        solve_dirichlet(singular, np.ones(dom.shape))
+        solve_dirichlet(_with_slice_operator(asm, zero_column),
+                        np.ones(dom.shape))
     assert err.value.exit_code == 3
 
 
@@ -802,10 +815,10 @@ def test_singular_3d_block_raises_numerical_failure():
                                "product_flat")
     asm = assemble(v, 1.0, g, dom.axis("t"))
     assert max(_ring_band(asm)) == 72
-    singular = _with_slice_operator(asm, _zero_row(asm, 0))
     with pytest.raises(NumericalFailure,
                        match="block LU factorization .*mode 0,") as err:
-        solve_dirichlet(singular, np.ones(dom.shape))
+        solve_dirichlet(_with_slice_operator(asm, _zero_row(asm, 0)),
+                        np.ones(dom.shape))
     assert err.value.exit_code == 3
 
 
